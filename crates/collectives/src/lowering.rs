@@ -12,13 +12,20 @@
 //! Both discrete-event engines of `ccube-sim` (the network-only
 //! `simulate` and the compute/communication `simulate_system`) consume
 //! this one lowering, so their timing models can never drift apart.
+//!
+//! Routes are interned per logical edge: every transfer on the same
+//! [`EdgeKey`] shares one `Arc<[ChannelId]>` path, so a lowering
+//! allocates O(edges) paths rather than one per transfer — the P=1024
+//! ring has 2.1 M transfers but only 1024 edges.
 
 use crate::chunk::ChunkId;
 use crate::embedding::{EdgeKey, Embedding};
 use crate::schedule::{Schedule, TransferId};
-use ccube_topology::{ByteSize, ChannelId, FabricGraph, GpuId, PortId, Seconds, Topology};
+use ccube_topology::{ByteSize, ChannelId, FabricGraph, GpuId, PortId, Route, Seconds, Topology};
+use std::collections::hash_map::{Entry, HashMap};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// The link-timing knobs of the lowering (a subset of the simulator's
 /// options that affects transfer durations).
@@ -50,7 +57,8 @@ pub struct TransferSpec {
     /// The global chunk the transfer carries (arbitration priority).
     pub chunk: ChunkId,
     /// The physical channels the transfer occupies, in route order.
-    pub path: Vec<ChannelId>,
+    /// Shared by every transfer of the same logical edge.
+    pub path: Arc<[ChannelId]>,
     /// The intermediate GPU for detour routes.
     pub via: Option<GpuId>,
     /// Wormhole occupancy time of the whole path.
@@ -99,6 +107,8 @@ impl Error for LowerError {}
 /// the routes of `embedding` over `topo`.
 ///
 /// The result is indexed by transfer id (schedules use dense ids).
+/// Equivalent to [`PreparedLowering::new`] followed by
+/// [`PreparedLowering::lower`], which is how it is implemented.
 ///
 /// # Errors
 ///
@@ -125,42 +135,7 @@ pub fn lower_schedule(
     topo: &Topology,
     timing: &LinkTiming,
 ) -> Result<Vec<TransferSpec>, LowerError> {
-    let num_channels = topo.channels().len();
-    let mut specs = Vec::with_capacity(schedule.transfers().len());
-    for t in schedule.transfers() {
-        let key = EdgeKey {
-            src: t.src,
-            dst: t.dst,
-            tree: t.tree,
-        };
-        let route = embedding.route(&key).ok_or(LowerError::MissingRoute(key))?;
-        let mut alpha = Seconds::ZERO;
-        let mut bottleneck = f64::INFINITY;
-        for &c in route.channels() {
-            if c.index() >= num_channels {
-                return Err(LowerError::UnknownChannel {
-                    edge: key,
-                    channel_index: c.index(),
-                });
-            }
-            let ch = topo.channel(c);
-            alpha += ch.latency();
-            bottleneck = bottleneck.min(ch.bandwidth().as_bytes_per_sec());
-        }
-        if route.is_detour() {
-            alpha += timing.forwarding_latency;
-        }
-        let serialization = Seconds::new(t.bytes.as_f64() / (bottleneck * timing.bandwidth_scale));
-        specs.push(TransferSpec {
-            id: t.id,
-            chunk: t.chunk,
-            path: route.channels().to_vec(),
-            via: route.via(),
-            duration: alpha + serialization,
-            bytes: t.bytes,
-        });
-    }
-    Ok(specs)
+    Ok(PreparedLowering::new(schedule, embedding, topo)?.lower(schedule, timing))
 }
 
 /// Lowers channel-level [`TransferSpec`]s one level further, onto an
@@ -175,111 +150,124 @@ pub fn lower_to_ports(specs: &[TransferSpec], fabric: &FabricGraph) -> Vec<Vec<P
     specs.iter().map(|s| fabric.port_route(&s.path)).collect()
 }
 
-/// One transfer's route, resolved once and stored with the two timing
-/// coefficients of the wormhole model, so durations can be recomputed
-/// for any payload size and [`LinkTiming`] without touching the
+/// One logical edge's route, resolved once and stored with the two
+/// timing coefficients of the wormhole model, so durations can be
+/// computed for any payload size and [`LinkTiming`] without touching the
 /// embedding or the topology again.
 #[derive(Debug, Clone, PartialEq)]
 struct PreparedRoute {
-    /// The physical channels the route occupies, in hop order.
-    path: Vec<ChannelId>,
+    /// The physical channels the route occupies, in hop order; every
+    /// lowered transfer on the edge shares this allocation.
+    path: Arc<[ChannelId]>,
     /// The intermediate GPU for detour routes.
     via: Option<GpuId>,
-    /// Σ per-hop channel latency, accumulated in hop order exactly as
-    /// [`lower_schedule`] does — the forwarding latency of detours is
-    /// *not* folded in, because it is a per-point timing knob.
+    /// Σ per-hop channel latency, accumulated in hop order — the
+    /// forwarding latency of detours is *not* folded in, because it is a
+    /// per-point timing knob.
     alpha: Seconds,
     /// The route's bottleneck bandwidth in bytes/sec at nominal scale.
     bottleneck: f64,
 }
 
+impl PreparedRoute {
+    /// Validates `route`'s channels against `topo` and sums its timing
+    /// coefficients.
+    fn resolve(edge: EdgeKey, route: &Route, topo: &Topology) -> Result<Self, LowerError> {
+        let num_channels = topo.channels().len();
+        let mut alpha = Seconds::ZERO;
+        let mut bottleneck = f64::INFINITY;
+        for &c in route.channels() {
+            if c.index() >= num_channels {
+                return Err(LowerError::UnknownChannel {
+                    edge,
+                    channel_index: c.index(),
+                });
+            }
+            let ch = topo.channel(c);
+            alpha += ch.latency();
+            bottleneck = bottleneck.min(ch.bandwidth().as_bytes_per_sec());
+        }
+        Ok(PreparedRoute {
+            path: route.channels().into(),
+            via: route.via(),
+            alpha,
+            bottleneck,
+        })
+    }
+}
+
 /// A schedule's lowering with the payload- and timing-independent work
-/// hoisted out: route resolution, per-route latency sums, and bottleneck
-/// bandwidths are computed once, and [`PreparedLowering::lower`] then
-/// produces [`TransferSpec`]s for any `(payload, LinkTiming)` point.
+/// hoisted out: routes are resolved once per logical edge, with their
+/// latency sums and bottleneck bandwidths, and
+/// [`PreparedLowering::lower`] then produces [`TransferSpec`]s for any
+/// `(payload, LinkTiming)` point.
 ///
 /// Equivalence contract: for the schedule/embedding/topology it was
 /// prepared from — or any schedule with the same transfers modulo
-/// payload sizes — `lower()` is **bit-identical** to calling
-/// [`lower_schedule`] from scratch. The float operations run in the same
-/// order (`alpha` accumulates per hop, the forwarding latency is added
-/// last, serialization divides by `bottleneck × bandwidth_scale`), so
-/// not even the last ulp can drift. The sweep-wide preparation cache in
-/// `ccube-sim` relies on this to rescale cached points.
+/// payload sizes — `lower()` equals [`lower_schedule`] at that payload
+/// exactly, float bits included: `alpha` accumulates per hop, the
+/// forwarding latency is added last, and serialization divides by
+/// `bottleneck × bandwidth_scale`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedLowering {
+    /// One entry per distinct logical edge, in first-use order.
     routes: Vec<PreparedRoute>,
+    /// Each transfer's index into `routes`.
+    route_of: Vec<u32>,
 }
 
 impl PreparedLowering {
-    /// Resolves every transfer of `schedule` against `embedding` over
-    /// `topo`, storing routes and timing coefficients for later
+    /// Resolves every logical edge of `schedule` against `embedding`
+    /// over `topo`, storing routes and timing coefficients for later
     /// [`PreparedLowering::lower`] calls.
     ///
     /// # Errors
     ///
-    /// Exactly the errors of [`lower_schedule`]:
-    /// [`LowerError::MissingRoute`] and [`LowerError::UnknownChannel`].
+    /// [`LowerError::MissingRoute`] and [`LowerError::UnknownChannel`],
+    /// for the first transfer (in id order) whose edge fails.
     pub fn new(
         schedule: &Schedule,
         embedding: &Embedding,
         topo: &Topology,
     ) -> Result<Self, LowerError> {
-        let num_channels = topo.channels().len();
-        let mut routes = Vec::with_capacity(schedule.transfers().len());
+        let edges = embedding.routes().len();
+        // Keyed lookup only, never iterated: `routes` keeps first-use
+        // order, so hash order cannot reach any result.
+        let mut index: HashMap<EdgeKey, u32> = HashMap::with_capacity(edges);
+        let mut routes = Vec::with_capacity(edges);
+        let mut route_of = Vec::with_capacity(schedule.transfers().len());
         for t in schedule.transfers() {
             let key = EdgeKey {
                 src: t.src,
                 dst: t.dst,
                 tree: t.tree,
             };
-            let route = embedding.route(&key).ok_or(LowerError::MissingRoute(key))?;
-            let mut alpha = Seconds::ZERO;
-            let mut bottleneck = f64::INFINITY;
-            for &c in route.channels() {
-                if c.index() >= num_channels {
-                    return Err(LowerError::UnknownChannel {
-                        edge: key,
-                        channel_index: c.index(),
-                    });
+            let r = match index.entry(key) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    let route = embedding.route(&key).ok_or(LowerError::MissingRoute(key))?;
+                    routes.push(PreparedRoute::resolve(key, route, topo)?);
+                    *e.insert((routes.len() - 1) as u32)
                 }
-                let ch = topo.channel(c);
-                alpha += ch.latency();
-                bottleneck = bottleneck.min(ch.bandwidth().as_bytes_per_sec());
-            }
-            routes.push(PreparedRoute {
-                path: route.channels().to_vec(),
-                via: route.via(),
-                alpha,
-                bottleneck,
-            });
+            };
+            route_of.push(r);
         }
-        Ok(PreparedLowering { routes })
+        Ok(PreparedLowering { routes, route_of })
     }
 
-    /// Number of prepared routes (= transfers of the source schedule).
-    pub fn len(&self) -> usize {
-        self.routes.len()
-    }
-
-    /// True when the source schedule had no transfers.
-    pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
-    }
-
-    /// Produces the [`TransferSpec`]s for `schedule` under `timing`,
-    /// bit-identical to [`lower_schedule`]. `schedule` supplies the
-    /// per-transfer payload sizes (and ids/chunks); it must have the
-    /// same transfers as the schedule this lowering was prepared from,
-    /// up to payload sizes — the preparation cache's key guarantees
-    /// that, and debug builds assert the count.
+    /// Produces the [`TransferSpec`]s for `schedule` under `timing`.
+    /// `schedule` supplies the per-transfer payload sizes (and
+    /// ids/chunks); it must have the same transfers as the schedule this
+    /// lowering was prepared from, up to payload sizes (debug builds
+    /// assert the count).
     pub fn lower(&self, schedule: &Schedule, timing: &LinkTiming) -> Vec<TransferSpec> {
         let transfers = schedule.transfers();
-        debug_assert_eq!(transfers.len(), self.routes.len());
+        debug_assert_eq!(transfers.len(), self.route_of.len());
         transfers
             .iter()
-            .zip(&self.routes)
-            .map(|(t, r)| {
+            .zip(&self.route_of)
+            .map(|(t, &r)| {
+                let r = &self.routes[r as usize];
                 let mut alpha = r.alpha;
                 if r.via.is_some() {
                     alpha += timing.forwarding_latency;
@@ -289,7 +277,7 @@ impl PreparedLowering {
                 TransferSpec {
                     id: t.id,
                     chunk: t.chunk,
-                    path: r.path.clone(),
+                    path: Arc::clone(&r.path),
                     via: r.via,
                     duration: alpha + serialization,
                     bytes: t.bytes,
@@ -341,6 +329,26 @@ mod tests {
             specs.iter().any(|sp| sp.via.is_some()),
             "the DGX-1 double tree must detour somewhere"
         );
+    }
+
+    #[test]
+    fn transfers_on_one_edge_share_one_path_allocation() {
+        let topo = dgx1();
+        let s = ring_allreduce(8, ByteSize::mib(8));
+        let e = Embedding::identity(&topo, &s).unwrap();
+        let specs = lower_schedule(&s, &e, &topo, &LinkTiming::default()).unwrap();
+        let t = s.transfers();
+        let mut distinct: Vec<&Arc<[ChannelId]>> = Vec::new();
+        for (i, a) in specs.iter().enumerate() {
+            for (j, b) in specs.iter().enumerate().skip(i + 1) {
+                let same_edge = (t[i].src, t[i].dst, t[i].tree) == (t[j].src, t[j].dst, t[j].tree);
+                assert_eq!(Arc::ptr_eq(&a.path, &b.path), same_edge, "t{i} vs t{j}");
+            }
+            if !distinct.iter().any(|p| Arc::ptr_eq(p, &a.path)) {
+                distinct.push(&a.path);
+            }
+        }
+        assert_eq!(distinct.len(), s.logical_edges().len());
     }
 
     #[test]

@@ -198,7 +198,7 @@ fn port_path_lints(
     let mut severed: BTreeMap<(SwitchId, SwitchId), usize> = BTreeMap::new();
     for s in specs {
         let mut path_ok = true;
-        for &c in &s.path {
+        for &c in s.path.iter() {
             if by.get(c.index()).is_none_or(|ports| ports.is_empty()) {
                 *portless.entry(c).or_insert(0) += 1;
                 path_ok = false;
@@ -273,7 +273,7 @@ fn channel_congestion(specs: &[TransferSpec], num_channels: usize) -> (Seconds, 
     let mut busy = vec![Seconds::ZERO; num_channels];
     for s in specs {
         let mut seen: Vec<ChannelId> = Vec::with_capacity(s.path.len());
-        for &c in &s.path {
+        for &c in s.path.iter() {
             if c.index() < num_channels && !seen.contains(&c) {
                 seen.push(c);
                 busy[c.index()] += s.duration;

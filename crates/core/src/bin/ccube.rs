@@ -79,9 +79,7 @@ results are bit-identical at any worker count.
 figures/scaleout/faults/trace take --fabric {approx,switch}:
 the channel approximation (default) or the componentized switch fabric.
 the spine/leaf fabric is shaped with --radix N, --spines N, --uplinks N
-and --uplink-policy {hash,least-queued,failover} (imply --fabric switch).
-every command takes --no-prep-cache: disable the sweep-wide
-preparation cache (same results, cold lowering every point).";
+and --uplink-policy {hash,least-queued,failover} (imply --fabric switch).";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
@@ -173,15 +171,27 @@ fn cmd_scaleout(args: &[String], threads: usize) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let max_p: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(128);
-    let sizes: Vec<ByteSize> = {
-        let explicit: Vec<u64> = args.iter().skip(1).filter_map(|s| s.parse().ok()).collect();
-        if explicit.is_empty() {
-            vec![ByteSize::kib(16), ByteSize::mib(1), ByteSize::mib(64)]
-        } else {
-            explicit.into_iter().map(ByteSize::mib).collect()
+    let max_p = match args.first().map(|s| s.parse::<usize>()) {
+        None => 128,
+        Some(Ok(p)) if p >= 4 => p,
+        Some(_) => {
+            eprintln!("scaleout: max_p {:?} is not an integer >= 4", args[0]);
+            return ExitCode::from(2);
         }
     };
+    let mut sizes = Vec::new();
+    for s in args.iter().skip(1) {
+        match s.parse::<u64>() {
+            Ok(mib) if mib > 0 => sizes.push(ByteSize::mib(mib)),
+            _ => {
+                eprintln!("scaleout: size {s:?} is not a positive integer (MiB)");
+                return ExitCode::from(2);
+            }
+        }
+    }
+    if sizes.is_empty() {
+        sizes = vec![ByteSize::kib(16), ByteSize::mib(1), ByteSize::mib(64)];
+    }
     let mut ps = Vec::new();
     let mut p = 4;
     while p <= max_p {
@@ -867,15 +877,7 @@ fn cmd_rings() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    // The escape hatch for the sweep-wide preparation cache: with the
-    // flag present every run re-gates and re-lowers from scratch.
-    // Results are bit-identical either way (the equivalence contract);
-    // the flag exists to prove it and to time the cold path.
-    if let Some(pos) = raw.iter().position(|a| a == "--no-prep-cache") {
-        raw.remove(pos);
-        ccube_sim::set_prep_cache_enabled(false);
-    }
+    let raw: Vec<String> = std::env::args().skip(1).collect();
     let (args, threads) = match ccube_sim::threads_from_args(&raw) {
         Ok(parsed) => parsed,
         Err(e) => {

@@ -16,10 +16,13 @@ use crate::kernel::Kernel;
 use crate::report::{SimReport, SimStats, TransferTiming};
 use crate::resource::ChannelPool;
 use crate::trace::{SimTrace, TraceRecord};
-use ccube_collectives::{Embedding, LinkTiming, Schedule, TransferSpec};
+use ccube_collectives::{
+    lower_schedule, Embedding, LinkTiming, LowerError, Schedule, Transfer, TransferSpec,
+};
 use ccube_topology::{Seconds, Topology};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How a busy channel picks its next transfer when several are waiting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -133,6 +136,77 @@ impl SimOptions {
     }
 }
 
+/// Runs the analyzer's structural gate (debug builds only: malformed
+/// DAG, missing or invalid routes) and lowers `schedule` — the one
+/// preparation step every engine shares. Conflicted-but-valid embeddings
+/// are deliberately NOT gated: the extension studies simulate them on
+/// purpose to measure the cost of the conflicts.
+///
+/// # Errors
+///
+/// The errors of [`lower_schedule`] (missing route, unknown channel).
+pub(crate) fn gate_and_lower(
+    topo: &Topology,
+    schedule: &Schedule,
+    embedding: &Embedding,
+    timing: &LinkTiming,
+) -> Result<Vec<TransferSpec>, LowerError> {
+    #[cfg(debug_assertions)]
+    {
+        let lint = ccube_collectives::analyze::gate(schedule, embedding, topo);
+        debug_assert!(
+            lint.is_clean(),
+            "schedule/embedding failed the static gate:\n{lint}"
+        );
+    }
+    lower_schedule(schedule, embedding, topo, timing)
+}
+
+/// The reverse dependency edges of a schedule as one flat table (CSR):
+/// the dependents of transfer `t` are `ids[offsets[t]..offsets[t + 1]]`,
+/// in increasing transfer id — two allocations per arena instead of one
+/// per transfer.
+#[derive(Default)]
+struct Dependents {
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Dependents {
+    /// Rebuilds the table for `transfers`, reusing its capacity.
+    fn rebuild(&mut self, transfers: &[Transfer]) {
+        let n = transfers.len();
+        let offsets = &mut self.offsets;
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        for t in transfers {
+            for d in &t.deps {
+                offsets[d.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        // Fill with `offsets[d]` as the write cursor, which leaves it at
+        // the start of `d + 1`; shifting right by one restores it.
+        self.ids.clear();
+        self.ids.resize(offsets[n] as usize, 0);
+        for t in transfers {
+            for d in &t.deps {
+                let slot = &mut offsets[d.index()];
+                self.ids[*slot as usize] = t.id.0;
+                *slot += 1;
+            }
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+    }
+
+    fn of(&self, t: usize) -> &[u32] {
+        &self.ids[self.offsets[t] as usize..self.offsets[t + 1] as usize]
+    }
+}
+
 /// The reusable per-thread simulation state of [`simulate`]: the channel
 /// pool, event heap, and dependency tables are drained ([`Kernel::reset`],
 /// [`ChannelPool::reset`]) and reused across runs — a sweep calls
@@ -145,7 +219,7 @@ struct SimArena {
     pool: ChannelPool,
     kernel: Kernel<u32>,
     deps_remaining: Vec<u32>,
-    dependents: Vec<Vec<u32>>,
+    dependents: Dependents,
     started: Vec<u32>,
 }
 
@@ -155,7 +229,7 @@ impl Default for SimArena {
             pool: ChannelPool::new(0, Arbitration::FifoHol),
             kernel: Kernel::new(),
             deps_remaining: Vec::new(),
-            dependents: Vec::new(),
+            dependents: Dependents::default(),
             started: Vec::new(),
         }
     }
@@ -247,14 +321,8 @@ fn simulate_channel(
     let n = transfers.len();
     let num_channels = topo.channels().len();
 
-    // The analyzer's structural gate (debug builds: malformed DAG,
-    // missing/invalid routes) and the lowering both run through the
-    // preparation cache — a structure seen before skips straight to the
-    // cached routes. Conflicted-but-valid embeddings are deliberately
-    // NOT gated: the extension studies simulate them on purpose to
-    // measure the cost of the conflicts.
-    let prep = crate::prep::gate_and_lower(topo, schedule, embedding, &opts.link_timing())?;
-    let specs: &[TransferSpec] = &prep.specs;
+    let specs = gate_and_lower(topo, schedule, embedding, &opts.link_timing())?;
+    let specs: &[TransferSpec] = &specs;
 
     let SimArena {
         pool,
@@ -268,21 +336,12 @@ fn simulate_channel(
     // arbitration live in the pool.
     deps_remaining.clear();
     deps_remaining.extend(transfers.iter().map(|t| t.deps.len() as u32));
-    dependents.truncate(n);
-    for v in dependents.iter_mut() {
-        v.clear();
-    }
-    dependents.resize_with(n, Vec::new);
-    for t in transfers {
-        for d in &t.deps {
-            dependents[d.index()].push(t.id.0);
-        }
-    }
+    dependents.rebuild(transfers);
 
     pool.reset(num_channels, opts.arbitration);
     pool.reserve_tasks(n);
     for s in specs {
-        pool.add_task_path(&s.path, (s.chunk.0, s.id.0));
+        pool.add_task(Arc::clone(&s.path), (s.chunk.0, s.id.0));
     }
     // Channels are exclusive, so at most one completion event per
     // channel is ever in flight.
@@ -342,7 +401,7 @@ fn simulate_channel(
         // Unblock dependents before serving the freed channels — the
         // historical order, which lets a dependent claim a channel its
         // own completion just released ahead of the waiter queue.
-        for &dep in &dependents[t] {
+        for &dep in dependents.of(t) {
             let d = dep as usize;
             deps_remaining[d] -= 1;
             if deps_remaining[d] == 0 && pool.mark_ready(dep, now, &mut trace) {

@@ -35,6 +35,7 @@ use ccube_topology::{
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Per-hop latency accounting of the switch fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -165,8 +166,8 @@ pub enum NetworkModel {
 /// [`ChannelPool`] over fabric ports and occupy port paths, so uplink
 /// contention and fan-in serialization shape timings there too.
 pub(crate) struct FabricMap {
-    /// The derived port graph, shared through the preparation cache so
-    /// repeated runs on the same `(topology, fabric spec)` reuse it.
+    /// The derived port graph, shared with the fabric engine's agents
+    /// and the fault engine's uplink revision.
     pub(crate) graph: Rc<FabricGraph>,
     pub(crate) hop_mode: HopMode,
     pub(crate) policy: UplinkPolicy,
@@ -177,11 +178,16 @@ impl FabricMap {
     pub(crate) fn for_options(topo: &Topology, opts: &SimOptions) -> Option<FabricMap> {
         match opts.network {
             NetworkModel::ChannelApprox => None,
-            NetworkModel::SwitchFabric(spec) => Some(FabricMap {
-                graph: crate::prep::fabric_graph_for(topo, &spec),
-                hop_mode: spec.hop_mode,
-                policy: spec.uplink_policy,
-            }),
+            NetworkModel::SwitchFabric(spec) => Some(FabricMap::new(topo, &spec)),
+        }
+    }
+
+    /// The mapping of `spec`'s fabric over `topo`.
+    fn new(topo: &Topology, spec: &FabricSpec) -> FabricMap {
+        FabricMap {
+            graph: Rc::new(FabricGraph::from_topology(topo, &spec.fabric_config())),
+            hop_mode: spec.hop_mode,
+            policy: spec.uplink_policy,
         }
     }
 
@@ -215,8 +221,8 @@ impl FabricMap {
     }
 
     /// [`FabricMap::duration`] over an already-expanded port route —
-    /// callers holding the cached `lower_to_ports` expansion skip the
-    /// second route computation.
+    /// callers holding the `lower_to_ports` expansion skip the second
+    /// route computation.
     pub(crate) fn duration_on(
         &self,
         route: &[PortId],
@@ -611,21 +617,14 @@ pub(crate) fn simulate_fabric(
     let transfers = schedule.transfers();
     let n = transfers.len();
     let num_channels = topo.channels().len();
-    let map = FabricMap {
-        graph: crate::prep::fabric_graph_for(topo, spec),
-        hop_mode: spec.hop_mode,
-        policy: spec.uplink_policy,
-    };
+    let map = FabricMap::new(topo, spec);
     let num_ports = map.num_ports();
     let num_gpus = topo.num_gpus();
     let num_switches = map.graph.num_switches();
 
-    // Same structural gate as the channel engine, and the same lowering
-    // — both through the preparation cache. The fabric engine rewrites
-    // per-spec durations to the port model, so it clones the cached
-    // specs; the port-path expansion is cached per fabric spec too.
-    let prep = crate::prep::gate_and_lower(topo, schedule, embedding, &opts.link_timing())?;
-    let mut specs = (*prep.specs).clone();
+    // Same structural gate and lowering as the channel engine; per-spec
+    // durations are rewritten to the port model below.
+    let mut specs = crate::engine::gate_and_lower(topo, schedule, embedding, &opts.link_timing())?;
 
     // Debug builds cross-check the physical analyzer's hard gate: a
     // schedule/embedding that lowers cleanly must also have a port path
@@ -640,7 +639,7 @@ pub(crate) fn simulate_fabric(
         );
     }
 
-    let port_paths = crate::prep::ports_for(&prep, spec, &map.graph);
+    let port_paths = ccube_collectives::lower_to_ports(&specs, &map.graph);
 
     let deps_remaining: Vec<u32> = transfers.iter().map(|t| t.deps.len() as u32).collect();
     let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -675,7 +674,7 @@ pub(crate) fn simulate_fabric(
         match spec.hop_mode {
             HopMode::CutThrough => {
                 let hid = pool.add_task(
-                    route.iter().map(|p| ChannelId(p.0)).collect(),
+                    route.iter().map(|p| ChannelId(p.0)).collect::<Arc<[_]>>(),
                     (s.chunk.0, s.id.0),
                 );
                 debug_assert_eq!(hid as usize, hops.len());

@@ -44,9 +44,11 @@ use crate::report::SimStats;
 use crate::resource::{ChannelPool, ComputeStream};
 use crate::system::{simulate_system, SystemJob, SystemReport};
 use crate::trace::{SimTrace, TraceRecord};
-use ccube_collectives::{Embedding, Schedule, TransferSpec};
+use ccube_collectives::{lower_to_ports, Embedding, Schedule, TransferSpec};
 use ccube_topology::{ChannelClass, ChannelId, GpuId, Router, Seconds, SwitchId, Topology};
 use std::collections::HashMap;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// The sentinel end time of a permanent fault: the event never lifts.
 pub fn forever() -> Seconds {
@@ -887,7 +889,7 @@ impl Engine<'_> {
         if f.policy == crate::fabric::UplinkPolicy::Hash {
             return;
         }
-        let graph = std::rc::Rc::clone(&f.graph);
+        let graph = Rc::clone(&f.graph);
         let policy = f.policy;
         for tid in 0..self.nt as u32 {
             if self.pool.is_done(tid) || self.pool.is_running(tid) {
@@ -917,7 +919,7 @@ impl Engine<'_> {
     fn adapt_and_mark_ready(&mut self, tid: u32, now: Seconds) -> bool {
         if let Some(f) = &self.fabric {
             if f.policy != crate::fabric::UplinkPolicy::Hash {
-                let graph = std::rc::Rc::clone(&f.graph);
+                let graph = Rc::clone(&f.graph);
                 let policy = f.policy;
                 if let Some((revised, port)) =
                     crate::fabric::choose_uplinks(&graph, &self.pool, self.pool.path(tid), policy)
@@ -991,7 +993,7 @@ impl Engine<'_> {
             let serialization = Seconds::new(
                 transfers[t].bytes.as_f64() / (bottleneck * self.opts.bandwidth_scale),
             );
-            self.specs[t].path = route.channels().to_vec();
+            self.specs[t].path = route.channels().into();
             self.specs[t].via = route.via();
             self.specs[t].duration = match &self.fabric {
                 Some(f) => f.duration(
@@ -1146,36 +1148,29 @@ pub fn simulate_system_faulted(
     let num_channels = topo.channels().len();
     let node_count = nt + nc;
 
-    // Lower through the preparation cache; the fault engine re-routes
-    // specs in place (and rescales durations across fault windows), so
-    // it always takes an owned copy of the cached specs.
-    let prep = crate::prep::gate_and_lower(topo, &job.schedule, embedding, &opts.link_timing())?;
-    let mut specs = (*prep.specs).clone();
+    // The fault engine re-routes specs in place (and rescales durations
+    // across fault windows).
+    let timing = opts.link_timing();
+    let mut specs = crate::engine::gate_and_lower(topo, &job.schedule, embedding, &timing)?;
 
     // Under the switch-fabric model the pool schedules port paths and
     // durations follow the fabric; specs keep their channel-level paths
     // (fault events are declared per channel).
     let fabric = crate::fabric::FabricMap::for_options(topo, opts);
     plan.validate_fabric_events(fabric.as_ref().map(|f| f.graph.as_ref()))?;
-    let res_paths: Vec<Vec<ChannelId>> = match &fabric {
+    let res_paths: Vec<Arc<[ChannelId]>> = match &fabric {
         Some(f) => {
-            let crate::fabric::NetworkModel::SwitchFabric(spec) = opts.network else {
-                unreachable!("FabricMap exists only under SwitchFabric")
-            };
-            let timing = opts.link_timing();
-            // Port expansions come through the preparation cache (keyed
-            // by the full fabric spec, spine/uplink config included).
-            let ports = crate::prep::ports_for(&prep, &spec, &f.graph);
+            let ports = lower_to_ports(&specs, &f.graph);
             specs
                 .iter_mut()
-                .zip(ports.iter())
+                .zip(&ports)
                 .map(|(s, route)| {
                     s.duration = f.duration_on(route, s.bytes, s.via.is_some(), &timing);
                     route.iter().map(|p| ChannelId(p.0)).collect()
                 })
                 .collect()
         }
-        None => specs.iter().map(|s| s.path.clone()).collect(),
+        None => specs.iter().map(|s| Arc::clone(&s.path)).collect(),
     };
 
     // Dependency bookkeeping, identical to simulate_system.

@@ -184,7 +184,7 @@ impl<E> Kernel<E> {
     /// observationally identical to `Kernel::with_seed(seed)` — same
     /// clock, sequence counter, stats, and RNG stream — so a run on a
     /// recycled kernel replays bit-identically to one on a fresh kernel
-    /// (the arena-reuse contract the prep-cache layer relies on).
+    /// (the arena-reuse contract the engines rely on).
     pub fn reset(&mut self, seed: u64) {
         self.now = Seconds::ZERO;
         self.seq = 0;

@@ -46,7 +46,6 @@ mod error;
 pub mod fabric;
 pub mod faults;
 pub mod kernel;
-pub mod prep;
 mod report;
 pub mod resource;
 pub mod severance;
@@ -64,10 +63,6 @@ pub use faults::{
     FaultPlan, FaultSignal,
 };
 pub use kernel::{Component, ComponentId, Ctx, Kernel, KernelStats, SimRng, Simulation};
-pub use prep::{
-    prep_cache_enabled, prep_cache_len, prep_cache_stats, reset_prep_cache, set_prep_cache_enabled,
-    PrepCacheStats,
-};
 pub use report::{SimReport, SimStats, TransferTiming};
 pub use resource::{ChannelPool, ComputeStream};
 pub use severance::analyze_severance;
@@ -79,6 +74,27 @@ pub use system::{
 pub use timeline::{render_channel_timeline, render_timeline, TimelineOptions};
 pub use trace::{diff_csv, utilization_bins, BusyInterval, SimTrace, TraceDiff, TraceRecord};
 pub use trace_html::{diff_to_html, extract_payload, scene_json, to_html, LaneLabels};
+
+/// Hit/miss counters of a preparation cache. The simulator keeps none —
+/// every run lowers its schedule directly and frees the lowering when it
+/// ends — so [`prep_cache_stats`] always reports zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PrepCacheStats {
+    /// Preparations served from a cache (always 0).
+    pub hits: u64,
+    /// Cold preparations counted by a cache (always 0).
+    pub misses: u64,
+}
+
+/// Always [`PrepCacheStats::default`]: there is no preparation cache.
+/// Kept so callers that report the counters keep building.
+pub fn prep_cache_stats() -> PrepCacheStats {
+    PrepCacheStats::default()
+}
+
+/// A no-op: there is no preparation cache to reset. Kept so callers
+/// that reset it before a cold measurement keep building.
+pub fn reset_prep_cache() {}
 
 /// Convenient re-exports of the most commonly used items.
 ///

@@ -21,6 +21,7 @@ use crate::trace::{BusyInterval, SimTrace, TraceRecord};
 use ccube_collectives::TransferId;
 use ccube_topology::{ChannelId, Seconds};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Inline capacity of a [`WaiterQueue`]: queues at or below this length
 /// (the overwhelmingly common case — most channels never see more than a
@@ -150,11 +151,12 @@ enum TaskState {
 /// Tasks are registered up front with their channel path and their
 /// arbitration key `(chunk, id)` — lowest key first under
 /// [`Arbitration::ChunkPriority`]. A task occupies **all** channels of
-/// its path at once (wormhole switching) or none.
+/// its path at once (wormhole switching) or none. Paths are shared
+/// slices: tasks lowered from one logical edge hold one allocation.
 #[derive(Debug, Clone)]
 pub struct ChannelPool {
     arbitration: Arbitration,
-    paths: Vec<Vec<ChannelId>>,
+    paths: Vec<Arc<[ChannelId]>>,
     keys: Vec<(u32, u32)>,
     state: Vec<TaskState>,
     enqueued_at: Vec<Option<Seconds>>,
@@ -166,10 +168,6 @@ pub struct ChannelPool {
     /// arbitration key, so the best waiter is always the front — no
     /// per-round scan.
     waiters: Vec<WaiterQueue>,
-    /// Cleared path buffers recycled by [`ChannelPool::reset`], handed
-    /// back out by [`ChannelPool::add_task_path`] so a reused pool
-    /// re-registers its tasks without reallocating every route.
-    spare_paths: Vec<Vec<ChannelId>>,
     /// Scratch buffer for [`ChannelPool::force_start`]'s key-sorted scan
     /// of the ready set. Built lazily per stall round: stalls are rare,
     /// so paying a collect-and-sort there beats the O(tasks) sorted
@@ -199,7 +197,6 @@ impl ChannelPool {
             started_at: Vec::new(),
             free: vec![true; num_channels],
             waiters: vec![WaiterQueue::new(); num_channels],
-            spare_paths: Vec::new(),
             force_scratch: Vec::new(),
             link_down: vec![0; num_channels],
             busy: vec![Seconds::ZERO; num_channels],
@@ -220,12 +217,14 @@ impl ChannelPool {
         self.started_at.reserve(num_tasks);
     }
 
-    /// Registers a task; ids are dense and assigned in call order.
+    /// Registers a task; ids are dense and assigned in call order. An
+    /// `Arc` path is stored as is, so tasks can share one allocation.
     ///
     /// # Panics
     ///
     /// Panics if the path is empty or references an unknown channel.
-    pub fn add_task(&mut self, path: Vec<ChannelId>, key: (u32, u32)) -> u32 {
+    pub fn add_task(&mut self, path: impl Into<Arc<[ChannelId]>>, key: (u32, u32)) -> u32 {
+        let path = path.into();
         assert!(!path.is_empty(), "a task needs at least one channel");
         assert!(
             path.iter().all(|c| c.index() < self.free.len()),
@@ -240,33 +239,15 @@ impl ChannelPool {
         id
     }
 
-    /// Registers a task from a borrowed path, recycling a path buffer
-    /// freed by [`ChannelPool::reset`] when one is available — the
-    /// zero-alloc re-registration path for arena-reused pools. Identical
-    /// to [`ChannelPool::add_task`] in every observable way.
-    ///
-    /// # Panics
-    ///
-    /// As [`ChannelPool::add_task`].
-    pub fn add_task_path(&mut self, path: &[ChannelId], key: (u32, u32)) -> u32 {
-        let mut buf = self.spare_paths.pop().unwrap_or_default();
-        buf.extend_from_slice(path);
-        self.add_task(buf, key)
-    }
-
     /// Drains the pool back to the observable state of
     /// `ChannelPool::new(num_channels, arbitration)` while keeping its
-    /// allocations: per-task vectors keep their capacity, spilled waiter
-    /// queues stay spilled, and every registered path buffer is cleared
-    /// and recycled into the pool [`ChannelPool::add_task_path`] draws
-    /// from. A reset pool behaves bit-identically to a fresh one — the
-    /// arena-reuse half of the prep-cache equivalence contract.
+    /// allocations: per-task vectors keep their capacity and spilled
+    /// waiter queues stay spilled; the registered paths are released. A
+    /// reset pool behaves bit-identically to a fresh one — the
+    /// arena-reuse contract.
     pub fn reset(&mut self, num_channels: usize, arbitration: Arbitration) {
         self.arbitration = arbitration;
-        for mut p in self.paths.drain(..) {
-            p.clear();
-            self.spare_paths.push(p);
-        }
+        self.paths.clear();
         self.keys.clear();
         self.state.clear();
         self.enqueued_at.clear();
@@ -535,13 +516,15 @@ impl ChannelPool {
     /// path, preserving its enqueue timestamp so time spent waiting out
     /// a fault still counts as queue wait. If the task was queued it is
     /// re-queued on the new path's channels; the caller should
-    /// [`ChannelPool::poke`] it afterwards to start it if possible.
+    /// [`ChannelPool::poke`] it afterwards to start it if possible. Only
+    /// this task's slice is swapped: tasks sharing its old path keep it.
     ///
     /// # Panics
     ///
     /// Panics if the new path is empty or references an unknown
     /// channel; debug-panics if the task is running or done.
-    pub fn reroute(&mut self, task: u32, new_path: Vec<ChannelId>) {
+    pub fn reroute(&mut self, task: u32, new_path: impl Into<Arc<[ChannelId]>>) {
+        let new_path = new_path.into();
         assert!(!new_path.is_empty(), "a task needs at least one channel");
         assert!(
             new_path.iter().all(|c| c.index() < self.free.len()),
@@ -875,6 +858,24 @@ mod tests {
         p.serve(blocker, us(3.0), &mut tr, &mut started);
         assert!(started.is_empty());
         assert!(!p.is_done(b));
+    }
+
+    #[test]
+    fn reroute_leaves_siblings_on_the_shared_path() {
+        let (mut p, mut tr) = pool(2, Arbitration::FifoHol);
+        let shared: Arc<[ChannelId]> = Arc::from(vec![ChannelId(0)]);
+        let a = p.add_task(Arc::clone(&shared), (0, 0));
+        let b = p.add_task(Arc::clone(&shared), (1, 1));
+        assert!(p.mark_ready(a, us(0.0), &mut tr));
+        assert!(!p.mark_ready(b, us(0.0), &mut tr)); // queued on ch0
+        p.reroute(b, vec![ChannelId(1)]);
+        assert_eq!(p.path(b), &[ChannelId(1)]);
+        assert_eq!(p.path(a), &[ChannelId(0)], "the sibling keeps its path");
+        assert_eq!(&*shared, &[ChannelId(0)], "the shared slice is untouched");
+        assert_eq!(Arc::strong_count(&shared), 2, "only b let go of it");
+        p.complete(a, us(1.0));
+        assert_eq!(p.busy()[0], us(1.0));
+        assert_eq!(p.busy()[1], Seconds::ZERO);
     }
 
     #[test]

@@ -98,21 +98,13 @@ where
                         }
                         local.push((i, f(i, &points[i])));
                     }
-                    // Each worker thread has its own preparation cache
-                    // (results never flow through it — only hit/miss
-                    // counters leave the thread, merged by the
-                    // coordinator so `prep_cache_stats()` reflects the
-                    // whole sweep).
-                    (local, crate::prep::take_stats())
+                    local
                 })
             })
             .collect();
         for handle in handles {
             match handle.join() {
-                Ok((local, stats)) => {
-                    collected.extend(local);
-                    crate::prep::absorb_stats(stats);
-                }
+                Ok(local) => collected.extend(local),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }

@@ -29,6 +29,7 @@ use crate::trace::{SimTrace, TraceRecord};
 use ccube_collectives::{Embedding, Schedule, TransferId, TransferSpec};
 use ccube_topology::{ChannelId, GpuId, Seconds, Topology};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identifier of a compute task within a [`SystemJob`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -228,36 +229,25 @@ pub fn simulate_system_with_slowdowns(
     let nc = job.compute.len();
     let num_channels = topo.channels().len();
 
-    // Same structural gate as `simulate` (DAG + route validity only),
-    // and the same lowering — both through the preparation cache.
-    let prep = crate::prep::gate_and_lower(topo, &job.schedule, embedding, &opts.link_timing())?;
+    // Same structural gate and lowering as `simulate`.
+    let timing = opts.link_timing();
+    let mut specs = crate::engine::gate_and_lower(topo, &job.schedule, embedding, &timing)?;
 
     // Under the switch-fabric model transfers occupy port paths (with
     // any uplink hops) instead of channels, and durations follow the
-    // fabric's port bandwidths/latencies — that path rewrites durations,
-    // so it clones the cached specs; the channel approximation shares
-    // them untouched.
+    // fabric's port bandwidths/latencies.
     let fabric = crate::fabric::FabricMap::for_options(topo, opts);
-    let owned: Vec<TransferSpec>;
-    let mut res_paths: Option<Vec<Vec<ChannelId>>> = None;
-    let specs: &[TransferSpec] = match &fabric {
-        Some(f) => {
-            let timing = opts.link_timing();
-            let mut cloned = (*prep.specs).clone();
-            res_paths = Some(
-                cloned
-                    .iter_mut()
-                    .map(|s| {
-                        s.duration = f.duration(&s.path, s.bytes, s.via.is_some(), &timing);
-                        f.resource_path(&s.path)
-                    })
-                    .collect(),
-            );
-            owned = cloned;
-            &owned
-        }
-        None => &prep.specs,
+    let res_paths: Vec<Arc<[ChannelId]>> = match &fabric {
+        Some(f) => specs
+            .iter_mut()
+            .map(|s| {
+                s.duration = f.duration(&s.path, s.bytes, s.via.is_some(), &timing);
+                f.resource_path(&s.path).into()
+            })
+            .collect(),
+        None => specs.iter().map(|s| Arc::clone(&s.path)).collect(),
     };
+    let specs: &[TransferSpec] = &specs;
 
     // Unified dependency counts and reverse edges over both node kinds.
     let node_count = nt + nc;
@@ -293,17 +283,8 @@ pub fn simulate_system_with_slowdowns(
     let num_resources = fabric.as_ref().map_or(num_channels, |f| f.num_ports());
     let mut pool = ChannelPool::new(num_resources, opts.arbitration);
     pool.reserve_tasks(nt);
-    match res_paths {
-        Some(paths) => {
-            for (s, path) in specs.iter().zip(paths) {
-                pool.add_task(path, (s.chunk.0, s.id.0));
-            }
-        }
-        None => {
-            for s in specs {
-                pool.add_task_path(&s.path, (s.chunk.0, s.id.0));
-            }
-        }
+    for (s, path) in specs.iter().zip(res_paths) {
+        pool.add_task(path, (s.chunk.0, s.id.0));
     }
     let mut streams: HashMap<GpuId, ComputeStream> = HashMap::new();
     for c in &job.compute {
