@@ -16,8 +16,8 @@
 //!   slower than any endpoint port (`CC017`).
 //! * **Port-path validity** — routes with no physical realization on
 //!   the fabric, from fabric/topology mismatches or missing uplinks
-//!   (`CC018`, the error class [`gate_physical`] debug-asserts in the
-//!   switch-fabric engine).
+//!   (`CC018`, the error class [`gate_physical`] the simulator
+//!   debug-asserts under the switch fabric).
 //! * **Certified lower bounds** — [`makespan_lower_bound`] (channel
 //!   level) and [`fabric_lower_bound`] (port level) compute
 //!   `max(critical path, bottleneck congestion)`, reported as `CC019`/
@@ -56,17 +56,19 @@
 //! *Critical path*: a transfer completes no earlier than
 //! `ready + duration`, where `ready` is the max completion of its
 //! dependencies and `duration` is the mode-appropriate transit time
-//! ([`lower_schedule`] for the channel engines, the port-path
-//! `duration_on` replica for the fabric engine — under both cut-through
-//! and store-and-forward, dependents are released only when the last
-//! hop finishes). Chaining over any dependency path lower-bounds the
+//! ([`lower_schedule`] under the channel approximation, the port-path
+//! `duration_on` replica under the switch fabric — under both
+//! cut-through and store-and-forward, dependents are released only when
+//! the last hop finishes). Chaining over any dependency path lower-bounds the
 //! makespan.
 //!
-//! *Congestion*: the channel engines hold every channel of a wormhole
-//! path exclusively for the transfer's whole duration, so a channel's
-//! total offered occupancy is a makespan lower bound. On the fabric,
-//! endpoint ports are charged exactly (cut-through: the whole path
-//! duration; store-and-forward: that hop's `latency + serialization`).
+//! *Congestion*: the simulator holds every channel of a wormhole path
+//! exclusively for the transfer's whole duration, so a channel's total
+//! offered occupancy is a makespan lower bound. On the fabric, endpoint
+//! ports are charged the whole path duration under cut-through, and
+//! that hop's `latency + serialization` under store-and-forward — no
+//! more than the summed per-hop time the simulator holds the whole port
+//! path for.
 //! Uplink ports are **pooled** per (leaf, direction): adaptive uplink
 //! policies may move a crossing to any of the `k` homogeneous slots
 //! (slot substitution never changes a duration), but each crossing
@@ -89,8 +91,9 @@ use std::collections::BTreeMap;
 pub struct PhysicalAnalyzeOptions {
     /// Link-timing knobs shared with the lowering.
     pub timing: LinkTiming,
-    /// Charge ports per hop (the fabric engine's store-and-forward
-    /// mode) instead of wormhole cut-through.
+    /// Time transfers store-and-forward (one serialization per port)
+    /// and charge each port its own hop, instead of wormhole
+    /// cut-through.
     pub store_forward: bool,
 }
 
@@ -291,7 +294,7 @@ fn channel_congestion(specs: &[TransferSpec], num_channels: usize) -> (Seconds, 
     (max, arg)
 }
 
-/// Transit time of a port route, mirroring the fabric engine's
+/// Transit time of a port route, mirroring the simulator's
 /// `duration_on` float-for-float in both hop modes.
 fn port_duration(
     fabric: &FabricGraph,
@@ -481,7 +484,7 @@ pub fn fabric_lower_bound(
 
 /// The cheap structural subset of the physical analyzer: lowering
 /// failures (`CC007`/`CC008`) and port-path validity (`CC018`). The
-/// switch-fabric engine debug-asserts this gate on every input.
+/// simulator debug-asserts this gate on every switch-fabric input.
 pub fn gate_physical(
     schedule: &Schedule,
     embedding: &Embedding,

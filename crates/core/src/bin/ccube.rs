@@ -30,7 +30,7 @@
 //! (`figures`, `scaleout`, `faults`, `trace`) accept `--fabric
 //! {approx,switch}` to pick the network model: `approx` (default) is the
 //! channel approximation, `switch` runs the componentized switch fabric
-//! (explicit NIC/switch agents with per-port queues); at the passthrough
+//! (per-port queues and spine/leaf uplinks); at the passthrough
 //! configuration the two produce identical results. The spine/leaf shape
 //! of the switch fabric is set with `--radix N`, `--spines N`,
 //! `--uplinks N` and `--uplink-policy {hash,least-queued,failover}`
@@ -131,8 +131,17 @@ fn cmd_compare(args: &[String]) -> ExitCode {
         eprintln!("compare: unknown network {name:?} (zfnet | vgg16 | resnet50)");
         return ExitCode::from(2);
     };
-    let batch: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(64);
     let low = args.iter().any(|a| a == "--low");
+    let batch = match args[1..].iter().find(|a| *a != "--low") {
+        None => 64,
+        Some(s) => match positive(s) {
+            Some(b) => b,
+            None => {
+                eprintln!("compare: batch {s:?} is not a positive integer");
+                return ExitCode::from(2);
+            }
+        },
+    };
     let scale = if low { 0.25 } else { 1.0 };
     let pipeline = TrainingPipeline::dgx1_with(&net, batch, &ComputeModel::v100(), scale);
     println!(
@@ -260,7 +269,16 @@ fn cmd_timeline(args: &[String]) -> ExitCode {
     use ccube_sim::{render_timeline, simulate, SimOptions, TimelineOptions};
     use ccube_topology::dgx1;
 
-    let mib: u64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(64);
+    let mib = match args.first() {
+        None => 64,
+        Some(s) => match positive(s) {
+            Some(m) => m,
+            None => {
+                eprintln!("timeline: size {s:?} is not a positive integer (MiB)");
+                return ExitCode::from(2);
+            }
+        },
+    };
     let n = ByteSize::mib(mib);
     let topo = dgx1();
     let dt = DoubleBinaryTree::new(8).expect("8 ranks");
@@ -288,7 +306,16 @@ fn cmd_timeline(args: &[String]) -> ExitCode {
 
 fn cmd_train(args: &[String]) -> ExitCode {
     use ccube_runtime::{serial_reference, Trainer, TrainerConfig};
-    let iterations: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(10);
+    let iterations = match args.first() {
+        None => 10,
+        Some(s) => match positive(s) {
+            Some(i) => i,
+            None => {
+                eprintln!("train: iterations {s:?} is not a positive integer");
+                return ExitCode::from(2);
+            }
+        },
+    };
     let config = TrainerConfig {
         num_ranks: 8,
         num_params: 8192,
@@ -328,6 +355,11 @@ fn cmd_train(args: &[String]) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// Parses a positional count or size that must be a positive integer.
+fn positive<T: std::str::FromStr + Default + PartialOrd>(s: &str) -> Option<T> {
+    s.parse().ok().filter(|v| *v > T::default())
 }
 
 /// Splits one `--name value` / `--name=value` flag out of `args`,
@@ -602,8 +634,14 @@ fn cmd_faults_shrink(seed: u64, fabric: ccube_sim::NetworkModel) -> ExitCode {
     );
     let e = Embedding::nic(&topo, &s).expect("embeds");
     let opts = SimOptions::scale_out().with_network(fabric);
-    let healthy =
-        simulate_faulted(&topo, &s, &e, &opts, &FaultPlan::empty()).expect("healthy run simulates");
+    let healthy = simulate_faulted(
+        &topo,
+        &s,
+        &e,
+        &opts.with_network(fabric.static_stripe()),
+        &FaultPlan::empty(),
+    )
+    .expect("healthy run simulates");
     let h = healthy.makespan;
 
     let mut events = FaultPlan::sample(&FaultModel::severity(3, h), &topo, &SimRng::new(seed))

@@ -210,10 +210,12 @@ fn cell(p: &Point, rng: &SimRng, network: NetworkModel) -> Row {
     let (topo, job, opts) = workload(p.topology, p.mode);
     let opts = opts.with_network(network);
     let emb = embed(p.topology, p.mode, &topo, &job.schedule);
-    let healthy = simulate_system_faulted(&topo, &job, &emb, &opts, &FaultPlan::empty())
-        .expect("healthy run simulates");
+    let healthy = healthy_run(&topo, &job, &emb, &opts);
     let model = FaultModel::severity(p.severity, healthy.makespan);
     let plan = FaultPlan::sample(&model, &topo, rng);
+    if plan.is_empty() {
+        return row_ok(p, &healthy, &healthy);
+    }
     match simulate_system_faulted(&topo, &job, &emb, &opts, &plan) {
         Ok(report) => row_ok(p, &healthy, &report),
         Err(SimError::Unroutable { .. }) => Row {
@@ -230,6 +232,20 @@ fn cell(p: &Point, rng: &SimRng, network: NetworkModel) -> Row {
         },
         Err(e) => panic!("{}/{} sev {}: {e}", p.topology, p.mode, p.severity),
     }
+}
+
+/// The healthy baseline of a study: `job` on a fault-free fabric with
+/// the static hash-striped uplinks, the denominator every slowdown is
+/// measured against.
+fn healthy_run(
+    topo: &Topology,
+    job: &SystemJob,
+    emb: &Embedding,
+    opts: &SimOptions,
+) -> SystemReport {
+    let opts = opts.with_network(opts.network.static_stripe());
+    simulate_system_faulted(topo, job, emb, &opts, &FaultPlan::empty())
+        .expect("healthy run simulates")
 }
 
 fn row_ok(p: &Point, healthy: &SystemReport, report: &SystemReport) -> Row {
@@ -262,8 +278,14 @@ pub fn demo_trace(seed: u64, network: NetworkModel) -> Result<SystemReport, SimE
     let s = tree_schedule(8, Overlap::ReductionBroadcast);
     let e = Embedding::dgx1_double_tree(&topo, &s).expect("embeddable");
     let opts = SimOptions::default().with_network(network);
-    let healthy =
-        simulate_faulted(&topo, &s, &e, &opts, &FaultPlan::empty()).expect("healthy run simulates");
+    let healthy = simulate_faulted(
+        &topo,
+        &s,
+        &e,
+        &opts.with_network(network.static_stripe()),
+        &FaultPlan::empty(),
+    )
+    .expect("healthy run simulates");
     let model = FaultModel::severity(2, healthy.makespan);
     let plan = FaultPlan::sample(&model, &topo, &SimRng::new(seed));
     simulate_faulted(&topo, &s, &e, &opts, &plan)
@@ -381,8 +403,7 @@ fn fabric_workload(
 /// valid on every cell's fabric.
 fn fabric_outage_plan(seed: u64) -> FaultPlan {
     let (topo, job, emb, opts) = fabric_workload(1, UplinkPolicy::Hash);
-    let reference = simulate_system_faulted(&topo, &job, &emb, &opts, &FaultPlan::empty())
-        .expect("reference baseline simulates");
+    let reference = healthy_run(&topo, &job, &emb, &opts);
     FaultPlan::sample_uplinks(
         4,
         1,
@@ -398,8 +419,7 @@ fn fabric_cell(uplinks: usize, policy: UplinkPolicy, seed: u64) -> FabricRow {
     // so every cell samples the identical plan from the same stream.
     let plan = fabric_outage_plan(seed);
     let (topo, job, emb, opts) = fabric_workload(uplinks, policy);
-    let healthy = simulate_system_faulted(&topo, &job, &emb, &opts, &FaultPlan::empty())
-        .expect("healthy run simulates");
+    let healthy = healthy_run(&topo, &job, &emb, &opts);
     match simulate_system_faulted(&topo, &job, &emb, &opts, &plan) {
         Ok(report) => FabricRow {
             uplinks,

@@ -1,28 +1,18 @@
-//! The network engine: a thin scheduler over the DES kernel.
+//! Simulation options and [`simulate`], the communication-only entry
+//! point.
 //!
-//! [`simulate`] no longer owns an event loop of its own. The schedule is
-//! lowered once ([`ccube_collectives::lower_schedule`]) into physical
-//! [`TransferSpec`](ccube_collectives::TransferSpec)s, channel
-//! exclusivity and arbitration live in
-//! [`ChannelPool`](crate::resource::ChannelPool), and event ordering is
-//! the [`Kernel`](crate::kernel::Kernel)'s: completions pop in
-//! `(time, transfer id, sequence)` order, reproducing the historical
-//! engine's tie-break exactly, so results are bit-identical to the
-//! pre-kernel implementation.
+//! [`simulate`] owns no event loop: it runs the schedule's transfers
+//! through the shared scheduler (`sched.rs`) and derives the
+//! per-chunk views of the [`SimReport`] from the transfer timings.
 
 use crate::error::SimError;
 use crate::fabric::NetworkModel;
-use crate::kernel::Kernel;
-use crate::report::{SimReport, SimStats, TransferTiming};
-use crate::resource::ChannelPool;
-use crate::trace::{SimTrace, TraceRecord};
-use ccube_collectives::{
-    lower_schedule, Embedding, LinkTiming, LowerError, Schedule, Transfer, TransferSpec,
-};
+use crate::faults::FaultPlan;
+use crate::report::SimReport;
+use crate::sched::{self, Job};
+use crate::trace::SimTrace;
+use ccube_collectives::{Embedding, LinkTiming, Schedule};
 use ccube_topology::{Seconds, Topology};
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// How a busy channel picks its next transfer when several are waiting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,15 +46,14 @@ pub struct SimOptions {
     /// Channel arbitration policy.
     pub arbitration: Arbitration,
     /// Ring capacity of the structured trace each run records. `0`
-    /// disables tracing entirely ([`SimTrace::disabled`]): the engines
-    /// skip all per-event ring-buffer bookkeeping, which is the fast
+    /// disables tracing entirely ([`SimTrace::disabled`]): the scheduler
+    /// skips all per-event ring-buffer bookkeeping, which is the fast
     /// path for sweeps and searches that only read timings and
     /// counters. Tracing never affects simulated timings either way.
     pub trace_capacity: usize,
-    /// Which network model the engines run: the NIC-channel
-    /// approximation (default, bit-identical to the historical engines)
-    /// or the explicit switch fabric with NIC/switch agents and per-port
-    /// queues.
+    /// Which network model the scheduler runs: the NIC-channel
+    /// approximation (default) or the explicit switch fabric, whose
+    /// transfers occupy port paths with per-port queues.
     pub network: NetworkModel,
 }
 
@@ -116,7 +105,7 @@ impl SimOptions {
     }
 
     /// The run's trace sink: a bounded ring pre-allocated for an
-    /// `expected` record count (engines bound their event population
+    /// `expected` record count (the scheduler bounds its event population
     /// from the lowered spec count so the ring never regrows mid-run),
     /// or the disabled no-op trace when `trace_capacity` is 0.
     pub(crate) fn make_trace_for(&self, expected: usize) -> SimTrace {
@@ -136,131 +125,6 @@ impl SimOptions {
     }
 }
 
-/// Runs the analyzer's structural gate (debug builds only: malformed
-/// DAG, missing or invalid routes) and lowers `schedule` — the one
-/// preparation step every engine shares. Conflicted-but-valid embeddings
-/// are deliberately NOT gated: the extension studies simulate them on
-/// purpose to measure the cost of the conflicts.
-///
-/// # Errors
-///
-/// The errors of [`lower_schedule`] (missing route, unknown channel).
-pub(crate) fn gate_and_lower(
-    topo: &Topology,
-    schedule: &Schedule,
-    embedding: &Embedding,
-    timing: &LinkTiming,
-) -> Result<Vec<TransferSpec>, LowerError> {
-    #[cfg(debug_assertions)]
-    {
-        let lint = ccube_collectives::analyze::gate(schedule, embedding, topo);
-        debug_assert!(
-            lint.is_clean(),
-            "schedule/embedding failed the static gate:\n{lint}"
-        );
-    }
-    lower_schedule(schedule, embedding, topo, timing)
-}
-
-/// The reverse dependency edges of a schedule as one flat table (CSR):
-/// the dependents of transfer `t` are `ids[offsets[t]..offsets[t + 1]]`,
-/// in increasing transfer id — two allocations per arena instead of one
-/// per transfer.
-#[derive(Default)]
-struct Dependents {
-    offsets: Vec<u32>,
-    ids: Vec<u32>,
-}
-
-impl Dependents {
-    /// Rebuilds the table for `transfers`, reusing its capacity.
-    fn rebuild(&mut self, transfers: &[Transfer]) {
-        let n = transfers.len();
-        let offsets = &mut self.offsets;
-        offsets.clear();
-        offsets.resize(n + 1, 0);
-        for t in transfers {
-            for d in &t.deps {
-                offsets[d.index() + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        // Fill with `offsets[d]` as the write cursor, which leaves it at
-        // the start of `d + 1`; shifting right by one restores it.
-        self.ids.clear();
-        self.ids.resize(offsets[n] as usize, 0);
-        for t in transfers {
-            for d in &t.deps {
-                let slot = &mut offsets[d.index()];
-                self.ids[*slot as usize] = t.id.0;
-                *slot += 1;
-            }
-        }
-        offsets.copy_within(0..n, 1);
-        offsets[0] = 0;
-    }
-
-    fn of(&self, t: usize) -> &[u32] {
-        &self.ids[self.offsets[t] as usize..self.offsets[t + 1] as usize]
-    }
-}
-
-/// The reusable per-thread simulation state of [`simulate`]: the channel
-/// pool, event heap, and dependency tables are drained ([`Kernel::reset`],
-/// [`ChannelPool::reset`]) and reused across runs — a sweep calls
-/// `simulate` once per grid point — instead of reallocated every time.
-/// Reuse is observationally invisible: every run starts from a reset
-/// state identical to freshly constructed components, so results are
-/// bit-identical to the allocate-per-run engine (covered by the
-/// `prep_equivalence` suite).
-struct SimArena {
-    pool: ChannelPool,
-    kernel: Kernel<u32>,
-    deps_remaining: Vec<u32>,
-    dependents: Dependents,
-    started: Vec<u32>,
-}
-
-impl Default for SimArena {
-    fn default() -> Self {
-        SimArena {
-            pool: ChannelPool::new(0, Arbitration::FifoHol),
-            kernel: Kernel::new(),
-            deps_remaining: Vec::new(),
-            dependents: Dependents::default(),
-            started: Vec::new(),
-        }
-    }
-}
-
-thread_local! {
-    static ARENA: RefCell<SimArena> = RefCell::new(SimArena::default());
-}
-
-/// Shared start bookkeeping: stamps timings, schedules the completion
-/// event (tie-break key = transfer id, the historical order), and
-/// records the trace entry.
-fn begin_transfer(
-    tid: u32,
-    now: Seconds,
-    specs: &[TransferSpec],
-    timings: &mut [TransferTiming],
-    kernel: &mut Kernel<u32>,
-    trace: &mut SimTrace,
-) {
-    let t = tid as usize;
-    timings[t].start = now;
-    let finish = now + specs[t].duration;
-    timings[t].complete = finish;
-    kernel.schedule(finish, u64::from(tid), tid);
-    trace.push(TraceRecord::TransferStart {
-        id: specs[t].id,
-        at: now,
-    });
-}
-
 /// Simulates `schedule` over `topo` using the routes in `embedding`.
 ///
 /// Timing model per transfer: it occupies every channel of its route
@@ -269,7 +133,9 @@ fn begin_transfer(
 /// plus [`SimOptions::forwarding_latency`] per intermediate hop. Channels
 /// are exclusive and served in FIFO order of transfer readiness; a
 /// transfer starts only when all of its schedule dependencies have
-/// completed *and* all of its channels are free.
+/// completed *and* all of its channels are free. Under
+/// [`NetworkModel::SwitchFabric`] the transfer occupies its port path
+/// instead, timed by the fabric's ports.
 ///
 /// # Errors
 ///
@@ -302,165 +168,46 @@ pub fn simulate(
     embedding: &Embedding,
     opts: &SimOptions,
 ) -> Result<SimReport, SimError> {
-    if let NetworkModel::SwitchFabric(spec) = opts.network {
-        return crate::fabric::simulate_fabric(topo, schedule, embedding, opts, &spec);
-    }
-    ARENA.with(|arena| simulate_channel(topo, schedule, embedding, opts, &mut arena.borrow_mut()))
-}
-
-/// The channel-approximation engine proper, running on the thread's
-/// reusable [`SimArena`].
-fn simulate_channel(
-    topo: &Topology,
-    schedule: &Schedule,
-    embedding: &Embedding,
-    opts: &SimOptions,
-    arena: &mut SimArena,
-) -> Result<SimReport, SimError> {
-    let transfers = schedule.transfers();
-    let n = transfers.len();
-    let num_channels = topo.channels().len();
-
-    let specs = gate_and_lower(topo, schedule, embedding, &opts.link_timing())?;
-    let specs: &[TransferSpec] = &specs;
-
-    let SimArena {
-        pool,
-        kernel,
-        deps_remaining,
-        dependents,
-        started,
-    } = arena;
-
-    // Dependency bookkeeping stays with the scheduler; resources and
-    // arbitration live in the pool.
-    deps_remaining.clear();
-    deps_remaining.extend(transfers.iter().map(|t| t.deps.len() as u32));
-    dependents.rebuild(transfers);
-
-    pool.reset(num_channels, opts.arbitration);
-    pool.reserve_tasks(n);
-    for s in specs {
-        pool.add_task(Arc::clone(&s.path), (s.chunk.0, s.id.0));
-    }
-    // Channels are exclusive, so at most one completion event per
-    // channel is ever in flight.
-    kernel.reset(0);
-    kernel.reserve(num_channels.min(n));
-    // Start + end + one grant per hop is the dominant record shape; 4×
-    // the transfer count covers single-hop runs exactly and keeps
-    // multi-hop ones to at most a couple of ring regrows.
-    let mut trace = opts.make_trace_for(n.saturating_mul(4));
-    let mut timings = vec![
-        TransferTiming {
-            start: Seconds::ZERO,
-            complete: Seconds::ZERO,
-        };
-        n
-    ];
-    let mut forwarding_busy: HashMap<ccube_topology::GpuId, Seconds> = HashMap::new();
-
-    // Seed: transfers with no dependencies are ready at t=0.
-    for tid in 0..n as u32 {
-        if deps_remaining[tid as usize] == 0 && pool.mark_ready(tid, Seconds::ZERO, &mut trace) {
-            begin_transfer(tid, Seconds::ZERO, specs, &mut timings, kernel, &mut trace);
-        }
-    }
-
-    let mut remaining = n;
-    while remaining > 0 {
-        let Some((now, tid)) = kernel.pop() else {
-            // Nothing in flight but transfers remain: priority
-            // reservations can starve each other in a cycle; break the
-            // stall by force-starting the best startable ready transfer.
-            let now = kernel.now();
-            match pool.force_start(now, &mut trace) {
-                Some(t) => {
-                    begin_transfer(t, now, specs, &mut timings, kernel, &mut trace);
-                    continue;
-                }
-                None => return Err(SimError::Deadlock { remaining }),
-            }
-        };
-        let t = tid as usize;
-        remaining -= 1;
-        pool.complete(tid, now);
-        trace.push(TraceRecord::TransferEnd {
-            id: specs[t].id,
-            at: now,
-        });
-        if let Some(via) = specs[t].via {
-            *forwarding_busy.entry(via).or_insert(Seconds::ZERO) += specs[t].duration;
-            trace.push(TraceRecord::DetourHop {
-                id: specs[t].id,
-                via,
-                at: now,
-            });
-        }
-
-        // Unblock dependents before serving the freed channels — the
-        // historical order, which lets a dependent claim a channel its
-        // own completion just released ahead of the waiter queue.
-        for &dep in dependents.of(t) {
-            let d = dep as usize;
-            deps_remaining[d] -= 1;
-            if deps_remaining[d] == 0 && pool.mark_ready(dep, now, &mut trace) {
-                begin_transfer(dep, now, specs, &mut timings, kernel, &mut trace);
-            }
-        }
-
-        started.clear();
-        pool.serve(tid, now, &mut trace, started);
-        for &s in started.iter() {
-            begin_transfer(s, now, specs, &mut timings, kernel, &mut trace);
-        }
-    }
+    let run = sched::run(
+        topo,
+        &Job::transfers(schedule),
+        embedding,
+        opts,
+        &FaultPlan::empty(),
+    )?;
 
     // Derive per-(rank, chunk) completion and per-chunk completion.
     let p = schedule.num_ranks();
     let k = schedule.chunking().num_chunks();
     let mut done_at = vec![vec![Seconds::ZERO; k]; p];
     let mut chunk_complete = vec![Seconds::ZERO; k];
-    let mut makespan = Seconds::ZERO;
-    for t in transfers {
-        let finish = timings[t.id.index()].complete;
+    for t in schedule.transfers() {
+        let finish = run.timings[t.id.index()].complete;
         let cell = &mut done_at[t.dst.index()][t.chunk.index()];
         *cell = (*cell).max(finish);
         let cc = &mut chunk_complete[t.chunk.index()];
         *cc = (*cc).max(finish);
-        makespan = makespan.max(finish);
     }
-
-    let kstats = kernel.stats();
-    let stats = SimStats {
-        events_scheduled: kstats.events_scheduled,
-        events_processed: kstats.events_processed,
-        max_event_queue_depth: kstats.max_queue_depth,
-        max_channel_queue_depth: pool.max_waiting(),
-        queue_wait: pool.queue_wait().to_vec(),
-        force_starts: pool.force_starts(),
-        ..SimStats::default()
-    };
-    let channel_busy = pool.busy().to_vec();
 
     Ok(SimReport {
         num_ranks: p,
         num_chunks: k,
-        timings,
+        timings: run.timings,
         done_at,
         chunk_complete,
-        makespan,
-        channel_busy,
-        channel_intervals: pool.take_intervals(),
-        forwarding_busy,
-        trace,
-        stats,
+        makespan: run.makespan,
+        channel_busy: run.channel_busy,
+        channel_intervals: run.channel_intervals,
+        forwarding_busy: run.forwarding_busy,
+        trace: run.trace,
+        stats: run.stats,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceRecord;
     use ccube_collectives::{
         ring_allreduce, tree_allreduce, BinaryTree, ChunkId, Chunking, DoubleBinaryTree, Overlap,
         Rank,

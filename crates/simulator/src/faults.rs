@@ -26,29 +26,22 @@
 //!   If no surviving route exists the transfer simply waits for the
 //!   link to return; a run whose traffic can *never* finish reports
 //!   [`SimError::Unroutable`] instead of a generic deadlock;
-//! * [`FaultDriver`] is the same scheduling logic as a
-//!   [`Component`] on the
-//!   [`Simulation`](crate::kernel::Simulation) layer, for experiments
-//!   built there;
 //! * failing plans shrink to 1-minimal reproducers with
 //!   [`FaultPlan::shrink`].
 //!
-//! An **empty plan is a true no-op**: [`simulate_system_faulted`]
-//! delegates straight to [`simulate_system`], so golden results cannot
-//! drift by construction.
+//! Every entry point runs the same scheduler (`sched.rs`); an
+//! empty plan is simply a run without fault events, so
+//! [`simulate_system_faulted`] with [`FaultPlan::empty`] *is*
+//! [`simulate_system`](crate::simulate_system).
 
 use crate::engine::SimOptions;
 use crate::error::SimError;
-use crate::kernel::{Component, ComponentId, Ctx, Kernel, SimRng};
-use crate::report::SimStats;
-use crate::resource::{ChannelPool, ComputeStream};
-use crate::system::{simulate_system, SystemJob, SystemReport};
-use crate::trace::{SimTrace, TraceRecord};
-use ccube_collectives::{lower_to_ports, Embedding, Schedule, TransferSpec};
-use ccube_topology::{ChannelClass, ChannelId, GpuId, Router, Seconds, SwitchId, Topology};
+use crate::kernel::SimRng;
+use crate::sched::{self, Job};
+use crate::system::{SystemJob, SystemReport};
+use ccube_collectives::{Embedding, Schedule};
+use ccube_topology::{ChannelClass, ChannelId, FabricGraph, GpuId, Seconds, Topology};
 use std::collections::HashMap;
-use std::rc::Rc;
-use std::sync::Arc;
 
 /// The sentinel end time of a permanent fault: the event never lifts.
 pub fn forever() -> Seconds {
@@ -370,7 +363,7 @@ impl FaultPlan {
         current
     }
 
-    fn validate_against(&self, topo: &Topology) -> Result<(), SimError> {
+    pub(crate) fn validate_against(&self, topo: &Topology) -> Result<(), SimError> {
         let num_channels = topo.channels().len();
         for (i, e) in self.events.iter().enumerate() {
             match *e {
@@ -401,9 +394,9 @@ impl FaultPlan {
     /// Validates the plan's fabric-native targets against the derived
     /// port graph (`None` under the channel approximation, where no
     /// fabric exists to fault).
-    fn validate_fabric_events(
+    pub(crate) fn validate_fabric_events(
         &self,
-        graph: Option<&ccube_topology::FabricGraph>,
+        graph: Option<&FabricGraph>,
     ) -> Result<(), SimError> {
         for (i, e) in self.events.iter().enumerate() {
             match *e {
@@ -444,6 +437,41 @@ impl FaultPlan {
             }
         }
         Ok(())
+    }
+
+    /// Per-channel link downtime (indexed by channel id) and the total
+    /// time at least one channel ran degraded, both clipped to
+    /// `makespan`. Fabric-port downtime has no channel to charge; it
+    /// shows up in the failover counter and per-uplink busy time
+    /// instead.
+    pub(crate) fn downtime(
+        &self,
+        makespan: Seconds,
+        num_channels: usize,
+    ) -> (Vec<Seconds>, Seconds) {
+        let mut channel_downtime = vec![Seconds::ZERO; num_channels];
+        let mut per_channel: HashMap<ChannelId, Vec<(f64, f64)>> = HashMap::new();
+        let mut degraded: Vec<(f64, f64)> = Vec::new();
+        for e in self.events() {
+            let lo = e.from().as_secs_f64();
+            let hi = e.until().as_secs_f64().min(makespan.as_secs_f64());
+            if hi <= lo {
+                continue;
+            }
+            match *e {
+                FaultEvent::LinkDown { channel, .. } => {
+                    per_channel.entry(channel).or_default().push((lo, hi));
+                }
+                FaultEvent::Degraded { .. } => degraded.push((lo, hi)),
+                FaultEvent::Straggler { .. }
+                | FaultEvent::UplinkDown { .. }
+                | FaultEvent::SwitchDown { .. } => {}
+            }
+        }
+        for (channel, windows) in per_channel {
+            channel_downtime[channel.index()] = Seconds::new(merged_total(windows));
+        }
+        (channel_downtime, Seconds::new(merged_total(degraded)))
     }
 }
 
@@ -514,74 +542,6 @@ impl FaultModel {
     }
 }
 
-/// Events a [`FaultDriver`] schedules and receives.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultSignal {
-    /// Kick-off: schedule every plan event's boundaries.
-    Activate,
-    /// Fault `.0` (a plan index) starts now.
-    Start(u32),
-    /// Fault `.0` ends now.
-    End(u32),
-}
-
-/// The fault-boundary scheduler as a [`Component`]: on
-/// [`FaultSignal::Activate`] it emits a [`FaultSignal::Start`] at each
-/// event's `from` and a [`FaultSignal::End`] at each finite `until`,
-/// addressed to `target` (or to itself when none, in which case it logs
-/// the boundary). Because boundaries ride the simulation's
-/// `(time, key, seq)` order, a fabric component receiving them observes
-/// faults in exactly the order [`simulate_system_faulted`] applies them.
-pub struct FaultDriver {
-    plan: FaultPlan,
-    target: Option<ComponentId>,
-    log: Vec<(u32, bool, Seconds)>,
-}
-
-impl FaultDriver {
-    /// A driver that logs boundaries itself.
-    pub fn new(plan: FaultPlan) -> Self {
-        FaultDriver {
-            plan,
-            target: None,
-            log: Vec::new(),
-        }
-    }
-
-    /// A driver that addresses boundaries to `target`.
-    pub fn with_target(plan: FaultPlan, target: ComponentId) -> Self {
-        FaultDriver {
-            plan,
-            target: Some(target),
-            log: Vec::new(),
-        }
-    }
-
-    /// The boundaries this driver received, as
-    /// `(event index, is_start, time)` in delivery order.
-    pub fn log(&self) -> &[(u32, bool, Seconds)] {
-        &self.log
-    }
-}
-
-impl Component<FaultSignal> for FaultDriver {
-    fn on_event(&mut self, event: FaultSignal, ctx: &mut Ctx<'_, FaultSignal>) {
-        match event {
-            FaultSignal::Activate => {
-                let to = self.target.unwrap_or_else(|| ctx.self_id());
-                for (i, e) in self.plan.events().iter().enumerate() {
-                    ctx.emit(to, e.from() - ctx.now(), FaultSignal::Start(i as u32));
-                    if !e.is_permanent() {
-                        ctx.emit(to, e.until() - ctx.now(), FaultSignal::End(i as u32));
-                    }
-                }
-            }
-            FaultSignal::Start(i) => self.log.push((i, true, ctx.now())),
-            FaultSignal::End(i) => self.log.push((i, false, ctx.now())),
-        }
-    }
-}
-
 /// Runs `schedule` (communication only) under `plan`. See
 /// [`simulate_system_faulted`].
 ///
@@ -595,513 +555,10 @@ pub fn simulate_faulted(
     opts: &SimOptions,
     plan: &FaultPlan,
 ) -> Result<SystemReport, SimError> {
-    let job = SystemJob {
-        schedule: schedule.clone(),
-        compute: vec![],
-        transfer_gates: vec![],
-    };
-    simulate_system_faulted(topo, &job, embedding, opts, plan)
+    sched::run(topo, &Job::transfers(schedule), embedding, opts, plan).map(SystemReport::from_run)
 }
 
-/// Fault events pop *before* traffic completions at equal times: their
-/// tie-break keys are the plan indices, and every traffic key is offset
-/// past them.
-const NODE_KEYS: u64 = 1 << 32;
-
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    FaultStart(u32),
-    FaultEnd(u32),
-    /// Transfer completion `(id, generation)` — stale generations are
-    /// rescheduled completions and get ignored.
-    Transfer(u32, u32),
-    /// Compute completion `(id, generation)`.
-    Compute(u32, u32),
-}
-
-struct Engine<'a> {
-    topo: &'a Topology,
-    job: &'a SystemJob,
-    embedding: &'a Embedding,
-    opts: &'a SimOptions,
-    plan: &'a FaultPlan,
-    specs: Vec<TransferSpec>,
-    /// Channel→port mapping under the switch-fabric network model:
-    /// `specs` keep channel-level paths (fault events and degradation
-    /// windows are declared per channel), while the pool schedules the
-    /// mapped port paths.
-    fabric: Option<crate::fabric::FabricMap>,
-    pool: ChannelPool,
-    streams: HashMap<GpuId, ComputeStream>,
-    kernel: Kernel<Ev>,
-    trace: SimTrace,
-    nt: usize,
-    /// Per-node (transfers then compute) completion-event generation;
-    /// rescheduling a completion bumps it, orphaning the stale event.
-    generation: Vec<u32>,
-    /// Scheduled finish time per node, for boundary rescaling.
-    finish_at: Vec<Seconds>,
-    /// Start time per node (pool tracks transfers; this also covers
-    /// compute, for occupancy accounting under changing slowdowns).
-    start_at: Vec<Seconds>,
-    /// Effective bandwidth rate each running transfer was scheduled at.
-    eff_of: Vec<f64>,
-    /// Which plan events are currently active.
-    active: Vec<bool>,
-    compute_running: Vec<bool>,
-    /// Valid (current-generation) completion events in the kernel.
-    in_flight: usize,
-    faults_injected: u64,
-    reroutes_taken: u64,
-    failovers: u64,
-}
-
-impl Engine<'_> {
-    fn transfer_key(tid: u32) -> u64 {
-        NODE_KEYS + (u64::from(tid) << 1)
-    }
-
-    fn compute_key(cid: u32) -> u64 {
-        NODE_KEYS + ((u64::from(cid) << 1) | 1)
-    }
-
-    /// The pool resources a channel-level path occupies (identity under
-    /// the channel approximation, the port path under the fabric).
-    fn res_path(&self, channels: &[ChannelId]) -> Vec<ChannelId> {
-        match &self.fabric {
-            Some(f) => f.resource_path(channels),
-            None => channels.to_vec(),
-        }
-    }
-
-    /// True if `channel` is currently down in the pool (its endpoint
-    /// ports, under the fabric).
-    fn is_channel_down(&self, channel: ChannelId) -> bool {
-        match &self.fabric {
-            Some(f) => f
-                .graph
-                .ports_for_channel(channel)
-                .iter()
-                .any(|p| self.pool.is_link_down(ChannelId(p.0))),
-            None => self.pool.is_link_down(channel),
-        }
-    }
-
-    /// Product of the active degradation rates on `channel`.
-    fn channel_rate(&self, channel: ChannelId) -> f64 {
-        let mut rate = 1.0;
-        for (i, e) in self.plan.events().iter().enumerate() {
-            if let FaultEvent::Degraded {
-                channel: c,
-                rate: r,
-                ..
-            } = *e
-            {
-                if self.active[i] && c == channel {
-                    rate *= r;
-                }
-            }
-        }
-        rate
-    }
-
-    /// Effective rate of a transfer: its bottleneck degradation.
-    fn path_rate(&self, tid: u32) -> f64 {
-        self.specs[tid as usize]
-            .path
-            .iter()
-            .map(|&c| self.channel_rate(c))
-            .fold(1.0, f64::min)
-    }
-
-    /// Product of the active straggler slowdowns on `gpu`.
-    fn gpu_slowdown(&self, gpu: GpuId) -> f64 {
-        let mut slowdown = 1.0;
-        for (i, e) in self.plan.events().iter().enumerate() {
-            if let FaultEvent::Straggler {
-                gpu: g,
-                slowdown: s,
-                ..
-            } = *e
-            {
-                if self.active[i] && g == gpu {
-                    slowdown *= s;
-                }
-            }
-        }
-        slowdown
-    }
-
-    fn begin_transfer(&mut self, tid: u32, now: Seconds) {
-        let t = tid as usize;
-        let eff = self.path_rate(tid);
-        let duration = Seconds::new(self.specs[t].duration.as_secs_f64() / eff);
-        let finish = now + duration;
-        self.finish_at[t] = finish;
-        self.start_at[t] = now;
-        self.eff_of[t] = eff;
-        self.kernel.schedule(
-            finish,
-            Self::transfer_key(tid),
-            Ev::Transfer(tid, self.generation[t]),
-        );
-        self.in_flight += 1;
-        self.trace.push(TraceRecord::TransferStart {
-            id: self.specs[t].id,
-            at: now,
-        });
-    }
-
-    fn begin_compute(&mut self, cid: u32, now: Seconds) {
-        let task = &self.job.compute[cid as usize];
-        let me = self.nt + cid as usize;
-        let scaled = self.streams[&task.gpu].scale(task.duration);
-        let finish = now + scaled;
-        self.finish_at[me] = finish;
-        self.start_at[me] = now;
-        self.compute_running[cid as usize] = true;
-        self.kernel.schedule(
-            finish,
-            Self::compute_key(cid),
-            Ev::Compute(cid, self.generation[me]),
-        );
-        self.in_flight += 1;
-        self.trace.push(TraceRecord::ComputeStart {
-            id: cid,
-            gpu: task.gpu,
-            at: now,
-        });
-    }
-
-    /// Activates plan event `e` at `now`.
-    fn apply_start(&mut self, e: u32, now: Seconds) {
-        self.active[e as usize] = true;
-        self.faults_injected += 1;
-        self.trace
-            .push(TraceRecord::FaultStart { fault: e, at: now });
-        match self.plan.events()[e as usize] {
-            FaultEvent::LinkDown { channel, .. } => {
-                for r in self.res_path(&[channel]) {
-                    self.pool.set_link_down(r);
-                }
-                self.reroute_pass(now);
-            }
-            FaultEvent::Degraded { channel, .. } => self.rescale_channel(channel, now),
-            FaultEvent::Straggler { gpu, .. } => self.rescale_gpu(gpu, now),
-            ev @ (FaultEvent::UplinkDown { .. } | FaultEvent::SwitchDown { .. }) => {
-                for r in self.fault_ports(&ev) {
-                    self.pool.set_link_down(r);
-                }
-                // Downed ports drain their in-flight wormholes (the
-                // completion events stay scheduled); queued port paths
-                // fail over to surviving uplinks right away.
-                self.failover_pass(now);
-            }
-        }
-    }
-
-    /// Lifts plan event `e` at `now`.
-    fn apply_end(&mut self, e: u32, now: Seconds) {
-        self.active[e as usize] = false;
-        self.trace.push(TraceRecord::FaultEnd { fault: e, at: now });
-        match self.plan.events()[e as usize] {
-            FaultEvent::LinkDown { channel, .. } => {
-                for r in self.res_path(&[channel]) {
-                    self.pool.set_link_up(r);
-                    if !self.pool.is_link_down(r) {
-                        let mut started = Vec::new();
-                        self.pool
-                            .serve_channel(r, now, &mut self.trace, &mut started);
-                        for s in started {
-                            self.begin_transfer(s, now);
-                        }
-                    }
-                }
-            }
-            FaultEvent::Degraded { channel, .. } => self.rescale_channel(channel, now),
-            FaultEvent::Straggler { gpu, .. } => self.rescale_gpu(gpu, now),
-            ev @ (FaultEvent::UplinkDown { .. } | FaultEvent::SwitchDown { .. }) => {
-                let ports = self.fault_ports(&ev);
-                for &r in &ports {
-                    self.pool.set_link_up(r);
-                }
-                // Transfers stranded on a slot that is STILL down (they
-                // had no survivor to fail over to) revise onto the
-                // repaired one before its waiter queues are served.
-                self.failover_pass(now);
-                for r in ports {
-                    if !self.pool.is_link_down(r) {
-                        let mut started = Vec::new();
-                        self.pool
-                            .serve_channel(r, now, &mut self.trace, &mut started);
-                        for s in started {
-                            self.begin_transfer(s, now);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The pool port resources a fabric-native fault event downs: both
-    /// legs of the uplink crossing (a transfer that cannot reach the
-    /// spine cannot come back down it either), or every crossing homed
-    /// on a downed spine.
-    fn fault_ports(&self, e: &FaultEvent) -> Vec<ChannelId> {
-        let Some(f) = &self.fabric else {
-            return Vec::new(); // validated away under ChannelApprox
-        };
-        match *e {
-            FaultEvent::UplinkDown { leaf, uplink, .. } => {
-                let sw = SwitchId(leaf);
-                let up = f.graph.uplinks_up(sw)[uplink as usize];
-                let down = f.graph.uplinks_down(sw)[uplink as usize];
-                vec![ChannelId(up.0), ChannelId(down.0)]
-            }
-            FaultEvent::SwitchDown { spine, .. } => {
-                let mut out = Vec::new();
-                for leaf in 0..f.graph.num_switches() {
-                    let sw = SwitchId(leaf as u32);
-                    let ups = f.graph.uplinks_up(sw);
-                    let downs = f.graph.uplinks_down(sw);
-                    for (slot, (&u, &d)) in ups.iter().zip(downs).enumerate() {
-                        if f.graph.spine_of_uplink(slot as u32) == spine {
-                            out.push(ChannelId(u.0));
-                            out.push(ChannelId(d.0));
-                        }
-                    }
-                }
-                out
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    /// Re-slots every waiting transfer's spine crossings onto surviving
-    /// (or less-queued) uplinks. Unlike [`Self::reroute_pass`] this
-    /// never changes the channel-level route — slot substitution is
-    /// duration-invariant by construction, so specs and cached timings
-    /// stay untouched. A crossing with no surviving slot keeps its
-    /// current one and stalls until repair; permanent total severance
-    /// surfaces as [`SimError::Unroutable`] when the queue drains.
-    fn failover_pass(&mut self, now: Seconds) {
-        let Some(f) = &self.fabric else { return };
-        if f.policy == crate::fabric::UplinkPolicy::Hash {
-            return;
-        }
-        let graph = Rc::clone(&f.graph);
-        let policy = f.policy;
-        for tid in 0..self.nt as u32 {
-            if self.pool.is_done(tid) || self.pool.is_running(tid) {
-                continue;
-            }
-            let Some((revised, port)) =
-                crate::fabric::choose_uplinks(&graph, &self.pool, self.pool.path(tid), policy)
-            else {
-                continue;
-            };
-            self.pool.reroute(tid, revised);
-            self.failovers += 1;
-            self.trace.push(TraceRecord::Failover {
-                id: self.specs[tid as usize].id,
-                port,
-                at: now,
-            });
-            if self.pool.poke(tid, now, &mut self.trace) {
-                self.begin_transfer(tid, now);
-            }
-        }
-    }
-
-    /// Marks `tid` ready, first revising its spine crossings under an
-    /// adaptive uplink policy — the grant-time choice from live queue
-    /// depths the fabric's healthy engine makes too.
-    fn adapt_and_mark_ready(&mut self, tid: u32, now: Seconds) -> bool {
-        if let Some(f) = &self.fabric {
-            if f.policy != crate::fabric::UplinkPolicy::Hash {
-                let graph = Rc::clone(&f.graph);
-                let policy = f.policy;
-                if let Some((revised, port)) =
-                    crate::fabric::choose_uplinks(&graph, &self.pool, self.pool.path(tid), policy)
-                {
-                    self.pool.reroute(tid, revised);
-                    self.failovers += 1;
-                    self.trace.push(TraceRecord::Failover {
-                        id: self.specs[tid as usize].id,
-                        port,
-                        at: now,
-                    });
-                }
-            }
-        }
-        self.pool.mark_ready(tid, now, &mut self.trace)
-    }
-
-    /// Re-routes every waiting transfer whose path crosses a down
-    /// channel onto the best surviving route, if one exists. Routes are
-    /// chosen statically for the fault epoch — one `Router` per pass,
-    /// allocating in transfer-id order, load-balances the pass exactly
-    /// like schedule-construction-time routing would have. A transfer
-    /// with no surviving route keeps its old path and waits for the
-    /// link to return.
-    ///
-    /// NIC paths (scale-out injection/ejection pairs) are structural,
-    /// not `Router`-resolved, so they are never re-routed: a downed NIC
-    /// stalls its endpoint until repair, and a permanently-downed NIC
-    /// makes the run [`SimError::Unroutable`] — the asymmetry the
-    /// resilience sweep measures against the DGX-1's path diversity.
-    fn reroute_pass(&mut self, now: Seconds) {
-        let mut router = Router::new(self.topo);
-        for ch in self.topo.channels() {
-            if self.is_channel_down(ch.id()) {
-                router.block_channel(ch.id());
-            }
-        }
-        let transfers = self.job.schedule.transfers();
-        for tid in 0..self.nt as u32 {
-            let t = tid as usize;
-            if self.pool.is_done(tid) || self.pool.is_running(tid) {
-                continue;
-            }
-            let crosses = self.specs[t].path.iter().any(|&c| self.is_channel_down(c));
-            if !crosses {
-                continue;
-            }
-            let structural = self.specs[t]
-                .path
-                .iter()
-                .any(|&c| self.topo.channel(c).class() == ChannelClass::Nic);
-            if structural {
-                continue; // NIC paths wait for repair instead
-            }
-            let src = self.embedding.gpu_of(transfers[t].src);
-            let dst = self.embedding.gpu_of(transfers[t].dst);
-            let Ok(route) = router.allocate(src, dst) else {
-                continue; // no surviving route: wait for the link
-            };
-            // Mirror lower_schedule's duration model on the new path.
-            let mut alpha = Seconds::ZERO;
-            let mut bottleneck = f64::INFINITY;
-            for &c in route.channels() {
-                let ch = self.topo.channel(c);
-                alpha += ch.latency();
-                bottleneck = bottleneck.min(ch.bandwidth().as_bytes_per_sec());
-            }
-            if route.is_detour() {
-                alpha += self.opts.forwarding_latency;
-            }
-            let serialization = Seconds::new(
-                transfers[t].bytes.as_f64() / (bottleneck * self.opts.bandwidth_scale),
-            );
-            self.specs[t].path = route.channels().into();
-            self.specs[t].via = route.via();
-            self.specs[t].duration = match &self.fabric {
-                Some(f) => f.duration(
-                    &self.specs[t].path,
-                    transfers[t].bytes,
-                    route.is_detour(),
-                    &self.opts.link_timing(),
-                ),
-                None => alpha + serialization,
-            };
-            let res_path = self.res_path(&self.specs[t].path);
-            self.pool.reroute(tid, res_path);
-            self.reroutes_taken += 1;
-            self.trace.push(TraceRecord::Reroute {
-                id: self.specs[t].id,
-                at: now,
-            });
-            if self.pool.poke(tid, now, &mut self.trace) {
-                self.begin_transfer(tid, now);
-            }
-        }
-    }
-
-    /// Rescales in-flight transfers crossing `channel` after its
-    /// degradation changed: remaining work finishes at the new rate.
-    fn rescale_channel(&mut self, channel: ChannelId, now: Seconds) {
-        for tid in 0..self.nt as u32 {
-            let t = tid as usize;
-            if !self.pool.is_running(tid) || !self.specs[t].path.contains(&channel) {
-                continue;
-            }
-            let eff_new = self.path_rate(tid);
-            let eff_old = self.eff_of[t];
-            if eff_new == eff_old {
-                continue;
-            }
-            let remaining = self.finish_at[t] - now;
-            let finish = now + remaining * (eff_old / eff_new);
-            self.generation[t] += 1;
-            self.finish_at[t] = finish;
-            self.eff_of[t] = eff_new;
-            self.kernel.schedule(
-                finish,
-                Self::transfer_key(tid),
-                Ev::Transfer(tid, self.generation[t]),
-            );
-        }
-    }
-
-    /// Rescales in-flight compute on `gpu` after its straggler factor
-    /// changed, and re-sets the stream's slowdown for future tasks.
-    fn rescale_gpu(&mut self, gpu: GpuId, now: Seconds) {
-        let sd_new = self.gpu_slowdown(gpu);
-        let Some(stream) = self.streams.get_mut(&gpu) else {
-            return; // no compute tasks ever run there
-        };
-        let sd_old = stream.slowdown();
-        if sd_new == sd_old {
-            return;
-        }
-        stream.set_slowdown(sd_new);
-        for cid in 0..self.job.compute.len() {
-            if !self.compute_running[cid] || self.job.compute[cid].gpu != gpu {
-                continue;
-            }
-            let me = self.nt + cid;
-            let remaining = self.finish_at[me] - now;
-            let finish = now + remaining * (sd_new / sd_old);
-            self.generation[me] += 1;
-            self.finish_at[me] = finish;
-            self.kernel.schedule(
-                finish,
-                Self::compute_key(cid as u32),
-                Ev::Compute(cid as u32, self.generation[me]),
-            );
-        }
-    }
-
-    /// The terminal error when the event queue drained with nodes
-    /// outstanding: [`SimError::Unroutable`] if some unfinished
-    /// transfer is stuck behind a (necessarily permanent, by now)
-    /// link-down, otherwise a plain deadlock.
-    fn drained_error(&self, remaining: usize) -> SimError {
-        let transfers = self.job.schedule.transfers();
-        for tid in 0..self.nt as u32 {
-            let t = tid as usize;
-            if self.pool.is_done(tid) {
-                continue;
-            }
-            let stuck = self.specs[t].path.iter().any(|&c| self.is_channel_down(c))
-                || (self.fabric.is_some()
-                    && self
-                        .pool
-                        .path(tid)
-                        .iter()
-                        .any(|&r| self.pool.is_link_down(r)));
-            if stuck {
-                return SimError::Unroutable {
-                    src: self.embedding.gpu_of(transfers[t].src),
-                    dst: self.embedding.gpu_of(transfers[t].dst),
-                };
-            }
-        }
-        SimError::Deadlock { remaining }
-    }
-}
-
-/// [`simulate_system`] under a [`FaultPlan`]: the same deterministic
+/// [`simulate_system`](crate::simulate_system) under a [`FaultPlan`]: the same deterministic
 /// DES, with fault boundaries as first-class events.
 ///
 /// Semantics per fault kind:
@@ -1121,12 +578,11 @@ impl Engine<'_> {
 /// * **Straggler** — compute on the GPU stretches by `slowdown`;
 ///   in-flight compute rescales at the boundaries.
 ///
-/// An empty plan delegates to [`simulate_system`] — bit-identical
-/// output, zero overhead.
+/// With an empty plan this is [`simulate_system`](crate::simulate_system).
 ///
 /// # Errors
 ///
-/// As [`simulate_system`], plus [`SimError::FaultPlanInvalid`] for a
+/// As [`simulate_system`](crate::simulate_system), plus [`SimError::FaultPlanInvalid`] for a
 /// plan referencing channels/GPUs outside `topo` and
 /// [`SimError::Unroutable`] when permanently-severed traffic can never
 /// finish.
@@ -1137,344 +593,12 @@ pub fn simulate_system_faulted(
     opts: &SimOptions,
     plan: &FaultPlan,
 ) -> Result<SystemReport, SimError> {
-    if plan.is_empty() {
-        return simulate_system(topo, job, embedding, opts);
-    }
-    plan.validate_against(topo)?;
-
-    let transfers = job.schedule.transfers();
-    let nt = transfers.len();
-    let nc = job.compute.len();
-    let num_channels = topo.channels().len();
-    let node_count = nt + nc;
-
-    // The fault engine re-routes specs in place (and rescales durations
-    // across fault windows).
-    let timing = opts.link_timing();
-    let mut specs = crate::engine::gate_and_lower(topo, &job.schedule, embedding, &timing)?;
-
-    // Under the switch-fabric model the pool schedules port paths and
-    // durations follow the fabric; specs keep their channel-level paths
-    // (fault events are declared per channel).
-    let fabric = crate::fabric::FabricMap::for_options(topo, opts);
-    plan.validate_fabric_events(fabric.as_ref().map(|f| f.graph.as_ref()))?;
-    let res_paths: Vec<Arc<[ChannelId]>> = match &fabric {
-        Some(f) => {
-            let ports = lower_to_ports(&specs, &f.graph);
-            specs
-                .iter_mut()
-                .zip(&ports)
-                .map(|(s, route)| {
-                    s.duration = f.duration_on(route, s.bytes, s.via.is_some(), &timing);
-                    route.iter().map(|p| ChannelId(p.0)).collect()
-                })
-                .collect()
-        }
-        None => specs.iter().map(|s| Arc::clone(&s.path)).collect(),
+    let job = Job {
+        schedule: &job.schedule,
+        compute: &job.compute,
+        gates: &job.transfer_gates,
     };
-
-    // Dependency bookkeeping, identical to simulate_system.
-    let mut deps_remaining = vec![0u32; node_count];
-    let mut dependents: Vec<Vec<(bool, u32)>> = vec![Vec::new(); node_count]; // (is_compute, id)
-    for t in transfers {
-        deps_remaining[t.id.index()] += t.deps.len() as u32;
-        for d in &t.deps {
-            dependents[d.index()].push((false, t.id.0));
-        }
-    }
-    for (tid, cid) in &job.transfer_gates {
-        deps_remaining[tid.index()] += 1;
-        dependents[nt + cid.index()].push((false, tid.0));
-    }
-    for c in &job.compute {
-        deps_remaining[nt + c.id.index()] += (c.deps_compute.len() + c.deps_transfers.len()) as u32;
-        for d in &c.deps_compute {
-            dependents[nt + d.index()].push((true, c.id.0));
-        }
-        for d in &c.deps_transfers {
-            dependents[d.index()].push((true, c.id.0));
-        }
-    }
-
-    let num_resources = fabric.as_ref().map_or(num_channels, |f| f.num_ports());
-    let mut pool = ChannelPool::new(num_resources, opts.arbitration);
-    pool.reserve_tasks(nt);
-    for (s, path) in specs.iter().zip(res_paths) {
-        pool.add_task(path, (s.chunk.0, s.id.0));
-    }
-    let mut streams: HashMap<GpuId, ComputeStream> = HashMap::new();
-    for c in &job.compute {
-        streams.entry(c.gpu).or_default();
-    }
-
-    let mut eng = Engine {
-        topo,
-        job,
-        embedding,
-        opts,
-        plan,
-        specs,
-        fabric,
-        pool,
-        streams,
-        kernel: Kernel::with_capacity(node_count.min(num_resources + nc) + 2 * plan.len()),
-        trace: opts.make_trace_for(nt.saturating_mul(4) + nc.saturating_mul(2) + 2 * plan.len()),
-        nt,
-        generation: vec![0; node_count],
-        finish_at: vec![Seconds::ZERO; node_count],
-        start_at: vec![Seconds::ZERO; node_count],
-        eff_of: vec![1.0; nt],
-        active: vec![false; plan.len()],
-        compute_running: vec![false; nc],
-        in_flight: 0,
-        faults_injected: 0,
-        reroutes_taken: 0,
-        failovers: 0,
-    };
-
-    // Faults active from t = 0 apply BEFORE seeding, so no transfer can
-    // start on (or keep a path through) an initially-down channel.
-    // Later boundaries become kernel events, keyed below every traffic
-    // completion so a boundary at time t is visible to all traffic at t.
-    for (i, e) in plan.events().iter().enumerate() {
-        let key = i as u64;
-        if e.from() == Seconds::ZERO {
-            eng.apply_start(i as u32, Seconds::ZERO);
-        } else {
-            eng.kernel.schedule(e.from(), key, Ev::FaultStart(i as u32));
-        }
-        if !e.is_permanent() {
-            eng.kernel.schedule(e.until(), key, Ev::FaultEnd(i as u32));
-        }
-    }
-
-    // Seed: dependency-free nodes, transfers first (historical order).
-    for t in transfers {
-        if deps_remaining[t.id.index()] == 0 && eng.adapt_and_mark_ready(t.id.0, Seconds::ZERO) {
-            eng.begin_transfer(t.id.0, Seconds::ZERO);
-        }
-    }
-    for c in &job.compute {
-        if deps_remaining[nt + c.id.index()] == 0 {
-            let started = eng
-                .streams
-                .get_mut(&c.gpu)
-                .expect("gpu stream exists")
-                .acquire(c.id.0);
-            if started {
-                eng.begin_compute(c.id.0, Seconds::ZERO);
-            }
-        }
-    }
-
-    let mut transfer_complete = vec![Seconds::ZERO; nt];
-    let mut compute_complete = vec![Seconds::ZERO; nc];
-    let mut remaining = node_count;
-    let mut makespan = Seconds::ZERO;
-    let mut started = Vec::new();
-
-    while remaining > 0 {
-        if eng.in_flight == 0 {
-            // No completion pending: either an arbitration stall (break
-            // it immediately, like the healthy engines) or all traffic
-            // is waiting out a link-down (advance to the boundary).
-            let now = eng.kernel.now();
-            if let Some(t) = eng.pool.force_start(now, &mut eng.trace) {
-                eng.begin_transfer(t, now);
-                continue;
-            }
-        }
-        let Some((now, ev)) = eng.kernel.pop() else {
-            return Err(eng.drained_error(remaining));
-        };
-        let (is_compute, id) = match ev {
-            Ev::FaultStart(e) => {
-                eng.apply_start(e, now);
-                continue;
-            }
-            Ev::FaultEnd(e) => {
-                eng.apply_end(e, now);
-                continue;
-            }
-            Ev::Transfer(i, gen) => {
-                if gen != eng.generation[i as usize] {
-                    continue; // rescheduled; a current-gen event exists
-                }
-                (false, i)
-            }
-            Ev::Compute(i, gen) => {
-                if gen != eng.generation[nt + i as usize] {
-                    continue;
-                }
-                (true, i)
-            }
-        };
-        eng.in_flight -= 1;
-        remaining -= 1;
-        makespan = makespan.max(now);
-        let me = if is_compute {
-            nt + id as usize
-        } else {
-            id as usize
-        };
-
-        // Release the resource and record the completion.
-        if is_compute {
-            let ci = id as usize;
-            compute_complete[ci] = now;
-            eng.compute_running[ci] = false;
-            eng.trace.push(TraceRecord::ComputeEnd {
-                id,
-                gpu: job.compute[ci].gpu,
-                at: now,
-            });
-        } else {
-            let ti = id as usize;
-            transfer_complete[ti] = now;
-            eng.pool.complete(id, now);
-            eng.trace.push(TraceRecord::TransferEnd {
-                id: eng.specs[ti].id,
-                at: now,
-            });
-            if let Some(via) = eng.specs[ti].via {
-                eng.trace.push(TraceRecord::DetourHop {
-                    id: eng.specs[ti].id,
-                    via,
-                    at: now,
-                });
-            }
-        }
-
-        // Unblock dependents before serving freed resources.
-        let deps = std::mem::take(&mut dependents[me]);
-        for (dep_compute, dep_id) in deps {
-            let di = if dep_compute {
-                nt + dep_id as usize
-            } else {
-                dep_id as usize
-            };
-            deps_remaining[di] -= 1;
-            if deps_remaining[di] == 0 {
-                if dep_compute {
-                    let gpu = job.compute[dep_id as usize].gpu;
-                    let ok = eng
-                        .streams
-                        .get_mut(&gpu)
-                        .expect("gpu stream exists")
-                        .acquire(dep_id);
-                    if ok {
-                        eng.begin_compute(dep_id, now);
-                    }
-                } else if eng.adapt_and_mark_ready(dep_id, now) {
-                    eng.begin_transfer(dep_id, now);
-                }
-            }
-        }
-
-        // Serve the freed resource's waiters.
-        if is_compute {
-            let ci = id as usize;
-            let gpu = job.compute[ci].gpu;
-            let occupancy = now - eng.start_at[me];
-            let next = eng
-                .streams
-                .get_mut(&gpu)
-                .expect("gpu stream exists")
-                .release(occupancy);
-            if let Some(h) = next {
-                eng.begin_compute(h, now);
-            }
-        } else {
-            started.clear();
-            eng.pool.serve(id, now, &mut eng.trace, &mut started);
-            for &s in &started {
-                eng.begin_transfer(s, now);
-            }
-        }
-    }
-
-    // Post-hoc fault intervals, clipped to the run's makespan.
-    let mut channel_downtime = vec![Seconds::ZERO; num_channels];
-    let mut per_channel: HashMap<ChannelId, Vec<(f64, f64)>> = HashMap::new();
-    let mut degraded: Vec<(f64, f64)> = Vec::new();
-    for e in plan.events() {
-        let lo = e.from().as_secs_f64();
-        let hi = e.until().as_secs_f64().min(makespan.as_secs_f64());
-        if hi <= lo {
-            continue;
-        }
-        match *e {
-            FaultEvent::LinkDown { channel, .. } => {
-                per_channel.entry(channel).or_default().push((lo, hi));
-            }
-            FaultEvent::Degraded { .. } => degraded.push((lo, hi)),
-            // Fabric-port downtime has no channel to charge; it shows up
-            // in the failover counter and per-uplink busy time instead.
-            FaultEvent::Straggler { .. }
-            | FaultEvent::UplinkDown { .. }
-            | FaultEvent::SwitchDown { .. } => {}
-        }
-    }
-    for (channel, windows) in per_channel {
-        channel_downtime[channel.index()] = Seconds::new(merged_total(windows));
-    }
-    let time_degraded = Seconds::new(merged_total(degraded));
-
-    let gpu_busy: HashMap<GpuId, Seconds> = eng
-        .streams
-        .iter()
-        .filter(|(_, s)| s.busy() > Seconds::ZERO)
-        .map(|(&g, s)| (g, s.busy()))
-        .collect();
-    let kstats = eng.kernel.stats();
-    let max_stream_waiting = eng
-        .streams
-        .values()
-        .map(|s| s.max_waiting())
-        .max()
-        .unwrap_or(0);
-    // Per-port quantities fold back to channels under the fabric model;
-    // the raw per-port busy vector stays visible in the stats.
-    let (channel_busy, queue_wait, port_busy, uplink_busy) = match &eng.fabric {
-        Some(f) => (
-            f.channel_values(eng.pool.busy(), num_channels),
-            f.channel_values(eng.pool.queue_wait(), num_channels),
-            eng.pool.busy().to_vec(),
-            crate::fabric::uplink_busy_of(&f.graph, eng.pool.busy()),
-        ),
-        None => (
-            eng.pool.busy().to_vec(),
-            eng.pool.queue_wait().to_vec(),
-            Vec::new(),
-            Vec::new(),
-        ),
-    };
-    let stats = SimStats {
-        events_scheduled: kstats.events_scheduled,
-        events_processed: kstats.events_processed,
-        max_event_queue_depth: kstats.max_queue_depth,
-        max_channel_queue_depth: eng.pool.max_waiting().max(max_stream_waiting),
-        queue_wait,
-        force_starts: eng.pool.force_starts(),
-        faults_injected: eng.faults_injected,
-        reroutes_taken: eng.reroutes_taken,
-        failovers: eng.failovers,
-        time_degraded,
-        channel_downtime,
-        port_busy,
-        uplink_busy,
-        ..SimStats::default()
-    };
-
-    Ok(SystemReport {
-        transfer_complete,
-        compute_complete,
-        makespan,
-        gpu_busy,
-        channel_busy,
-        trace: eng.trace,
-        stats,
-    })
+    sched::run(topo, &job, embedding, opts, plan).map(SystemReport::from_run)
 }
 
 /// Total length of the union of `windows` (each `(lo, hi)` with
@@ -1503,7 +627,6 @@ fn merged_total(mut windows: Vec<(f64, f64)>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::Simulation;
     use ccube_topology::dgx1;
 
     fn us(t: f64) -> Seconds {
@@ -1604,67 +727,6 @@ mod tests {
             let smaller = FaultPlan::new(smaller).unwrap();
             assert!(!fails(&smaller), "1-minimality violated at event {i}");
         }
-    }
-
-    #[test]
-    fn fault_driver_schedules_boundaries_in_order() {
-        let plan = FaultPlan::new(vec![
-            FaultEvent::LinkDown {
-                channel: ChannelId(0),
-                from: us(5.0),
-                until: us(9.0),
-            },
-            FaultEvent::Straggler {
-                gpu: GpuId(1),
-                from: us(2.0),
-                until: forever(),
-                slowdown: 2.0,
-            },
-        ])
-        .unwrap();
-        let mut sim: Simulation<FaultSignal> = Simulation::with_seed(0);
-        let d = sim.add_component(FaultDriver::new(plan));
-        sim.emit(Seconds::ZERO, d, FaultSignal::Activate);
-        sim.run();
-        assert_eq!(sim.now(), us(9.0));
-        // The log is reachable only through the component box; re-run
-        // with a probe target instead.
-        struct Probe(Vec<(u32, bool, Seconds)>);
-        impl Component<FaultSignal> for Probe {
-            fn on_event(&mut self, ev: FaultSignal, ctx: &mut Ctx<'_, FaultSignal>) {
-                match ev {
-                    FaultSignal::Start(i) => self.0.push((i, true, ctx.now())),
-                    FaultSignal::End(i) => self.0.push((i, false, ctx.now())),
-                    FaultSignal::Activate => {}
-                }
-            }
-        }
-        let plan2 = FaultPlan::new(vec![
-            FaultEvent::LinkDown {
-                channel: ChannelId(0),
-                from: us(5.0),
-                until: us(9.0),
-            },
-            FaultEvent::Straggler {
-                gpu: GpuId(1),
-                from: us(2.0),
-                until: forever(),
-                slowdown: 2.0,
-            },
-        ])
-        .unwrap();
-        let mut sim: Simulation<FaultSignal> = Simulation::with_seed(0);
-        let probe = sim.add_component(Probe(Vec::new()));
-        let d = sim.add_component(FaultDriver::with_target(plan2, probe));
-        sim.emit(Seconds::ZERO, d, FaultSignal::Activate);
-        // Drive to completion, then inspect via a final self-query: the
-        // Simulation owns the components, so assert through event count
-        // and time instead.
-        let processed = sim.run();
-        // Activate + start(0) + end(0) + start(1); the permanent
-        // straggler has no end.
-        assert_eq!(processed, 4);
-        assert_eq!(sim.now(), us(9.0));
     }
 
     #[test]

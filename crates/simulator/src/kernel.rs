@@ -1,21 +1,10 @@
-//! The discrete-event kernel: one event queue for every engine.
+//! The discrete-event kernel: the event queue under the scheduler.
 //!
-//! Historically this workspace grew three independent event loops (the
-//! network engine, the system co-simulator, and the multi-iteration
-//! training timeline), each with its own `BinaryHeap`, its own
-//! tie-breaking rules, and no shared observability. [`Kernel`] replaces
-//! all of them: a deterministic future-event queue whose pop order is the
-//! total order `(time, key, sequence)` — `key` is a caller-chosen
-//! priority that reproduces each engine's historical tie-break, and the
-//! monotone `sequence` number makes the order total even for identical
-//! `(time, key)` pairs, so replays are bit-identical run to run.
-//!
-//! On top of the raw kernel, [`Simulation`] offers a DSLab-style
-//! component model: handlers register as [`Component`]s, events are
-//! addressed to a [`ComponentId`], and handlers emit follow-up events
-//! through a [`Ctx`]. The production engines drive [`Kernel`] directly
-//! (their schedulers are a single component in effect); the component
-//! layer serves tests, experiments, and new engines.
+//! [`Kernel`] is a deterministic future-event queue whose pop order is
+//! the total order `(time, key, sequence)` — `key` is a caller-chosen
+//! priority (the scheduler's node ids), and the monotone `sequence`
+//! number makes the order total even for identical `(time, key)` pairs,
+//! so replays are bit-identical run to run.
 //!
 //! Determinism contract: a kernel seeded with the same value, fed the
 //! same `schedule` calls in the same order, pops the same events at the
@@ -164,16 +153,6 @@ impl<E> Kernel<E> {
         }
     }
 
-    /// A seed-0 kernel whose event heap is pre-allocated for `capacity`
-    /// pending events, so an engine that knows its event population up
-    /// front (one completion per transfer, say) never regrows the heap
-    /// mid-run.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut k = Kernel::new();
-        k.heap.reserve(capacity);
-        k
-    }
-
     /// Pre-allocates room for `additional` more pending events.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
@@ -259,201 +238,6 @@ impl<E> Kernel<E> {
     }
 }
 
-/// Identifies a registered [`Component`] within a [`Simulation`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ComponentId(pub u32);
-
-impl ComponentId {
-    /// The id as an array index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// The handler context passed to [`Component::on_event`]: lets a handler
-/// read the clock, draw deterministic randomness, and emit follow-up
-/// events without borrowing the simulation itself.
-pub struct Ctx<'a, E> {
-    now: Seconds,
-    self_id: ComponentId,
-    rng: &'a mut SimRng,
-    emitted: &'a mut Vec<(Seconds, ComponentId, Option<u64>, E)>,
-}
-
-impl<E> Ctx<'_, E> {
-    /// The current simulation time.
-    pub fn now(&self) -> Seconds {
-        self.now
-    }
-
-    /// The id of the component being invoked.
-    pub fn self_id(&self) -> ComponentId {
-        self.self_id
-    }
-
-    /// The simulation's deterministic RNG.
-    pub fn rng(&mut self) -> &mut SimRng {
-        self.rng
-    }
-
-    /// Emits `event` to `dst` after `delay`.
-    pub fn emit(&mut self, dst: ComponentId, delay: Seconds, event: E) {
-        self.emitted.push((self.now + delay, dst, None, event));
-    }
-
-    /// Emits `event` to `dst` after `delay` with an explicit tie-break
-    /// `key` overriding the default destination-id key. Engines that
-    /// must reproduce a domain-specific pop order (e.g. transfer-id
-    /// tie-breaks) use this to keep equal-time deliveries deterministic
-    /// in that domain order rather than component-registration order.
-    pub fn emit_keyed(&mut self, dst: ComponentId, delay: Seconds, key: u64, event: E) {
-        self.emitted.push((self.now + delay, dst, Some(key), event));
-    }
-
-    /// Emits `event` to the component itself after `delay`.
-    pub fn emit_self(&mut self, delay: Seconds, event: E) {
-        self.emit(self.self_id, delay, event);
-    }
-}
-
-/// An event handler registered with a [`Simulation`].
-pub trait Component<E> {
-    /// Handles one event addressed to this component.
-    fn on_event(&mut self, event: E, ctx: &mut Ctx<'_, E>);
-}
-
-/// A DSLab-style component simulation over [`Kernel`].
-///
-/// Events are addressed to components; the tie-break key is the
-/// destination id, so delivery order between components at equal times
-/// is by registration order, deterministically.
-///
-/// # Examples
-///
-/// ```
-/// use ccube_sim::kernel::{Component, ComponentId, Ctx, Simulation};
-/// use ccube_topology::Seconds;
-///
-/// struct Counter(u32);
-/// impl Component<u32> for Counter {
-///     fn on_event(&mut self, ttl: u32, ctx: &mut Ctx<'_, u32>) {
-///         self.0 += 1;
-///         if ttl > 0 {
-///             ctx.emit_self(Seconds::from_micros(1.0), ttl - 1);
-///         }
-///     }
-/// }
-///
-/// let mut sim = Simulation::with_seed(7);
-/// let c = sim.add_component(Counter(0));
-/// sim.emit(Seconds::ZERO, c, 4u32);
-/// sim.run();
-/// assert_eq!(sim.now(), Seconds::from_micros(4.0));
-/// ```
-pub struct Simulation<E> {
-    kernel: Kernel<(ComponentId, E)>,
-    components: Vec<Box<dyn Component<E>>>,
-    emitted: Vec<(Seconds, ComponentId, Option<u64>, E)>,
-}
-
-impl<E> Simulation<E> {
-    /// A simulation with the given RNG seed.
-    pub fn with_seed(seed: u64) -> Self {
-        Simulation {
-            kernel: Kernel::with_seed(seed),
-            components: Vec::new(),
-            emitted: Vec::new(),
-        }
-    }
-
-    /// Registers `component` and returns its id.
-    pub fn add_component(&mut self, component: impl Component<E> + 'static) -> ComponentId {
-        let id = ComponentId(self.components.len() as u32);
-        self.components.push(Box::new(component));
-        id
-    }
-
-    /// Schedules `event` for `dst` at absolute `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is not a registered component.
-    pub fn emit(&mut self, time: Seconds, dst: ComponentId, event: E) {
-        assert!(
-            dst.index() < self.components.len(),
-            "unknown component {dst:?}"
-        );
-        self.kernel.schedule(time, u64::from(dst.0), (dst, event));
-    }
-
-    /// Schedules `event` for `dst` at absolute `time` with an explicit
-    /// tie-break `key` (see [`Ctx::emit_keyed`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is not a registered component.
-    pub fn emit_keyed(&mut self, time: Seconds, dst: ComponentId, key: u64, event: E) {
-        assert!(
-            dst.index() < self.components.len(),
-            "unknown component {dst:?}"
-        );
-        self.kernel.schedule(time, key, (dst, event));
-    }
-
-    /// Delivers the next event; returns false when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((now, (dst, event))) = self.kernel.pop() else {
-            return false;
-        };
-        let mut ctx = Ctx {
-            now,
-            self_id: dst,
-            rng: &mut self.kernel.rng,
-            emitted: &mut self.emitted,
-        };
-        self.components[dst.index()].on_event(event, &mut ctx);
-        for (time, to, key, ev) in self.emitted.drain(..) {
-            assert!(
-                to.index() < self.components.len(),
-                "unknown component {to:?}"
-            );
-            let key = key.unwrap_or(u64::from(to.0));
-            self.kernel.schedule(time, key, (to, ev));
-        }
-        true
-    }
-
-    /// Runs until no events remain; returns the number processed.
-    pub fn run(&mut self) -> u64 {
-        let before = self.kernel.stats().events_processed;
-        while self.step() {}
-        self.kernel.stats().events_processed - before
-    }
-
-    /// The current simulation time.
-    pub fn now(&self) -> Seconds {
-        self.kernel.now()
-    }
-
-    /// The underlying kernel's counters.
-    pub fn stats(&self) -> KernelStats {
-        self.kernel.stats()
-    }
-
-    /// Drains the simulation back to an empty `t = 0` state with the
-    /// given seed: all components are dropped, pending events are
-    /// discarded, and the kernel is [`Kernel::reset`] — but the event
-    /// heap, component vector, and emission buffer keep their
-    /// allocations. Re-registering the same components and emitting the
-    /// same events afterwards replays bit-identically to a fresh
-    /// `Simulation::with_seed(seed)`.
-    pub fn reset(&mut self, seed: u64) {
-        self.kernel.reset(seed);
-        self.components.clear();
-        self.emitted.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,39 +286,5 @@ mod tests {
         let mut f3 = SimRng::new(42).fork(4);
         assert_eq!(f1.next_u64(), f2.next_u64());
         assert_ne!(f1.next_u64(), f3.next_u64());
-    }
-
-    struct PingPong {
-        peer: Option<ComponentId>,
-        received: u32,
-    }
-
-    impl Component<u32> for PingPong {
-        fn on_event(&mut self, ttl: u32, ctx: &mut Ctx<'_, u32>) {
-            self.received += 1;
-            if ttl > 0 {
-                let to = self.peer.expect("peer wired");
-                ctx.emit(to, Seconds::from_micros(1.0), ttl - 1);
-            }
-        }
-    }
-
-    #[test]
-    fn components_exchange_events() {
-        let mut sim: Simulation<u32> = Simulation::with_seed(1);
-        let a = sim.add_component(PingPong {
-            peer: None,
-            received: 0,
-        });
-        let b = sim.add_component(PingPong {
-            peer: Some(a),
-            received: 0,
-        });
-        // b forwards the countdown to a, which stops at ttl 0.
-        sim.emit(Seconds::ZERO, b, 1);
-        let processed = sim.run();
-        assert_eq!(processed, 2); // b at t=0, a at t=1µs
-        assert_eq!(sim.now(), Seconds::from_micros(1.0));
-        let _ = (a, b);
     }
 }

@@ -48,6 +48,7 @@ pub mod faults;
 pub mod kernel;
 mod report;
 pub mod resource;
+mod sched;
 pub mod severance;
 pub mod sweep;
 pub mod system;
@@ -59,18 +60,14 @@ pub use engine::{simulate, Arbitration, SimOptions};
 pub use error::SimError;
 pub use fabric::{FabricSpec, HopMode, NetworkModel, UplinkPolicy};
 pub use faults::{
-    forever, simulate_faulted, simulate_system_faulted, FaultDriver, FaultEvent, FaultModel,
-    FaultPlan, FaultSignal,
+    forever, simulate_faulted, simulate_system_faulted, FaultEvent, FaultModel, FaultPlan,
 };
-pub use kernel::{Component, ComponentId, Ctx, Kernel, KernelStats, SimRng, Simulation};
+pub use kernel::{Kernel, KernelStats, SimRng};
 pub use report::{SimReport, SimStats, TransferTiming};
 pub use resource::{ChannelPool, ComputeStream};
 pub use severance::analyze_severance;
 pub use sweep::{available_threads, sweep, sweep_seeded, threads_from_args};
-pub use system::{
-    simulate_system, simulate_system_with_slowdowns, ComputeTask, ComputeTaskId, SystemJob,
-    SystemReport,
-};
+pub use system::{simulate_system, ComputeTask, ComputeTaskId, SystemJob, SystemReport};
 pub use timeline::{render_channel_timeline, render_timeline, TimelineOptions};
 pub use trace::{diff_csv, utilization_bins, BusyInterval, SimTrace, TraceDiff, TraceRecord};
 pub use trace_html::{diff_to_html, extract_payload, scene_json, to_html, LaneLabels};

@@ -579,15 +579,9 @@ impl ChannelPool {
         &self.busy
     }
 
-    /// Busy intervals per channel, in completion order.
-    pub fn into_intervals(self) -> Vec<Vec<BusyInterval>> {
-        self.intervals
-    }
-
-    /// Takes the per-channel busy intervals out of the pool without
-    /// consuming it, leaving an empty interval table behind (rebuilt by
-    /// the next [`ChannelPool::reset`]). The arena path's replacement
-    /// for [`ChannelPool::into_intervals`].
+    /// Takes the per-channel busy intervals (each in completion order)
+    /// out of the pool, leaving an empty interval table behind (rebuilt
+    /// by the next [`ChannelPool::reset`]).
     pub fn take_intervals(&mut self) -> Vec<Vec<BusyInterval>> {
         std::mem::take(&mut self.intervals)
     }
@@ -605,7 +599,7 @@ impl ChannelPool {
     }
 
     /// Current length of `channel`'s waiter queue — the congestion
-    /// signal the fabric engine samples into per-switch queue depths.
+    /// signal the scheduler samples into per-switch queue depths.
     ///
     /// # Panics
     ///
@@ -798,7 +792,7 @@ mod tests {
         assert!(p.mark_ready(a, us(2.0), &mut tr));
         p.complete(a, us(6.0));
         assert_eq!(p.busy()[0], us(6.0) - us(2.0));
-        let iv = p.into_intervals();
+        let iv = p.take_intervals();
         assert_eq!(iv[0].len(), 1);
         assert_eq!(iv[0][0].start, us(2.0));
         assert_eq!(iv[0][0].end, us(6.0));

@@ -457,7 +457,7 @@ impl SimTrace {
     ///
     /// Every lane also gets a `thread_name` metadata row (channels as
     /// `ch <n>`), so Perfetto shows names instead of bare tids. Traces
-    /// from the switch-fabric engines grant *ports*, not channels — use
+    /// recorded on the switch fabric grant *ports*, not channels — use
     /// [`to_chrome_json_labeled`](Self::to_chrome_json_labeled) to
     /// label the lanes accordingly.
     pub fn to_chrome_json(&self) -> String {
@@ -465,8 +465,8 @@ impl SimTrace {
     }
 
     /// [`to_chrome_json`](Self::to_chrome_json) with the pid-0 lanes
-    /// labeled `<lane> <n>` — pass `"port"` for traces recorded by the
-    /// switch-fabric engines, whose grant records carry port indices.
+    /// labeled `<lane> <n>` — pass `"port"` for traces recorded on the
+    /// switch fabric, whose grant records carry port indices.
     pub fn to_chrome_json_labeled(&self, lane: &str) -> String {
         use std::collections::BTreeMap;
         use std::collections::BTreeSet;

@@ -91,7 +91,7 @@ const TEMPLATE: &str = include_str!("trace_html/viewer.html");
 const UTIL_BINS: usize = 64;
 
 /// How a scene labels its lanes: the grant-lane kind (`"channel"` for
-/// the channel engines, `"port"` for the switch fabric) plus optional
+/// the channel approximation, `"port"` for the switch fabric) plus optional
 /// per-lane names — e.g. the [`FabricGraph`] port labels (`sw0.up1`), so
 /// the viewer shows fabric structure instead of bare indices.
 #[derive(Debug, Clone)]
@@ -112,7 +112,7 @@ impl LaneLabels {
     }
 
     /// Switch-fabric lanes named by the graph's stable port labels
-    /// (`sw0.inc3`, `sw2.up0`, …); grant records of the fabric engines
+    /// (`sw0.inc3`, `sw2.up0`, …); grant records on the switch fabric
     /// carry port indices, which are exactly [`FabricGraph`] port ids.
     pub fn ports(title: impl Into<String>, graph: &FabricGraph) -> Self {
         LaneLabels {

@@ -1,15 +1,20 @@
-//! Cross-engine equivalence: the DES agrees with the paper's closed
-//! forms where their assumptions coincide, and the two engines built on
-//! the shared kernel agree with each other exactly.
+//! Cross-checks of the scheduler: the DES agrees with the paper's closed
+//! forms where their assumptions coincide, and its entry points agree
+//! with each other exactly.
 
 use ccube_collectives::cost::{t_overlapped_chunked, t_tree_chunked, CostParams};
 use ccube_collectives::{
     ring_allreduce, tree_allreduce, BinaryTree, Chunking, DoubleBinaryTree, Embedding, Overlap,
     Schedule,
 };
-use ccube_sim::system::{simulate_system, SystemJob};
-use ccube_sim::{simulate, SimOptions};
-use ccube_topology::{dgx1, ByteSize, ChannelClass, Topology, TopologyBuilder};
+use ccube_sim::{
+    simulate, simulate_faulted, simulate_system, Arbitration, FabricSpec, FaultPlan, HopMode,
+    NetworkModel, SimOptions, SystemJob, UplinkPolicy,
+};
+use ccube_topology::{
+    dgx1, hierarchical, ByteSize, ChannelClass, Seconds, Topology, TopologyBuilder,
+};
+use proptest::prelude::*;
 
 /// A topology with one dedicated channel per logical edge of `schedule`
 /// (per direction), every channel priced at the closed form's α/β — the
@@ -72,9 +77,8 @@ fn single_tree_des_matches_closed_form() {
 }
 
 /// With no compute tasks, `simulate_system` is the same machine as
-/// `simulate` — same lowering, same pool, same kernel — so their
-/// per-transfer completion times must agree **exactly**, not just within
-/// a tolerance.
+/// `simulate` — same lowering, same scheduler — so their per-transfer
+/// completion times must agree **exactly**, not just within a tolerance.
 #[test]
 fn system_engine_with_zero_compute_equals_network_engine_exactly() {
     let topo = dgx1();
@@ -109,5 +113,104 @@ fn system_engine_with_zero_compute_equals_network_engine_exactly() {
             );
         }
         assert_eq!(net.channel_busy(), &sys.channel_busy[..]);
+    }
+}
+
+fn c1(p: usize, n: ByteSize, k: usize) -> Schedule {
+    let dt = DoubleBinaryTree::new(p).expect("valid rank count");
+    tree_allreduce(
+        dt.trees(),
+        &Chunking::even(n, k),
+        Overlap::ReductionBroadcast,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `simulate`, `simulate_system` on a compute-less job and
+    /// `simulate_faulted` with an empty plan are one scheduler, so on any
+    /// machine and network model they agree **exactly**: per-transfer
+    /// completion times, makespan and channel busy time. That includes
+    /// adaptive uplink steering, which revises slots in every run.
+    #[test]
+    fn entry_points_agree_on_random_fabrics(
+        machine in prop_oneof![
+            Just(0usize),
+            Just(4usize),
+            Just(6usize),
+            Just(8usize),
+            Just(12usize),
+            Just(16usize),
+        ],
+        tree in prop_oneof![Just(false), Just(true)],
+        k in 1usize..5,
+        fabric in prop_oneof![Just(false), Just(true)],
+        radix in prop_oneof![Just(None), Just(Some(2usize)), Just(Some(4usize))],
+        uplinks in 1usize..4,
+        spines in 1usize..3,
+        policy in prop_oneof![
+            Just(UplinkPolicy::Hash),
+            Just(UplinkPolicy::LeastQueued),
+            Just(UplinkPolicy::Failover),
+        ],
+        store_forward in prop_oneof![Just(false), Just(true)],
+        priority in prop_oneof![Just(false), Just(true)],
+    ) {
+        let n = ByteSize::mib(4);
+        // Machine 0 is the DGX-1; the rest are hierarchical NIC machines.
+        let (topo, s, e) = if machine == 0 {
+            let topo = dgx1();
+            if tree {
+                let s = c1(8, n, 2 * k);
+                let e = Embedding::dgx1_double_tree(&topo, &s).expect("embeds");
+                (topo, s, e)
+            } else {
+                let s = ring_allreduce(8, n);
+                let e = Embedding::identity(&topo, &s).expect("embeds");
+                (topo, s, e)
+            }
+        } else {
+            let topo = hierarchical(machine);
+            let s = if tree { c1(machine, n, 2 * k) } else { ring_allreduce(machine, n) };
+            let e = Embedding::nic(&topo, &s).expect("embeds");
+            (topo, s, e)
+        };
+        let network = if fabric {
+            NetworkModel::SwitchFabric(FabricSpec {
+                radix,
+                uplink_latency: Seconds::from_micros(1.0),
+                hop_mode: if store_forward { HopMode::StoreForward } else { HopMode::CutThrough },
+                spines,
+                uplinks,
+                uplink_policy: policy,
+                ..FabricSpec::default()
+            })
+        } else {
+            NetworkModel::ChannelApprox
+        };
+        let opts = SimOptions {
+            arbitration: if priority { Arbitration::ChunkPriority } else { Arbitration::FifoHol },
+            ..SimOptions::default()
+        }
+        .with_network(network);
+
+        let net = simulate(&topo, &s, &e, &opts).expect("simulate runs");
+        let job = SystemJob {
+            schedule: s.clone(),
+            compute: vec![],
+            transfer_gates: vec![],
+        };
+        let sys = simulate_system(&topo, &job, &e, &opts).expect("system runs");
+        let faulted =
+            simulate_faulted(&topo, &s, &e, &opts, &FaultPlan::empty()).expect("faulted runs");
+
+        prop_assert_eq!(net.makespan(), sys.makespan);
+        for (i, timing) in net.timings().iter().enumerate() {
+            prop_assert_eq!(timing.complete, sys.transfer_complete[i], "transfer {}", i);
+        }
+        prop_assert_eq!(net.channel_busy(), &sys.channel_busy[..]);
+        prop_assert_eq!(net.stats(), &sys.stats);
+        prop_assert_eq!(sys, faulted);
     }
 }

@@ -1,9 +1,9 @@
 //! Cross-model equivalence and behavior of the switch-fabric network
 //! model: a passthrough [`NetworkModel::SwitchFabric`] must reproduce
-//! the channel approximation within 1e-9 on every engine, a split
-//! fabric must arbitrate ports deterministically, oversubscribed
-//! uplinks must stall traffic, and faulted runs must replay
-//! bit-identically.
+//! the channel approximation within 1e-9 on every entry point
+//! (healthy and under a degradation window), a split fabric must arbitrate ports
+//! deterministically, oversubscribed uplinks must stall traffic, and
+//! faulted runs must replay bit-identically.
 
 use ccube_collectives::{
     ring_allreduce, tree_allreduce, Chunking, DoubleBinaryTree, Embedding, Overlap, Schedule,
@@ -384,4 +384,27 @@ proptest! {
         let fabric = simulate(&topo, &s, &e, &switch(&opts)).expect("fabric runs");
         assert_reports_match(&approx, &fabric, &format!("torus{rows}x{cols}"));
     }
+}
+
+/// Store-and-forward holds the whole port path for the summed per-hop
+/// serializations. Pins the resulting makespan of the 16 MiB ring on a
+/// radix-4 split of `hierarchical(8)`, so a change to the hop model
+/// shows up here.
+#[test]
+fn store_and_forward_holds_the_whole_port_path() {
+    let topo = hierarchical(8);
+    let s = ring_allreduce(8, ByteSize::mib(16));
+    let e = Embedding::nic(&topo, &s).expect("nic embedding");
+    let spec = FabricSpec {
+        radix: Some(4),
+        hop_mode: HopMode::StoreForward,
+        ..FabricSpec::passthrough()
+    };
+    let opts = SimOptions::scale_out().with_network(NetworkModel::SwitchFabric(spec));
+    let makespan = simulate(&topo, &s, &e, &opts).expect("runs").makespan();
+    let pinned = 2.978_012_8e-3;
+    assert!(
+        (makespan.as_secs_f64() - pinned).abs() < 1e-12,
+        "store-and-forward makespan {makespan:?}, pinned {pinned} s"
+    );
 }

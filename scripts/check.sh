@@ -22,7 +22,7 @@ cargo test -q --workspace
 echo "==> fault-injection property tests"
 cargo test -q -p ccube-sim --test faults
 
-echo "==> network-model equivalence suite (fabric passthrough == approx)"
+echo "==> switch-fabric model suite (passthrough == approx, uplinks, hop modes)"
 cargo test -q -p ccube-sim --test fabric_equivalence
 
 echo "==> static schedule analyzer (ccube lint)"
@@ -75,5 +75,18 @@ rm -rf target/check-html
 echo "==> benchmark (ledger/) builds against the library APIs and passes its tests"
 cargo build -q --release --manifest-path ledger/Cargo.toml
 cargo test -q --manifest-path ledger/Cargo.toml
+
+echo "==> benchmark oracle: a quick ledger pass reproduces every expected digest"
+# The ledger exits 0 even when an output digest mismatches; its last
+# stdout line is the verdict object, which must report correct outputs.
+verdict=$(cargo run -q --release --offline --manifest-path ledger/Cargo.toml -- \
+    --quick --out target/ledger-quick | tail -n 1)
+case "$verdict" in
+    '{"correct":true'*) ;;
+    *)
+        echo "ledger --quick: outputs diverge from ledger/expected (see target/ledger-quick)" >&2
+        exit 1
+        ;;
+esac
 
 echo "All checks passed."
