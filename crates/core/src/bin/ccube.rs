@@ -103,6 +103,17 @@ fn cmd_figures(args: &[String], threads: usize) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("figures: unknown flag {flag:?}");
+        return ExitCode::from(2);
+    }
+    if args.len() > 1 {
+        eprintln!(
+            "figures: expected at most one output directory, got {:?}",
+            args
+        );
+        return ExitCode::from(2);
+    }
     let dir = args
         .first()
         .map(PathBuf::from)

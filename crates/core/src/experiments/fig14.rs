@@ -7,9 +7,9 @@
 //! in `ccube-sim` on [`hierarchical`].
 
 use ccube_collectives::{
-    ring_allreduce, tree_allreduce, Chunking, DoubleBinaryTree, Embedding, Overlap,
+    ring_allreduce, tree_allreduce, Chunking, DoubleBinaryTree, Embedding, Overlap, Schedule,
 };
-use ccube_sim::{simulate, SimOptions, SimReport};
+use ccube_sim::{simulate, SimOptions};
 use ccube_topology::{hierarchical, ByteSize, Seconds};
 use std::fmt;
 
@@ -54,28 +54,29 @@ pub fn run() -> Vec<Row> {
 
 /// [`run`] under an explicit network model.
 pub fn run_net(network: ccube_sim::NetworkModel) -> Vec<Row> {
-    run_with_threads_net(
-        &[4, 8, 16, 32, 64, 128, 256],
-        &[ByteSize::kib(16), ByteSize::mib(1), ByteSize::mib(64)],
-        1,
-        network,
+    let (ps, ns) = default_axes();
+    run_with_threads_net(&ps, &ns, 1, network)
+}
+
+/// The node counts and message sizes of the default sweep.
+fn default_axes() -> ([usize; 7], [ByteSize; 3]) {
+    (
+        [4, 8, 16, 32, 64, 128, 256],
+        [ByteSize::kib(16), ByteSize::mib(1), ByteSize::mib(64)],
     )
 }
 
-fn sim_on(
-    p: usize,
-    schedule: &ccube_collectives::Schedule,
-    network: ccube_sim::NetworkModel,
-) -> SimReport {
-    let topo = hierarchical(p);
-    let emb = Embedding::nic(&topo, schedule).expect("nic embedding");
-    simulate(
-        &topo,
-        schedule,
-        &emb,
-        &SimOptions::scale_out().with_network(network),
-    )
-    .expect("simulates")
+/// The `(P, N)` points of the default sweep in grid order: P ascending,
+/// then N ascending within each P — the row order of [`run`].
+pub fn default_grid() -> Vec<(usize, ByteSize)> {
+    let (ps, ns) = default_axes();
+    grid(&ps, &ns)
+}
+
+fn grid(ps: &[usize], ns: &[ByteSize]) -> Vec<(usize, ByteSize)> {
+    ps.iter()
+        .flat_map(|&p| ns.iter().map(move |&n| (p, n)))
+        .collect()
 }
 
 /// The paper's scale-out chunk policy: 256 KiB chunks ("256 chunks for
@@ -107,31 +108,42 @@ pub fn run_with_threads_net(
     threads: usize,
     network: ccube_sim::NetworkModel,
 ) -> Vec<Row> {
-    let points: Vec<(usize, ByteSize)> = ps
-        .iter()
-        .flat_map(|&p| ns.iter().map(move |&n| (p, n)))
-        .collect();
-    ccube_sim::sweep(&points, threads, |_, &(p, n)| {
-        let dt = DoubleBinaryTree::new(p).expect("p >= 2");
-        let k = chunk_count(n);
-        let chunking = Chunking::even(n, k);
-        let ring = ring_allreduce(p, n);
-        let c1 = tree_allreduce(dt.trees(), &chunking, Overlap::ReductionBroadcast);
-        let b = tree_allreduce(dt.trees(), &chunking, Overlap::None);
-        let ring_report = sim_on(p, &ring, network);
-        let c1_report = sim_on(p, &c1, network);
-        let b_report = sim_on(p, &b, network);
-        Row {
-            p,
-            n,
-            k,
-            t_ring: ring_report.makespan(),
-            t_c1: c1_report.makespan(),
-            t_b: b_report.makespan(),
-            c1_over_ring: ring_report.makespan() / c1_report.makespan(),
-            turnaround_speedup: b_report.turnaround() / c1_report.turnaround(),
-        }
-    })
+    ccube_sim::sweep(&grid(ps, ns), threads, |_, &(p, n)| point(p, n, network))
+}
+
+/// One grid point of the sweep: the ring, C1 and B AllReduce of `n`
+/// bytes on `hierarchical(p)`. Each schedule is built, simulated and
+/// dropped before the next is built, and only its makespan and
+/// turnaround are kept, so a point holds one schedule and one report at
+/// a time.
+pub fn point(p: usize, n: ByteSize, network: ccube_sim::NetworkModel) -> Row {
+    let topo = hierarchical(p);
+    let opts = SimOptions::scale_out().with_network(network);
+    let times = |schedule: Schedule| {
+        let emb = Embedding::nic(&topo, &schedule).expect("nic embedding");
+        let report = simulate(&topo, &schedule, &emb, &opts).expect("simulates");
+        (report.makespan(), report.turnaround())
+    };
+    let dt = DoubleBinaryTree::new(p).expect("p >= 2");
+    let k = chunk_count(n);
+    let chunking = Chunking::even(n, k);
+    let (t_ring, _) = times(ring_allreduce(p, n));
+    let (t_c1, c1_turnaround) = times(tree_allreduce(
+        dt.trees(),
+        &chunking,
+        Overlap::ReductionBroadcast,
+    ));
+    let (t_b, b_turnaround) = times(tree_allreduce(dt.trees(), &chunking, Overlap::None));
+    Row {
+        p,
+        n,
+        k,
+        t_ring,
+        t_c1,
+        t_b,
+        c1_over_ring: t_ring / t_c1,
+        turnaround_speedup: b_turnaround / c1_turnaround,
+    }
 }
 
 /// Renders rows as CSV.

@@ -36,7 +36,9 @@
 //!
 //! The `paper_figures` example runs every driver and writes one CSV per
 //! figure. [`run_all`] fans the figures out across
-//! [`ccube_sim::sweep()`] workers; because every driver is a pure
+//! [`ccube_sim::sweep()`] workers as one flat list of units: each of
+//! Fig. 14's grid points is a unit, heaviest first, and every other
+//! figure runs whole as one unit. Because every unit is a pure
 //! function, the CSVs are bit-identical at any worker count.
 
 pub mod extensions;
@@ -54,75 +56,112 @@ pub mod resilience;
 pub mod scaleout_fabric;
 
 use ccube_sim::NetworkModel;
+use ccube_topology::ByteSize;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use CsvSource::{Fig14Points, Whole};
 
-/// A figure entry: output file name plus the driver rendering its CSV.
-/// Drivers take the network model the DES-backed figures should run
-/// under; cost-model-only figures ignore it, and the fabric comparison
-/// figures sweep models internally.
-type Figure = (&'static str, fn(NetworkModel) -> String);
+/// How [`run_all`] computes one figure of the table.
+#[derive(Clone, Copy)]
+enum CsvSource {
+    /// One sweep unit: the function renders the whole CSV. It takes the
+    /// network model the DES-backed figures should run under;
+    /// cost-model-only figures ignore it, and the fabric comparison
+    /// figures sweep models internally.
+    Whole(fn(NetworkModel) -> String),
+    /// Fig. 14: one sweep unit per default grid point
+    /// ([`fig14::point`]), reassembled in grid order.
+    Fig14Points,
+}
 
-/// The full figure table. Each driver runs serially inside one sweep
-/// point; [`run_all`] parallelizes across the table.
+/// A figure entry: output file name plus how its CSV is computed.
+type Figure = (&'static str, CsvSource);
+
+/// The full figure table, in the order [`run_all`] writes the files.
+/// Every figure but Fig. 14 runs serially as one sweep unit; Fig. 14 is
+/// split into its grid points, so its heaviest points start first and
+/// the other figures fill in behind them.
 const FIGURES: &[Figure] = &[
     (
         "fig01_allreduce_ratio.csv",
-        |_| fig01::to_csv(&fig01::run()),
+        Whole(|_| fig01::to_csv(&fig01::run())),
     ),
-    ("fig03_granularity.csv", |_| fig03::to_csv(&fig03::run())),
-    ("fig04_ring_vs_tree.csv", |_| fig04::to_csv(&fig04::run())),
-    ("fig12_comm_overlap.csv", |net| {
-        fig12::to_csv(&fig12::run_net(net))
-    }),
-    ("fig13_overall.csv", |_| fig13::to_csv(&fig13::run())),
-    ("fig14_scaleout.csv", |net| {
-        fig14::to_csv(&fig14::run_net(net))
-    }),
-    ("fig15_detour.csv", |net| {
-        fig15::to_csv(&fig15::run_with_net(64, net))
-    }),
-    ("fig16_patterns.csv", |_| fig16::to_csv(&fig16::run())),
-    ("fig17_resnet_layers.csv", |_| {
-        fig17::to_csv(&fig17::run(64))
-    }),
-    ("ext_topology_study.csv", |_| {
-        extensions::topology_to_csv(&extensions::topology_study())
-    }),
-    ("ext_detour_vs_host.csv", |_| {
-        extensions::detour_to_csv(&extensions::detour_vs_host())
-    }),
-    ("ext_chunk_sensitivity.csv", |_| {
-        extensions::chunk_to_csv(&extensions::chunk_sensitivity())
-    }),
-    ("ext_cosim_validation.csv", |_| {
-        extensions::cosim_to_csv(&extensions::cosim_validation())
-    }),
-    ("ext_overlap_strategies.csv", |_| {
-        extensions::strategy_to_csv(&extensions::overlap_strategy_study())
-    }),
-    ("ext_policy_search.csv", |_| {
-        policy_search::to_csv(&policy_search::run())
-    }),
-    ("ext_resilience.csv", |net| {
-        resilience::to_csv(&resilience::run_with_network(
-            resilience::DEFAULT_SEED,
-            1,
-            net,
-        ))
-    }),
-    ("ext_fabric_resilience.csv", |_| {
-        resilience::fabric_to_csv(&resilience::run_fabric())
-    }),
-    ("ext_scaleout_fabric.csv", |_| {
-        scaleout_fabric::fabric_to_csv(&scaleout_fabric::fabric_study())
-    }),
-    ("ext_nvswitch_sweep.csv", |_| {
-        scaleout_fabric::sweep_to_csv(&scaleout_fabric::nvswitch_sweep())
-    }),
-    ("ext_torus_sweep.csv", |_| {
-        scaleout_fabric::sweep_to_csv(&scaleout_fabric::torus_sweep())
-    }),
+    (
+        "fig03_granularity.csv",
+        Whole(|_| fig03::to_csv(&fig03::run())),
+    ),
+    (
+        "fig04_ring_vs_tree.csv",
+        Whole(|_| fig04::to_csv(&fig04::run())),
+    ),
+    (
+        "fig12_comm_overlap.csv",
+        Whole(|net| fig12::to_csv(&fig12::run_net(net))),
+    ),
+    ("fig13_overall.csv", Whole(|_| fig13::to_csv(&fig13::run()))),
+    ("fig14_scaleout.csv", Fig14Points),
+    (
+        "fig15_detour.csv",
+        Whole(|net| fig15::to_csv(&fig15::run_with_net(64, net))),
+    ),
+    (
+        "fig16_patterns.csv",
+        Whole(|_| fig16::to_csv(&fig16::run())),
+    ),
+    (
+        "fig17_resnet_layers.csv",
+        Whole(|_| fig17::to_csv(&fig17::run(64))),
+    ),
+    (
+        "ext_topology_study.csv",
+        Whole(|_| extensions::topology_to_csv(&extensions::topology_study())),
+    ),
+    (
+        "ext_detour_vs_host.csv",
+        Whole(|_| extensions::detour_to_csv(&extensions::detour_vs_host())),
+    ),
+    (
+        "ext_chunk_sensitivity.csv",
+        Whole(|_| extensions::chunk_to_csv(&extensions::chunk_sensitivity())),
+    ),
+    (
+        "ext_cosim_validation.csv",
+        Whole(|_| extensions::cosim_to_csv(&extensions::cosim_validation())),
+    ),
+    (
+        "ext_overlap_strategies.csv",
+        Whole(|_| extensions::strategy_to_csv(&extensions::overlap_strategy_study())),
+    ),
+    (
+        "ext_policy_search.csv",
+        Whole(|_| policy_search::to_csv(&policy_search::run())),
+    ),
+    (
+        "ext_resilience.csv",
+        Whole(|net| {
+            resilience::to_csv(&resilience::run_with_network(
+                resilience::DEFAULT_SEED,
+                1,
+                net,
+            ))
+        }),
+    ),
+    (
+        "ext_fabric_resilience.csv",
+        Whole(|_| resilience::fabric_to_csv(&resilience::run_fabric())),
+    ),
+    (
+        "ext_scaleout_fabric.csv",
+        Whole(|_| scaleout_fabric::fabric_to_csv(&scaleout_fabric::fabric_study())),
+    ),
+    (
+        "ext_nvswitch_sweep.csv",
+        Whole(|_| scaleout_fabric::sweep_to_csv(&scaleout_fabric::nvswitch_sweep())),
+    ),
+    (
+        "ext_torus_sweep.csv",
+        Whole(|_| scaleout_fabric::sweep_to_csv(&scaleout_fabric::torus_sweep())),
+    ),
 ];
 
 /// Runs every experiment at its default configuration and writes one CSV
@@ -136,8 +175,8 @@ pub fn run_all(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     run_all_with(dir, ccube_sim::available_threads())
 }
 
-/// [`run_all`] on an explicit worker count: the figure drivers are the
-/// sweep points, so the CSVs come out bit-identical at any `threads`.
+/// [`run_all`] on an explicit worker count. At most `threads` workers
+/// run, and the CSVs come out bit-identical at any `threads`.
 ///
 /// # Errors
 ///
@@ -161,17 +200,65 @@ pub fn run_all_with_network(
     network: NetworkModel,
 ) -> std::io::Result<Vec<PathBuf>> {
     std::fs::create_dir_all(dir)?;
-    let outputs = ccube_sim::sweep(FIGURES, threads, |_, &(name, driver)| {
-        (name, driver(network))
-    });
+    // One flat list of sweep units, so at most `threads` workers run:
+    // Fig. 14's grid points first, heaviest (largest P, then largest N)
+    // first, then every other figure whole. The atomic cursor hands the
+    // light units to whichever worker frees up first, behind the heavy
+    // points.
+    let grid = fig14::default_grid();
+    let units: Vec<Unit> = grid
+        .iter()
+        .rev()
+        .map(|&(p, n)| Unit::Fig14Point(p, n))
+        .chain(FIGURES.iter().filter_map(|&(_, source)| match source {
+            Whole(render) => Some(Unit::Whole(render)),
+            Fig14Points => None,
+        }))
+        .collect();
+    let mut outputs = ccube_sim::sweep(&units, threads, |_, &unit| match unit {
+        Unit::Fig14Point(p, n) => Output::Row(fig14::point(p, n, network)),
+        Unit::Whole(render) => Output::Csv(render(network)),
+    })
+    .into_iter();
+    // The points ran in reverse grid order; put the rows back.
+    let mut rows: Vec<fig14::Row> = outputs
+        .by_ref()
+        .take(grid.len())
+        .map(|out| match out {
+            Output::Row(row) => row,
+            Output::Csv(_) => unreachable!("fig14 points come first"),
+        })
+        .collect();
+    rows.reverse();
+
     let mut paths = Vec::new();
-    for (name, csv) in outputs {
+    for &(name, source) in FIGURES {
+        let csv = match source {
+            Fig14Points => fig14::to_csv(&rows),
+            Whole(_) => match outputs.next() {
+                Some(Output::Csv(csv)) => csv,
+                _ => unreachable!("one output per whole figure, in table order"),
+            },
+        };
         let path = dir.join(name);
         let mut f = std::fs::File::create(&path)?;
         f.write_all(csv.as_bytes())?;
         paths.push(path);
     }
     Ok(paths)
+}
+
+/// One sweep unit of [`run_all_with_network`].
+#[derive(Clone, Copy)]
+enum Unit {
+    Fig14Point(usize, ByteSize),
+    Whole(fn(NetworkModel) -> String),
+}
+
+/// What one [`Unit`] produces.
+enum Output {
+    Row(fig14::Row),
+    Csv(String),
 }
 
 #[cfg(test)]

@@ -36,6 +36,16 @@ cargo test -q -p ccube --test property_physical
 echo "==> policy search with certified-bound pruning (ccube search --bounds)"
 cargo run -q --release -p ccube --bin ccube -- search --bounds > /dev/null
 
+echo "==> ccube figures: same CSVs at 1 and 2 workers and on the passthrough switch fabric"
+rm -rf target/check-figs
+cargo run -q --release -p ccube --bin ccube -- figures target/check-figs/t1 --threads 1 > /dev/null
+cargo run -q --release -p ccube --bin ccube -- figures target/check-figs/t2 --threads 2 > /dev/null
+cargo run -q --release -p ccube --bin ccube -- \
+    figures target/check-figs/sw --fabric switch --threads 2 > /dev/null
+diff -r target/check-figs/t1 target/check-figs/t2
+diff -r target/check-figs/t1 target/check-figs/sw
+rm -rf target/check-figs
+
 echo "==> resilience smoke run (ccube faults --smoke)"
 cargo run -q --release -p ccube --bin ccube -- faults --smoke
 

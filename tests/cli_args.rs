@@ -1,6 +1,7 @@
 //! Exit-code contract of the positional arguments of `ccube scaleout`,
-//! `timeline`, `compare` and `train`: a malformed or zero count or size
-//! is a usage error (exit 2), never a silent fallback to the default.
+//! `timeline`, `compare`, `train` and `figures`: a malformed or zero
+//! count or size, an unknown flag or a surplus argument is a usage error
+//! (exit 2), never a silent fallback to the default.
 
 use std::process::{Command, Output};
 
@@ -78,4 +79,33 @@ fn valid_counts_still_run() {
         assert!(out.status.success(), "ccube {args:?}");
         assert!(!out.stdout.is_empty(), "ccube {args:?} printed nothing");
     }
+}
+
+#[test]
+fn figures_rejects_unknown_flags_and_extra_arguments() {
+    // Run in an empty directory: a mistaken run would write its CSVs
+    // under it (into a directory named after the stray argument).
+    let cwd = std::env::temp_dir().join(format!("ccube_cli_figures_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).unwrap();
+    for args in [
+        &["--thread", "2"][..],
+        &["out", "--bogus"],
+        &["--fabric", "switch", "--uplink", "2"],
+        &["out", "extra"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ccube"))
+            .arg("figures")
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("ccube runs");
+        assert_eq!(out.status.code(), Some(2), "figures {args:?}");
+        assert!(out.stdout.is_empty(), "figures {args:?} printed output");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("figures: "), "figures {args:?}: {err}");
+    }
+    let written: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+    assert!(written.is_empty(), "rejected runs wrote {written:?}");
+    let _ = std::fs::remove_dir_all(&cwd);
 }

@@ -25,12 +25,21 @@ fn run_all_is_byte_identical_across_worker_counts() {
     let base = std::env::temp_dir().join(format!("ccube_sweep_golden_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
+    let fig14 = experiments::fig14::to_csv(&experiments::fig14::run()).into_bytes();
     let mut reference = None;
     for threads in [1usize, 2, 8] {
         let dir = base.join(format!("t{threads}"));
         let paths = experiments::run_all_with(&dir, threads).unwrap();
         assert_eq!(paths.len(), 20);
         let contents = dir_contents(&dir);
+        // Fig. 14 runs as one sweep unit per grid point and is put back
+        // together afterwards: its rows must come out in `fig14::run`'s
+        // grid order, which no comparison across worker counts can
+        // check (a misordering would be the same at every count).
+        assert_eq!(
+            contents["fig14_scaleout.csv"], fig14,
+            "fig14_scaleout.csv at {threads} workers is not fig14::run()"
+        );
         match &reference {
             None => reference = Some(contents),
             Some(serial) => {
