@@ -10,7 +10,7 @@
 //! ccube timeline [mib]             ASCII Fig. 7 timelines on the DGX-1
 //! ccube train [iterations]         threaded C-Cube training loop
 //! ccube rings                      DGX-1 Hamiltonian ring decomposition
-//! ccube faults [out] [--seed N] [--smoke]
+//! ccube faults [out] [--seed N|--smoke]
 //!                                  resilience sweep under sampled fault plans
 //! ccube faults --shrink <seed>     1-minimal reproducer of the seed's plan
 //! ccube trace [out] [--json] [--seed N]
@@ -35,6 +35,9 @@
 //! of the switch fabric is set with `--radix N`, `--spines N`,
 //! `--uplinks N` and `--uplink-policy {hash,least-queued,failover}`
 //! (each implies `--fabric switch`).
+//!
+//! Every subcommand rejects an unknown `--flag`, a surplus positional,
+//! or a flag its mode never reads with exit 2 and `<cmd>: …` on stderr.
 
 use ccube::experiments;
 use ccube::pipeline::{Mode, TrainingPipeline};
@@ -59,7 +62,7 @@ commands:
   timeline [mib]                   ASCII Fig. 7 timelines on the DGX-1
   train [iterations]               threaded C-Cube training loop
   rings                            DGX-1 Hamiltonian ring decomposition
-  faults [out] [--seed N] [--smoke] resilience sweep under sampled fault plans
+  faults [out] [--seed N|--smoke]  resilience sweep under sampled fault plans
   faults --shrink <seed>           1-minimal reproducer of the seed's plan
   faults --html <out.html>         fabric-failover demo viewer: k=1 vs k=2
                                    uplinks under the same seeded outage
@@ -86,6 +89,36 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// What a subcommand returns: its exit code, or a usage error that
+/// `main` prints as `<cmd>: <message>` on stderr and exits 2 on.
+type CmdResult = Result<ExitCode, String>;
+
+/// The shared argument check. Once a command has split out the valued
+/// flags it reads, `args` may hold only its boolean `switches` and at
+/// most `max` positionals; an unknown `--flag` or a surplus positional
+/// is a usage error. Returns the positionals and, per switch, whether it
+/// was given.
+fn check_args<const N: usize>(
+    args: &[String],
+    switches: [&str; N],
+    max: usize,
+) -> Result<(Vec<String>, [bool; N]), String> {
+    let mut given = [false; N];
+    let mut positionals = Vec::new();
+    for arg in args {
+        if let Some(i) = switches.iter().position(|s| s == arg) {
+            given[i] = true;
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown flag {arg:?}"));
+        } else if positionals.len() == max {
+            return Err(format!("unexpected argument {arg:?}"));
+        } else {
+            positionals.push(arg.clone());
+        }
+    }
+    Ok((positionals, given))
+}
+
 fn network_by_name(name: &str) -> Option<NetworkModel> {
     match name {
         "zfnet" => Some(zfnet()),
@@ -95,63 +128,41 @@ fn network_by_name(name: &str) -> Option<NetworkModel> {
     }
 }
 
-fn cmd_figures(args: &[String], threads: usize) -> ExitCode {
-    let (args, fabric) = match fabric_from_args(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("figures: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        eprintln!("figures: unknown flag {flag:?}");
-        return ExitCode::from(2);
-    }
-    if args.len() > 1 {
-        eprintln!(
-            "figures: expected at most one output directory, got {:?}",
-            args
-        );
-        return ExitCode::from(2);
-    }
-    let dir = args
+fn cmd_figures(args: &[String], threads: usize) -> CmdResult {
+    let (args, fabric) = fabric_from_args(args)?;
+    let (dir, []) = check_args(&args, [], 1)?;
+    let dir = dir
         .first()
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("target/figures"));
-    match experiments::run_all_with_network(&dir, threads, fabric) {
+    match experiments::run_all(&dir, threads, fabric) {
         Ok(paths) => {
             println!("wrote {} CSV files to {}", paths.len(), dir.display());
             for p in paths {
                 println!("  {}", p.display());
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("failed: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
 
-fn cmd_compare(args: &[String]) -> ExitCode {
+fn cmd_compare(args: &[String]) -> CmdResult {
+    let (args, [low]) = check_args(args, ["--low"], 2)?;
     let Some(name) = args.first() else {
-        eprintln!("compare: which network? (zfnet | vgg16 | resnet50)");
-        return ExitCode::from(2);
+        return Err("which network? (zfnet | vgg16 | resnet50)".to_string());
     };
     let Some(net) = network_by_name(name) else {
-        eprintln!("compare: unknown network {name:?} (zfnet | vgg16 | resnet50)");
-        return ExitCode::from(2);
+        return Err(format!(
+            "unknown network {name:?} (zfnet | vgg16 | resnet50)"
+        ));
     };
-    let low = args.iter().any(|a| a == "--low");
-    let batch = match args[1..].iter().find(|a| *a != "--low") {
+    let batch = match args.get(1) {
         None => 64,
-        Some(s) => match positive(s) {
-            Some(b) => b,
-            None => {
-                eprintln!("compare: batch {s:?} is not a positive integer");
-                return ExitCode::from(2);
-            }
-        },
+        Some(s) => positive(s).ok_or_else(|| format!("batch {s:?} is not a positive integer"))?,
     };
     let scale = if low { 0.25 } else { 1.0 };
     let pipeline = TrainingPipeline::dgx1_with(&net, batch, &ComputeModel::v100(), scale);
@@ -180,34 +191,25 @@ fn cmd_compare(args: &[String]) -> ExitCode {
         "C-Cube over baseline tree: +{:.1}%",
         (b.t_iter / cc.t_iter - 1.0) * 100.0
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_scaleout(args: &[String], threads: usize) -> ExitCode {
-    let (args, fabric) = match fabric_from_args(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("scaleout: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let max_p = match args.first().map(|s| s.parse::<usize>()) {
+fn cmd_scaleout(args: &[String], threads: usize) -> CmdResult {
+    let (args, fabric) = fabric_from_args(args)?;
+    let (args, []) = check_args(&args, [], usize::MAX)?;
+    let max_p = match args.first() {
         None => 128,
-        Some(Ok(p)) if p >= 4 => p,
-        Some(_) => {
-            eprintln!("scaleout: max_p {:?} is not an integer >= 4", args[0]);
-            return ExitCode::from(2);
-        }
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|&p| p >= 4)
+            .ok_or_else(|| format!("max_p {s:?} is not an integer >= 4"))?,
     };
     let mut sizes = Vec::new();
     for s in args.iter().skip(1) {
-        match s.parse::<u64>() {
-            Ok(mib) if mib > 0 => sizes.push(ByteSize::mib(mib)),
-            _ => {
-                eprintln!("scaleout: size {s:?} is not a positive integer (MiB)");
-                return ExitCode::from(2);
-            }
-        }
+        let mib =
+            positive(s).ok_or_else(|| format!("size {s:?} is not a positive integer (MiB)"))?;
+        sizes.push(ByteSize::mib(mib));
     }
     if sizes.is_empty() {
         sizes = vec![ByteSize::kib(16), ByteSize::mib(1), ByteSize::mib(64)];
@@ -221,11 +223,11 @@ fn cmd_scaleout(args: &[String], threads: usize) -> ExitCode {
     for row in experiments::fig14::run_with_threads_net(&ps, &sizes, threads, fabric) {
         println!("{row}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_search(args: &[String], threads: usize) -> ExitCode {
-    let bounds = args.iter().any(|a| a == "--bounds");
+fn cmd_search(args: &[String], threads: usize) -> CmdResult {
+    let (_, [bounds]) = check_args(args, ["--bounds"], 0)?;
     println!("schedule policy search: topology x tree shape x arbitration x chunks");
     let rows = if bounds {
         let outcome = experiments::policy_search::run_bounded();
@@ -271,24 +273,21 @@ fn cmd_search(args: &[String], threads: usize) -> ExitCode {
             best.queue_wait
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_timeline(args: &[String]) -> ExitCode {
+fn cmd_timeline(args: &[String]) -> CmdResult {
     use ccube_collectives::cost::{k_opt, CostParams};
     use ccube_collectives::{tree_allreduce, Chunking, DoubleBinaryTree, Embedding, Overlap};
     use ccube_sim::{render_timeline, simulate, SimOptions, TimelineOptions};
     use ccube_topology::dgx1;
 
+    let (args, []) = check_args(args, [], 1)?;
     let mib = match args.first() {
         None => 64,
-        Some(s) => match positive(s) {
-            Some(m) => m,
-            None => {
-                eprintln!("timeline: size {s:?} is not a positive integer (MiB)");
-                return ExitCode::from(2);
-            }
-        },
+        Some(s) => {
+            positive(s).ok_or_else(|| format!("size {s:?} is not a positive integer (MiB)"))?
+        }
     };
     let n = ByteSize::mib(mib);
     let topo = dgx1();
@@ -312,20 +311,17 @@ fn cmd_timeline(args: &[String]) -> ExitCode {
             report.turnaround()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_train(args: &[String]) -> ExitCode {
+fn cmd_train(args: &[String]) -> CmdResult {
     use ccube_runtime::{serial_reference, Trainer, TrainerConfig};
+    let (args, []) = check_args(args, [], 1)?;
     let iterations = match args.first() {
         None => 10,
-        Some(s) => match positive(s) {
-            Some(i) => i,
-            None => {
-                eprintln!("train: iterations {s:?} is not a positive integer");
-                return ExitCode::from(2);
-            }
-        },
+        Some(s) => {
+            positive(s).ok_or_else(|| format!("iterations {s:?} is not a positive integer"))?
+        }
     };
     let config = TrainerConfig {
         num_ranks: 8,
@@ -338,7 +334,7 @@ fn cmd_train(args: &[String]) -> ExitCode {
         Ok(t) => t,
         Err(e) => {
             eprintln!("train: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let mut chained = 0usize;
@@ -347,7 +343,7 @@ fn cmd_train(args: &[String]) -> ExitCode {
             Ok(early) => chained += early,
             Err(e) => {
                 eprintln!("train: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
@@ -361,11 +357,11 @@ fn cmd_train(args: &[String]) -> ExitCode {
             "DIVERGED"
         }
     );
-    if ok {
+    Ok(if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// Parses a positional count or size that must be a positive integer.
@@ -462,31 +458,16 @@ fn fabric_from_args(args: &[String]) -> Result<(Vec<String>, ccube_sim::NetworkM
     }
 }
 
-/// Splits a `--seed N` / `--seed=N` flag out of `args`, defaulting to
-/// `default`.
-fn seed_from_args(args: &[String], default: u64) -> Result<(Vec<String>, u64), String> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut seed = default;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let value = if arg == "--seed" {
-            Some(
-                iter.next()
-                    .ok_or_else(|| "--seed requires a value".to_string())?
-                    .as_str(),
-            )
-        } else {
-            arg.strip_prefix("--seed=")
-        };
-        match value {
-            Some(v) => {
-                seed = v
-                    .parse()
-                    .map_err(|_| format!("--seed: {v:?} is not a valid u64"))?;
-            }
-            None => rest.push(arg.clone()),
-        }
-    }
+/// [`split_flag`] for a flag whose value is a seed (`--seed N`,
+/// `--shrink N`).
+fn seed_flag(args: &[String], name: &str) -> Result<(Vec<String>, Option<u64>), String> {
+    let (rest, value) = split_flag(args, name)?;
+    let seed = value
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("{name}: {v:?} is not a valid u64"))
+        })
+        .transpose()?;
     Ok((rest, seed))
 }
 
@@ -509,51 +490,36 @@ fn write_or_print(out: Option<&String>, content: &str) -> ExitCode {
     }
 }
 
-fn cmd_faults(args: &[String], threads: usize) -> ExitCode {
+fn cmd_faults(args: &[String], threads: usize) -> CmdResult {
     use ccube::experiments::resilience;
-    let (args, fabric) = match fabric_from_args(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("faults: {e}");
-            return ExitCode::from(2);
+    let (args, fabric) = fabric_from_args(args)?;
+    let (args, shrink) = seed_flag(&args, "--shrink")?;
+    let (args, seed) = seed_flag(&args, "--seed")?;
+    let (args, html) = split_flag(&args, "--html")?;
+    let (out, [smoke]) = check_args(&args, ["--smoke"], 1)?;
+    let out = out.first();
+    if let Some(shrink) = shrink {
+        if seed.is_some() || smoke || html.is_some() || out.is_some() {
+            return Err("--shrink takes no --seed, --smoke, --html or output path".to_string());
         }
-    };
-    let (args, shrink) = match split_flag(&args, "--shrink") {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("faults: {e} (the seed of the plan to shrink)");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(v) = shrink {
-        let Ok(seed) = v.parse::<u64>() else {
-            eprintln!("faults --shrink: {v:?} is not a valid u64 seed");
-            return ExitCode::from(2);
-        };
-        return cmd_faults_shrink(seed, fabric);
+        return Ok(cmd_faults_shrink(shrink, fabric));
     }
-    let (args, seed) = match seed_from_args(&args, resilience::DEFAULT_SEED) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("faults: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let (args, html) = match split_flag(&args, "--html") {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("faults: {e} (the viewer output path)");
-            return ExitCode::from(2);
-        }
-    };
+    if smoke && seed.is_some() {
+        return Err("--smoke runs the default seed; it takes no --seed".to_string());
+    }
+    let seed = seed.unwrap_or(resilience::DEFAULT_SEED);
     if let Some(path) = html {
+        if smoke || out.is_some() {
+            return Err("--html takes no --smoke or output path".to_string());
+        }
         // The explorable fabric-failover figure: k=1 vs k=2 uplinks
         // under the same seeded slot-0 outage, side by side. The demo
         // is inherently a switch-fabric run, so --fabric is ignored.
-        return write_or_print(Some(&path), &resilience::fabric_demo_html(seed));
+        return Ok(write_or_print(
+            Some(&path),
+            &resilience::fabric_demo_html(seed),
+        ));
     }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args.iter().find(|a| !a.starts_with("--"));
     let rows = if smoke {
         resilience::run_smoke_network(fabric)
     } else {
@@ -563,9 +529,9 @@ fn cmd_faults(args: &[String], threads: usize) -> ExitCode {
         for row in &rows {
             println!("{row}");
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    write_or_print(out, &resilience::to_csv(&rows))
+    Ok(write_or_print(out, &resilience::to_csv(&rows)))
 }
 
 /// Renders one fault event as a human-readable line.
@@ -729,14 +695,13 @@ fn cmd_faults_shrink(seed: u64, fabric: ccube_sim::NetworkModel) -> ExitCode {
 /// <out.html>` the same comparison is written as a side-by-side HTML
 /// viewer. Exit code 0 when identical, 1 when they differ.
 fn cmd_trace_diff(
-    sides: &[&String],
+    sides: &[String],
     fabric: ccube_sim::NetworkModel,
     html: Option<&String>,
-) -> ExitCode {
+) -> CmdResult {
     use ccube::experiments::resilience;
     let [left, right] = sides else {
-        eprintln!("trace --diff: expected exactly two sides (trace-CSV paths or seeds)");
-        return ExitCode::from(2);
+        return Err("--diff expects exactly two sides (trace-CSV paths or seeds)".to_string());
     };
     // A side that parses as a u64 is a seed: re-simulate it in-process.
     let side = |arg: &String| -> Option<(ccube_sim::SimTrace, ccube_sim::LaneLabels)> {
@@ -769,14 +734,14 @@ fn cmd_trace_diff(
         }
     };
     let (Some((lt, ll)), Some((rt, rl))) = (side(left), side(right)) else {
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     let diff = ccube_sim::diff_csv(&lt.to_csv(), &rt.to_csv());
     if let Some(path) = html {
         let doc = ccube_sim::diff_to_html((&lt, &ll), (&rt, &rl));
         if let Err(e) = std::fs::write(path, doc) {
             eprintln!("trace --diff: failed to write {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!(
             "traces are {}; wrote {path}",
@@ -791,51 +756,47 @@ fn cmd_trace_diff(
     } else {
         print!("{diff}");
     }
-    if diff.is_identical() {
+    Ok(if diff.is_identical() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
-fn cmd_trace(args: &[String]) -> ExitCode {
+fn cmd_trace(args: &[String]) -> CmdResult {
     use ccube::experiments::resilience;
-    let parsed = fabric_from_args(args)
-        .and_then(|(args, fabric)| Ok((split_flag(&args, "--html")?, fabric)));
-    let ((args, html), fabric) = match parsed {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("trace: {e}");
-            return ExitCode::from(2);
+    let (args, fabric) = fabric_from_args(args)?;
+    let (args, html) = split_flag(&args, "--html")?;
+    let (args, seed) = seed_flag(&args, "--seed")?;
+    let (out, [json, diff]) = check_args(&args, ["--json", "--diff"], 2)?;
+    if diff {
+        if json || seed.is_some() {
+            return Err("--diff takes no --json or --seed".to_string());
         }
-    };
-    if args.iter().any(|a| a == "--diff") {
-        let sides: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-        return cmd_trace_diff(&sides, fabric, html.as_ref());
+        return cmd_trace_diff(&out, fabric, html.as_ref());
     }
-    let (args, seed) = match seed_from_args(&args, resilience::DEFAULT_SEED) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("trace: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let json = args.iter().any(|a| a == "--json");
+    // `--html` names its own output file; otherwise one output path.
+    let max = if html.is_some() { 0 } else { 1 };
+    if let Some(extra) = out.get(max) {
+        return Err(format!("unexpected argument {extra:?}"));
+    }
     if json && html.is_some() {
-        eprintln!("trace: --json and --html are mutually exclusive");
-        return ExitCode::from(2);
+        return Err("--json and --html are mutually exclusive".to_string());
     }
-    let out = args.iter().find(|a| !a.starts_with("--"));
+    let seed = seed.unwrap_or(resilience::DEFAULT_SEED);
     let report = match resilience::demo_trace(seed, fabric) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("trace: faulted run failed: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     if let Some(path) = &html {
         let labels = resilience::demo_labels(format!("seed {seed}"), &fabric);
-        return write_or_print(Some(path), &ccube_sim::to_html(&report.trace, &labels));
+        return Ok(write_or_print(
+            Some(path),
+            &ccube_sim::to_html(&report.trace, &labels),
+        ));
     }
     // Under the switch fabric the grant records carry port indices, so
     // label the Chrome-trace lanes accordingly.
@@ -848,17 +809,13 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     } else {
         report.trace.to_csv()
     };
-    write_or_print(out, &content)
+    Ok(write_or_print(out.first(), &content))
 }
 
-fn cmd_lint(args: &[String]) -> ExitCode {
+fn cmd_lint(args: &[String]) -> CmdResult {
     use ccube::lint;
-    let json = args.iter().any(|a| a == "--json");
-    let physical = args.iter().any(|a| a == "--physical");
-    let which = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str);
+    let (which, [json, physical]) = check_args(args, ["--json", "--physical"], 1)?;
+    let which = which.first().map(String::as_str);
     // An explicitly named case gates on its own findings — DEMO or not —
     // so CI can assert a specific hazard. `all` exempts the DEMO cases,
     // whose errors are the point.
@@ -880,16 +837,16 @@ fn cmd_lint(args: &[String]) -> ExitCode {
             match case {
                 Some(r) => vec![r],
                 None => {
-                    eprintln!("lint: unknown case {name:?}; available cases:");
                     let cases: &[(&str, &str)] = if physical {
                         &lint::PHYSICAL_CASES
                     } else {
                         &lint::CASES
                     };
+                    let mut msg = format!("unknown case {name:?}; available cases:");
                     for (n, d) in cases {
-                        eprintln!("  {n:<20} {d}");
+                        msg.push_str(&format!("\n  {n:<20} {d}"));
                     }
-                    return ExitCode::from(2);
+                    return Err(msg);
                 }
             }
         }
@@ -904,14 +861,15 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     let dirty = reports
         .iter()
         .any(|r| (named || !r.description.starts_with("DEMO")) && !r.report.is_clean());
-    if dirty {
+    Ok(if dirty {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
-fn cmd_rings() -> ExitCode {
+fn cmd_rings(args: &[String]) -> CmdResult {
+    check_args(args, [], 0)?;
     let topo = ccube_topology::dgx1();
     let rings = ccube_topology::disjoint_rings(&topo, 3);
     println!(
@@ -922,7 +880,7 @@ fn cmd_rings() -> ExitCode {
         let path: Vec<String> = ring.iter().map(|g| g.0.to_string()).collect();
         println!("  ring {i}: {} -> (back to {})", path.join(" -> "), path[0]);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
@@ -938,24 +896,28 @@ fn main() -> ExitCode {
         return usage();
     };
     let rest = &args[1..];
-    match command.as_str() {
+    let result = match command.as_str() {
         "figures" => cmd_figures(rest, threads),
         "compare" => cmd_compare(rest),
         "scaleout" => cmd_scaleout(rest, threads),
         "search" => cmd_search(rest, threads),
         "timeline" => cmd_timeline(rest),
         "train" => cmd_train(rest),
-        "rings" => cmd_rings(),
+        "rings" => cmd_rings(rest),
         "faults" => cmd_faults(rest, threads),
         "trace" => cmd_trace(rest),
         "lint" => cmd_lint(rest),
         "help" | "--help" | "-h" => {
             usage();
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
         other => {
             eprintln!("unknown command {other:?}");
-            usage()
+            return usage();
         }
-    }
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("{command}: {e}");
+        ExitCode::from(2)
+    })
 }

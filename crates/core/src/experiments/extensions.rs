@@ -85,12 +85,6 @@ fn sim_switch(schedule: &Schedule, topo: &Topology) -> (SimReport, usize) {
 /// Compares B / C1 / R on the DGX-1 hybrid mesh-cube against an
 /// NVSwitch-class crossbar, 64 MiB message.
 pub fn topology_study() -> Vec<TopologyRow> {
-    topology_study_threads(1)
-}
-
-/// [`topology_study`] fanned out over `threads` workers: each
-/// `(topology, algorithm)` cell is one sweep point.
-pub fn topology_study_threads(threads: usize) -> Vec<TopologyRow> {
     let n = ByteSize::mib(64);
     let params = CostParams::nvlink();
     let k = k_opt(&params, 8, n).div_ceil(2) * 2;
@@ -116,7 +110,7 @@ pub fn topology_study_threads(threads: usize) -> Vec<TopologyRow> {
     let r_switch = ring_allreduce_multi(n, std::slice::from_ref(&identity));
 
     let switch = nvswitch(8);
-    let points: [(&'static str, &'static str, &Schedule); 6] = [
+    let cells: [(&'static str, &'static str, &Schedule); 6] = [
         ("dgx1", "B", &b),
         ("dgx1", "C1", &c1),
         ("dgx1", "R", &r_mesh),
@@ -124,20 +118,23 @@ pub fn topology_study_threads(threads: usize) -> Vec<TopologyRow> {
         ("nvswitch", "C1", &c1),
         ("nvswitch", "R", &r_switch),
     ];
-    ccube_sim::sweep(&points, threads, |_, &(topology, alg, schedule)| {
-        let (report, detours) = if topology == "dgx1" {
-            sim_dgx1(schedule, &mesh, alg != "R")
-        } else {
-            sim_switch(schedule, &switch)
-        };
-        TopologyRow {
-            topology,
-            algorithm: alg,
-            makespan: report.makespan(),
-            turnaround: report.turnaround(),
-            detours,
-        }
-    })
+    cells
+        .into_iter()
+        .map(|(topology, alg, schedule)| {
+            let (report, detours) = if topology == "dgx1" {
+                sim_dgx1(schedule, &mesh, alg != "R")
+            } else {
+                sim_switch(schedule, &switch)
+            };
+            TopologyRow {
+                topology,
+                algorithm: alg,
+                makespan: report.makespan(),
+                turnaround: report.turnaround(),
+                detours,
+            }
+        })
+        .collect()
 }
 
 /// Renders topology rows as CSV.
@@ -185,51 +182,45 @@ impl fmt::Display for DetourRow {
 /// Quantifies the detour routes' advantage over the PCIe host bridge for
 /// the overlapped double tree.
 pub fn detour_vs_host() -> Vec<DetourRow> {
-    detour_vs_host_threads(1)
-}
-
-/// [`detour_vs_host`] fanned out over `threads` workers: each message
-/// size (two embeddings, two simulations) is one sweep point.
-pub fn detour_vs_host_threads(threads: usize) -> Vec<DetourRow> {
     let topo = dgx1();
     let dt = DoubleBinaryTree::new(8).expect("8 ranks");
     let params = CostParams::nvlink();
     let sizes = [ByteSize::mib(16), ByteSize::mib(64)];
-    ccube_sim::sweep(&sizes, threads, |_, &n| {
-        let k = k_opt(&params, 8, n).div_ceil(2) * 2;
-        let s = tree_allreduce(
-            dt.trees(),
-            &Chunking::even(n, k),
-            Overlap::ReductionBroadcast,
-        );
-        let detour = Embedding::dgx1_double_tree(&topo, &s).expect("embeddable");
-        // Host embedding: identity placement with host fallback permitted,
-        // mimicking a topology-oblivious runtime.
-        let host = Embedding::identity_with_host(&topo, &s).expect("embeddable");
-        let t_detour = simulate(&topo, &s, &detour, &SimOptions::default())
-            .expect("simulates")
-            .makespan();
-        let t_host = simulate(&topo, &s, &host, &SimOptions::default())
-            .expect("simulates")
-            .makespan();
-        [
-            DetourRow {
-                routing: "nvlink-detour",
-                n,
-                makespan: t_detour,
-                slowdown: 1.0,
-            },
-            DetourRow {
-                routing: "host-bridge",
-                n,
-                makespan: t_host,
-                slowdown: t_host / t_detour,
-            },
-        ]
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    sizes
+        .into_iter()
+        .flat_map(|n| {
+            let k = k_opt(&params, 8, n).div_ceil(2) * 2;
+            let s = tree_allreduce(
+                dt.trees(),
+                &Chunking::even(n, k),
+                Overlap::ReductionBroadcast,
+            );
+            let detour = Embedding::dgx1_double_tree(&topo, &s).expect("embeddable");
+            // Host embedding: identity placement with host fallback permitted,
+            // mimicking a topology-oblivious runtime.
+            let host = Embedding::identity_with_host(&topo, &s).expect("embeddable");
+            let t_detour = simulate(&topo, &s, &detour, &SimOptions::default())
+                .expect("simulates")
+                .makespan();
+            let t_host = simulate(&topo, &s, &host, &SimOptions::default())
+                .expect("simulates")
+                .makespan();
+            [
+                DetourRow {
+                    routing: "nvlink-detour",
+                    n,
+                    makespan: t_detour,
+                    slowdown: 1.0,
+                },
+                DetourRow {
+                    routing: "host-bridge",
+                    n,
+                    makespan: t_host,
+                    slowdown: t_host / t_detour,
+                },
+            ]
+        })
+        .collect()
 }
 
 /// Renders detour rows as CSV.
@@ -273,12 +264,6 @@ impl fmt::Display for ChunkRow {
 /// Sweeps the chunk count for a 64 MiB overlapped double tree on the
 /// DGX-1 and marks Eq. 4's optimum.
 pub fn chunk_sensitivity() -> Vec<ChunkRow> {
-    chunk_sensitivity_threads(1)
-}
-
-/// [`chunk_sensitivity`] fanned out over `threads` workers: each chunk
-/// count is one sweep point.
-pub fn chunk_sensitivity_threads(threads: usize) -> Vec<ChunkRow> {
     let topo = dgx1();
     let dt = DoubleBinaryTree::new(8).expect("8 ranks");
     let n = ByteSize::mib(64);
@@ -286,22 +271,24 @@ pub fn chunk_sensitivity_threads(threads: usize) -> Vec<ChunkRow> {
     let mut ks = vec![2usize, 8, 24, kopt / 2, kopt, kopt * 2, kopt * 8];
     ks.sort_unstable();
     ks.dedup();
-    ccube_sim::sweep(&ks, threads, |_, &k| {
-        let s = tree_allreduce(
-            dt.trees(),
-            &Chunking::even(n, k),
-            Overlap::ReductionBroadcast,
-        );
-        let e = Embedding::dgx1_double_tree(&topo, &s).expect("embeddable");
-        let makespan = simulate(&topo, &s, &e, &SimOptions::default())
-            .expect("simulates")
-            .makespan();
-        ChunkRow {
-            k,
-            is_k_opt: k == kopt,
-            makespan,
-        }
-    })
+    ks.into_iter()
+        .map(|k| {
+            let s = tree_allreduce(
+                dt.trees(),
+                &Chunking::even(n, k),
+                Overlap::ReductionBroadcast,
+            );
+            let e = Embedding::dgx1_double_tree(&topo, &s).expect("embeddable");
+            let makespan = simulate(&topo, &s, &e, &SimOptions::default())
+                .expect("simulates")
+                .makespan();
+            ChunkRow {
+                k,
+                is_k_opt: k == kopt,
+                makespan,
+            }
+        })
+        .collect()
 }
 
 /// Renders chunk rows as CSV.
@@ -356,12 +343,6 @@ impl fmt::Display for StrategyRow {
 /// reaches the same hiding through one-shot, in-order communication
 /// without relying on those mechanisms.
 pub fn overlap_strategy_study() -> Vec<StrategyRow> {
-    overlap_strategy_study_threads(1)
-}
-
-/// [`overlap_strategy_study`] fanned out over `threads` workers: each
-/// `(network, config)` cell is one sweep point.
-pub fn overlap_strategy_study_threads(threads: usize) -> Vec<StrategyRow> {
     use crate::pipeline::{Mode, TrainingPipeline};
     use ccube_dnn::ComputeModel;
 
@@ -371,29 +352,24 @@ pub fn overlap_strategy_study_threads(threads: usize) -> Vec<StrategyRow> {
         ("vgg16", ccube_dnn::vgg16()),
         ("resnet50", ccube_dnn::resnet50()),
     ];
-    let points: Vec<(usize, &'static str, usize, f64)> = (0..nets.len())
-        .flat_map(|ni| {
-            [("b64/high", 64usize, 1.0), ("b16/low", 16, 0.25)]
-                .into_iter()
-                .map(move |(config, batch, scale)| (ni, config, batch, scale))
-        })
-        .collect();
-    ccube_sim::sweep(&points, threads, |_, &(ni, config, batch, scale)| {
-        let (name, net) = &nets[ni];
-        let pipeline = TrainingPipeline::dgx1_with(net, batch, &compute, scale);
-        let b = pipeline.iteration(Mode::Baseline).normalized_perf;
-        let bw = pipeline.iteration(Mode::BackwardOverlap).normalized_perf;
-        let cc = pipeline.iteration(Mode::CCube).normalized_perf;
-        [("B", b), ("BW", bw), ("CC", cc)].map(|(strategy, perf)| StrategyRow {
-            network: name,
-            config,
-            strategy,
-            normalized_perf: perf,
-        })
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    let mut rows = Vec::new();
+    for (name, net) in &nets {
+        for (config, batch, scale) in [("b64/high", 64, 1.0), ("b16/low", 16, 0.25)] {
+            let pipeline = TrainingPipeline::dgx1_with(net, batch, &compute, scale);
+            let b = pipeline.iteration(Mode::Baseline).normalized_perf;
+            let bw = pipeline.iteration(Mode::BackwardOverlap).normalized_perf;
+            let cc = pipeline.iteration(Mode::CCube).normalized_perf;
+            rows.extend(
+                [("B", b), ("BW", bw), ("CC", cc)].map(|(strategy, perf)| StrategyRow {
+                    network: name,
+                    config,
+                    strategy,
+                    normalized_perf: perf,
+                }),
+            );
+        }
+    }
+    rows
 }
 
 /// Renders strategy rows as CSV.

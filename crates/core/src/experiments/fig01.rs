@@ -22,16 +22,12 @@ impl fmt::Display for Row {
 /// the default framework environment (8-GPU DGX-1, NCCL ring through
 /// PyTorch-style bucketing).
 pub fn run() -> Vec<Row> {
-    run_with(&FrameworkEnv::default())
-}
-
-/// Computes the shares under an explicit environment.
-pub fn run_with(env: &FrameworkEnv) -> Vec<Row> {
+    let env = FrameworkEnv::default();
     mlperf_suite()
         .iter()
         .map(|w| Row {
             workload: w.name(),
-            ratio: w.allreduce_ratio(env),
+            ratio: w.allreduce_ratio(&env),
         })
         .collect()
 }

@@ -41,11 +41,7 @@ pub fn default_model() -> GranularityModel {
 
 /// Runs the three schemes over ResNet-50's per-layer gradient tensors.
 pub fn run() -> Vec<Row> {
-    run_with(&default_model())
-}
-
-/// Runs the three schemes under an explicit model.
-pub fn run_with(model: &GranularityModel) -> Vec<Row> {
+    let model = default_model();
     let net = resnet50();
     let one_shot = vec![net.total_param_bytes()];
     // "Layer-wise" launches one AllReduce per gradient *tensor*: a conv

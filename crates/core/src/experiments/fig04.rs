@@ -40,18 +40,14 @@ pub fn run() -> Vec<Row> {
         ByteSize::mib(64),
         ByteSize::mib(256),
     ];
-    run_with(&CostParams::nccl_blog(), &ps, &ns)
-}
-
-/// Runs the sweep with explicit parameters.
-pub fn run_with(params: &CostParams, ps: &[usize], ns: &[ByteSize]) -> Vec<Row> {
+    let params = CostParams::nccl_blog();
     let mut rows = Vec::new();
-    for &p in ps {
-        for &n in ns {
+    for p in ps {
+        for n in ns {
             rows.push(Row {
                 p,
                 n,
-                ring_over_tree: t_ring(params, p, n) / t_tree(params, p, n),
+                ring_over_tree: t_ring(&params, p, n) / t_tree(&params, p, n),
             });
         }
     }

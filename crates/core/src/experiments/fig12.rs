@@ -45,7 +45,14 @@ pub fn run() -> Vec<Row> {
     run_net(ccube_sim::NetworkModel::ChannelApprox)
 }
 
-/// [`run`] under an explicit network model.
+/// [`run`] under an explicit network model (`ccube figures --fabric
+/// switch` reruns the DES-backed figures on the componentized switch
+/// fabric; a passthrough fabric reproduces the defaults).
+///
+/// # Panics
+///
+/// Panics if the DGX-1 embedding or simulation fails — both are
+/// deterministic and covered by tests.
 pub fn run_net(network: ccube_sim::NetworkModel) -> Vec<Row> {
     let ns = [
         ByteSize::mib(4),
@@ -54,60 +61,34 @@ pub fn run_net(network: ccube_sim::NetworkModel) -> Vec<Row> {
         ByteSize::mib(128),
         ByteSize::mib(256),
     ];
-    run_with_threads_net(&ns, 1, network)
-}
-
-/// Runs the comparison for explicit message sizes (serially).
-///
-/// # Panics
-///
-/// Panics if the DGX-1 embedding or simulation fails — both are
-/// deterministic and covered by tests.
-pub fn run_with(ns: &[ByteSize]) -> Vec<Row> {
-    run_with_threads(ns, 1)
-}
-
-/// [`run_with`] fanned out over `threads` workers via
-/// [`ccube_sim::sweep()`]: each message size is one independent sweep
-/// point, and the result is bit-identical to the serial run.
-pub fn run_with_threads(ns: &[ByteSize], threads: usize) -> Vec<Row> {
-    run_with_threads_net(ns, threads, ccube_sim::NetworkModel::ChannelApprox)
-}
-
-/// [`run_with_threads`] under an explicit network model (`ccube figures
-/// --fabric switch` reruns the DES-backed figures on the componentized
-/// switch fabric; a passthrough fabric reproduces the defaults).
-pub fn run_with_threads_net(
-    ns: &[ByteSize],
-    threads: usize,
-    network: ccube_sim::NetworkModel,
-) -> Vec<Row> {
     let topo = dgx1();
     let dt = DoubleBinaryTree::new(8).expect("8 ranks");
     let params = cost::CostParams::nvlink();
-    ccube_sim::sweep(ns, threads, |_, &n| {
-        let k = k_opt(&params, 8, n).div_ceil(2).max(1) * 2;
-        let chunking = Chunking::even(n, k);
-        let run_one = |overlap| {
-            let s = tree_allreduce(dt.trees(), &chunking, overlap);
-            let e = Embedding::dgx1_double_tree(&topo, &s).expect("embeddable");
-            simulate(&topo, &s, &e, &SimOptions::default().with_network(network))
-                .expect("simulates")
-                .makespan()
-        };
-        let t_baseline = run_one(Overlap::None);
-        let t_overlapped = run_one(Overlap::ReductionBroadcast);
-        let model_b = t_double_tree_chunked(&params, 8, n, k);
-        let model_o = t_overlapped_double_chunked(&params, 8, n, k);
-        Row {
-            n,
-            k,
-            t_baseline,
-            t_overlapped,
-            improvement_sim: t_baseline / t_overlapped - 1.0,
-            improvement_model: model_b / model_o - 1.0,
-        }
-    })
+    ns.into_iter()
+        .map(|n| {
+            let k = k_opt(&params, 8, n).div_ceil(2).max(1) * 2;
+            let chunking = Chunking::even(n, k);
+            let run_one = |overlap| {
+                let s = tree_allreduce(dt.trees(), &chunking, overlap);
+                let e = Embedding::dgx1_double_tree(&topo, &s).expect("embeddable");
+                simulate(&topo, &s, &e, &SimOptions::default().with_network(network))
+                    .expect("simulates")
+                    .makespan()
+            };
+            let t_baseline = run_one(Overlap::None);
+            let t_overlapped = run_one(Overlap::ReductionBroadcast);
+            let model_b = t_double_tree_chunked(&params, 8, n, k);
+            let model_o = t_overlapped_double_chunked(&params, 8, n, k);
+            Row {
+                n,
+                k,
+                t_baseline,
+                t_overlapped,
+                improvement_sim: t_baseline / t_overlapped - 1.0,
+                improvement_model: model_b / model_o - 1.0,
+            }
+        })
+        .collect()
 }
 
 /// Renders rows as CSV.
@@ -135,7 +116,10 @@ mod tests {
     #[test]
     fn overlap_gains_match_paper_band() {
         // Paper Fig. 12(a): 75% improvement at 64 MB, up to 80% beyond.
-        let rows = run_with(&[ByteSize::mib(64), ByteSize::mib(256)]);
+        let rows: Vec<Row> = run()
+            .into_iter()
+            .filter(|r| [ByteSize::mib(64), ByteSize::mib(256)].contains(&r.n))
+            .collect();
         for r in &rows {
             assert!(
                 (0.55..1.0).contains(&r.improvement_sim),
@@ -152,7 +136,10 @@ mod tests {
     fn sim_matches_model_closely() {
         // Paper Fig. 12(b): "the expected benefit of C1 over B from
         // modeling closely matches the measured benefits".
-        for r in run_with(&[ByteSize::mib(16), ByteSize::mib(64)]) {
+        for r in run()
+            .into_iter()
+            .filter(|r| [ByteSize::mib(16), ByteSize::mib(64)].contains(&r.n))
+        {
             let gap = (r.improvement_sim - r.improvement_model).abs();
             assert!(
                 gap < 0.25,

@@ -34,68 +34,44 @@ impl fmt::Display for Row {
 /// The default grid: the paper's three networks × batch
 /// {16, 32, 64, 128} × {low, high} bandwidth × the five modes.
 pub fn run() -> Vec<Row> {
-    run_with(&[16, 32, 64, 128])
-}
-
-/// Runs the grid for explicit batch sizes (serially).
-pub fn run_with(batches: &[usize]) -> Vec<Row> {
-    run_with_threads(batches, 1)
-}
-
-/// [`run_with`] fanned out over `threads` workers via
-/// [`ccube_sim::sweep()`]: each `(network, batch, bandwidth)` cell is one
-/// sweep point; flattening the index-ordered results reproduces the
-/// serial row order exactly.
-pub fn run_with_threads(batches: &[usize], threads: usize) -> Vec<Row> {
     let compute = ComputeModel::v100();
-    let nets: [(&'static str, NetworkModel); 3] = [
+    let mut rows = Vec::new();
+    for (name, net) in networks() {
+        for batch in [16, 32, 64, 128] {
+            for (bw_name, scale) in BANDWIDTHS {
+                let pipeline = TrainingPipeline::dgx1_with(&net, batch, &compute, scale);
+                rows.extend(pipeline.all_modes().into_iter().map(|report| Row {
+                    network: name,
+                    batch,
+                    bandwidth: bw_name,
+                    mode: report.mode,
+                    normalized_perf: report.normalized_perf,
+                }));
+            }
+        }
+    }
+    rows
+}
+
+/// The grid's networks, in row order.
+fn networks() -> [(&'static str, NetworkModel); 3] {
+    [
         ("zfnet", zfnet()),
         ("vgg16", vgg16()),
         ("resnet50", resnet50()),
-    ];
-    let points: Vec<(usize, usize, &'static str, f64)> = (0..nets.len())
-        .flat_map(|ni| {
-            batches.iter().flat_map(move |&batch| {
-                [("low", 0.25), ("high", 1.0)]
-                    .into_iter()
-                    .map(move |(bw_name, scale)| (ni, batch, bw_name, scale))
-            })
-        })
-        .collect();
-    ccube_sim::sweep(&points, threads, |_, &(ni, batch, bw_name, scale)| {
-        let (name, net) = &nets[ni];
-        let pipeline = TrainingPipeline::dgx1_with(net, batch, &compute, scale);
-        pipeline
-            .all_modes()
-            .into_iter()
-            .map(|report| Row {
-                network: name,
-                batch,
-                bandwidth: bw_name,
-                mode: report.mode,
-                normalized_perf: report.normalized_perf,
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    ]
 }
+
+/// The grid's bandwidth settings: label and NVLink bandwidth scale.
+const BANDWIDTHS: [(&str, f64); 2] = [("low", 0.25), ("high", 1.0)];
 
 /// The DES-grounded variant of the grid: instead of the analytic staged
 /// arrival model, the tree modes take their per-chunk arrival curves
 /// from discrete-event simulations of the actual schedules on the DGX-1
 /// (conflict-free physical embedding), and the ring takes its makespan
 /// from a simulated NCCL-style 6-ring run over the machine's Hamiltonian
-/// decomposition. Cross-validated against [`run_with`] in tests.
+/// decomposition. Cross-validated against [`run`] in tests.
 pub fn run_simulated(batches: &[usize]) -> Vec<Row> {
-    run_simulated_threads(batches, 1)
-}
-
-/// [`run_simulated`] fanned out over `threads` workers: each
-/// `(network, bandwidth)` pair — the unit that owns one set of
-/// discrete-event simulations — is one sweep point.
-pub fn run_simulated_threads(batches: &[usize], threads: usize) -> Vec<Row> {
     use crate::arrivals::ChunkArrivals;
     use ccube_collectives::{
         ring_allreduce_multi, tree_allreduce, Chunking, DoubleBinaryTree, Embedding, Overlap, Rank,
@@ -116,67 +92,53 @@ pub fn run_simulated_threads(batches: &[usize], threads: usize) -> Vec<Row> {
         })
         .collect();
 
-    let nets: [(&'static str, NetworkModel); 3] = [
-        ("zfnet", zfnet()),
-        ("vgg16", vgg16()),
-        ("resnet50", resnet50()),
-    ];
-    let points: Vec<(usize, &'static str, f64)> = (0..nets.len())
-        .flat_map(|ni| {
-            [("low", 0.25f64), ("high", 1.0)]
-                .into_iter()
-                .map(move |(bw_name, scale)| (ni, bw_name, scale))
-        })
-        .collect();
-    ccube_sim::sweep(&points, threads, |_, &(ni, bw_name, scale)| {
-        let (name, net) = &nets[ni];
-        let n = net.total_param_bytes();
-        // One reference pipeline per (net, bw) to fix the chunking.
-        let reference = TrainingPipeline::dgx1_with(net, 64, &compute, scale);
-        let k = reference.num_chunks();
-        let chunking = Chunking::even(n, k);
-        let opts = SimOptions {
-            bandwidth_scale: scale,
-            ..SimOptions::default()
-        };
-        let tree_arrivals = |overlap: Overlap| {
-            let s = tree_allreduce(dt.trees(), &chunking, overlap);
-            let e = Embedding::dgx1_double_tree(&topo, &s).expect("embeddable");
-            ChunkArrivals::from_sim(&simulate(&topo, &s, &e, &opts).expect("simulates"))
-        };
-        let base = tree_arrivals(Overlap::None);
-        let over = tree_arrivals(Overlap::ReductionBroadcast);
-        let ring_schedule = ring_allreduce_multi(n, &ring_orders);
-        let ring_emb = Embedding::identity(&topo, &ring_schedule).expect("embeddable");
-        let ring_time = simulate(&topo, &ring_schedule, &ring_emb, &opts)
-            .expect("simulates")
-            .makespan();
-        let ring = ChunkArrivals::ring_uniform(ring_time, k);
+    let mut rows = Vec::new();
+    for (name, net) in networks() {
+        for (bw_name, scale) in BANDWIDTHS {
+            let n = net.total_param_bytes();
+            // One reference pipeline per (net, bw) to fix the chunking.
+            let reference = TrainingPipeline::dgx1_with(&net, 64, &compute, scale);
+            let k = reference.num_chunks();
+            let chunking = Chunking::even(n, k);
+            let opts = SimOptions {
+                bandwidth_scale: scale,
+                ..SimOptions::default()
+            };
+            let tree_arrivals = |overlap: Overlap| {
+                let s = tree_allreduce(dt.trees(), &chunking, overlap);
+                let e = Embedding::dgx1_double_tree(&topo, &s).expect("embeddable");
+                ChunkArrivals::from_sim(&simulate(&topo, &s, &e, &opts).expect("simulates"))
+            };
+            let base = tree_arrivals(Overlap::None);
+            let over = tree_arrivals(Overlap::ReductionBroadcast);
+            let ring_schedule = ring_allreduce_multi(n, &ring_orders);
+            let ring_emb = Embedding::identity(&topo, &ring_schedule).expect("embeddable");
+            let ring_time = simulate(&topo, &ring_schedule, &ring_emb, &opts)
+                .expect("simulates")
+                .makespan();
+            let ring = ChunkArrivals::ring_uniform(ring_time, k);
 
-        let mut rows = Vec::new();
-        for &batch in batches {
-            let pipeline = TrainingPipeline::dgx1_with(net, batch, &compute, scale);
-            for mode in Mode::ALL {
-                let arrivals = match mode {
-                    Mode::Baseline | Mode::Chained => &base,
-                    Mode::OverlappedTree | Mode::CCube => &over,
-                    Mode::Ring | Mode::BackwardOverlap => &ring,
-                };
-                let report = pipeline.iteration_with_arrivals(mode, arrivals);
-                rows.push(Row {
-                    network: name,
-                    batch,
-                    bandwidth: bw_name,
-                    mode,
-                    normalized_perf: report.normalized_perf,
-                });
+            for &batch in batches {
+                let pipeline = TrainingPipeline::dgx1_with(&net, batch, &compute, scale);
+                for mode in Mode::ALL {
+                    let arrivals = match mode {
+                        Mode::Baseline | Mode::Chained => &base,
+                        Mode::OverlappedTree | Mode::CCube => &over,
+                        Mode::Ring | Mode::BackwardOverlap => &ring,
+                    };
+                    let report = pipeline.iteration_with_arrivals(mode, arrivals);
+                    rows.push(Row {
+                        network: name,
+                        batch,
+                        bandwidth: bw_name,
+                        mode,
+                        normalized_perf: report.normalized_perf,
+                    });
+                }
             }
         }
-        rows
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    }
+    rows
 }
 
 /// Renders rows as CSV.
@@ -205,9 +167,17 @@ pub fn lookup(rows: &[Row], network: &str, batch: usize, bandwidth: &str, mode: 
 mod tests {
     use super::*;
 
+    /// The rows of [`run`] at the given batch sizes.
+    fn at_batches(batches: &[usize]) -> Vec<Row> {
+        run()
+            .into_iter()
+            .filter(|r| batches.contains(&r.batch))
+            .collect()
+    }
+
     #[test]
     fn grid_is_complete() {
-        let rows = run_with(&[16, 64]);
+        let rows = at_batches(&[16, 64]);
         // 3 networks x 2 batches x 2 bandwidths x 5 modes
         assert_eq!(rows.len(), 3 * 2 * 2 * 5);
         for r in &rows {
@@ -283,7 +253,7 @@ mod tests {
     fn simulated_grid_matches_analytic_grid_for_tree_modes() {
         // The DES-grounded variant must agree with the analytic arrival
         // model on the conflict-free DGX-1 embedding.
-        let analytic = run_with(&[32, 128]);
+        let analytic = at_batches(&[32, 128]);
         let simulated = run_simulated(&[32, 128]);
         for net in ["zfnet", "vgg16", "resnet50"] {
             for batch in [32usize, 128] {
@@ -315,7 +285,7 @@ mod tests {
 
     #[test]
     fn c2_beats_baseline_everywhere() {
-        let rows = run_with(&[32, 128]);
+        let rows = at_batches(&[32, 128]);
         for net in ["zfnet", "vgg16", "resnet50"] {
             for batch in [32usize, 128] {
                 for bw in ["low", "high"] {

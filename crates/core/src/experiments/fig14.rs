@@ -87,21 +87,13 @@ pub fn chunk_count(n: ByteSize) -> usize {
     k.div_ceil(2).max(1) * 2
 }
 
-/// Runs the sweep for explicit node counts and message sizes (serially).
-pub fn run_with(ps: &[usize], ns: &[ByteSize]) -> Vec<Row> {
-    run_with_threads(ps, ns, 1)
-}
-
-/// [`run_with`] fanned out over `threads` workers via
-/// [`ccube_sim::sweep()`]: each `(P, N)` grid point (three simulations) is
-/// one sweep point, reassembled in grid order.
-pub fn run_with_threads(ps: &[usize], ns: &[ByteSize], threads: usize) -> Vec<Row> {
-    run_with_threads_net(ps, ns, threads, ccube_sim::NetworkModel::ChannelApprox)
-}
-
-/// [`run_with_threads`] under an explicit network model (`ccube
-/// scaleout --fabric switch` runs the sweep on the componentized switch
-/// fabric; a passthrough fabric reproduces the defaults).
+/// Runs the sweep for explicit node counts and message sizes under an
+/// explicit network model, fanned out over `threads` workers via
+/// [`ccube_sim::sweep()`] (`ccube scaleout`): each `(P, N)` grid point
+/// (three simulations, [`point`]) is one sweep point, reassembled in
+/// grid order, so the rows are bit-identical at any worker count.
+/// `--fabric switch` runs the sweep on the componentized switch fabric;
+/// a passthrough fabric reproduces the defaults.
 pub fn run_with_threads_net(
     ps: &[usize],
     ns: &[ByteSize],
@@ -171,9 +163,11 @@ mod tests {
     use super::*;
 
     fn grid() -> Vec<Row> {
-        run_with(
+        run_with_threads_net(
             &[16, 64, 128],
             &[ByteSize::kib(16), ByteSize::mib(1), ByteSize::mib(64)],
+            1,
+            ccube_sim::NetworkModel::ChannelApprox,
         )
     }
 

@@ -51,15 +51,11 @@ impl fmt::Display for Row {
 /// Default run: ResNet-50 at batch 64, high bandwidth (the paper's
 /// Fig. 15 configuration).
 pub fn run() -> Vec<Row> {
-    run_with(64)
+    run_with_net(64, ccube_sim::NetworkModel::ChannelApprox)
 }
 
-/// Runs the per-GPU comparison at an explicit batch size.
-pub fn run_with(batch: usize) -> Vec<Row> {
-    run_with_net(batch, ccube_sim::NetworkModel::ChannelApprox)
-}
-
-/// [`run_with`] under an explicit network model.
+/// Runs the per-GPU comparison at an explicit batch size under an
+/// explicit network model.
 pub fn run_with_net(batch: usize, network: ccube_sim::NetworkModel) -> Vec<Row> {
     let net = ccube_dnn::resnet50();
     let pipeline = TrainingPipeline::dgx1(&net, batch);
@@ -155,8 +151,8 @@ mod tests {
     fn loss_is_batch_insensitive() {
         // Persistent kernels cost a fixed compute fraction, so the loss
         // barely moves with batch size.
-        let small = run_with(16);
-        let large = run_with(128);
+        let small = run_with_net(16, ccube_sim::NetworkModel::ChannelApprox);
+        let large = run_with_net(128, ccube_sim::NetworkModel::ChannelApprox);
         let loss = |rows: &[Row]| 1.0 - rows.iter().map(|r| r.normalized_perf).fold(1.0, f64::min);
         assert!((loss(&small) - loss(&large)).abs() < 0.02);
     }

@@ -34,6 +34,15 @@
 //! NVSwitch-class and 2-D torus scale-out topologies, including the
 //! Fig. 14-style NVSwitch and torus sweeps.
 //!
+//! Each driver has one default entry point (`run()`, or the study's
+//! name) that [`run_all`] calls; the DES-backed Figs. 12, 14 and 15 and
+//! the resilience study add a variant that takes the network model.
+//! Only the functions a `--threads` flag reaches take a worker count:
+//! [`run_all`] (`ccube figures`), [`fig14::run_with_threads_net`]
+//! (`ccube scaleout`), [`policy_search::run_full`] (`ccube search`) and
+//! [`resilience::run_with_network`] (`ccube faults`). Every other driver
+//! iterates its points serially.
+//!
 //! The `paper_figures` example runs every driver and writes one CSV per
 //! figure. [`run_all`] fans the figures out across
 //! [`ccube_sim::sweep()`] workers as one flat list of units: each of
@@ -165,40 +174,19 @@ const FIGURES: &[Figure] = &[
 ];
 
 /// Runs every experiment at its default configuration and writes one CSV
-/// per figure into `dir` (created if missing), using every available
-/// core. Returns the written paths.
+/// per figure into `dir` (created if missing), on at most `threads`
+/// workers (`ccube figures`). Returns the written paths. The CSVs come
+/// out bit-identical at any `threads`.
+///
+/// `network` is the model the DES-backed figures (12/14/15 and the
+/// resilience study) run under (`ccube figures --fabric switch`); the
+/// cost-model figures and the fabric comparison studies are unaffected.
+/// A passthrough switch fabric reproduces the default CSVs byte-for-byte.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from creating the directory or writing files.
-pub fn run_all(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-    run_all_with(dir, ccube_sim::available_threads())
-}
-
-/// [`run_all`] on an explicit worker count. At most `threads` workers
-/// run, and the CSVs come out bit-identical at any `threads`.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating the directory or writing files.
-pub fn run_all_with(dir: &Path, threads: usize) -> std::io::Result<Vec<PathBuf>> {
-    run_all_with_network(dir, threads, NetworkModel::ChannelApprox)
-}
-
-/// [`run_all_with`] under an explicit network model: the DES-backed
-/// figures (12/14/15 and the resilience study) rerun on that model
-/// (`ccube figures --fabric switch`), while the cost-model figures and
-/// the fabric comparison studies are unaffected. A passthrough switch
-/// fabric reproduces the default CSVs byte-for-byte.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating the directory or writing files.
-pub fn run_all_with_network(
-    dir: &Path,
-    threads: usize,
-    network: NetworkModel,
-) -> std::io::Result<Vec<PathBuf>> {
+pub fn run_all(dir: &Path, threads: usize, network: NetworkModel) -> std::io::Result<Vec<PathBuf>> {
     std::fs::create_dir_all(dir)?;
     // One flat list of sweep units, so at most `threads` workers run:
     // Fig. 14's grid points first, heaviest (largest P, then largest N)
@@ -248,7 +236,7 @@ pub fn run_all_with_network(
     Ok(paths)
 }
 
-/// One sweep unit of [`run_all_with_network`].
+/// One sweep unit of [`run_all`].
 #[derive(Clone, Copy)]
 enum Unit {
     Fig14Point(usize, ByteSize),
@@ -271,7 +259,12 @@ mod tests {
         // + integration suites) never race on the same directory.
         let dir = std::env::temp_dir().join(format!("ccube_run_all_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let paths = run_all(&dir).unwrap();
+        let paths = run_all(
+            &dir,
+            ccube_sim::available_threads(),
+            NetworkModel::ChannelApprox,
+        )
+        .unwrap();
         assert_eq!(paths.len(), 20);
         for p in &paths {
             let content = std::fs::read_to_string(p).unwrap();

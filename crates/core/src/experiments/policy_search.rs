@@ -178,16 +178,9 @@ pub struct SearchOutcome {
     pub pruned: Vec<PrunedCandidate>,
 }
 
-/// Runs the search serially (64 MiB message).
+/// Runs the search serially (64 MiB message): the rows of [`run_full`].
 pub fn run() -> Vec<SearchRow> {
-    run_with_threads(1)
-}
-
-/// Runs the full search grid — topology × tree shape × arbitration ×
-/// chunk count — on `threads` sweep workers and marks the best schedule
-/// per topology. Deterministic at any worker count.
-pub fn run_with_threads(threads: usize) -> Vec<SearchRow> {
-    run_full(threads).rows
+    run_full(1).rows
 }
 
 /// The machines the search covers.
@@ -284,8 +277,10 @@ fn mark_winners(rows: &mut [SearchRow], machines: &[(&'static str, usize, Topolo
     }
 }
 
-/// [`run_with_threads`] plus the static pre-simulation gate's log: the
-/// grid is extended with the naive-placement candidate class, every
+/// Runs the full search grid — topology × tree shape × arbitration ×
+/// chunk count — on `threads` sweep workers and marks the best schedule
+/// per topology (`ccube search`). Deterministic at any worker count.
+/// The grid is extended with the naive-placement candidate class, every
 /// candidate is linted first, and candidates with error-severity
 /// diagnostics are pruned (never simulated) and reported.
 pub fn run_full(threads: usize) -> SearchOutcome {
@@ -505,9 +500,9 @@ mod tests {
 
     #[test]
     fn search_is_deterministic_across_worker_counts() {
-        let serial = run_with_threads(1);
+        let serial = run();
         for threads in [2, 8] {
-            assert_eq!(run_with_threads(threads), serial);
+            assert_eq!(run_full(threads).rows, serial);
         }
     }
 
@@ -524,7 +519,7 @@ mod tests {
             assert!(p.errors > 0);
         }
         // The surviving rows are exactly the original grid.
-        assert_eq!(outcome.rows, run_with_threads(1));
+        assert_eq!(outcome.rows, run());
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! path, so traffic stalls until repair — and a permanently-severed NIC
 //! is a typed [`SimError::Unroutable`](ccube_sim::SimError).
 //!
-//! Every point is seeded through [`ccube_sim::sweep_seeded`]: the same
-//! seed yields byte-identical CSVs at any worker count.
+//! Every point of the severity grid is seeded through
+//! [`ccube_sim::sweep_seeded`]: the same seed yields byte-identical CSVs
+//! at any worker count.
 
 use crate::pipeline::TrainingPipeline;
 use crate::systemjob::build_iteration_job;
@@ -166,30 +167,21 @@ fn grid() -> Vec<Point> {
 
 /// Runs the full grid serially with the default seed.
 pub fn run() -> Vec<Row> {
-    run_with(DEFAULT_SEED, 1)
+    run_with_network(DEFAULT_SEED, 1, NetworkModel::ChannelApprox)
 }
 
-/// Runs the grid from `seed` fanned out over `threads` workers. Each
-/// grid point is one [`ccube_sim::sweep_seeded`] point: its fault plan
-/// is sampled from the point's forked RNG stream, so the rows are
-/// byte-identical at any worker count and under replay of the seed.
-pub fn run_with(seed: u64, threads: usize) -> Vec<Row> {
-    run_with_network(seed, threads, NetworkModel::ChannelApprox)
-}
-
-/// [`run_with`] under an explicit network model (`ccube faults --fabric
-/// switch` runs the grid on the componentized switch fabric).
+/// Runs the grid from `seed` under `network`, fanned out over `threads`
+/// workers (`ccube faults`; `--fabric switch` runs the grid on the
+/// componentized switch fabric). Each grid point is one
+/// [`ccube_sim::sweep_seeded`] point: its fault plan is sampled from the
+/// point's forked RNG stream, so the rows are byte-identical at any
+/// worker count and under replay of the seed.
 pub fn run_with_network(seed: u64, threads: usize, network: NetworkModel) -> Vec<Row> {
     run_grid(&grid(), seed, threads, network)
 }
 
 /// The smallest faulty slice of the grid — severity 1 on both fabrics'
-/// C1 — for CI smoke runs (`ccube faults --smoke`).
-pub fn run_smoke() -> Vec<Row> {
-    run_smoke_network(NetworkModel::ChannelApprox)
-}
-
-/// [`run_smoke`] under an explicit network model.
+/// C1 — under `network`, for CI smoke runs (`ccube faults --smoke`).
 pub fn run_smoke_network(network: NetworkModel) -> Vec<Row> {
     let points: Vec<Point> = grid()
         .into_iter()
@@ -362,26 +354,20 @@ fn fabric_grid() -> Vec<(usize, UplinkPolicy)> {
     points
 }
 
-/// Runs the fabric-failover study with the default seed, serially.
-pub fn run_fabric() -> Vec<FabricRow> {
-    run_fabric_with(DEFAULT_SEED, 1)
-}
-
-/// Runs the fabric-failover study from `seed` over `threads` workers.
+/// Runs the fabric-failover study with the default seed.
 ///
 /// Every cell replays the **same** seeded plan — uplink outages sampled
 /// with [`FaultPlan::sample_uplinks`] at one slot per leaf, so every
 /// event targets slot 0 and the plan is valid on both the single- and
 /// the multi-uplink fabric. The plan's horizon and rates derive from
-/// the single-uplink healthy baseline (recomputed point-locally, so
-/// cells stay independent under work stealing); slowdown is each cell's
-/// makespan over its *own* healthy baseline. Rows are byte-identical at
-/// any worker count.
-pub fn run_fabric_with(seed: u64, threads: usize) -> Vec<FabricRow> {
-    let points = fabric_grid();
-    ccube_sim::sweep_seeded(&points, seed, threads, |_, &(uplinks, policy), _| {
-        fabric_cell(uplinks, policy, seed)
-    })
+/// the single-uplink healthy baseline; slowdown is each cell's makespan
+/// over its *own* healthy baseline.
+pub fn run_fabric() -> Vec<FabricRow> {
+    let plan = fabric_outage_plan(DEFAULT_SEED);
+    fabric_grid()
+        .into_iter()
+        .map(|(uplinks, policy)| fabric_cell(uplinks, policy, &plan))
+        .collect()
 }
 
 /// The fabric study's workload and network options: the C1 collective
@@ -414,13 +400,10 @@ fn fabric_outage_plan(seed: u64) -> FaultPlan {
     )
 }
 
-fn fabric_cell(uplinks: usize, policy: UplinkPolicy, seed: u64) -> FabricRow {
-    // The shared fault horizon comes from the single-uplink reference,
-    // so every cell samples the identical plan from the same stream.
-    let plan = fabric_outage_plan(seed);
+fn fabric_cell(uplinks: usize, policy: UplinkPolicy, plan: &FaultPlan) -> FabricRow {
     let (topo, job, emb, opts) = fabric_workload(uplinks, policy);
     let healthy = healthy_run(&topo, &job, &emb, &opts);
-    match simulate_system_faulted(&topo, &job, &emb, &opts, &plan) {
+    match simulate_system_faulted(&topo, &job, &emb, &opts, plan) {
         Ok(report) => FabricRow {
             uplinks,
             policy,
@@ -565,7 +548,7 @@ mod tests {
 
     #[test]
     fn smoke_slice_is_small_and_faulty() {
-        let rows = run_smoke();
+        let rows = run_smoke_network(NetworkModel::ChannelApprox);
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r.severity == 1 && r.mode == "C1"));
     }
@@ -602,18 +585,12 @@ mod tests {
     }
 
     #[test]
-    fn fabric_study_replays_byte_identically_across_workers() {
-        let a = fabric_to_csv(&run_fabric_with(DEFAULT_SEED, 1));
-        let b = fabric_to_csv(&run_fabric_with(DEFAULT_SEED, 2));
-        assert_eq!(a, b, "worker count must not change the rows");
-    }
-
-    #[test]
     fn replaying_the_seed_reproduces_the_rows() {
-        let a = run_with(DEFAULT_SEED, 1);
-        let b = run_with(DEFAULT_SEED, 1);
+        let run_seed = |seed| run_with_network(seed, 1, NetworkModel::ChannelApprox);
+        let a = run_seed(DEFAULT_SEED);
+        let b = run_seed(DEFAULT_SEED);
         assert_eq!(a, b);
-        let other = run_with(DEFAULT_SEED + 1, 1);
+        let other = run_seed(DEFAULT_SEED + 1);
         assert_ne!(a, other, "a different seed should sample different plans");
     }
 }

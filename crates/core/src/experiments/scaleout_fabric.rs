@@ -25,8 +25,9 @@
 //!   models must produce the same timings, and the CSV records that
 //!   end-to-end.
 //!
-//! Every row is a pure function of its grid point, so the CSVs are
-//! byte-identical at any [`ccube_sim::sweep()`] worker count.
+//! Every row is a pure function of its grid point. `ccube figures` runs
+//! each driver whole as one unit of its sweep, so the CSVs are
+//! byte-identical at any worker count.
 
 use super::fig14;
 use ccube_collectives::{
@@ -158,37 +159,26 @@ fn uplink_busy(report: &SimReport, num_channels: usize) -> Seconds {
         .fold(Seconds::ZERO, |acc, &b| acc + b)
 }
 
-/// Runs the fabric model comparison serially.
+/// Runs the fabric model comparison.
 pub fn fabric_study() -> Vec<FabricRow> {
-    fabric_study_with_threads(1)
-}
-
-/// [`fabric_study`] fanned out over `threads` sweep workers.
-pub fn fabric_study_with_threads(threads: usize) -> Vec<FabricRow> {
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for topology in ["hier16", "nvswitch16", "torus4x4"] {
         for (model_name, model) in models() {
             for algorithm in study_algorithms(topology) {
-                points.push((topology, model_name, model, algorithm));
+                let (report, num_channels) = run_point(topology, model, algorithm);
+                rows.push(FabricRow {
+                    topology,
+                    model: model_name,
+                    algorithm,
+                    makespan: report.makespan(),
+                    turnaround: report.turnaround(),
+                    uplink_busy: uplink_busy(&report, num_channels),
+                    events: report.stats().events_processed,
+                });
             }
         }
     }
-    ccube_sim::sweep(
-        &points,
-        threads,
-        |_, &(topology, model_name, model, algorithm)| {
-            let (report, num_channels) = run_point(topology, model, algorithm);
-            FabricRow {
-                topology,
-                model: model_name,
-                algorithm,
-                makespan: report.makespan(),
-                turnaround: report.turnaround(),
-                uplink_busy: uplink_busy(&report, num_channels),
-                events: report.stats().events_processed,
-            }
-        },
-    )
+    rows
 }
 
 /// Renders the fabric study as CSV.
@@ -317,11 +307,6 @@ fn torus_dual_ring(rows: usize, cols: usize, n: ByteSize) -> Schedule {
 /// under the approximation, the passthrough fabric, and a split fabric
 /// with eight endpoints per leaf and 2:1 oversubscribed uplinks.
 pub fn nvswitch_sweep() -> Vec<SweepRow> {
-    nvswitch_sweep_with_threads(1)
-}
-
-/// [`nvswitch_sweep`] fanned out over `threads` sweep workers.
-pub fn nvswitch_sweep_with_threads(threads: usize) -> Vec<SweepRow> {
     let models: [(&'static str, NetworkModel); 3] = [
         ("approx", NetworkModel::ChannelApprox),
         (
@@ -337,40 +322,29 @@ pub fn nvswitch_sweep_with_threads(threads: usize) -> Vec<SweepRow> {
             }),
         ),
     ];
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for p in [8usize, 16, 32] {
         for n in [ByteSize::mib(1), ByteSize::mib(64)] {
-            for (model_name, model) in models {
-                points.push((p, n, model_name, model));
+            for model in models {
+                rows.extend(sweep_cells(
+                    &format!("nvswitch{p}"),
+                    &nvswitch(p),
+                    p,
+                    n,
+                    model,
+                    true,
+                    ("C1", c1_schedule(p, n)),
+                ));
             }
         }
     }
-    ccube_sim::sweep(&points, threads, |_, &(p, n, model_name, model)| {
-        let topo = nvswitch(p);
-        sweep_cells(
-            &format!("nvswitch{p}"),
-            &topo,
-            p,
-            n,
-            (model_name, model),
-            true,
-            ("C1", c1_schedule(p, n)),
-        )
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    rows
 }
 
 /// Default 2-D torus sweep: shapes 2×4, 4×4 and 4×8, N in {1 MiB,
 /// 64 MiB}, under both models. The torus derives a switchless fabric,
 /// so the two models must agree — the CSV records that end-to-end.
 pub fn torus_sweep() -> Vec<SweepRow> {
-    torus_sweep_with_threads(1)
-}
-
-/// [`torus_sweep`] fanned out over `threads` sweep workers.
-pub fn torus_sweep_with_threads(threads: usize) -> Vec<SweepRow> {
     let models: [(&'static str, NetworkModel); 2] = [
         ("approx", NetworkModel::ChannelApprox),
         (
@@ -378,33 +352,23 @@ pub fn torus_sweep_with_threads(threads: usize) -> Vec<SweepRow> {
             NetworkModel::SwitchFabric(FabricSpec::passthrough()),
         ),
     ];
-    let mut points = Vec::new();
+    let mut out = Vec::new();
     for (rows, cols) in [(2usize, 4usize), (4, 4), (4, 8)] {
         for n in [ByteSize::mib(1), ByteSize::mib(64)] {
-            for (model_name, model) in models {
-                points.push((rows, cols, n, model_name, model));
+            for model in models {
+                out.extend(sweep_cells(
+                    &format!("torus{rows}x{cols}"),
+                    &torus2d(rows, cols),
+                    rows * cols,
+                    n,
+                    model,
+                    false,
+                    ("R2", torus_dual_ring(rows, cols, n)),
+                ));
             }
         }
     }
-    ccube_sim::sweep(
-        &points,
-        threads,
-        |_, &(rows, cols, n, model_name, model)| {
-            let topo = torus2d(rows, cols);
-            sweep_cells(
-                &format!("torus{rows}x{cols}"),
-                &topo,
-                rows * cols,
-                n,
-                (model_name, model),
-                false,
-                ("R2", torus_dual_ring(rows, cols, n)),
-            )
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect()
+    out
 }
 
 /// Renders sweep rows as CSV (shared by the NVSwitch and torus sweeps).

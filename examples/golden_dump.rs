@@ -7,6 +7,7 @@
 //! ```
 
 use ccube::experiments::{fig12, fig14, fig15, resilience, scaleout_fabric};
+use ccube_sim::NetworkModel;
 use ccube_topology::ByteSize;
 use std::fmt::Write as _;
 
@@ -27,9 +28,11 @@ fn main() {
     std::fs::write("tests/data/fig12_golden.csv", f12).unwrap();
 
     let mut f14 = String::from("p,bytes,k,t_ring_s,t_c1_s,t_b_s,turnaround_speedup\n");
-    for r in fig14::run_with(
+    for r in fig14::run_with_threads_net(
         &[4, 8, 16, 32, 64],
         &[ByteSize::kib(16), ByteSize::mib(1), ByteSize::mib(64)],
+        1,
+        NetworkModel::ChannelApprox,
     ) {
         writeln!(
             f14,

@@ -87,11 +87,11 @@ fn main() {
     }
 
     println!("\n== Extensions: schedule policy search ==");
-    for row in experiments::policy_search::run_with_threads(threads) {
+    for row in experiments::policy_search::run_full(threads).rows {
         println!("  {row}");
     }
 
-    match experiments::run_all_with(&dir, threads) {
+    match experiments::run_all(&dir, threads, ccube_sim::NetworkModel::ChannelApprox) {
         Ok(paths) => {
             println!("\nwrote {} CSV files to {}:", paths.len(), dir.display());
             for p in paths {

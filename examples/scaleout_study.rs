@@ -9,6 +9,7 @@
 //! ```
 
 use ccube::experiments::fig14;
+use ccube_sim::NetworkModel;
 use ccube_topology::ByteSize;
 
 fn main() {
@@ -38,7 +39,7 @@ fn main() {
         "{:>6} {:>12} {:>6} {:>12} {:>12} {:>12} {:>10} {:>12}",
         "P", "N", "K", "T_ring", "T_C1", "T_B", "C1/R", "turnaround"
     );
-    for row in fig14::run_with(&ps, &sizes) {
+    for row in fig14::run_with_threads_net(&ps, &sizes, 1, NetworkModel::ChannelApprox) {
         println!(
             "{:>6} {:>12} {:>6} {:>12} {:>12} {:>12} {:>10.2} {:>11.1}x",
             row.p,

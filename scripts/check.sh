@@ -46,6 +46,18 @@ diff -r target/check-figs/t1 target/check-figs/t2
 diff -r target/check-figs/t1 target/check-figs/sw
 rm -rf target/check-figs
 
+echo "==> ccube search and ccube scaleout: same stdout at 1 and 2 workers"
+rm -rf target/check-threads && mkdir -p target/check-threads
+for t in 1 2; do
+    cargo run -q --release -p ccube --bin ccube -- \
+        search --threads "$t" > "target/check-threads/search_t$t.txt"
+    cargo run -q --release -p ccube --bin ccube -- \
+        scaleout 32 1 --threads "$t" > "target/check-threads/scaleout_t$t.txt"
+done
+diff target/check-threads/search_t1.txt target/check-threads/search_t2.txt
+diff target/check-threads/scaleout_t1.txt target/check-threads/scaleout_t2.txt
+rm -rf target/check-threads
+
 echo "==> resilience smoke run (ccube faults --smoke)"
 cargo run -q --release -p ccube --bin ccube -- faults --smoke
 

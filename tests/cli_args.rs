@@ -1,7 +1,7 @@
-//! Exit-code contract of the positional arguments of `ccube scaleout`,
-//! `timeline`, `compare`, `train` and `figures`: a malformed or zero
-//! count or size, an unknown flag or a surplus argument is a usage error
-//! (exit 2), never a silent fallback to the default.
+//! Exit-code contract of the `ccube` arguments: a malformed or zero
+//! count or size, an unknown flag, a surplus argument or a flag the
+//! chosen mode never reads is a usage error (exit 2, `<cmd>: …` on
+//! stderr), never a silent fallback to the default.
 
 use std::process::{Command, Output};
 
@@ -108,4 +108,73 @@ fn figures_rejects_unknown_flags_and_extra_arguments() {
     let written: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
     assert!(written.is_empty(), "rejected runs wrote {written:?}");
     let _ = std::fs::remove_dir_all(&cwd);
+}
+
+/// Runs each `ccube` invocation in a fresh empty directory and asserts
+/// it is a usage error that printed and wrote nothing: a mistaken run
+/// would write its output file there.
+fn assert_usage_errors(tag: &str, cases: &[&[&str]]) {
+    let cwd = std::env::temp_dir().join(format!("ccube_cli_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).unwrap();
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_ccube"))
+            .args(*args)
+            .args(["--threads", "1"])
+            .current_dir(&cwd)
+            .output()
+            .expect("ccube runs");
+        assert_eq!(out.status.code(), Some(2), "ccube {args:?}");
+        assert!(out.stdout.is_empty(), "ccube {args:?} printed output");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let prefix = format!("{}: ", args[0]);
+        assert!(err.starts_with(&prefix), "ccube {args:?}: {err}");
+    }
+    let written: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+    assert!(written.is_empty(), "rejected runs wrote {written:?}");
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn every_subcommand_rejects_unknown_flags_and_surplus_arguments() {
+    assert_usage_errors(
+        "args",
+        &[
+            &["search", "--bogus"],
+            &["search", "extra"],
+            &["compare", "resnet50", "64", "--lo"],
+            &["compare", "resnet50", "64", "extra"],
+            &["timeline", "1", "2"],
+            &["timeline", "1", "--bogus"],
+            &["train", "1", "junk"],
+            &["train", "1", "--bogus"],
+            &["rings", "extra"],
+            &["rings", "--bogus"],
+            &["lint", "--jsn", "all"],
+            &["lint", "all", "extra"],
+            &["faults", "--smoke", "--bogus"],
+            &["faults", "--smoke", "a.csv", "b.csv"],
+            &["trace", "--jsno"],
+            &["trace", "a.csv", "b.csv"],
+        ],
+    );
+}
+
+#[test]
+fn flags_the_chosen_mode_never_reads_are_rejected() {
+    assert_usage_errors(
+        "modes",
+        &[
+            &["faults", "--shrink", "7", "--seed", "3"],
+            &["faults", "--shrink", "7", "--smoke"],
+            &["faults", "--shrink", "7", "--html", "f.html"],
+            &["faults", "--shrink", "7", "out.csv"],
+            &["faults", "--html", "f.html", "--smoke"],
+            &["faults", "--html", "f.html", "out.csv"],
+            &["faults", "--smoke", "--seed", "3"],
+            &["trace", "--diff", "7", "8", "--json"],
+            &["trace", "--diff", "7", "8", "--seed=3"],
+            &["trace", "--html", "t.html", "out.csv"],
+        ],
+    );
 }

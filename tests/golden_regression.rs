@@ -9,6 +9,7 @@
 //! *intentional* model change.
 
 use ccube::experiments::{fig12, fig14, fig15, resilience, scaleout_fabric};
+use ccube_sim::NetworkModel;
 use ccube_topology::ByteSize;
 
 const REL_TOL: f64 = 1e-9;
@@ -127,9 +128,11 @@ fn fig12_rows_match_golden() {
 #[test]
 fn fig14_rows_match_golden() {
     let golden = load("fig14_golden.csv");
-    let rows = fig14::run_with(
+    let rows = fig14::run_with_threads_net(
         &[4, 8, 16, 32, 64],
         &[ByteSize::kib(16), ByteSize::mib(1), ByteSize::mib(64)],
+        1,
+        NetworkModel::ChannelApprox,
     );
     assert_eq!(rows.len(), golden.len(), "fig14 row count changed");
     for (r, g) in rows.iter().zip(&golden) {

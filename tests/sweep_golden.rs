@@ -6,6 +6,7 @@
 //! row-producing sweeps compared as values.
 
 use ccube::experiments;
+use ccube_sim::NetworkModel;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -29,7 +30,7 @@ fn run_all_is_byte_identical_across_worker_counts() {
     let mut reference = None;
     for threads in [1usize, 2, 8] {
         let dir = base.join(format!("t{threads}"));
-        let paths = experiments::run_all_with(&dir, threads).unwrap();
+        let paths = experiments::run_all(&dir, threads, NetworkModel::ChannelApprox).unwrap();
         assert_eq!(paths.len(), 20);
         let contents = dir_contents(&dir);
         // Fig. 14 runs as one sweep unit per grid point and is put back
@@ -67,9 +68,12 @@ fn fig14_sweep_rows_are_identical_across_worker_counts() {
         ccube_topology::ByteSize::kib(16),
         ccube_topology::ByteSize::mib(1),
     ];
-    let serial = experiments::fig14::run_with_threads(&ps, &ns, 1);
+    let run = |threads| {
+        experiments::fig14::run_with_threads_net(&ps, &ns, threads, NetworkModel::ChannelApprox)
+    };
+    let serial = run(1);
     for threads in [2, 8] {
-        let parallel = experiments::fig14::run_with_threads(&ps, &ns, threads);
+        let parallel = run(threads);
         assert_eq!(serial, parallel, "{threads} workers diverged");
     }
 }
@@ -81,38 +85,32 @@ fn resilience_rows_are_identical_across_worker_counts_and_replays() {
     // A fault plan replayed from the same seed must produce bit-identical
     // reports whether the grid runs serially or fanned out: each point's
     // RNG is forked from (seed, point index), never from worker state.
-    let serial = resilience::run_with(resilience::DEFAULT_SEED, 1);
+    let run = |threads| {
+        resilience::run_with_network(
+            resilience::DEFAULT_SEED,
+            threads,
+            NetworkModel::ChannelApprox,
+        )
+    };
+    let serial = run(1);
     for threads in [2usize, 8] {
-        let parallel = resilience::run_with(resilience::DEFAULT_SEED, threads);
+        let parallel = run(threads);
         assert_eq!(serial, parallel, "{threads} workers diverged");
     }
     // Replaying the seed reproduces the rows exactly (same CSV bytes).
-    let replay = resilience::run_with(resilience::DEFAULT_SEED, 8);
+    let replay = run(8);
     assert_eq!(
         resilience::to_csv(&serial),
         resilience::to_csv(&replay),
         "seed replay is not byte-identical"
     );
-    // The fabric-failover study holds to the same contract.
-    let fabric_serial = resilience::run_fabric_with(resilience::DEFAULT_SEED, 1);
-    for threads in [2usize, 8] {
-        let parallel = resilience::run_fabric_with(resilience::DEFAULT_SEED, threads);
-        assert_eq!(
-            resilience::fabric_to_csv(&fabric_serial),
-            resilience::fabric_to_csv(&parallel),
-            "fabric study: {threads} workers diverged"
-        );
-    }
 }
 
 #[test]
 fn policy_search_is_identical_across_worker_counts() {
-    let serial = experiments::policy_search::run_with_threads(1);
+    let serial = experiments::policy_search::run_full(1).rows;
     for threads in [2, 8] {
-        assert_eq!(
-            serial,
-            experiments::policy_search::run_with_threads(threads)
-        );
+        assert_eq!(serial, experiments::policy_search::run_full(threads).rows);
     }
     // Exactly one winner per topology, found end-to-end.
     for topo in ["dgx1", "hier16"] {
