@@ -3,7 +3,9 @@
 use crate::chunk::{ChunkId, Chunking};
 use crate::rank::Rank;
 use ccube_topology::ByteSize;
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a transfer within a [`Schedule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -216,7 +218,8 @@ impl Schedule {
     /// schedule, in first-use order. This is the set the embedding maps to
     /// physical channels.
     pub fn logical_edges(&self) -> Vec<(Rank, Rank, TreeIndex)> {
-        let mut seen = std::collections::HashSet::new();
+        // Membership only, never iterated: `out` keeps first-use order.
+        let mut seen: HashSet<_, EdgeHashBuilder> = HashSet::default();
         let mut out = Vec::new();
         for t in &self.transfers {
             let key = (t.src, t.dst, t.tree);
@@ -227,6 +230,48 @@ impl Schedule {
         out
     }
 }
+
+/// A small deterministic multiplicative hasher (the FxHash mixing step)
+/// for the logical-edge interners, which are probed once per transfer.
+/// Their keys are ranks and tree indices the schedule builders produce,
+/// not outside input, and the interners are never iterated, so the hash
+/// values cannot reach any output: they only have to be cheap, which
+/// SipHash's collision resistance does not buy here.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct EdgeHasher(u64);
+
+impl EdgeHasher {
+    const MULTIPLIER: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MULTIPLIER);
+    }
+}
+
+impl Hasher for EdgeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward; rotate the well-mixed high bits
+        // into the low bits the table indexes by.
+        self.0.rotate_left(26)
+    }
+}
+
+/// The [`std::hash::BuildHasher`] of [`EdgeHasher`].
+pub(crate) type EdgeHashBuilder = BuildHasherDefault<EdgeHasher>;
 
 /// Summary statistics of a schedule (see [`Schedule::stats`]).
 #[derive(Debug, Clone, PartialEq, Eq)]

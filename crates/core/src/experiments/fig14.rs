@@ -110,7 +110,10 @@ pub fn run_with_threads_net(
 /// a time.
 pub fn point(p: usize, n: ByteSize, network: ccube_sim::NetworkModel) -> Row {
     let topo = hierarchical(p);
-    let opts = SimOptions::scale_out().with_network(network);
+    // Only makespans and turnarounds are read, never the trace.
+    let opts = SimOptions::scale_out()
+        .with_network(network)
+        .without_trace();
     let times = |schedule: Schedule| {
         let emb = Embedding::nic(&topo, &schedule).expect("nic embedding");
         let report = simulate(&topo, &schedule, &emb, &opts).expect("simulates");

@@ -6,6 +6,12 @@
 //! number makes the order total even for identical `(time, key)` pairs,
 //! so replays are bit-identical run to run.
 //!
+//! The heap compares integers only: a time is stored as its IEEE-754
+//! bits mapped to an unsigned integer with the same order (after `-0.0`
+//! is normalised to `+0.0`, which [`Seconds`] already treats as equal),
+//! so each comparison is three `u64` compares instead of a float
+//! `partial_cmp`.
+//!
 //! Determinism contract: a kernel seeded with the same value, fed the
 //! same `schedule` calls in the same order, pops the same events at the
 //! same times and returns the same [`SimRng`] draws. Nothing in the
@@ -76,10 +82,34 @@ pub struct KernelStats {
     pub max_queue_depth: usize,
 }
 
+/// `time` as an unsigned integer that sorts like the time itself:
+/// non-negative values get the sign bit set, negative ones are
+/// bit-inverted. `-0.0` is first normalised to `+0.0` (adding `+0.0`
+/// does exactly that), so the two zeros map to one integer.
+fn time_bits(time: Seconds) -> u64 {
+    let bits = (time.as_secs_f64() + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | (1 << 63)
+    } else {
+        !bits
+    }
+}
+
+/// The inverse of [`time_bits`] (a `-0.0` comes back as `+0.0`).
+fn time_of(bits: u64) -> Seconds {
+    let raw = if bits >> 63 == 1 {
+        bits & !(1 << 63)
+    } else {
+        !bits
+    };
+    Seconds::new(f64::from_bits(raw))
+}
+
 /// One scheduled event; the ordering ignores the payload.
 #[derive(Debug, Clone)]
 struct Scheduled<E> {
-    time: Seconds,
+    /// [`time_bits`] of the event time.
+    time: u64,
     key: u64,
     seq: u64,
     event: E,
@@ -179,7 +209,8 @@ impl<E> Kernel<E> {
     }
 
     /// Schedules `event` at absolute `time` with tie-break priority
-    /// `key`. Events at equal `(time, key)` pop in scheduling order.
+    /// `key`. Events at equal `(time, key)` pop in scheduling order; a
+    /// `time` of `-0.0` is scheduled (and popped) as `+0.0`.
     ///
     /// # Panics
     ///
@@ -190,7 +221,7 @@ impl<E> Kernel<E> {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(Scheduled {
-            time,
+            time: time_bits(time),
             key,
             seq,
             event,
@@ -207,14 +238,15 @@ impl<E> Kernel<E> {
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Seconds, E)> {
         let Reverse(s) = self.heap.pop()?;
-        self.now = s.time;
+        let time = time_of(s.time);
+        self.now = time;
         self.stats.events_processed += 1;
-        Some((s.time, s.event))
+        Some((time, s.event))
     }
 
     /// The timestamp of the next event, if any.
     pub fn peek_time(&self) -> Option<Seconds> {
-        self.heap.peek().map(|Reverse(s)| s.time)
+        self.heap.peek().map(|Reverse(s)| time_of(s.time))
     }
 
     /// True if no events are pending.
@@ -241,6 +273,7 @@ impl<E> Kernel<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_key_seq_order() {
@@ -286,5 +319,52 @@ mod tests {
         let mut f3 = SimRng::new(42).fork(4);
         assert_eq!(f1.next_u64(), f2.next_u64());
         assert_ne!(f1.next_u64(), f3.next_u64());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The pop order is a stable sort by `(Seconds, key)` of the
+        /// scheduling order — i.e. by `(Seconds, key, seq)` — over random
+        /// non-negative times with exact ties, where `-0.0` and `+0.0`
+        /// are the same instant.
+        #[test]
+        fn pop_order_is_the_sort_by_time_key_seq(
+            len in 1usize..96,
+            seed in 0u64..1 << 32,
+        ) {
+            let palette = [
+                Seconds::new(-0.0),
+                Seconds::ZERO,
+                Seconds::new(f64::MIN_POSITIVE),
+                Seconds::from_micros(1.0),
+                Seconds::from_micros(1.5),
+                Seconds::from_millis(3.0),
+            ];
+            let mut rng = SimRng::new(seed);
+            let events: Vec<(Seconds, u64)> = (0..len)
+                .map(|_| {
+                    let time = if rng.below(2) == 0 {
+                        palette[rng.below(palette.len() as u64) as usize]
+                    } else {
+                        Seconds::new(rng.next_f64() * 4e-3)
+                    };
+                    (time, rng.below(4))
+                })
+                .collect();
+            let mut k: Kernel<usize> = Kernel::new();
+            for (i, &(time, key)) in events.iter().enumerate() {
+                k.schedule(time, key, i);
+            }
+            let mut expected: Vec<usize> = (0..len).collect();
+            expected.sort_by_key(|&i| (events[i].0, events[i].1));
+            let popped: Vec<(Seconds, usize)> = std::iter::from_fn(|| k.pop()).collect();
+            let order: Vec<usize> = popped.iter().map(|&(_, i)| i).collect();
+            prop_assert_eq!(order, expected);
+            for &(time, i) in &popped {
+                prop_assert_eq!(time, events[i].0);
+                prop_assert!(time.as_secs_f64().is_sign_positive(), "-0.0 pops as +0.0");
+            }
+        }
     }
 }

@@ -58,6 +58,18 @@ diff target/check-threads/search_t1.txt target/check-threads/search_t2.txt
 diff target/check-threads/scaleout_t1.txt target/check-threads/scaleout_t2.txt
 rm -rf target/check-threads
 
+echo "==> ccube scaleout 256 64 (deep chunk-priority queues): same stdout at 1 and 2 workers and on the passthrough switch fabric"
+rm -rf target/check-scaleout && mkdir -p target/check-scaleout
+cargo run -q --release -p ccube --bin ccube -- \
+    scaleout 256 64 --threads 1 > target/check-scaleout/t1.txt
+cargo run -q --release -p ccube --bin ccube -- \
+    scaleout 256 64 --threads 2 > target/check-scaleout/t2.txt
+cargo run -q --release -p ccube --bin ccube -- \
+    scaleout 256 64 --fabric switch > target/check-scaleout/sw.txt
+diff target/check-scaleout/t1.txt target/check-scaleout/t2.txt
+diff target/check-scaleout/t1.txt target/check-scaleout/sw.txt
+rm -rf target/check-scaleout
+
 echo "==> resilience smoke run (ccube faults --smoke)"
 cargo run -q --release -p ccube --bin ccube -- faults --smoke
 
