@@ -207,9 +207,7 @@ fn cmd_scaleout(args: &[String], threads: usize) -> CmdResult {
     };
     let mut sizes = Vec::new();
     for s in args.iter().skip(1) {
-        let mib =
-            positive(s).ok_or_else(|| format!("size {s:?} is not a positive integer (MiB)"))?;
-        sizes.push(ByteSize::mib(mib));
+        sizes.push(mib_size(s)?);
     }
     if sizes.is_empty() {
         sizes = vec![ByteSize::kib(16), ByteSize::mib(1), ByteSize::mib(64)];
@@ -283,13 +281,10 @@ fn cmd_timeline(args: &[String]) -> CmdResult {
     use ccube_topology::dgx1;
 
     let (args, []) = check_args(args, [], 1)?;
-    let mib = match args.first() {
-        None => 64,
-        Some(s) => {
-            positive(s).ok_or_else(|| format!("size {s:?} is not a positive integer (MiB)"))?
-        }
+    let n = match args.first() {
+        None => ByteSize::mib(64),
+        Some(s) => mib_size(s)?,
     };
-    let n = ByteSize::mib(mib);
     let topo = dgx1();
     let dt = DoubleBinaryTree::new(8).expect("8 ranks");
     let k = k_opt(&CostParams::nvlink(), 8, n).div_ceil(2).max(1) * 2;
@@ -367,6 +362,16 @@ fn cmd_train(args: &[String]) -> CmdResult {
 /// Parses a positional count or size that must be a positive integer.
 fn positive<T: std::str::FromStr + Default + PartialOrd>(s: &str) -> Option<T> {
     s.parse().ok().filter(|v| *v > T::default())
+}
+
+/// Parses a positional size in MiB: a positive integer whose byte count
+/// fits in a `u64`.
+fn mib_size(s: &str) -> Result<ByteSize, String> {
+    let mib: u64 =
+        positive(s).ok_or_else(|| format!("size {s:?} is not a positive integer (MiB)"))?;
+    mib.checked_mul(1 << 20)
+        .map(ByteSize::new)
+        .ok_or_else(|| format!("size {s:?} is too large (over 2^64 bytes)"))
 }
 
 /// Splits one `--name value` / `--name=value` flag out of `args`,
@@ -456,6 +461,18 @@ fn fabric_from_args(args: &[String]) -> Result<(Vec<String>, ccube_sim::NetworkM
         }
         Some(v) => Err(format!("--fabric: unknown model {v:?} (approx | switch)")),
     }
+}
+
+/// [`split_flag`] for the global `--threads N` (the sweep worker count),
+/// defaulting to the machine's available parallelism.
+fn threads_flag(args: &[String]) -> Result<(Vec<String>, usize), String> {
+    let (rest, value) = split_flag(args, "--threads")?;
+    let threads = match value {
+        None => ccube_sim::available_threads(),
+        Some(v) => positive(&v)
+            .ok_or_else(|| format!("--threads expects a positive integer, got {v:?}"))?,
+    };
+    Ok((rest, threads))
 }
 
 /// [`split_flag`] for a flag whose value is a seed (`--seed N`,
@@ -885,7 +902,7 @@ fn cmd_rings(args: &[String]) -> CmdResult {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (args, threads) = match ccube_sim::threads_from_args(&raw) {
+    let (args, threads) = match threads_flag(&raw) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("{e}");

@@ -50,7 +50,6 @@ pub mod experiments;
 pub mod lint;
 pub mod pipeline;
 pub mod systemjob;
-pub mod timeline;
 
 /// Re-export of `ccube-topology`.
 pub use ccube_topology as topology;
@@ -72,7 +71,6 @@ pub use ccube_runtime as runtime;
 pub mod prelude {
     pub use crate::arrivals::ChunkArrivals;
     pub use crate::pipeline::{IterationReport, Mode, TrainingPipeline};
-    pub use crate::timeline::{TimelineReport, TimelineSim};
     pub use ccube_collectives::prelude::*;
     pub use ccube_dnn::prelude::*;
     pub use ccube_runtime::prelude::*;

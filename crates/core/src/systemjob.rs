@@ -6,9 +6,11 @@
 //! AllReduce gated on the *slowest* backward, and the next iteration's
 //! forward layers gated per GPU on the transfers that deliver their
 //! gradient chunks — i.e. gradient queuing expressed as dataflow. The
-//! co-simulated makespan is cross-validated against the closed-form
-//! [`TrainingPipeline`] model (they agree to within a few percent; see
-//! tests).
+//! job spans exactly one steady-state iteration, and its co-simulated
+//! makespan is cross-validated against the closed-form
+//! [`TrainingPipeline`] model: for the chained modes (C2, CC) they agree
+//! to within 1% on every network and batch size the paper evaluates
+//! (see tests).
 
 use crate::pipeline::TrainingPipeline;
 use ccube_collectives::{tree_allreduce, Chunking, DoubleBinaryTree, Overlap, TransferId};
@@ -124,8 +126,13 @@ mod tests {
     use ccube_sim::{simulate_system, SimOptions};
     use ccube_topology::{dgx1, Seconds};
 
-    fn run_job(overlap: Overlap, scale: &[f64]) -> (ccube_sim::SystemReport, TrainingPipeline) {
-        let pipeline = TrainingPipeline::dgx1(&ccube_dnn::resnet50(), 64);
+    fn run_on(
+        network: &ccube_dnn::NetworkModel,
+        batch: usize,
+        overlap: Overlap,
+        scale: &[f64],
+    ) -> (ccube_sim::SystemReport, TrainingPipeline) {
+        let pipeline = TrainingPipeline::dgx1(network, batch);
         let job = build_iteration_job(&pipeline, overlap, scale);
         let topo = dgx1();
         let emb = Embedding::dgx1_double_tree(&topo, &job.schedule).unwrap();
@@ -133,23 +140,42 @@ mod tests {
         (report, pipeline)
     }
 
+    fn run_job(overlap: Overlap, scale: &[f64]) -> (ccube_sim::SystemReport, TrainingPipeline) {
+        run_on(&ccube_dnn::resnet50(), 64, overlap, scale)
+    }
+
     #[test]
     fn cosim_matches_closed_form_ccube_iteration() {
-        let (report, pipeline) = run_job(Overlap::ReductionBroadcast, &[1.0; 8]);
         // The job spans exactly one steady-state iteration: backward from
         // t=0, one-shot AllReduce, chained forward — the same
-        // `t_bwd + chained-forward-finish` the closed-form CC iteration
-        // prices.
-        let closed = pipeline.iteration(Mode::CCube).t_iter;
-        let rel =
-            (report.makespan.as_secs_f64() - closed.as_secs_f64()).abs() / closed.as_secs_f64();
-        assert!(
-            rel < 0.03,
-            "co-sim {} vs closed form {} ({:.2}% off)",
-            report.makespan,
-            closed,
-            rel * 100.0
-        );
+        // `t_bwd + chained-forward-finish` the closed-form chained modes
+        // price (C2 on the baseline double tree, CC on the overlapped
+        // one).
+        let networks = [
+            ccube_dnn::zfnet(),
+            ccube_dnn::vgg16(),
+            ccube_dnn::resnet50(),
+        ];
+        for network in &networks {
+            for batch in [16, 32, 64, 128] {
+                for (mode, overlap) in [
+                    (Mode::Chained, Overlap::None),
+                    (Mode::CCube, Overlap::ReductionBroadcast),
+                ] {
+                    let (report, pipeline) = run_on(network, batch, overlap, &[1.0; 8]);
+                    let closed = pipeline.iteration(mode).t_iter.as_secs_f64();
+                    let cosim = report.makespan.as_secs_f64();
+                    let rel = (cosim - closed).abs() / closed;
+                    assert!(
+                        rel < 0.01,
+                        "{} b={batch} {mode}: co-sim {cosim:.6}s vs closed form \
+                         {closed:.6}s ({:.3}% off)",
+                        network.name(),
+                        rel * 100.0
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -183,13 +209,21 @@ mod tests {
     #[test]
     fn slow_forwarders_stretch_the_iteration() {
         let (base, _) = run_job(Overlap::ReductionBroadcast, &[1.0; 8]);
+        // GPUs 1 and 7 forward detours at ~3.9% compute loss (Fig. 15).
         let mut scale = [1.0; 8];
-        scale[1] = 1.04;
-        scale[7] = 1.04;
+        scale[1] = 1.039;
+        scale[7] = 1.039;
         let (slowed, _) = run_job(Overlap::ReductionBroadcast, &scale);
-        assert!(slowed.makespan > base.makespan);
+        // The synchronous collective waits for the slowest backward, so
+        // the slowed GPUs' loss reaches everyone, but never by more than
+        // the compute share of the iteration.
         let inflation = slowed.makespan.as_secs_f64() / base.makespan.as_secs_f64();
-        assert!(inflation < 1.05, "inflation {inflation}");
+        assert!(
+            inflation > 1.005 && inflation < 1.04,
+            "inflation {inflation}"
+        );
+        // The slowed GPUs are the busiest.
+        assert!(slowed.gpu_busy[&GpuId(1)] > slowed.gpu_busy[&GpuId(0)]);
     }
 
     #[test]

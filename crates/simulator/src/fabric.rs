@@ -1,8 +1,8 @@
 //! The switch-fabric network model.
 //!
 //! The channel approximation treats the scale-out interconnect as plain
-//! channels in a [`ChannelPool`] — an ideal, non-blocking switch. A
-//! [`NetworkModel`] selects between that approximation
+//! channels in the scheduler's channel pool — an ideal, non-blocking
+//! switch. A [`NetworkModel`] selects between that approximation
 //! ([`NetworkModel::ChannelApprox`], the default) and
 //! [`NetworkModel::SwitchFabric`], which schedules transfers on the
 //! port-level [`FabricGraph`] derived from the topology: per-port queues

@@ -45,9 +45,9 @@ mod engine;
 mod error;
 pub mod fabric;
 pub mod faults;
-pub mod kernel;
+mod kernel;
 mod report;
-pub mod resource;
+mod resource;
 mod sched;
 pub mod severance;
 pub mod sweep;
@@ -62,11 +62,10 @@ pub use fabric::{FabricSpec, HopMode, NetworkModel, UplinkPolicy};
 pub use faults::{
     forever, simulate_faulted, simulate_system_faulted, FaultEvent, FaultModel, FaultPlan,
 };
-pub use kernel::{Kernel, KernelStats, SimRng};
+pub use kernel::SimRng;
 pub use report::{SimReport, SimStats, TransferTiming};
-pub use resource::{ChannelPool, ComputeStream};
 pub use severance::analyze_severance;
-pub use sweep::{available_threads, sweep, sweep_seeded, threads_from_args};
+pub use sweep::{available_threads, sweep, sweep_seeded};
 pub use system::{simulate_system, ComputeTask, ComputeTaskId, SystemJob, SystemReport};
 pub use timeline::{render_channel_timeline, render_timeline, TimelineOptions};
 pub use trace::{diff_csv, utilization_bins, BusyInterval, SimTrace, TraceDiff, TraceRecord};

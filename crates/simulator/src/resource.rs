@@ -235,11 +235,6 @@ impl ChannelPool {
         self.force_starts = 0;
     }
 
-    /// Number of registered tasks.
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// The channel path of `task`.
     pub fn path(&self, task: u32) -> &[ChannelId] {
         let route = self.tasks[task as usize].route;
@@ -535,15 +530,6 @@ impl ChannelPool {
         self.tasks[task as usize].state == TaskState::Done
     }
 
-    /// When a running or completed `task` acquired its channels.
-    pub fn started_at(&self, task: u32) -> Seconds {
-        debug_assert!(matches!(
-            self.tasks[task as usize].state,
-            TaskState::Running | TaskState::Done
-        ));
-        self.tasks[task as usize].since
-    }
-
     /// Total busy time per channel.
     pub fn busy(&self) -> &[Seconds] {
         &self.busy
@@ -641,24 +627,14 @@ pub struct ComputeStream {
     max_waiting: usize,
 }
 
-impl Default for ComputeStream {
-    fn default() -> Self {
-        ComputeStream::new()
-    }
-}
-
 impl ComputeStream {
-    /// A stream at nominal speed.
-    pub fn new() -> Self {
-        ComputeStream::with_slowdown(1.0)
-    }
-
-    /// A stream whose tasks run `slowdown`× longer than nominal.
+    /// A stream whose tasks run `slowdown`× longer than nominal (1.0 is
+    /// nominal speed).
     ///
     /// # Panics
     ///
     /// Panics if `slowdown < 1.0`.
-    pub fn with_slowdown(slowdown: f64) -> Self {
+    pub fn new(slowdown: f64) -> Self {
         assert!(slowdown >= 1.0, "slowdown must be >= 1.0");
         ComputeStream {
             slowdown,
@@ -760,7 +736,7 @@ mod tests {
         let mut started = Vec::new();
         p.serve(a, us(5.0), &mut tr, &mut started);
         assert_eq!(started, vec![b]);
-        assert_eq!(p.started_at(b), us(5.0));
+        assert_eq!(p.tasks[b as usize].since, us(5.0));
         // b waited 5µs; the wait is charged to channel 0.
         assert_eq!(p.queue_wait()[0], us(5.0));
         assert!(tr
@@ -895,7 +871,7 @@ mod tests {
 
     #[test]
     fn compute_stream_serializes_and_scales() {
-        let mut s = ComputeStream::with_slowdown(2.0);
+        let mut s = ComputeStream::new(2.0);
         assert_eq!(s.scale(us(3.0)), us(6.0));
         assert!(s.acquire(0));
         assert!(!s.acquire(1)); // queued
@@ -907,7 +883,7 @@ mod tests {
 
     #[test]
     fn set_slowdown_rescales_future_tasks() {
-        let mut s = ComputeStream::new();
+        let mut s = ComputeStream::new(1.0);
         assert_eq!(s.scale(us(3.0)), us(3.0));
         s.set_slowdown(1.5);
         assert_eq!(s.scale(us(4.0)), us(6.0));
@@ -996,7 +972,7 @@ mod tests {
             for _ in 0..num_tasks {
                 // Reuse the last route now and then, as tasks of one
                 // logical edge do.
-                let route = match p.num_tasks() {
+                let route = match p.tasks.len() {
                     n if n > 0 && rng.below(3) == 0 => p.tasks[n - 1].route,
                     _ => p.add_route(path_of(rng.next_u64())),
                 };
@@ -1011,7 +987,7 @@ mod tests {
                 let now = us(step as f64);
                 let (op, pick, mask) = (rng.below(7), rng.below(1 << 16), rng.next_u64());
                 let with = |p: &ChannelPool, want: &[TaskState]| -> Option<u32> {
-                    let ids: Vec<u32> = (0..p.num_tasks() as u32)
+                    let ids: Vec<u32> = (0..p.tasks.len() as u32)
                         .filter(|&t| want.contains(&p.tasks[t as usize].state))
                         .collect();
                     (!ids.is_empty()).then(|| ids[pick as usize % ids.len()])

@@ -360,13 +360,13 @@ fn run_in(
         if g >= streams.len() {
             streams.resize_with(g + 1, || None);
         }
-        streams[g].get_or_insert_with(ComputeStream::new);
+        streams[g].get_or_insert_with(|| ComputeStream::new(1.0));
     }
     let num_streams = streams.iter().flatten().count();
 
     // Exclusive resources bound the in-flight completions; every fault
     // window adds at most two boundary events.
-    kernel.reset(0);
+    kernel.reset();
     kernel.reserve((nt + nc).min(num_resources + num_streams) + 2 * plan.len());
 
     let mut sched = Sched {

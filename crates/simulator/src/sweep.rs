@@ -139,44 +139,6 @@ where
     sweep(points, threads, |i, c| f(i, c, root.fork(i as u64)))
 }
 
-/// Splits a `--threads N` flag out of CLI arguments.
-///
-/// Returns the remaining arguments and the requested worker count,
-/// defaulting to [`available_threads`] when the flag is absent. Accepts
-/// both `--threads N` and `--threads=N`.
-///
-/// # Errors
-///
-/// Returns a human-readable message if the flag is present but its
-/// value is missing or not a positive integer.
-pub fn threads_from_args(args: &[String]) -> Result<(Vec<String>, usize), String> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut threads = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--threads" {
-            let value = iter
-                .next()
-                .ok_or_else(|| "--threads requires a value".to_string())?;
-            threads = Some(parse_threads(value)?);
-        } else if let Some(value) = arg.strip_prefix("--threads=") {
-            threads = Some(parse_threads(value)?);
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    Ok((rest, threads.unwrap_or_else(available_threads)))
-}
-
-fn parse_threads(value: &str) -> Result<usize, String> {
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "--threads expects a positive integer, got {value:?}"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,22 +176,6 @@ mod tests {
         }
         // A different seed produces different streams.
         assert_ne!(sweep_seeded(&points, 43, 4, draw), serial);
-    }
-
-    #[test]
-    fn threads_flag_parses_and_strips() {
-        let args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        let (rest, t) = threads_from_args(&args(&["figures", "--threads", "4", "out"])).unwrap();
-        assert_eq!(rest, args(&["figures", "out"]));
-        assert_eq!(t, 4);
-        let (rest, t) = threads_from_args(&args(&["--threads=2"])).unwrap();
-        assert!(rest.is_empty());
-        assert_eq!(t, 2);
-        let (_, t) = threads_from_args(&args(&["x"])).unwrap();
-        assert_eq!(t, available_threads());
-        assert!(threads_from_args(&args(&["--threads"])).is_err());
-        assert!(threads_from_args(&args(&["--threads", "0"])).is_err());
-        assert!(threads_from_args(&args(&["--threads", "nope"])).is_err());
     }
 
     #[test]

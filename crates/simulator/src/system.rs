@@ -12,11 +12,11 @@
 //! one scheduler every entry point shares:
 //!
 //! * transfers behave exactly as in [`simulate`](crate::simulate) — the
-//!   same [`ChannelPool`](crate::ChannelPool) arbitration, honoring
+//!   same channel-pool arbitration, honoring
 //!   [`SimOptions::arbitration`](crate::engine::SimOptions::arbitration);
-//! * each GPU is one exclusive [`ComputeStream`](crate::ComputeStream)
-//!   — at most one compute task runs on it at a time, in readiness order
-//!   (a single compute stream, like the paper's implementation).
+//! * each GPU is one exclusive compute stream — at most one compute
+//!   task runs on it at a time, in readiness order (a single compute
+//!   stream, like the paper's implementation).
 //!
 //! Completions pop in `(time, node id, transfer-before-compute)` order.
 

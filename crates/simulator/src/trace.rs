@@ -1,9 +1,9 @@
 //! Structured simulation traces.
 //!
-//! Every engine built on the [`kernel`](crate::kernel) records what
-//! happened as typed [`TraceRecord`]s in a [`SimTrace`] — transfer and
-//! compute start/end, channel grants, queue waits, and detour hops — so
-//! runs can be inspected, diffed, and replayed without parsing log text.
+//! Every entry point of the one scheduler records what happened as
+//! typed [`TraceRecord`]s in a [`SimTrace`] — transfer and compute
+//! start/end, channel grants, queue waits, and detour hops — so runs can
+//! be inspected, diffed, and replayed without parsing log text.
 //! The trace is a bounded ring buffer: pushing past the capacity drops
 //! the **oldest** records (counted in [`SimTrace::dropped`]) so that long
 //! simulations keep the recent past at a fixed memory cost.
@@ -348,7 +348,9 @@ impl SimTrace {
     /// the export's microsecond precision, so `to_csv` of the result
     /// reproduces the input byte-for-byte when the input came from
     /// `to_csv`. Fails with a line-numbered message on an unknown record
-    /// kind or a malformed field; the header line is required.
+    /// kind or a malformed field — a timestamp or wait that is not a
+    /// finite, non-negative number included; the header line is
+    /// required.
     pub fn from_csv(csv: &str) -> Result<SimTrace, String> {
         use ccube_collectives::TransferId;
         let mut lines = csv.lines();
@@ -367,10 +369,11 @@ impl SimTrace {
                 return Err(err("expected 5 columns"));
             }
             let id = |c: &str| c.parse::<u32>().map_err(|_| err("bad id"));
-            let at = |c: &str| {
-                c.parse::<f64>()
-                    .map(Seconds::from_micros)
-                    .map_err(|_| err("bad timestamp"))
+            // Times and waits are finite and non-negative: anything else
+            // would poison every later comparison and binning.
+            let at = |c: &str| match c.parse::<f64>() {
+                Ok(us) if us.is_finite() && us >= 0.0 => Ok(Seconds::from_micros(us)),
+                _ => Err(err("bad timestamp")),
             };
             records.push(match cols[0] {
                 "transfer_start" => TraceRecord::TransferStart {
@@ -982,6 +985,26 @@ mod tests {
         assert!(csv.contains("fault_start,1,,2.000,"));
         assert!(csv.contains("reroute,7,,2.000,"));
         assert!(csv.contains("fault_end,1,,9.000,"));
+    }
+
+    #[test]
+    fn from_csv_rejects_non_finite_and_negative_times() {
+        let header = "kind,id,channel_or_gpu,t_us,extra_us\n";
+        let parse = |row: &str| SimTrace::from_csv(&format!("{header}{row}\n"));
+        assert!(parse("transfer_end,1,,3.000,").is_ok());
+        assert!(parse("queue_wait,1,,2.000,0.000").is_ok());
+        for row in [
+            "transfer_end,1,,NaN,",
+            "transfer_end,1,,inf,",
+            "transfer_end,1,,-inf,",
+            "transfer_end,1,,-1.000,",
+            "queue_wait,1,,inf,1.000",
+            "queue_wait,1,,2.000,NaN",
+            "queue_wait,1,,2.000,-1.000",
+        ] {
+            let err = parse(row).unwrap_err();
+            assert!(err.starts_with("line 2: bad timestamp"), "{row}: {err}");
+        }
     }
 
     #[test]

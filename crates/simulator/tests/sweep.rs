@@ -6,8 +6,8 @@
 //! forking rule that makes seeded sweeps order-independent.
 
 use ccube_collectives::{ring_allreduce, Embedding};
-use ccube_sim::kernel::SimRng;
 use ccube_sim::sweep::{sweep, sweep_seeded};
+use ccube_sim::SimRng;
 use ccube_sim::{simulate, SimOptions, SimReport};
 use ccube_topology::{dgx1, ByteSize};
 use proptest::prelude::*;

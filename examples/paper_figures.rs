@@ -3,28 +3,21 @@
 //! argument).
 //!
 //! ```text
-//! cargo run --release --example paper_figures [out_dir] [--threads N]
+//! cargo run --release --example paper_figures [out_dir]
 //! ```
 //!
-//! `--threads` defaults to the machine's available parallelism; the
-//! CSVs are bit-identical at any worker count (see `ccube_sim::sweep`).
+//! The sweeps use every available core; the CSVs are bit-identical at
+//! any worker count (see `ccube_sim::sweep`).
 
 use ccube::experiments;
 use std::path::PathBuf;
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (args, threads) = match ccube_sim::threads_from_args(&raw) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let dir = args
-        .first()
+    let dir = std::env::args()
+        .nth(1)
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("target/figures"));
+    let threads = ccube_sim::available_threads();
 
     println!("== Fig. 1: AllReduce share of execution time ==");
     for row in experiments::fig01::run() {

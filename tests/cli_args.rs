@@ -23,6 +23,8 @@ fn scaleout_rejects_malformed_arguments() {
         &["16", "6x4"],
         &["16", "0"],
         &["16", "1", "--bogus"],
+        // 2^44 MiB is 2^64 bytes: one past what a byte count can hold.
+        &["16", "17592186044416"],
     ] {
         let out = scaleout(args);
         assert_eq!(out.status.code(), Some(2), "scaleout {args:?}");
@@ -52,6 +54,7 @@ fn timeline_compare_and_train_reject_malformed_counts() {
     for args in [
         &["timeline", "abc"][..],
         &["timeline", "0"],
+        &["timeline", "17592186044416"],
         &["compare", "resnet50", "x"],
         &["compare", "resnet50", "0"],
         &["compare", "resnet50", "0", "--low"],
@@ -65,6 +68,75 @@ fn timeline_compare_and_train_reject_malformed_counts() {
         let prefix = format!("{}: ", args[0]);
         assert!(err.starts_with(&prefix), "ccube {args:?}: {err}");
     }
+}
+
+#[test]
+fn threads_flag_rejects_bad_values_and_runs_on_good_ones() {
+    for args in [
+        &["rings", "--threads"][..],
+        &["rings", "--threads", "0"],
+        &["rings", "--threads", "nope"],
+        &["rings", "--threads=0"],
+    ] {
+        let out = ccube(args);
+        assert_eq!(out.status.code(), Some(2), "ccube {args:?}");
+        assert!(out.stdout.is_empty(), "ccube {args:?} printed output");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("--threads "), "ccube {args:?}: {err}");
+    }
+    // Either spelling, before or after the subcommand; the flag is
+    // stripped and the rest of the arguments are kept.
+    for args in [
+        &["scaleout", "8", "1", "--threads=2"][..],
+        &["--threads", "2", "scaleout", "8", "1"],
+    ] {
+        let out = ccube(args);
+        assert!(out.status.success(), "ccube {args:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 2);
+    }
+}
+
+/// A one-record trace CSV whose transfer ends at `t_us`.
+fn trace_csv(t_us: &str) -> String {
+    format!("kind,id,channel_or_gpu,t_us,extra_us\ntransfer_end,0,,{t_us},\n")
+}
+
+#[test]
+fn trace_diff_rejects_non_finite_and_negative_timestamps() {
+    let dir = std::env::temp_dir().join(format!("ccube_cli_trace_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let good = dir.join("good.csv");
+    std::fs::write(&good, trace_csv("1.000")).unwrap();
+    let html = dir.join("out.html");
+    for (t_us, with_html) in [
+        ("NaN", false),
+        ("inf", true),
+        ("-1.000", false),
+        ("-inf", true),
+    ] {
+        let bad = dir.join("bad.csv");
+        std::fs::write(&bad, trace_csv(t_us)).unwrap();
+        let mut args = vec![
+            "trace".as_ref(),
+            "--diff".as_ref(),
+            bad.as_os_str(),
+            good.as_os_str(),
+        ];
+        if with_html {
+            args.extend(["--html".as_ref(), html.as_os_str()]);
+        }
+        let out = Command::new(env!("CARGO_BIN_EXE_ccube"))
+            .args(&args)
+            .output()
+            .expect("ccube runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "t_us {t_us}: {err}");
+        assert!(!err.contains("panicked"), "t_us {t_us}: {err}");
+        assert!(err.contains("line 2: bad timestamp"), "t_us {t_us}: {err}");
+        assert!(!html.exists(), "t_us {t_us} wrote a viewer");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -48,9 +48,6 @@ fn parsed_flags() -> Vec<String> {
         }
         rest = &rest[end..];
     }
-    // `--threads N` is parsed by `ccube_sim::threads_from_args`, outside
-    // this source file, but is user-facing all the same.
-    flags.insert("--threads".to_string());
     flags.into_iter().collect()
 }
 
