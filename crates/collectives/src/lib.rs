@@ -68,7 +68,8 @@ pub use analyze::{AnalyzeOptions, Diagnostic, LintCode, LintReport, Severity, Sp
 pub use chunk::{ChunkId, Chunking};
 pub use embedding::{EdgeKey, Embedding, EmbeddingError};
 pub use lowering::{
-    lower_schedule, lower_to_ports, LinkTiming, LowerError, PreparedLowering, TransferSpec,
+    hop_time, lower_schedule, lower_to_ports, port_transit_time, LinkTiming, LowerError,
+    PreparedLowering, TransferSpec, Wormhole,
 };
 pub use physical::{
     analyze_physical, fabric_lower_bound, gate_physical, makespan_lower_bound,

@@ -21,7 +21,10 @@
 use crate::chunk::ChunkId;
 use crate::embedding::{EdgeKey, Embedding};
 use crate::schedule::{EdgeHashBuilder, Schedule, TransferId};
-use ccube_topology::{ByteSize, ChannelId, FabricGraph, GpuId, PortId, Route, Seconds, Topology};
+use ccube_topology::{
+    Bandwidth, ByteSize, ChannelId, FabricGraph, FabricPort, GpuId, PortId, Route, Seconds,
+    Topology,
+};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -150,10 +153,98 @@ pub fn lower_to_ports(specs: &[TransferSpec], fabric: &FabricGraph) -> Vec<Vec<P
     specs.iter().map(|s| fabric.port_route(&s.path)).collect()
 }
 
-/// One logical edge's route, resolved once and stored with the two
-/// timing coefficients of the wormhole model, so durations can be
-/// computed for any payload size and [`LinkTiming`] without touching the
-/// embedding or the topology again.
+/// The two timing coefficients of the wormhole model over a hop
+/// sequence, from which a transit time follows for any payload and
+/// [`LinkTiming`]. The one place the model is written down: the
+/// lowering, fault re-routing, the switch fabric and the certified
+/// bounds all time transfers through it, so they agree float for float.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Wormhole {
+    /// Σ per-hop latency, accumulated in hop order — the forwarding
+    /// latency of detours is *not* folded in, because it is a per-point
+    /// timing knob.
+    alpha: Seconds,
+    /// The bottleneck bandwidth in bytes/sec at nominal scale.
+    bottleneck: f64,
+}
+
+impl Wormhole {
+    /// The coefficients of `hops`, each a `(latency, bandwidth)` pair,
+    /// in route order.
+    pub fn over(hops: impl IntoIterator<Item = (Seconds, Bandwidth)>) -> Self {
+        let mut w = Wormhole {
+            alpha: Seconds::ZERO,
+            bottleneck: f64::INFINITY,
+        };
+        for (latency, bandwidth) in hops {
+            w.alpha += latency;
+            w.bottleneck = w.bottleneck.min(bandwidth.as_bytes_per_sec());
+        }
+        w
+    }
+
+    /// The coefficients of a channel path of `topo`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a channel is not in `topo`.
+    pub fn of_channels(topo: &Topology, path: &[ChannelId]) -> Self {
+        Wormhole::over(path.iter().map(|&c| {
+            let ch = topo.channel(c);
+            (ch.latency(), ch.bandwidth())
+        }))
+    }
+
+    /// The transit time of `bytes`: `Σ latency (+ forwarding latency for
+    /// a detour) + bytes / (bottleneck × bandwidth_scale)`.
+    pub fn duration(&self, bytes: ByteSize, detour: bool, timing: &LinkTiming) -> Seconds {
+        let mut alpha = self.alpha;
+        if detour {
+            alpha += timing.forwarding_latency;
+        }
+        alpha + Seconds::new(bytes.as_f64() / (self.bottleneck * timing.bandwidth_scale))
+    }
+}
+
+/// The store-and-forward time of one port hop: its latency plus one
+/// serialization of `bytes` at its scaled bandwidth.
+pub fn hop_time(port: &FabricPort, bytes: ByteSize, timing: &LinkTiming) -> Seconds {
+    let bandwidth = port.bandwidth().as_bytes_per_sec() * timing.bandwidth_scale;
+    port.latency() + Seconds::new(bytes.as_f64() / bandwidth)
+}
+
+/// The transit time of `bytes` over a port route of `fabric`: the
+/// [`Wormhole`] model (cut-through), or one [`hop_time`] per port summed
+/// in hop order (`store_forward`). A detour adds the forwarding latency
+/// last. Under a passthrough fabric the cut-through time equals the
+/// channel lowering's exactly.
+pub fn port_transit_time(
+    fabric: &FabricGraph,
+    route: &[PortId],
+    bytes: ByteSize,
+    detour: bool,
+    timing: &LinkTiming,
+    store_forward: bool,
+) -> Seconds {
+    let ports = route.iter().map(|&p| fabric.port(p));
+    if !store_forward {
+        return Wormhole::over(ports.map(|p| (p.latency(), p.bandwidth())))
+            .duration(bytes, detour, timing);
+    }
+    let mut total = Seconds::ZERO;
+    for port in ports {
+        total += hop_time(port, bytes, timing);
+    }
+    if detour {
+        total += timing.forwarding_latency;
+    }
+    total
+}
+
+/// One logical edge's route, resolved once and stored with its
+/// [`Wormhole`] coefficients, so durations can be computed for any
+/// payload size and [`LinkTiming`] without touching the embedding or the
+/// topology again.
 #[derive(Debug, Clone, PartialEq)]
 struct PreparedRoute {
     /// The physical channels the route occupies, in hop order; every
@@ -161,12 +252,7 @@ struct PreparedRoute {
     path: Arc<[ChannelId]>,
     /// The intermediate GPU for detour routes.
     via: Option<GpuId>,
-    /// Σ per-hop channel latency, accumulated in hop order — the
-    /// forwarding latency of detours is *not* folded in, because it is a
-    /// per-point timing knob.
-    alpha: Seconds,
-    /// The route's bottleneck bandwidth in bytes/sec at nominal scale.
-    bottleneck: f64,
+    wormhole: Wormhole,
 }
 
 impl PreparedRoute {
@@ -174,24 +260,16 @@ impl PreparedRoute {
     /// coefficients.
     fn resolve(edge: EdgeKey, route: &Route, topo: &Topology) -> Result<Self, LowerError> {
         let num_channels = topo.channels().len();
-        let mut alpha = Seconds::ZERO;
-        let mut bottleneck = f64::INFINITY;
-        for &c in route.channels() {
-            if c.index() >= num_channels {
-                return Err(LowerError::UnknownChannel {
-                    edge,
-                    channel_index: c.index(),
-                });
-            }
-            let ch = topo.channel(c);
-            alpha += ch.latency();
-            bottleneck = bottleneck.min(ch.bandwidth().as_bytes_per_sec());
+        if let Some(c) = route.channels().iter().find(|c| c.index() >= num_channels) {
+            return Err(LowerError::UnknownChannel {
+                edge,
+                channel_index: c.index(),
+            });
         }
         Ok(PreparedRoute {
             path: route.channels().into(),
             via: route.via(),
-            alpha,
-            bottleneck,
+            wormhole: Wormhole::of_channels(topo, route.channels()),
         })
     }
 }
@@ -205,9 +283,8 @@ impl PreparedRoute {
 /// Equivalence contract: for the schedule/embedding/topology it was
 /// prepared from — or any schedule with the same transfers modulo
 /// payload sizes — `lower()` equals [`lower_schedule`] at that payload
-/// exactly, float bits included: `alpha` accumulates per hop, the
-/// forwarding latency is added last, and serialization divides by
-/// `bottleneck × bandwidth_scale`.
+/// exactly, float bits included: both time every route through its
+/// [`Wormhole`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedLowering {
     /// One entry per distinct logical edge, in first-use order.
@@ -283,18 +360,12 @@ impl PreparedLowering {
             .zip(&self.route_of)
             .map(|(t, &r)| {
                 let r = &self.routes[r as usize];
-                let mut alpha = r.alpha;
-                if r.via.is_some() {
-                    alpha += timing.forwarding_latency;
-                }
-                let serialization =
-                    Seconds::new(t.bytes.as_f64() / (r.bottleneck * timing.bandwidth_scale));
                 TransferSpec {
                     id: t.id,
                     chunk: t.chunk,
                     path: Arc::clone(&r.path),
                     via: r.via,
-                    duration: alpha + serialization,
+                    duration: r.wormhole.duration(t.bytes, r.via.is_some(), timing),
                     bytes: t.bytes,
                 }
             })

@@ -78,7 +78,9 @@
 
 use crate::analyze::{LintCode, LintReport, Span};
 use crate::embedding::{EdgeKey, Embedding};
-use crate::lowering::{lower_schedule, LinkTiming, LowerError, TransferSpec};
+use crate::lowering::{
+    hop_time, lower_schedule, port_transit_time, LinkTiming, LowerError, TransferSpec,
+};
 use crate::schedule::Schedule;
 use ccube_topology::{
     ChannelClass, ChannelId, FabricGraph, PortId, PortKind, Seconds, SwitchId, Topology,
@@ -294,44 +296,6 @@ fn channel_congestion(specs: &[TransferSpec], num_channels: usize) -> (Seconds, 
     (max, arg)
 }
 
-/// Transit time of a port route, mirroring the simulator's
-/// `duration_on` float-for-float in both hop modes.
-fn port_duration(
-    fabric: &FabricGraph,
-    route: &[PortId],
-    bytes: ccube_topology::ByteSize,
-    detour: bool,
-    opts: &PhysicalAnalyzeOptions,
-) -> Seconds {
-    let timing = &opts.timing;
-    if opts.store_forward {
-        let mut total = Seconds::ZERO;
-        for &p in route {
-            let port = fabric.port(p);
-            total += port.latency()
-                + Seconds::new(
-                    bytes.as_f64() / (port.bandwidth().as_bytes_per_sec() * timing.bandwidth_scale),
-                );
-        }
-        if detour {
-            total += timing.forwarding_latency;
-        }
-        total
-    } else {
-        let mut alpha = Seconds::ZERO;
-        let mut bottleneck = f64::INFINITY;
-        for &p in route {
-            let port = fabric.port(p);
-            alpha += port.latency();
-            bottleneck = bottleneck.min(port.bandwidth().as_bytes_per_sec());
-        }
-        if detour {
-            alpha += timing.forwarding_latency;
-        }
-        alpha + Seconds::new(bytes.as_f64() / (bottleneck * timing.bandwidth_scale))
-    }
-}
-
 /// Per-port congestion charges of the port-level bound: endpoint ports
 /// exact, uplink ports pooled per (leaf, direction).
 struct PortLoads {
@@ -356,7 +320,14 @@ fn port_loads(
     let mut durations = Vec::with_capacity(specs.len());
     for s in specs {
         let route = fabric.port_route(&s.path);
-        let duration = port_duration(fabric, &route, s.bytes, s.via.is_some(), opts);
+        let duration = port_transit_time(
+            fabric,
+            &route,
+            s.bytes,
+            s.via.is_some(),
+            timing,
+            opts.store_forward,
+        );
         durations.push(duration);
         let mut seen: Vec<PortId> = Vec::with_capacity(route.len());
         for (h, &p) in route.iter().enumerate() {
@@ -370,11 +341,7 @@ fn port_loads(
             // detour forwarding latency lands on the last hop, as in
             // the engine).
             let mut charge = if opts.store_forward {
-                port.latency()
-                    + Seconds::new(
-                        s.bytes.as_f64()
-                            / (port.bandwidth().as_bytes_per_sec() * timing.bandwidth_scale),
-                    )
+                hop_time(port, s.bytes, timing)
             } else {
                 duration
             };

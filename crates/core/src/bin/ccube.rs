@@ -24,9 +24,10 @@
 //! ccube lint [case|all] [--json]   static schedule analyzer (CC001.. lints)
 //! ```
 //!
-//! Sweep-backed commands (`figures`, `scaleout`, `search`, `faults`)
-//! accept `--threads N` (default: the machine's available parallelism);
-//! the output is bit-identical at any worker count. DES-backed commands
+//! Sweeps (`figures`, `scaleout`, `search` without `--bounds`, the
+//! `faults` grid) accept `--threads N`, before or after the subcommand
+//! (default: the machine's available parallelism); the output is
+//! bit-identical at any worker count. DES-backed commands
 //! (`figures`, `scaleout`, `faults`, `trace`) accept `--fabric
 //! {approx,switch}` to pick the network model: `approx` (default) is the
 //! channel approximation, `switch` runs the componentized switch fabric
@@ -77,8 +78,9 @@ commands:
   lint --physical [case|all]       physical-layer analyzer (CC015.. lints:
                                    fabric hazards, bounds, fault severance)
 
-figures/scaleout/search/faults take --threads N (default: all cores);
-results are bit-identical at any worker count.
+figures/scaleout/search/faults take --threads N (default: all cores;
+not search --bounds or faults --smoke, --shrink, --html); results are
+bit-identical at any worker count.
 figures/scaleout/faults/trace take --fabric {approx,switch}:
 the channel approximation (default) or the componentized switch fabric.
 the spine/leaf fabric is shaped with --radix N, --spines N, --uplinks N
@@ -128,14 +130,15 @@ fn network_by_name(name: &str) -> Option<NetworkModel> {
     }
 }
 
-fn cmd_figures(args: &[String], threads: usize) -> CmdResult {
-    let (args, fabric) = fabric_from_args(args)?;
+fn cmd_figures(args: &[String]) -> CmdResult {
+    let (args, threads) = threads_flag(args)?;
+    let (args, fabric) = fabric_from_args(&args)?;
     let (dir, []) = check_args(&args, [], 1)?;
     let dir = dir
         .first()
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("target/figures"));
-    match experiments::run_all(&dir, threads, fabric) {
+    match experiments::run_all(&dir, workers(threads), fabric) {
         Ok(paths) => {
             println!("wrote {} CSV files to {}", paths.len(), dir.display());
             for p in paths {
@@ -194,8 +197,9 @@ fn cmd_compare(args: &[String]) -> CmdResult {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_scaleout(args: &[String], threads: usize) -> CmdResult {
-    let (args, fabric) = fabric_from_args(args)?;
+fn cmd_scaleout(args: &[String]) -> CmdResult {
+    let (args, threads) = threads_flag(args)?;
+    let (args, fabric) = fabric_from_args(&args)?;
     let (args, []) = check_args(&args, [], usize::MAX)?;
     let max_p = match args.first() {
         None => 128,
@@ -218,14 +222,18 @@ fn cmd_scaleout(args: &[String], threads: usize) -> CmdResult {
         ps.push(p);
         p *= 2;
     }
-    for row in experiments::fig14::run_with_threads_net(&ps, &sizes, threads, fabric) {
+    for row in experiments::fig14::run_with_threads_net(&ps, &sizes, workers(threads), fabric) {
         println!("{row}");
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_search(args: &[String], threads: usize) -> CmdResult {
-    let (_, [bounds]) = check_args(args, ["--bounds"], 0)?;
+fn cmd_search(args: &[String]) -> CmdResult {
+    let (args, threads) = threads_flag(args)?;
+    let (_, [bounds]) = check_args(&args, ["--bounds"], 0)?;
+    if bounds && threads.is_some() {
+        return Err("--bounds runs serially; it takes no --threads".to_string());
+    }
     println!("schedule policy search: topology x tree shape x arbitration x chunks");
     let rows = if bounds {
         let outcome = experiments::policy_search::run_bounded();
@@ -247,7 +255,7 @@ fn cmd_search(args: &[String], threads: usize) -> CmdResult {
         }
         outcome.rows
     } else {
-        let outcome = experiments::policy_search::run_full(threads);
+        let outcome = experiments::policy_search::run_full(workers(threads));
         println!(
             "static gate pruned {} invalid candidate(s) before simulation:",
             outcome.pruned.len()
@@ -463,16 +471,21 @@ fn fabric_from_args(args: &[String]) -> Result<(Vec<String>, ccube_sim::NetworkM
     }
 }
 
-/// [`split_flag`] for the global `--threads N` (the sweep worker count),
-/// defaulting to the machine's available parallelism.
-fn threads_flag(args: &[String]) -> Result<(Vec<String>, usize), String> {
+/// [`split_flag`] for `--threads N`, the worker count of a sweep.
+fn threads_flag(args: &[String]) -> Result<(Vec<String>, Option<usize>), String> {
     let (rest, value) = split_flag(args, "--threads")?;
-    let threads = match value {
-        None => ccube_sim::available_threads(),
-        Some(v) => positive(&v)
-            .ok_or_else(|| format!("--threads expects a positive integer, got {v:?}"))?,
-    };
+    let threads = value
+        .map(|v| {
+            positive(&v).ok_or_else(|| format!("--threads expects a positive integer, got {v:?}"))
+        })
+        .transpose()?;
     Ok((rest, threads))
+}
+
+/// The sweep worker count: `--threads`, or the machine's available
+/// parallelism.
+fn workers(threads: Option<usize>) -> usize {
+    threads.unwrap_or_else(ccube_sim::available_threads)
 }
 
 /// [`split_flag`] for a flag whose value is a seed (`--seed N`,
@@ -507,31 +520,39 @@ fn write_or_print(out: Option<&String>, content: &str) -> ExitCode {
     }
 }
 
-fn cmd_faults(args: &[String], threads: usize) -> CmdResult {
+fn cmd_faults(args: &[String]) -> CmdResult {
     use ccube::experiments::resilience;
-    let (args, fabric) = fabric_from_args(args)?;
-    let (args, shrink) = seed_flag(&args, "--shrink")?;
+    let (args, threads) = threads_flag(args)?;
+    let (rest, fabric) = fabric_from_args(&args)?;
+    let fabric_given = rest.len() < args.len();
+    let (args, shrink) = seed_flag(&rest, "--shrink")?;
     let (args, seed) = seed_flag(&args, "--seed")?;
     let (args, html) = split_flag(&args, "--html")?;
     let (out, [smoke]) = check_args(&args, ["--smoke"], 1)?;
     let out = out.first();
     if let Some(shrink) = shrink {
-        if seed.is_some() || smoke || html.is_some() || out.is_some() {
-            return Err("--shrink takes no --seed, --smoke, --html or output path".to_string());
+        if seed.is_some() || smoke || html.is_some() || threads.is_some() || out.is_some() {
+            return Err(
+                "--shrink takes no --seed, --smoke, --html, --threads or output path".to_string(),
+            );
         }
         return Ok(cmd_faults_shrink(shrink, fabric));
     }
-    if smoke && seed.is_some() {
-        return Err("--smoke runs the default seed; it takes no --seed".to_string());
+    if smoke && (seed.is_some() || threads.is_some()) {
+        return Err(
+            "--smoke runs the default seed serially; it takes no --seed or --threads".to_string(),
+        );
     }
     let seed = seed.unwrap_or(resilience::DEFAULT_SEED);
     if let Some(path) = html {
-        if smoke || out.is_some() {
-            return Err("--html takes no --smoke or output path".to_string());
+        if smoke || threads.is_some() || fabric_given || out.is_some() {
+            return Err(
+                "--html takes no --smoke, --threads, fabric flags or output path".to_string(),
+            );
         }
         // The explorable fabric-failover figure: k=1 vs k=2 uplinks
         // under the same seeded slot-0 outage, side by side. The demo
-        // is inherently a switch-fabric run, so --fabric is ignored.
+        // fixes its own switch fabric, so it reads no fabric flags.
         return Ok(write_or_print(
             Some(&path),
             &resilience::fabric_demo_html(seed),
@@ -540,7 +561,7 @@ fn cmd_faults(args: &[String], threads: usize) -> CmdResult {
     let rows = if smoke {
         resilience::run_smoke_network(fabric)
     } else {
-        resilience::run_with_network(seed, threads, fabric)
+        resilience::run_with_network(seed, workers(threads), fabric)
     };
     if out.is_none() {
         for row in &rows {
@@ -902,28 +923,32 @@ fn cmd_rings(args: &[String]) -> CmdResult {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (args, threads) = match threads_flag(&raw) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
+    // `--threads N` may precede the subcommand; it stays in the
+    // subcommand's arguments, for the sweeps to read and the rest to
+    // reject.
+    let mut at = 0;
+    while let Some(arg) = raw.get(at) {
+        match arg.as_str() {
+            "--threads" => at += 2,
+            a if a.starts_with("--threads=") => at += 1,
+            _ => break,
         }
-    };
-    let Some(command) = args.first() else {
+    }
+    let Some(command) = raw.get(at) else {
         return usage();
     };
-    let rest = &args[1..];
+    let rest: Vec<String> = raw[..at].iter().chain(&raw[at + 1..]).cloned().collect();
     let result = match command.as_str() {
-        "figures" => cmd_figures(rest, threads),
-        "compare" => cmd_compare(rest),
-        "scaleout" => cmd_scaleout(rest, threads),
-        "search" => cmd_search(rest, threads),
-        "timeline" => cmd_timeline(rest),
-        "train" => cmd_train(rest),
-        "rings" => cmd_rings(rest),
-        "faults" => cmd_faults(rest, threads),
-        "trace" => cmd_trace(rest),
-        "lint" => cmd_lint(rest),
+        "figures" => cmd_figures(&rest),
+        "compare" => cmd_compare(&rest),
+        "scaleout" => cmd_scaleout(&rest),
+        "search" => cmd_search(&rest),
+        "timeline" => cmd_timeline(&rest),
+        "train" => cmd_train(&rest),
+        "rings" => cmd_rings(&rest),
+        "faults" => cmd_faults(&rest),
+        "trace" => cmd_trace(&rest),
+        "lint" => cmd_lint(&rest),
         "help" | "--help" | "-h" => {
             usage();
             return ExitCode::SUCCESS;

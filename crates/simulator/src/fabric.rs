@@ -25,7 +25,7 @@
 
 use crate::engine::SimOptions;
 use crate::resource::ChannelPool;
-use ccube_collectives::LinkTiming;
+use ccube_collectives::{port_transit_time, LinkTiming};
 use ccube_topology::{
     ByteSize, ChannelId, FabricConfig, FabricGraph, PortId, PortKind, Seconds, Topology,
 };
@@ -214,59 +214,24 @@ impl FabricMap {
             .collect()
     }
 
-    /// End-to-end duration of a transfer over `channels` in this fabric.
-    /// Cut-through mirrors `lower_schedule`'s wormhole model over the
-    /// port path (so a passthrough fabric reproduces it exactly);
-    /// store-and-forward sums one serialization per port.
+    /// End-to-end duration of a transfer over a port `route`:
+    /// [`port_transit_time`] under the fabric's hop mode, so a
+    /// passthrough fabric reproduces the lowering exactly.
     pub(crate) fn duration(
-        &self,
-        channels: &[ChannelId],
-        bytes: ByteSize,
-        detour: bool,
-        timing: &LinkTiming,
-    ) -> Seconds {
-        self.duration_on(&self.graph.port_route(channels), bytes, detour, timing)
-    }
-
-    /// [`FabricMap::duration`] over an already-expanded port route, for
-    /// callers that also need the route itself.
-    pub(crate) fn duration_on(
         &self,
         route: &[PortId],
         bytes: ByteSize,
         detour: bool,
         timing: &LinkTiming,
     ) -> Seconds {
-        match self.hop_mode {
-            HopMode::CutThrough => {
-                let mut alpha = Seconds::ZERO;
-                let mut bottleneck = f64::INFINITY;
-                for &p in route {
-                    let port = self.graph.port(p);
-                    alpha += port.latency();
-                    bottleneck = bottleneck.min(port.bandwidth().as_bytes_per_sec());
-                }
-                if detour {
-                    alpha += timing.forwarding_latency;
-                }
-                alpha + Seconds::new(bytes.as_f64() / (bottleneck * timing.bandwidth_scale))
-            }
-            HopMode::StoreForward => {
-                let mut total = Seconds::ZERO;
-                for &p in route {
-                    let port = self.graph.port(p);
-                    total += port.latency()
-                        + Seconds::new(
-                            bytes.as_f64()
-                                / (port.bandwidth().as_bytes_per_sec() * timing.bandwidth_scale),
-                        );
-                }
-                if detour {
-                    total += timing.forwarding_latency;
-                }
-                total
-            }
-        }
+        port_transit_time(
+            &self.graph,
+            route,
+            bytes,
+            detour,
+            timing,
+            self.hop_mode == HopMode::StoreForward,
+        )
     }
 
     /// Folds a per-port quantity back to per-channel (each channel's

@@ -186,18 +186,6 @@ impl<E> Kernel<E> {
         self.heap.reserve(additional);
     }
 
-    /// Rewinds the kernel to a fresh `t = 0` state, keeping the event
-    /// heap's allocation. A reset kernel is observationally identical to
-    /// `Kernel::new()` — same clock, sequence counter and stats — so a
-    /// run on a recycled kernel replays bit-identically to one on a
-    /// fresh kernel (the arena-reuse contract the scheduler relies on).
-    pub fn reset(&mut self) {
-        self.now = Seconds::ZERO;
-        self.seq = 0;
-        self.heap.clear();
-        self.stats = KernelStats::default();
-    }
-
     /// The current simulation time (the timestamp of the last popped
     /// event).
     pub fn now(&self) -> Seconds {

@@ -199,42 +199,6 @@ impl ChannelPool {
         }
     }
 
-    /// Drains the pool back to the observable state of
-    /// `ChannelPool::new(num_channels, arbitration)` while keeping its
-    /// allocations: the route table, the task slots and the waiter
-    /// queues keep their capacity. A reset pool behaves bit-identically
-    /// to a fresh one — the arena-reuse contract.
-    pub fn reset(&mut self, num_channels: usize, arbitration: Arbitration) {
-        self.arbitration = arbitration;
-        self.route_channels.clear();
-        self.route_start.clear();
-        self.route_start.push(0);
-        self.tasks.clear();
-        self.free.clear();
-        self.free.resize(num_channels, true);
-        self.waiters.truncate(num_channels);
-        for w in &mut self.waiters {
-            w.clear();
-        }
-        self.waiters.resize_with(num_channels, VecDeque::new);
-        self.force_scratch.clear();
-        self.link_down.clear();
-        self.link_down.resize(num_channels, 0);
-        self.registered.clear();
-        self.registered.resize(num_channels, 0);
-        self.busy.clear();
-        self.busy.resize(num_channels, Seconds::ZERO);
-        self.intervals.truncate(num_channels);
-        for iv in &mut self.intervals {
-            iv.clear();
-        }
-        self.intervals.resize_with(num_channels, Vec::new);
-        self.queue_wait.clear();
-        self.queue_wait.resize(num_channels, Seconds::ZERO);
-        self.max_waiting = 0;
-        self.force_starts = 0;
-    }
-
     /// The channel path of `task`.
     pub fn path(&self, task: u32) -> &[ChannelId] {
         let route = self.tasks[task as usize].route;
@@ -536,8 +500,7 @@ impl ChannelPool {
     }
 
     /// Takes the per-channel busy intervals (each in completion order)
-    /// out of the pool, leaving an empty interval table behind (rebuilt
-    /// by the next [`ChannelPool::reset`]).
+    /// out of the pool, leaving an empty interval table behind.
     pub fn take_intervals(&mut self) -> Vec<Vec<BusyInterval>> {
         std::mem::take(&mut self.intervals)
     }

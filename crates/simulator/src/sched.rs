@@ -21,11 +21,11 @@
 //! index. A completion first unblocks its dependents, then serves the
 //! resource it released.
 //!
-//! Each thread keeps one [`SimArena`] (pool, kernel, dependency tables)
-//! and drains it on every run; the per-node fault state is allocated only
-//! when the plan has events.
+//! Every run builds its own pool, kernel and dependency tables, reserved
+//! exactly for its job, so no state outlives a run; the per-node fault
+//! state is allocated only when the plan has events.
 
-use crate::engine::{Arbitration, SimOptions};
+use crate::engine::SimOptions;
 use crate::error::SimError;
 use crate::fabric::{choose_uplinks, uplink_busy_of, FabricMap, UplinkPolicy};
 use crate::faults::{FaultEvent, FaultPlan};
@@ -36,9 +36,9 @@ use crate::system::{ComputeTask, ComputeTaskId};
 use crate::trace::{BusyInterval, SimTrace, TraceRecord};
 use ccube_collectives::{
     Embedding, LinkTiming, LowerError, PreparedLowering, Schedule, TransferId, TransferSpec,
+    Wormhole,
 };
 use ccube_topology::{ChannelClass, ChannelId, GpuId, PortId, Router, Seconds, SwitchId, Topology};
-use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// A borrowed simulation job: the transfers of `schedule`, plus compute
@@ -129,23 +129,18 @@ fn gate_and_lower(
 
 /// The reverse dependency edges of a job as one flat table (CSR): the
 /// dependents of node `n` are `ids[offsets[n]..offsets[n + 1]]` — two
-/// allocations per arena instead of one per node.
-#[derive(Default)]
+/// allocations instead of one per node.
 struct Dependents {
     offsets: Vec<u32>,
     ids: Vec<u32>,
 }
 
 impl Dependents {
-    /// Rebuilds the table for `job`, reusing its capacity, and sets
-    /// `deps_remaining` to every node's in-degree.
-    fn rebuild(&mut self, job: &Job<'_>, deps_remaining: &mut Vec<u32>) {
+    /// The table for `job`, and every node's in-degree.
+    fn new(job: &Job<'_>) -> (Self, Vec<u32>) {
         let n = job.schedule.transfers().len() + job.compute.len();
-        deps_remaining.clear();
-        deps_remaining.resize(n, 0);
-        let offsets = &mut self.offsets;
-        offsets.clear();
-        offsets.resize(n + 1, 0);
+        let mut deps_remaining = vec![0; n];
+        let mut offsets = vec![0; n + 1];
         job.for_each_edge(|from, to| {
             offsets[from + 1] += 1;
             deps_remaining[to as usize] += 1;
@@ -155,9 +150,7 @@ impl Dependents {
         }
         // Fill with `offsets[from]` as the write cursor, which leaves it
         // at the start of `from + 1`; shifting right by one restores it.
-        let ids = &mut self.ids;
-        ids.clear();
-        ids.resize(offsets[n] as usize, 0);
+        let mut ids = vec![0; offsets[n] as usize];
         job.for_each_edge(|from, to| {
             let slot = &mut offsets[from];
             ids[*slot as usize] = to;
@@ -165,40 +158,12 @@ impl Dependents {
         });
         offsets.copy_within(0..n, 1);
         offsets[0] = 0;
+        (Dependents { offsets, ids }, deps_remaining)
     }
 
     fn of(&self, node: usize) -> &[u32] {
         &self.ids[self.offsets[node] as usize..self.offsets[node + 1] as usize]
     }
-}
-
-/// The reusable per-thread state of [`run`]: drained ([`Kernel::reset`],
-/// [`ChannelPool::reset`]) and reused across runs — a sweep simulates
-/// once per grid point — instead of reallocated every time. Every run
-/// starts from a state identical to freshly constructed components, so
-/// reuse is observationally invisible.
-struct SimArena {
-    pool: ChannelPool,
-    kernel: Kernel<Ev>,
-    deps_remaining: Vec<u32>,
-    dependents: Dependents,
-    started: Vec<u32>,
-}
-
-impl Default for SimArena {
-    fn default() -> Self {
-        SimArena {
-            pool: ChannelPool::new(0, Arbitration::FifoHol),
-            kernel: Kernel::new(),
-            deps_remaining: Vec::new(),
-            dependents: Dependents::default(),
-            started: Vec::new(),
-        }
-    }
-}
-
-thread_local! {
-    static ARENA: RefCell<SimArena> = RefCell::new(SimArena::default());
 }
 
 /// Fault events pop *before* traffic completions at equal times: their
@@ -259,7 +224,7 @@ impl FaultState {
     }
 }
 
-/// Runs `job` under `plan` on the thread's arena. See the module docs.
+/// Runs `job` under `plan`. See the module docs.
 ///
 /// # Errors
 ///
@@ -273,17 +238,6 @@ pub(crate) fn run(
     embedding: &Embedding,
     opts: &SimOptions,
     plan: &FaultPlan,
-) -> Result<Run, SimError> {
-    ARENA.with(|arena| run_in(topo, job, embedding, opts, plan, &mut arena.borrow_mut()))
-}
-
-fn run_in(
-    topo: &Topology,
-    job: &Job<'_>,
-    embedding: &Embedding,
-    opts: &SimOptions,
-    plan: &FaultPlan,
-    arena: &mut SimArena,
 ) -> Result<Run, SimError> {
     let faulted = !plan.is_empty();
     if faulted {
@@ -312,14 +266,7 @@ fn run_in(
     let num_channels = topo.channels().len();
     let num_resources = fabric.as_ref().map_or(num_channels, |f| f.num_ports());
 
-    let SimArena {
-        pool,
-        kernel,
-        deps_remaining,
-        dependents,
-        started,
-    } = arena;
-    dependents.rebuild(job, deps_remaining);
+    let (dependents, mut deps_remaining) = Dependents::new(job);
 
     // The pool's routes are the lowering's, in its order. Under the
     // switch fabric they are port paths and durations follow the ports;
@@ -327,7 +274,7 @@ fn run_in(
     // declared. Pool task ids follow registration order, which is
     // transfer-id order (ids are dense and equal their index), so the
     // pool's `(chunk, id)` key is the transfer's.
-    pool.reset(num_resources, opts.arbitration);
+    let mut pool = ChannelPool::new(num_resources, opts.arbitration);
     pool.reserve_tasks(nt);
     match &fabric {
         Some(f) => {
@@ -337,7 +284,7 @@ fn run_in(
             }
             for (s, &r) in specs.iter_mut().zip(prepared.route_of()) {
                 let route = &port_routes[r as usize];
-                s.duration = f.duration_on(route, s.bytes, s.via.is_some(), &timing);
+                s.duration = f.duration(route, s.bytes, s.via.is_some(), &timing);
                 pool.add_task(r, s.chunk.0);
             }
         }
@@ -366,7 +313,7 @@ fn run_in(
 
     // Exclusive resources bound the in-flight completions; every fault
     // window adds at most two boundary events.
-    kernel.reset();
+    let mut kernel = Kernel::new();
     kernel.reserve((nt + nc).min(num_resources + num_streams) + 2 * plan.len());
 
     let mut sched = Sched {
@@ -429,6 +376,7 @@ fn run_in(
     }
 
     let mut compute_complete = vec![Seconds::ZERO; nc];
+    let mut started = Vec::new();
     let mut remaining = nt + nc;
     let mut makespan = Seconds::ZERO;
     while remaining > 0 {
@@ -508,8 +456,8 @@ fn run_in(
             started.clear();
             sched
                 .pool
-                .serve(node as u32, now, &mut sched.trace, started);
-            for &s in started.iter() {
+                .serve(node as u32, now, &mut sched.trace, &mut started);
+            for &s in &started {
                 sched.begin_transfer(s, now);
             }
         } else {
@@ -528,8 +476,8 @@ fn run_in(
     Ok(sched.finish(compute_complete, makespan, num_channels))
 }
 
-/// The state of one run: the lowered transfers, the arena's pool and
-/// kernel, and what the run records.
+/// The state of one run: the lowered transfers, the pool and kernel it
+/// schedules them on, and what the run records.
 struct Sched<'a> {
     topo: &'a Topology,
     job: &'a Job<'a>,
@@ -541,8 +489,8 @@ struct Sched<'a> {
     specs: Vec<TransferSpec>,
     /// Channel→port mapping under the switch-fabric network model.
     fabric: Option<FabricMap>,
-    pool: &'a mut ChannelPool,
-    kernel: &'a mut Kernel<Ev>,
+    pool: ChannelPool,
+    kernel: Kernel<Ev>,
     /// One compute stream per GPU that runs compute, indexed by GPU.
     streams: Vec<Option<ComputeStream>>,
     trace: SimTrace,
@@ -661,7 +609,7 @@ impl Sched<'_> {
             return false;
         };
         let Some((revised, port)) =
-            choose_uplinks(&f.graph, self.pool, self.pool.path(tid), f.policy)
+            choose_uplinks(&f.graph, &self.pool, self.pool.path(tid), f.policy)
         else {
             return false;
         };
@@ -948,24 +896,18 @@ impl Sched<'_> {
             let Ok(route) = router.allocate(src, dst) else {
                 continue; // no surviving route: wait for the link
             };
-            // Mirror lower_schedule's duration model on the new path.
             let timing = self.opts.link_timing();
             let bytes = transfers[t].bytes;
+            let detour = route.is_detour();
             let duration = match &self.fabric {
-                Some(f) => f.duration(route.channels(), bytes, route.is_detour(), &timing),
-                None => {
-                    let mut alpha = Seconds::ZERO;
-                    let mut bottleneck = f64::INFINITY;
-                    for &c in route.channels() {
-                        let ch = self.topo.channel(c);
-                        alpha += ch.latency();
-                        bottleneck = bottleneck.min(ch.bandwidth().as_bytes_per_sec());
-                    }
-                    if route.is_detour() {
-                        alpha += timing.forwarding_latency;
-                    }
-                    alpha + Seconds::new(bytes.as_f64() / (bottleneck * timing.bandwidth_scale))
-                }
+                Some(f) => f.duration(
+                    &f.graph.port_route(route.channels()),
+                    bytes,
+                    detour,
+                    &timing,
+                ),
+                None => Wormhole::of_channels(self.topo, route.channels())
+                    .duration(bytes, detour, &timing),
             };
             let spec = &mut self.specs[t];
             spec.path = route.channels().into();
@@ -1071,7 +1013,7 @@ impl Sched<'_> {
     /// channels under the fabric model; the raw per-port view stays in
     /// the stats.
     fn finish(self, compute_complete: Vec<Seconds>, makespan: Seconds, num_channels: usize) -> Run {
-        let pool = self.pool;
+        let mut pool = self.pool;
         let (channel_busy, queue_wait, port_busy, uplink_busy, channel_intervals) =
             match &self.fabric {
                 Some(f) => {

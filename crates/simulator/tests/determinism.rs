@@ -7,14 +7,19 @@
 //! this can be asserted wholesale). The kernel itself is private to the
 //! scheduler, so its pop order is observed through the trace, which
 //! records every completion in the order the kernel pops it.
+//!
+//! Runs are independent too: each builds its own scheduler state, so no
+//! run can leak state into the next, however runs of different shapes
+//! interleave on one thread.
 
 use ccube_collectives::{
     ring_allreduce, tree_allreduce, BinaryTree, Chunking, DoubleBinaryTree, Embedding, Overlap,
+    Schedule,
 };
 use ccube_sim::trace::TraceRecord;
 use ccube_sim::{
-    simulate, simulate_system, Arbitration, ComputeTask, ComputeTaskId, SimOptions, SimReport,
-    SystemJob,
+    simulate, simulate_faulted, simulate_system, Arbitration, ComputeTask, ComputeTaskId,
+    FaultPlan, SimOptions, SimReport, SystemJob,
 };
 use ccube_topology::{dgx1, hierarchical, ByteSize, GpuId, Seconds, Topology};
 use proptest::prelude::*;
@@ -159,5 +164,85 @@ proptest! {
             runs.push(report);
         }
         prop_assert_eq!(&runs[0], &runs[1]);
+    }
+}
+
+/// The C1 configuration: overlapped double tree on the DGX-1.
+fn c1(topo: &Topology, bytes: ByteSize, k: usize) -> (Schedule, Embedding) {
+    let dt = DoubleBinaryTree::new(8).expect("8 ranks");
+    let s = tree_allreduce(
+        dt.trees(),
+        &Chunking::even(bytes, k),
+        Overlap::ReductionBroadcast,
+    );
+    let e = Embedding::dgx1_double_tree(topo, &s).expect("embeds");
+    (s, e)
+}
+
+#[test]
+fn interleaved_runs_leak_no_state_into_each_other() {
+    // A hundred and fifty interleaved heterogeneous runs on one thread
+    // must each replay exactly: FifoHol on the DGX-1, and ChunkPriority
+    // on shared NICs, whose queues run deep.
+    let topo = dgx1();
+    let ring = ring_allreduce(8, ByteSize::mib(2));
+    let er = Embedding::identity(&topo, &ring).expect("embeds");
+    let (tree, et) = c1(&topo, ByteSize::mib(2), 8);
+    let opts = SimOptions::default();
+    let hier = hierarchical(16);
+    let dt = DoubleBinaryTree::new(16).expect("16 ranks");
+    let nic_tree = tree_allreduce(
+        dt.trees(),
+        &Chunking::even(ByteSize::mib(4), 32),
+        Overlap::ReductionBroadcast,
+    );
+    let en = Embedding::nic(&hier, &nic_tree).expect("embeds");
+    let scale_out = SimOptions::scale_out();
+    let ring0 = simulate(&topo, &ring, &er, &opts).expect("ring 0");
+    let tree0 = simulate(&topo, &tree, &et, &opts).expect("tree 0");
+    let nic0 = simulate(&hier, &nic_tree, &en, &scale_out).expect("nic 0");
+    assert!(
+        nic0.stats().max_channel_queue_depth > 8,
+        "the scale-out case must queue deeper than 8, got {}",
+        nic0.stats().max_channel_queue_depth
+    );
+    for i in 0..50 {
+        let r = simulate(&topo, &ring, &er, &opts).expect("ring i");
+        let n = simulate(&hier, &nic_tree, &en, &scale_out).expect("nic i");
+        let t = simulate(&topo, &tree, &et, &opts).expect("tree i");
+        assert_eq!(
+            ring0, r,
+            "ring diverged after interleaved runs, iteration {i}"
+        );
+        assert_eq!(
+            nic0, n,
+            "scale-out C1 diverged after interleaved runs, iteration {i}"
+        );
+        assert_eq!(
+            tree0, t,
+            "tree diverged after interleaved runs, iteration {i}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Repeated faulted runs replay bit-identically under sampled fault
+    /// plans, whose reroutes swap paths that sibling transfers share.
+    #[test]
+    fn faulted_runs_leak_no_state_into_each_other(
+        seed in 0u64..512,
+        kib in 64u64..2048,
+        k in 1usize..12,
+    ) {
+        let topo = dgx1();
+        let (s, e) = c1(&topo, ByteSize::kib(kib), k.max(1));
+        let model = ccube_sim::FaultModel::severity(2, Seconds::from_millis(1.0));
+        let plan = FaultPlan::sample(&model, &topo, &ccube_sim::SimRng::new(seed));
+        let opts = SimOptions::default();
+        let a = simulate_faulted(&topo, &s, &e, &opts, &plan).unwrap();
+        let b = simulate_faulted(&topo, &s, &e, &opts, &plan).unwrap();
+        prop_assert_eq!(a, b);
     }
 }

@@ -6,8 +6,9 @@
 # for byte, and the static analyzer's diagnostics feed pruning decisions.
 # This script rejects the usual sources of run-to-run drift:
 #
-#   1. wall-clock time, ambient RNG, and data-parallel iterators are
-#      banned outright in crates/simulator and crates/collectives;
+#   1. wall-clock time, ambient RNG, data-parallel iterators, and hidden
+#      cross-run state (`thread_local!`, `static mut`) are banned outright
+#      in crates/simulator, crates/collectives and crates/topology;
 #   2. HashMap/HashSet (randomized iteration order per process) may only
 #      appear in files audited and listed in determinism_allowlist.txt.
 #
@@ -20,7 +21,7 @@ scan_dirs=(crates/simulator/src crates/collectives/src crates/topology/src)
 allowlist=scripts/determinism_allowlist.txt
 fail=0
 
-banned='Instant::now|SystemTime::now|thread_rng|rand::random|into_par_iter|par_iter\(\)|par_bridge'
+banned='Instant::now|SystemTime::now|thread_rng|rand::random|into_par_iter|par_iter\(\)|par_bridge|thread_local!|static mut'
 if hits=$(grep -rnE "$banned" "${scan_dirs[@]}"); then
     echo "determinism lint: banned nondeterminism primitive(s):" >&2
     echo "$hits" >&2

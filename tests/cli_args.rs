@@ -73,16 +73,20 @@ fn timeline_compare_and_train_reject_malformed_counts() {
 #[test]
 fn threads_flag_rejects_bad_values_and_runs_on_good_ones() {
     for args in [
-        &["rings", "--threads"][..],
-        &["rings", "--threads", "0"],
-        &["rings", "--threads", "nope"],
-        &["rings", "--threads=0"],
+        &["scaleout", "8", "1", "--threads"][..],
+        &["scaleout", "8", "1", "--threads", "0"],
+        &["scaleout", "8", "1", "--threads", "nope"],
+        &["scaleout", "8", "1", "--threads=0"],
+        &["--threads=0", "scaleout", "8", "1"],
     ] {
         let out = ccube(args);
         assert_eq!(out.status.code(), Some(2), "ccube {args:?}");
         assert!(out.stdout.is_empty(), "ccube {args:?} printed output");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.starts_with("--threads "), "ccube {args:?}: {err}");
+        assert!(
+            err.starts_with("scaleout: --threads "),
+            "ccube {args:?}: {err}"
+        );
     }
     // Either spelling, before or after the subcommand; the flag is
     // stripped and the rest of the arguments are kept.
@@ -192,7 +196,6 @@ fn assert_usage_errors(tag: &str, cases: &[&[&str]]) {
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_ccube"))
             .args(*args)
-            .args(["--threads", "1"])
             .current_dir(&cwd)
             .output()
             .expect("ccube runs");
@@ -247,6 +250,27 @@ fn flags_the_chosen_mode_never_reads_are_rejected() {
             &["trace", "--diff", "7", "8", "--json"],
             &["trace", "--diff", "7", "8", "--seed=3"],
             &["trace", "--html", "t.html", "out.csv"],
+            // Only sweeps read --threads, and the failover demo fixes its
+            // own fabric.
+            &["rings", "--threads", "2"],
+            &["compare", "zfnet", "--threads", "3"],
+            &["timeline", "1", "--threads", "2"],
+            &["train", "1", "--threads", "2"],
+            &["lint", "all", "--threads", "2"],
+            &["trace", "--threads", "2"],
+            &["search", "--bounds", "--threads", "2"],
+            &["faults", "--smoke", "--threads", "2"],
+            &["faults", "--shrink", "7", "--threads", "2"],
+            &["faults", "--html", "f.html", "--threads", "2"],
+            &[
+                "faults",
+                "--html",
+                "f.html",
+                "--fabric",
+                "switch",
+                "--uplinks",
+                "2",
+            ],
         ],
     );
 }
