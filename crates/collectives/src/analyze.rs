@@ -625,7 +625,7 @@ fn wait_cycle_lints(schedule: &Schedule, mailbox_capacity: Option<usize>, report
 
     // Dependencies: a transfer waits for each of its deps.
     for (i, t) in transfers.iter().enumerate() {
-        for d in &t.deps {
+        for d in schedule.deps(t.id) {
             if d.index() < n {
                 add(&mut adj, &mut kinds, i as u32, d.0, WaitKind::Dependency);
             }
@@ -661,7 +661,7 @@ fn wait_cycle_lints(schedule: &Schedule, mailbox_capacity: Option<usize>, report
         if cap > 0 {
             let mut consumer: Vec<Option<u32>> = vec![None; n];
             for t in transfers {
-                for d in &t.deps {
+                for d in schedule.deps(t.id) {
                     if d.index() < n {
                         let dep = &transfers[d.index()];
                         if dep.dst == t.src
@@ -920,7 +920,7 @@ fn race_lints(schedule: &Schedule, max_transfers: usize, report: &mut LintReport
     let mut anc: Vec<Vec<u64>> = Vec::with_capacity(n);
     for t in transfers {
         let mut bits = vec![0u64; words];
-        for d in &t.deps {
+        for d in schedule.deps(t.id) {
             let di = d.index();
             bits[di / 64] |= 1 << (di % 64);
             for (w, a) in bits.iter_mut().zip(&anc[di]) {
@@ -1060,8 +1060,8 @@ fn step_bound_lints(schedule: &Schedule, replay: &verify::StepReport, report: &m
         let entry = per_tree.entry(t.tree.index()).or_default();
         entry.1.insert(t.chunk.0);
         if t.phase.is_reduction() {
-            let base = t
-                .deps
+            let base = schedule
+                .deps(t.id)
                 .iter()
                 .filter(|d| transfers[d.index()].phase.is_reduction())
                 .map(|d| reduce_depth[d.index()])
@@ -1351,7 +1351,7 @@ mod tests {
     use super::*;
     use crate::chunk::Chunking;
     use crate::ring::{ring_allreduce, ring_allreduce_multi};
-    use crate::schedule::Transfer;
+    use crate::schedule::{ScheduleBuilder, Transfer};
     use crate::tree::{BinaryTree, DoubleBinaryTree};
     use crate::tree_schedule::{tree_allreduce, Overlap};
     use ccube_topology::{dgx1, ByteSize, Route};
@@ -1359,6 +1359,34 @@ mod tests {
     fn double_tree(k: usize, overlap: Overlap) -> Schedule {
         let dt = DoubleBinaryTree::new(8).unwrap();
         tree_allreduce(dt.trees(), &Chunking::even(ByteSize::mib(64), k), overlap)
+    }
+
+    /// Pushes a 4 KiB chunk-0 reduction `src -> dst` that waits for the
+    /// transfers `deps`.
+    fn reduce(b: &mut ScheduleBuilder, src: u32, dst: u32, deps: &[u32]) -> TransferId {
+        b.push(
+            Rank(src),
+            Rank(dst),
+            ChunkId(0),
+            ByteSize::kib(4),
+            Phase::Reduce,
+            TreeIndex(0),
+            deps.iter().map(|&d| TransferId(d)),
+        )
+    }
+
+    /// A copy of `s` named `algorithm`, with transfer `t`'s dependencies
+    /// replaced by `deps_of(t)`.
+    fn rebuild(
+        s: &Schedule,
+        algorithm: &str,
+        deps_of: impl Fn(&Transfer) -> Vec<TransferId>,
+    ) -> Schedule {
+        let mut b = ScheduleBuilder::new();
+        for t in s.transfers() {
+            b.push(t.src, t.dst, t.chunk, t.bytes, t.phase, t.tree, deps_of(t));
+        }
+        b.finish(algorithm, s.num_ranks(), s.chunking().clone())
     }
 
     fn runtime_opts() -> AnalyzeOptions {
@@ -1393,22 +1421,10 @@ mod tests {
     #[test]
     fn seeded_dependency_cycle_is_a_minimal_witness() {
         // t0 and t1 wait on each other: a 2-cycle.
-        let mk = |id: u32, deps: Vec<TransferId>| Transfer {
-            id: TransferId(id),
-            src: Rank(id % 2),
-            dst: Rank((id + 1) % 2),
-            chunk: ChunkId(0),
-            bytes: ByteSize::kib(4),
-            phase: Phase::Reduce,
-            tree: TreeIndex(0),
-            deps,
-        };
-        let s = Schedule::new_unchecked(
-            "seeded-deadlock",
-            2,
-            Chunking::even(ByteSize::kib(8), 1),
-            vec![mk(0, vec![TransferId(1)]), mk(1, vec![TransferId(0)])],
-        );
+        let mut b = ScheduleBuilder::new();
+        reduce(&mut b, 0, 1, &[1]);
+        reduce(&mut b, 1, 0, &[0]);
+        let s = b.finish_unchecked("seeded-deadlock", 2, Chunking::even(ByteSize::kib(8), 1));
         let report = analyze(&s, &AnalyzeOptions::default());
         let cycle: Vec<_> = report
             .diagnostics()
@@ -1430,26 +1446,11 @@ mod tests {
         // Edge r0->r1 carries m0 (t0) and m1 (t1); r1's forwarding send
         // t2 consumes both. With capacity 1, m1 cannot be posted until m0
         // is consumed by t2 — which waits for m1.
-        let t = |id: u32, src: u32, dst: u32, deps: Vec<TransferId>| Transfer {
-            id: TransferId(id),
-            src: Rank(src),
-            dst: Rank(dst),
-            chunk: ChunkId(0),
-            bytes: ByteSize::kib(4),
-            phase: Phase::Reduce,
-            tree: TreeIndex(0),
-            deps,
-        };
-        let s = Schedule::new_unchecked(
-            "mailbox-exchange",
-            3,
-            Chunking::even(ByteSize::kib(4), 1),
-            vec![
-                t(0, 0, 1, vec![]),
-                t(1, 0, 1, vec![]),
-                t(2, 1, 2, vec![TransferId(0), TransferId(1)]),
-            ],
-        );
+        let mut b = ScheduleBuilder::new();
+        reduce(&mut b, 0, 1, &[]);
+        reduce(&mut b, 0, 1, &[]);
+        reduce(&mut b, 1, 2, &[0, 1]);
+        let s = b.finish_unchecked("mailbox-exchange", 3, Chunking::even(ByteSize::kib(4), 1));
         let tight = analyze(
             &s,
             &AnalyzeOptions {
@@ -1486,36 +1487,26 @@ mod tests {
         // Dropping a data-carrying dep leaves the symbolic (id-order)
         // replay correct but the accesses unordered — exactly CC005.
         let good = double_tree(8, Overlap::ReductionBroadcast);
-        let mut transfers = good.transfers().to_vec();
-        let victim = transfers
+        let carries = |t: &Transfer, d: &TransferId| {
+            let dep = good.transfer(*d);
+            dep.chunk == t.chunk && (dep.dst == t.src || dep.dst == t.dst)
+        };
+        let victim = good
+            .transfers()
             .iter()
-            .position(|t| {
-                !t.deps.is_empty()
-                    && t.deps.iter().any(|d| {
-                        let dep = &good.transfers()[d.index()];
-                        dep.chunk == t.chunk && (dep.dst == t.src || dep.dst == t.dst)
-                    })
-            })
+            .position(|t| !t.deps.is_empty() && good.deps(t.id).iter().any(|d| carries(t, d)))
             .expect("a data-carrying dependency exists");
-        let keep: Vec<TransferId> = transfers[victim]
-            .deps
-            .iter()
-            .copied()
-            .filter(|d| {
-                let dep = &good.transfers()[d.index()];
-                !(dep.chunk == transfers[victim].chunk
-                    && (dep.dst == transfers[victim].src || dep.dst == transfers[victim].dst))
-            })
-            .collect();
-        let dropped = transfers[victim].deps.len() - keep.len();
+        let keep = |t: &Transfer| -> Vec<TransferId> {
+            let deps = good.deps(t.id).iter().copied();
+            if t.id.index() == victim {
+                deps.filter(|d| !carries(t, d)).collect()
+            } else {
+                deps.collect()
+            }
+        };
+        let dropped = good.transfers()[victim].deps.len() - keep(&good.transfers()[victim]).len();
         assert!(dropped > 0);
-        transfers[victim].deps = keep;
-        let mutated = Schedule::new(
-            good.algorithm().to_string(),
-            good.num_ranks(),
-            good.chunking().clone(),
-            transfers,
-        );
+        let mutated = rebuild(&good, good.algorithm(), keep);
         // Still "correct" under id-order symbolic replay...
         verify::check_allreduce(&mutated).unwrap();
         // ...but the analyzer sees the missing ordering.
@@ -1531,23 +1522,11 @@ mod tests {
 
     #[test]
     fn incomplete_and_double_reductions_are_flagged() {
-        let t = |id: u32, src: u32, dst: u32, deps: Vec<TransferId>| Transfer {
-            id: TransferId(id),
-            src: Rank(src),
-            dst: Rank(dst),
-            chunk: ChunkId(0),
-            bytes: ByteSize::kib(4),
-            phase: Phase::Reduce,
-            tree: TreeIndex(0),
-            deps,
-        };
         // Reduce r0 into r1 twice: the second fold double-counts r0.
-        let s = Schedule::new(
-            "bad",
-            2,
-            Chunking::even(ByteSize::kib(4), 1),
-            vec![t(0, 0, 1, vec![]), t(1, 0, 1, vec![TransferId(0)])],
-        );
+        let mut b = ScheduleBuilder::new();
+        reduce(&mut b, 0, 1, &[]);
+        reduce(&mut b, 0, 1, &[0]);
+        let s = b.finish("bad", 2, Chunking::even(ByteSize::kib(4), 1));
         let report = analyze(&s, &AnalyzeOptions::default());
         assert!(report
             .diagnostics()
@@ -1658,12 +1637,9 @@ mod tests {
             &Chunking::even(ByteSize::mib(8), 8),
             Overlap::None,
         );
-        let mislabeled = Schedule::new(
-            "overlapped-tree",
-            baseline.num_ranks(),
-            baseline.chunking().clone(),
-            baseline.transfers().to_vec(),
-        );
+        let mislabeled = rebuild(&baseline, "overlapped-tree", |t| {
+            baseline.deps(t.id).to_vec()
+        });
         let report = analyze(&mislabeled, &AnalyzeOptions::default());
         assert!(
             report

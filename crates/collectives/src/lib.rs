@@ -69,7 +69,7 @@ pub use chunk::{ChunkId, Chunking};
 pub use embedding::{EdgeKey, Embedding, EmbeddingError};
 pub use lowering::{
     hop_time, lower_schedule, lower_to_ports, port_transit_time, LinkTiming, LowerError,
-    PreparedLowering, TransferSpec, Wormhole,
+    PreparedLowering, PreparedRoute, TransferSpec, Wormhole,
 };
 pub use physical::{
     analyze_physical, fabric_lower_bound, gate_physical, makespan_lower_bound,
@@ -77,7 +77,9 @@ pub use physical::{
 };
 pub use rank::Rank;
 pub use ring::{ring_allreduce, ring_allreduce_multi};
-pub use schedule::{Phase, Schedule, ScheduleStats, Transfer, TransferId, TreeIndex};
+pub use schedule::{
+    DepSpan, Phase, Schedule, ScheduleBuilder, ScheduleStats, Transfer, TransferId, TreeIndex,
+};
 pub use tree::{BinaryTree, DoubleBinaryTree, TreeError};
 pub use tree_schedule::{tree_allreduce, Overlap};
 

@@ -3,15 +3,20 @@
 //! A [`Schedule`] is purely logical: transfers name ranks and chunks but
 //! know nothing about channels or wall-clock time. Before any engine can
 //! replay one, every transfer must be resolved against an [`Embedding`]
-//! and a [`Topology`] into a physical
-//! [`TransferSpec`]: the channel path it occupies, the intermediate GPU
+//! and a [`Topology`]: the channel path it occupies, the intermediate GPU
 //! it detours through (if any), and its wormhole duration
 //! `Σ per-hop latency (+ forwarding latency for detours)
 //!  + bytes / (bottleneck bandwidth × bandwidth_scale)`.
 //!
-//! Both discrete-event engines of `ccube-sim` (the network-only
-//! `simulate` and the compute/communication `simulate_system`) consume
-//! this one lowering, so their timing models can never drift apart.
+//! [`PreparedLowering`] does the resolution once per logical edge. The
+//! scheduler of `ccube-sim` keeps its [`PreparedRoute`]s and each
+//! transfer's route index, and times a transfer through its route's
+//! [`Wormhole`] when the transfer starts. [`lower_schedule`] and
+//! [`PreparedLowering::lower`] expand the same routes into one
+//! [`TransferSpec`] per transfer for the static analyzers, fault
+//! severance and anything else that wants the per-transfer view; both
+//! views time transfers through the same call, so they agree float for
+//! float.
 //!
 //! Routes are interned per logical edge: every transfer on the same
 //! [`EdgeKey`] shares one `Arc<[ChannelId]>` path, so a lowering
@@ -246,7 +251,7 @@ pub fn port_transit_time(
 /// payload size and [`LinkTiming`] without touching the embedding or the
 /// topology again.
 #[derive(Debug, Clone, PartialEq)]
-struct PreparedRoute {
+pub struct PreparedRoute {
     /// The physical channels the route occupies, in hop order; every
     /// lowered transfer on the edge shares this allocation.
     path: Arc<[ChannelId]>,
@@ -256,6 +261,19 @@ struct PreparedRoute {
 }
 
 impl PreparedRoute {
+    /// The prepared form of `route`, whose channels must be in `topo`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a channel of `route` is not in `topo`.
+    pub fn of_route(route: &Route, topo: &Topology) -> Self {
+        PreparedRoute {
+            path: route.channels().into(),
+            via: route.via(),
+            wormhole: Wormhole::of_channels(topo, route.channels()),
+        }
+    }
+
     /// Validates `route`'s channels against `topo` and sums its timing
     /// coefficients.
     fn resolve(edge: EdgeKey, route: &Route, topo: &Topology) -> Result<Self, LowerError> {
@@ -266,11 +284,23 @@ impl PreparedRoute {
                 channel_index: c.index(),
             });
         }
-        Ok(PreparedRoute {
-            path: route.channels().into(),
-            via: route.via(),
-            wormhole: Wormhole::of_channels(topo, route.channels()),
-        })
+        Ok(PreparedRoute::of_route(route, topo))
+    }
+
+    /// The physical channels the route occupies, in hop order.
+    pub fn path(&self) -> &[ChannelId] {
+        &self.path
+    }
+
+    /// The intermediate GPU for detour routes.
+    pub fn via(&self) -> Option<GpuId> {
+        self.via
+    }
+
+    /// The wormhole transit time of `bytes` over the route, with the
+    /// forwarding latency if it detours.
+    pub fn duration(&self, bytes: ByteSize, timing: &LinkTiming) -> Seconds {
+        self.wormhole.duration(bytes, self.via.is_some(), timing)
     }
 }
 
@@ -335,16 +365,11 @@ impl PreparedLowering {
         Ok(PreparedLowering { routes, route_of })
     }
 
-    /// The channel path of each distinct route, in first-use order: the
-    /// route indices of [`PreparedLowering::route_of`].
-    pub fn paths(&self) -> impl ExactSizeIterator<Item = &[ChannelId]> {
-        self.routes.iter().map(|r| &*r.path)
-    }
-
-    /// Each transfer's route index into [`PreparedLowering::paths`], by
-    /// transfer id.
-    pub fn route_of(&self) -> &[u32] {
-        &self.route_of
+    /// Takes the lowering apart: one [`PreparedRoute`] per distinct
+    /// logical edge in first-use order, and each transfer's index into
+    /// them, by transfer id.
+    pub fn into_routes(self) -> (Vec<PreparedRoute>, Vec<u32>) {
+        (self.routes, self.route_of)
     }
 
     /// Produces the [`TransferSpec`]s for `schedule` under `timing`.
@@ -365,7 +390,7 @@ impl PreparedLowering {
                     chunk: t.chunk,
                     path: Arc::clone(&r.path),
                     via: r.via,
-                    duration: r.wormhole.duration(t.bytes, r.via.is_some(), timing),
+                    duration: r.duration(t.bytes, timing),
                     bytes: t.bytes,
                 }
             })

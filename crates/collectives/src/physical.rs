@@ -262,7 +262,7 @@ fn critical_path(schedule: &Schedule, durations: &[Seconds]) -> Seconds {
     let mut best = Seconds::ZERO;
     for (i, t) in transfers.iter().enumerate() {
         let mut ready = Seconds::ZERO;
-        for &d in &t.deps {
+        for &d in schedule.deps(t.id) {
             if d.index() < i {
                 ready = ready.max(completion[d.index()]);
             }

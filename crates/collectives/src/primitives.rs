@@ -52,10 +52,7 @@ pub fn tree_broadcast(trees: &[BinaryTree], chunking: &Chunking) -> Schedule {
         for c in chunking.ids().filter(|c| c.index() % trees.len() == ti) {
             for &r in &top_down {
                 for &child in tree.children(r) {
-                    let deps = match tree.parent(r) {
-                        Some(_) => vec![bc[&(ti, c, r.0)]],
-                        None => vec![],
-                    };
+                    let deps = tree.parent(r).map(|_| bc[&(ti, c, r.0)]);
                     let id = b.push(
                         r,
                         child,
@@ -93,11 +90,7 @@ pub fn tree_reduce(trees: &[BinaryTree], chunking: &Chunking) -> Schedule {
                 let Some(parent) = tree.parent(r) else {
                     continue;
                 };
-                let deps = tree
-                    .children(r)
-                    .iter()
-                    .map(|&child| red[&(ti, c, child.0)])
-                    .collect();
+                let deps = tree.children(r).iter().map(|&child| red[&(ti, c, child.0)]);
                 let id = b.push(
                     r,
                     parent,
@@ -132,11 +125,7 @@ pub fn ring_reduce_scatter(p: usize, total: ByteSize) -> Schedule {
     for s in 0..(p - 1) as i64 {
         for i in 0..pi {
             let chunk = ChunkId(modp(i - s) as u32);
-            let deps = if s == 0 {
-                vec![]
-            } else {
-                vec![rs[modp(i - 1)][(s - 1) as usize]]
-            };
+            let deps = (s > 0).then(|| rs[modp(i - 1)][(s - 1) as usize]);
             let id = b.push(
                 Rank(i as u32),
                 Rank(modp(i + 1) as u32),
@@ -171,11 +160,7 @@ pub fn ring_all_gather(p: usize, total: ByteSize) -> Schedule {
     for s in 0..(p - 1) as i64 {
         for i in 0..pi {
             let chunk = ChunkId(modp(i + 1 - s) as u32);
-            let deps = if s == 0 {
-                vec![]
-            } else {
-                vec![ag[modp(i - 1)][(s - 1) as usize]]
-            };
+            let deps = (s > 0).then(|| ag[modp(i - 1)][(s - 1) as usize]);
             let id = b.push(
                 Rank(i as u32),
                 Rank(modp(i + 1) as u32),

@@ -31,10 +31,12 @@ fn build_ring(
     let pi = p as i64;
     let modp = |x: i64| (((x % pi) + pi) % pi) as usize;
 
-    // rs[i][s] / ag[i][s] = id of the transfer *sent by* position i at
-    // step s.
-    let mut rs: Vec<Vec<TransferId>> = vec![Vec::with_capacity(p - 1); p];
-    let mut ag: Vec<Vec<TransferId>> = vec![Vec::with_capacity(p - 1); p];
+    // The ring emits step-major, position-minor, so the id of the
+    // transfer *sent by* position i at step s follows from the counts:
+    // rs(i, s) in the Reduce-Scatter, ag(i, s) in the AllGather.
+    let base = b.len();
+    let rs = |i: usize, s: usize| TransferId((base + s * p + i) as u32);
+    let ag = |i: usize, s: usize| TransferId((base + (p - 1 + s) * p + i) as u32);
 
     // Reduce-Scatter: at step s, position i sends chunk (i - s) mod p to
     // its successor, which accumulates it.
@@ -42,13 +44,9 @@ fn build_ring(
         for i in 0..pi {
             let local = modp(i - s);
             let chunk = ChunkId((chunk_base + local) as u32);
-            let deps = if s == 0 {
-                vec![]
-            } else {
-                // the chunk position i sends now is the one it received
-                // from its predecessor in the previous step
-                vec![rs[modp(i - 1)][(s - 1) as usize]]
-            };
+            // the chunk position i sends now is the one it received from
+            // its predecessor in the previous step
+            let dep = (s > 0).then(|| rs(modp(i - 1), (s - 1) as usize));
             let id = b.push(
                 order[i as usize],
                 order[modp(i + 1)],
@@ -56,9 +54,9 @@ fn build_ring(
                 chunking.size(chunk),
                 Phase::ReduceScatter,
                 tree,
-                deps,
+                dep,
             );
-            rs[i as usize].push(id);
+            debug_assert_eq!(id, rs(i as usize, s as usize));
         }
     }
 
@@ -68,12 +66,12 @@ fn build_ring(
         for i in 0..pi {
             let local = modp(i + 1 - s);
             let chunk = ChunkId((chunk_base + local) as u32);
-            let deps = if s == 0 {
+            let dep = if s == 0 {
                 // position i's ownership of chunk i+1 comes from the last
                 // reduce-scatter transfer it received
-                vec![rs[modp(i - 1)][p - 2]]
+                rs(modp(i - 1), p - 2)
             } else {
-                vec![ag[modp(i - 1)][(s - 1) as usize]]
+                ag(modp(i - 1), (s - 1) as usize)
             };
             let id = b.push(
                 order[i as usize],
@@ -82,9 +80,9 @@ fn build_ring(
                 chunking.size(chunk),
                 Phase::AllGather,
                 tree,
-                deps,
+                [dep],
             );
-            ag[i as usize].push(id);
+            debug_assert_eq!(id, ag(i as usize, s as usize));
         }
     }
 }
@@ -166,7 +164,10 @@ pub fn ring_allreduce_multi(total: ByteSize, orders: &[Vec<Rank>]) -> Schedule {
     }
     let rings = orders.len();
     let chunking = Chunking::even(total, rings * p);
-    let mut b = ScheduleBuilder::new();
+    // Per ring: 2(P-1) steps of P transfers, each with one dependency
+    // except the first Reduce-Scatter step's.
+    let per_ring = 2 * (p - 1) * p;
+    let mut b = ScheduleBuilder::with_capacity(rings * per_ring, rings * (per_ring - p));
     for (r, order) in orders.iter().enumerate() {
         build_ring(&mut b, order, TreeIndex(r as u8), r * p, &chunking);
     }

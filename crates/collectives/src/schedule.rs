@@ -74,12 +74,38 @@ impl fmt::Display for Phase {
     }
 }
 
+/// Where a transfer's dependencies sit in its schedule's flat dependency
+/// table: read them with [`Schedule::deps`]. Every transfer of a
+/// schedule shares that one table, so a transfer owns no allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DepSpan {
+    start: u32,
+    len: u32,
+}
+
+impl DepSpan {
+    /// Number of dependencies.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// True if the transfer depends on nothing.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
 /// One point-to-point message of a collective schedule.
 ///
-/// A transfer may start once **all** of its `deps` have completed *and*
-/// the channel its logical edge is embedded on is free; the simulator and
-/// the threaded runtime both honor exactly these two constraints.
-#[derive(Debug, Clone, PartialEq)]
+/// A transfer may start once **all** of its dependencies
+/// ([`Schedule::deps`]) have completed *and* the channel its logical
+/// edge is embedded on is free; the simulator and the threaded runtime
+/// both honor exactly these two constraints.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transfer {
     /// This transfer's id (its index in [`Schedule::transfers`]).
     pub id: TransferId,
@@ -95,8 +121,9 @@ pub struct Transfer {
     pub phase: Phase,
     /// Which logical tree the transfer belongs to.
     pub tree: TreeIndex,
-    /// Transfers that must complete before this one may start.
-    pub deps: Vec<TransferId>,
+    /// Transfers that must complete before this one may start: a span
+    /// of the schedule's dependency table ([`Schedule::deps`]).
+    pub deps: DepSpan,
 }
 
 impl fmt::Display for Transfer {
@@ -111,7 +138,12 @@ impl fmt::Display for Transfer {
 
 /// A complete collective schedule: the transfer DAG plus its metadata.
 ///
-/// Invariants (enforced by the builders and re-checked by
+/// Dependencies are stored in CSR form: one flat table of ids, with each
+/// transfer's [`DepSpan`] naming its slice, so a schedule of any size
+/// holds two allocations rather than one per transfer. Schedules are
+/// built with a [`ScheduleBuilder`].
+///
+/// Invariants (enforced by [`ScheduleBuilder::finish`] and re-checked by
 /// [`verify::check_dag`](crate::verify::check_dag)):
 ///
 /// * transfer ids are dense and equal to their index;
@@ -124,60 +156,11 @@ pub struct Schedule {
     num_ranks: usize,
     chunking: Chunking,
     transfers: Vec<Transfer>,
+    /// Every transfer's dependencies, concatenated in transfer order.
+    deps: Vec<TransferId>,
 }
 
 impl Schedule {
-    /// Assembles a schedule from parts. Intended for algorithm builders;
-    /// users normally call [`ring_allreduce`](crate::ring_allreduce) or
-    /// [`tree_allreduce`](crate::tree_allreduce).
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if transfer ids are not dense or a dependency
-    /// points forward.
-    pub fn new(
-        algorithm: impl Into<String>,
-        num_ranks: usize,
-        chunking: Chunking,
-        transfers: Vec<Transfer>,
-    ) -> Self {
-        #[cfg(debug_assertions)]
-        for (i, t) in transfers.iter().enumerate() {
-            debug_assert_eq!(t.id.index(), i, "transfer ids must be dense");
-            for d in &t.deps {
-                debug_assert!(d.index() < i, "dependency must precede dependent");
-            }
-        }
-        Schedule {
-            algorithm: algorithm.into(),
-            num_ranks,
-            chunking,
-            transfers,
-        }
-    }
-
-    /// Assembles a schedule **without** the dense-id / backward-dep debug
-    /// assertions of [`Schedule::new`]. Exists so the static analyzer
-    /// ([`analyze`](crate::analyze)) and its tests can construct
-    /// deliberately broken schedules — forward dependencies, dependency
-    /// cycles — and prove they are detected rather than panicking at
-    /// construction time. Everything downstream of a schedule built this
-    /// way must go through [`verify::check_dag`](crate::verify::check_dag)
-    /// or the analyzer first.
-    pub fn new_unchecked(
-        algorithm: impl Into<String>,
-        num_ranks: usize,
-        chunking: Chunking,
-        transfers: Vec<Transfer>,
-    ) -> Self {
-        Schedule {
-            algorithm: algorithm.into(),
-            num_ranks,
-            chunking,
-            transfers,
-        }
-    }
-
     /// The algorithm name (e.g. `"ring"`, `"double-tree"`,
     /// `"overlapped-double-tree"`).
     pub fn algorithm(&self) -> &str {
@@ -206,6 +189,15 @@ impl Schedule {
     /// Panics if `id` is out of range.
     pub fn transfer(&self, id: TransferId) -> &Transfer {
         &self.transfers[id.index()]
+    }
+
+    /// The transfers that must complete before transfer `id` may start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn deps(&self, id: TransferId) -> &[TransferId] {
+        &self.deps[self.transfers[id.index()].deps.range()]
     }
 
     /// Total bytes moved by the schedule (sum over transfers) — useful for
@@ -335,7 +327,12 @@ impl Schedule {
             } else {
                 broadcast += 1;
             }
-            let base = t.deps.iter().map(|d| depth[d.index()]).max().unwrap_or(0);
+            let base = self
+                .deps(t.id)
+                .iter()
+                .map(|d| depth[d.index()])
+                .max()
+                .unwrap_or(0);
             depth[t.id.index()] = base + 1;
             critical = critical.max(base + 1);
         }
@@ -363,20 +360,61 @@ impl fmt::Display for Schedule {
     }
 }
 
-/// Incremental builder used by the algorithm modules.
+/// Incremental schedule builder: the one way to assemble a
+/// [`Schedule`]. Algorithm builders use it, and so do tests and
+/// analyzer cases that need hand-made (even deliberately broken) DAGs.
+///
+/// # Examples
+///
+/// ```
+/// use ccube_collectives::{ChunkId, Chunking, Phase, Rank, ScheduleBuilder, TreeIndex};
+/// use ccube_topology::ByteSize;
+///
+/// let mut b = ScheduleBuilder::new();
+/// let size = ByteSize::kib(1);
+/// let up = b.push(Rank(0), Rank(1), ChunkId(0), size, Phase::Reduce, TreeIndex(0), []);
+/// let down = b.push(Rank(1), Rank(0), ChunkId(0), size, Phase::Broadcast, TreeIndex(0), [up]);
+/// let s = b.finish("tiny", 2, Chunking::even(size, 1));
+/// assert_eq!(s.deps(down), &[up]);
+/// ```
 #[derive(Debug, Default)]
-pub(crate) struct ScheduleBuilder {
+pub struct ScheduleBuilder {
     transfers: Vec<Transfer>,
+    deps: Vec<TransferId>,
 }
 
 impl ScheduleBuilder {
-    pub(crate) fn new() -> Self {
+    /// An empty builder.
+    pub fn new() -> Self {
         ScheduleBuilder::default()
     }
 
-    /// Appends a transfer and returns its id.
+    /// An empty builder with room for `transfers` transfers and `deps`
+    /// dependency edges, so a builder that knows its counts never
+    /// regrows.
+    pub fn with_capacity(transfers: usize, deps: usize) -> Self {
+        ScheduleBuilder {
+            transfers: Vec::with_capacity(transfers),
+            deps: Vec::with_capacity(deps),
+        }
+    }
+
+    /// Number of transfers pushed so far: the id the next
+    /// [`ScheduleBuilder::push`] returns.
+    pub fn len(&self) -> usize {
+        self.transfers.len()
+    }
+
+    /// True if nothing was pushed yet.
+    pub fn is_empty(&self) -> bool {
+        self.transfers.is_empty()
+    }
+
+    /// Appends a transfer that waits for `deps` and returns its id (ids
+    /// are dense, in push order). The dependencies go straight into the
+    /// schedule's flat table.
     #[allow(clippy::too_many_arguments)] // mirrors the Transfer fields
-    pub(crate) fn push(
+    pub fn push(
         &mut self,
         src: Rank,
         dst: Rank,
@@ -384,9 +422,11 @@ impl ScheduleBuilder {
         bytes: ByteSize,
         phase: Phase,
         tree: TreeIndex,
-        deps: Vec<TransferId>,
+        deps: impl IntoIterator<Item = TransferId>,
     ) -> TransferId {
         let id = TransferId(self.transfers.len() as u32);
+        let start = self.deps.len();
+        self.deps.extend(deps);
         self.transfers.push(Transfer {
             id,
             src,
@@ -395,18 +435,60 @@ impl ScheduleBuilder {
             bytes,
             phase,
             tree,
-            deps,
+            deps: DepSpan {
+                start: start as u32,
+                len: (self.deps.len() - start) as u32,
+            },
         });
         id
     }
 
-    pub(crate) fn finish(
+    /// The finished schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) if transfer ids are not dense or a
+    /// dependency points forward.
+    pub fn finish(
         self,
         algorithm: impl Into<String>,
         num_ranks: usize,
         chunking: Chunking,
     ) -> Schedule {
-        Schedule::new(algorithm, num_ranks, chunking, self.transfers)
+        #[cfg(debug_assertions)]
+        for (i, t) in self.transfers.iter().enumerate() {
+            debug_assert_eq!(t.id.index(), i, "transfer ids must be dense");
+            for d in &self.deps[t.deps.range()] {
+                debug_assert!(
+                    d.index() < t.id.index(),
+                    "dependency must precede dependent"
+                );
+            }
+        }
+        self.finish_unchecked(algorithm, num_ranks, chunking)
+    }
+
+    /// The finished schedule **without** the backward-dependency debug
+    /// check of [`ScheduleBuilder::finish`]. Exists so the static
+    /// analyzer ([`analyze`](crate::analyze)) and its tests can construct
+    /// deliberately broken schedules — forward dependencies, dependency
+    /// cycles — and prove they are detected rather than panicking at
+    /// construction time. Everything downstream of a schedule built this
+    /// way must go through [`verify::check_dag`](crate::verify::check_dag)
+    /// or the analyzer first.
+    pub fn finish_unchecked(
+        self,
+        algorithm: impl Into<String>,
+        num_ranks: usize,
+        chunking: Chunking,
+    ) -> Schedule {
+        Schedule {
+            algorithm: algorithm.into(),
+            num_ranks,
+            chunking,
+            transfers: self.transfers,
+            deps: self.deps,
+        }
     }
 }
 
@@ -423,7 +505,7 @@ mod tests {
             ByteSize::kib(1),
             Phase::Reduce,
             TreeIndex(0),
-            vec![],
+            [],
         );
         b.push(
             Rank(1),
@@ -432,7 +514,7 @@ mod tests {
             ByteSize::kib(1),
             Phase::Broadcast,
             TreeIndex(0),
-            vec![t0],
+            [t0],
         );
         b.finish("tiny", 2, Chunking::even(ByteSize::kib(1), 1))
     }
@@ -441,7 +523,16 @@ mod tests {
     fn builder_assigns_dense_ids() {
         let s = tiny();
         assert_eq!(s.transfers().len(), 2);
-        assert_eq!(s.transfer(TransferId(1)).deps, vec![TransferId(0)]);
+        assert_eq!(s.deps(TransferId(1)), &[TransferId(0)]);
+    }
+
+    #[test]
+    fn transfers_are_compact_copy_values() {
+        // Dependencies live in the schedule's flat table, so a transfer
+        // owns no allocation.
+        fn is_copy<T: Copy>() {}
+        is_copy::<Transfer>();
+        assert_eq!(std::mem::size_of::<Transfer>(), 40);
     }
 
     #[test]

@@ -71,12 +71,15 @@ pub fn tree_allreduce(trees: &[BinaryTree], chunking: &Chunking, overlap: Overla
         "all trees must span the same ranks"
     );
 
-    let mut b = ScheduleBuilder::new();
+    let k = chunking.num_chunks();
+    // Each chunk climbs and descends the P-1 edges of its tree once;
+    // nearly every transfer has one dependency (leaves have none, the
+    // root's broadcasts several).
+    let mut b = ScheduleBuilder::with_capacity(2 * (p - 1) * k, 2 * (p - 1) * k);
     // Dense (tree, chunk, rank) tables — every slot the loops below read
     // is written first, so the placeholder never escapes. A hash map
     // here is measurably slower: these tables are hit once or twice per
     // transfer, and deep grids build millions of transfers per sweep.
-    let k = chunking.num_chunks();
     let idx = |ti: usize, c: ChunkId, r: u32| (ti * k + c.index()) * p + r as usize;
     // red[idx(tree, chunk, rank)] = id of the reduction transfer rank->parent.
     let mut red: Vec<TransferId> = vec![TransferId(u32::MAX); trees.len() * k * p];
@@ -103,8 +106,7 @@ pub fn tree_allreduce(trees: &[BinaryTree], chunking: &Chunking, overlap: Overla
                 let deps = tree
                     .children(r)
                     .iter()
-                    .map(|&child| red[idx(ti, c, child.0)])
-                    .collect();
+                    .map(|&child| red[idx(ti, c, child.0)]);
                 let id = b.push(
                     r,
                     parent,
@@ -133,20 +135,27 @@ pub fn tree_allreduce(trees: &[BinaryTree], chunking: &Chunking, overlap: Overla
                 }
             }
         }
+        // This chunk's reductions into the root (overlapped trees only).
+        let mut chunk_reductions: Vec<TransferId> = Vec::new();
         for &c in &tree_chunks[ti] {
+            // The root's sends wait for the reductions into it: the
+            // whole barrier, or just this chunk's.
+            let root_deps: &[TransferId] = match overlap {
+                Overlap::None => &barrier,
+                Overlap::ReductionBroadcast => {
+                    chunk_reductions.clear();
+                    chunk_reductions
+                        .extend(tree.children(root).iter().map(|&ch| red[idx(ti, c, ch.0)]));
+                    &chunk_reductions
+                }
+            };
             for &r in &top_down {
                 for &child in tree.children(r) {
-                    let deps: Vec<TransferId> = if r == root {
-                        match overlap {
-                            Overlap::None => barrier.clone(),
-                            Overlap::ReductionBroadcast => tree
-                                .children(root)
-                                .iter()
-                                .map(|&ch| red[idx(ti, c, ch.0)])
-                                .collect(),
-                        }
+                    // Every other rank forwards the broadcast it received.
+                    let deps = if r == root {
+                        root_deps
                     } else {
-                        vec![bc[idx(ti, c, r.0)]]
+                        std::slice::from_ref(&bc[idx(ti, c, r.0)])
                     };
                     let id = b.push(
                         r,
@@ -155,7 +164,7 @@ pub fn tree_allreduce(trees: &[BinaryTree], chunking: &Chunking, overlap: Overla
                         chunking.size(c),
                         Phase::Broadcast,
                         TreeIndex(ti as u8),
-                        deps,
+                        deps.iter().copied(),
                     );
                     bc[idx(ti, c, child.0)] = id;
                 }
@@ -201,7 +210,7 @@ mod tests {
         let root = tree.root();
         for t in s.transfers() {
             if t.phase == Phase::Broadcast && t.src == root {
-                for d in &t.deps {
+                for d in s.deps(t.id) {
                     assert_eq!(s.transfer(*d).chunk, t.chunk);
                 }
             }
@@ -219,8 +228,11 @@ mod tests {
             .iter()
             .find(|t| t.phase == Phase::Broadcast && t.src == root)
             .unwrap();
-        let dep_chunks: std::collections::HashSet<ChunkId> =
-            first_bc.deps.iter().map(|&d| s.transfer(d).chunk).collect();
+        let dep_chunks: std::collections::HashSet<ChunkId> = s
+            .deps(first_bc.id)
+            .iter()
+            .map(|&d| s.transfer(d).chunk)
+            .collect();
         assert_eq!(dep_chunks.len(), 4, "barrier must cover all chunks");
     }
 }

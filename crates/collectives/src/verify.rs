@@ -213,7 +213,7 @@ pub fn dag_violations(schedule: &Schedule) -> Vec<DagViolation> {
                 num_chunks: k,
             });
         }
-        for &d in &t.deps {
+        for &d in schedule.deps(t.id) {
             if d.index() >= i {
                 out.push(DagViolation::ForwardDep { id: t.id, dep: d });
             }
@@ -392,8 +392,8 @@ pub fn execute_steps(
                 continue;
             }
             let tid = queue[head] as usize;
-            let ready = transfers[tid]
-                .deps
+            let ready = schedule
+                .deps(TransferId(tid as u32))
                 .iter()
                 .all(|d| done[d.index()] && completion_step[d.index()] < step);
             if ready {
@@ -567,7 +567,7 @@ mod tests {
     use super::*;
     use crate::chunk::Chunking;
     use crate::ring::ring_allreduce;
-    use crate::schedule::Phase;
+    use crate::schedule::{Phase, ScheduleBuilder};
     use crate::tree::{BinaryTree, DoubleBinaryTree};
     use crate::tree_schedule::{tree_allreduce, Overlap};
     use ccube_topology::ByteSize;
@@ -696,18 +696,17 @@ mod tests {
 
     #[test]
     fn malformed_dag_is_detected() {
-        use crate::schedule::{Transfer, TransferId};
-        let t = Transfer {
-            id: TransferId(0),
-            src: Rank(0),
-            dst: Rank(0), // self loop
-            chunk: ChunkId(0),
-            bytes: ByteSize::kib(1),
-            phase: Phase::Reduce,
-            tree: TreeIndex(0),
-            deps: vec![],
-        };
-        let s = Schedule::new("bad", 2, Chunking::even(ByteSize::kib(1), 1), vec![t]);
+        let mut b = ScheduleBuilder::new();
+        b.push(
+            Rank(0),
+            Rank(0), // self loop
+            ChunkId(0),
+            ByteSize::kib(1),
+            Phase::Reduce,
+            TreeIndex(0),
+            [],
+        );
+        let s = b.finish("bad", 2, Chunking::even(ByteSize::kib(1), 1));
         assert!(matches!(check_dag(&s), Err(VerifyError::MalformedDag(_))));
     }
 
@@ -715,18 +714,17 @@ mod tests {
     fn incomplete_schedule_fails_verification() {
         // A schedule that only reduces but never broadcasts cannot be an
         // AllReduce.
-        use crate::schedule::{Transfer, TransferId};
-        let t = Transfer {
-            id: TransferId(0),
-            src: Rank(0),
-            dst: Rank(1),
-            chunk: ChunkId(0),
-            bytes: ByteSize::kib(1),
-            phase: Phase::Reduce,
-            tree: TreeIndex(0),
-            deps: vec![],
-        };
-        let s = Schedule::new("partial", 2, Chunking::even(ByteSize::kib(1), 1), vec![t]);
+        let mut b = ScheduleBuilder::new();
+        b.push(
+            Rank(0),
+            Rank(1),
+            ChunkId(0),
+            ByteSize::kib(1),
+            Phase::Reduce,
+            TreeIndex(0),
+            [],
+        );
+        let s = b.finish("partial", 2, Chunking::even(ByteSize::kib(1), 1));
         assert!(matches!(
             check_allreduce(&s),
             Err(VerifyError::MissingContribution { .. })

@@ -11,7 +11,7 @@ use ccube_collectives::analyze::{self, AnalyzeOptions, LintReport};
 use ccube_collectives::{
     analyze_physical, ring_allreduce, tree_allreduce, BinaryTree, ChunkId, Chunking,
     DoubleBinaryTree, EdgeKey, Embedding, Overlap, Phase, PhysicalAnalyzeOptions, Rank, Schedule,
-    Transfer, TransferId, TreeIndex,
+    ScheduleBuilder, TransferId, TreeIndex,
 };
 use ccube_runtime::protocol::{DEFAULT_RING_MAILBOX_CAPACITY, DEFAULT_TREE_MAILBOX_CAPACITY};
 use ccube_sim::{analyze_severance, forever, FaultEvent, FaultPlan, SimOptions};
@@ -174,25 +174,19 @@ fn forced_conflict_embedding(topo: &Topology, schedule: &Schedule) -> Embedding 
 /// Builds the `deadlock` demo schedule: two transfers that wait on each
 /// other (a forward dependency closing a 2-cycle).
 fn seeded_deadlock_schedule() -> Schedule {
-    let mk = |id: u32, src: u32, dst: u32, deps: Vec<TransferId>| Transfer {
-        id: TransferId(id),
-        src: Rank(src),
-        dst: Rank(dst),
-        chunk: ChunkId(0),
-        bytes: ByteSize::kib(4),
-        phase: Phase::Reduce,
-        tree: TreeIndex(0),
-        deps,
-    };
-    Schedule::new_unchecked(
-        "seeded-deadlock",
-        2,
-        Chunking::even(ByteSize::kib(8), 1),
-        vec![
-            mk(0, 0, 1, vec![TransferId(1)]),
-            mk(1, 1, 0, vec![TransferId(0)]),
-        ],
-    )
+    let mut b = ScheduleBuilder::new();
+    for (src, dst, dep) in [(0, 1, 1), (1, 0, 0)] {
+        b.push(
+            Rank(src),
+            Rank(dst),
+            ChunkId(0),
+            ByteSize::kib(4),
+            Phase::Reduce,
+            TreeIndex(0),
+            [TransferId(dep)],
+        );
+    }
+    b.finish_unchecked("seeded-deadlock", 2, Chunking::even(ByteSize::kib(8), 1))
 }
 
 /// Runs one named case, or `None` if the name is unknown.

@@ -47,9 +47,11 @@ pub struct SimOptions {
     pub arbitration: Arbitration,
     /// Ring capacity of the structured trace each run records. `0`
     /// disables tracing entirely ([`SimTrace::disabled`]): the scheduler
-    /// skips all per-event ring-buffer bookkeeping, which is the fast
-    /// path for sweeps and searches that only read timings and
-    /// counters. Tracing never affects simulated timings either way.
+    /// skips all per-event ring-buffer bookkeeping and logs no channel
+    /// busy intervals ([`SimReport::channel_intervals`] comes back
+    /// empty), which is the fast path for sweeps and searches that only
+    /// read timings and counters. Tracing never affects simulated
+    /// timings or busy totals either way.
     pub trace_capacity: usize,
     /// Which network model the scheduler runs: the NIC-channel
     /// approximation (default) or the explicit switch fabric, whose
@@ -89,7 +91,8 @@ impl SimOptions {
     /// The same options with tracing disabled — the fast path for
     /// sweeps and searches that only read the report's timings and
     /// counters. Results are bit-identical to a traced run; only the
-    /// report's [`SimTrace`] comes back empty.
+    /// report's [`SimTrace`] and its per-channel busy intervals
+    /// ([`SimReport::channel_intervals`]) come back empty.
     #[must_use]
     pub fn without_trace(mut self) -> Self {
         self.trace_capacity = 0;

@@ -156,7 +156,10 @@ impl SimReport {
 
     /// Busy intervals of each channel over the run, indexed by channel
     /// id, in completion order — the raw material for Gantt rendering
-    /// and utilization-over-time analysis.
+    /// and utilization-over-time analysis. Only traced runs log them: an
+    /// untraced run ([`SimOptions::without_trace`](crate::SimOptions::without_trace))
+    /// returns one empty vector per channel, while
+    /// [`SimReport::channel_busy`] holds the same totals either way.
     pub fn channel_intervals(&self) -> &[Vec<BusyInterval>] {
         &self.channel_intervals
     }
@@ -175,7 +178,9 @@ impl SimReport {
 
     /// Utilization of `channel` over time: the makespan divided into
     /// `bins` equal slices, each reporting the fraction of the slice the
-    /// channel was busy (0.0–1.0).
+    /// channel was busy (0.0–1.0). Built from
+    /// [`SimReport::channel_intervals`], so every slice reads 0.0 for an
+    /// untraced run.
     ///
     /// # Panics
     ///

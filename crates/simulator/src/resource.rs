@@ -8,7 +8,7 @@
 //! escape hatch for reservation cycles). Engines only tell the pool when
 //! a task becomes *ready* and when a running task *completes*; the pool
 //! decides who starts, and records grants, queue waits, busy time, and
-//! busy intervals as it does so.
+//! (when asked to) busy intervals as it does so.
 //!
 //! Layout of the hot path:
 //!
@@ -25,9 +25,11 @@
 //!   ChunkPriority a queue is a sorted run of integers: inserts
 //!   binary-search it, the priority check compares the front key, and a
 //!   grant pops the head in O(1).
-//! * **Busy-interval logs are reserved exactly**: each channel's log
-//!   gets room for one interval per task registered on it, so recording
-//!   never regrows a vector mid-run.
+//! * **Busy-interval logs are opt-in and reserved exactly**: only a
+//!   traced run asks for them ([`ChannelPool::record_intervals`]), and
+//!   then each channel's log gets room for one interval per task
+//!   registered on it, so recording never regrows a vector mid-run. An
+//!   untraced run keeps only the per-channel busy totals.
 //!
 //! [`ComputeStream`] is the compute-side resource: one exclusive,
 //! FIFO-ordered stream per GPU, with a slowdown factor that models the
@@ -117,6 +119,8 @@ pub struct ChannelPool {
     /// busy-interval log unless a re-route moves traffic.
     registered: Vec<u32>,
     busy: Vec<Seconds>,
+    /// Whether completions log busy intervals.
+    record_intervals: bool,
     intervals: Vec<Vec<BusyInterval>>,
     queue_wait: Vec<Seconds>,
     max_waiting: usize,
@@ -137,6 +141,7 @@ impl ChannelPool {
             link_down: vec![0; num_channels],
             registered: vec![0; num_channels],
             busy: vec![Seconds::ZERO; num_channels],
+            record_intervals: false,
             intervals: vec![Vec::new(); num_channels],
             queue_wait: vec![Seconds::ZERO; num_channels],
             max_waiting: 0,
@@ -189,11 +194,13 @@ impl ChannelPool {
         id
     }
 
-    /// Reserves each channel's busy-interval log for exactly the tasks
-    /// registered on it so far: one allocation per used channel, and no
-    /// regrowth while the run records. Call after the last
-    /// [`ChannelPool::add_task`]; skipping it only costs reallocation.
-    pub fn reserve_intervals(&mut self) {
+    /// Turns on the busy-interval logs, reserving each channel's for
+    /// exactly the tasks registered on it so far: one allocation per
+    /// used channel, and no regrowth while the run records. Call after
+    /// the last [`ChannelPool::add_task`]. Without it the pool logs no
+    /// intervals at all; busy totals are kept either way.
+    pub fn record_intervals(&mut self) {
+        self.record_intervals = true;
         for (iv, &n) in self.intervals.iter_mut().zip(&self.registered) {
             iv.reserve_exact(n as usize);
         }
@@ -217,7 +224,8 @@ impl ChannelPool {
     }
 
     /// Releases the channels of a completed `task`, charging busy time
-    /// and recording the busy interval. Does **not** serve the freed
+    /// and, if the pool records them, logging the busy interval. Does
+    /// **not** serve the freed
     /// queues — call [`ChannelPool::serve`] after the caller has
     /// processed the completion's dependency fallout, preserving the
     /// historical unblock-then-serve order.
@@ -233,10 +241,12 @@ impl ChannelPool {
         {
             self.free[ci] = true;
             self.busy[ci] += occupancy;
-            self.intervals[ci].push(BusyInterval {
-                start: started,
-                end: now,
-            });
+            if self.record_intervals {
+                self.intervals[ci].push(BusyInterval {
+                    start: started,
+                    end: now,
+                });
+            }
         }
     }
 
@@ -500,7 +510,8 @@ impl ChannelPool {
     }
 
     /// Takes the per-channel busy intervals (each in completion order)
-    /// out of the pool, leaving an empty interval table behind.
+    /// out of the pool, leaving an empty interval table behind. Each is
+    /// empty unless [`ChannelPool::record_intervals`] was called.
     pub fn take_intervals(&mut self) -> Vec<Vec<BusyInterval>> {
         std::mem::take(&mut self.intervals)
     }
@@ -747,6 +758,7 @@ mod tests {
     fn busy_intervals_cover_occupancy() {
         let (mut p, mut tr) = pool(1, Arbitration::FifoHol);
         let a = task(&mut p, &[0], 0);
+        p.record_intervals();
         assert!(p.mark_ready(a, us(2.0), &mut tr));
         p.complete(a, us(6.0));
         assert_eq!(p.busy()[0], us(6.0) - us(2.0));
@@ -941,7 +953,7 @@ mod tests {
                 };
                 p.add_task(route, rng.below(6) as u32);
             }
-            p.reserve_intervals();
+            p.record_intervals();
             let mut stamps = vec![0u64; num_tasks];
             let mut next_stamp = 1;
             let mut down = vec![0u32; num_channels];

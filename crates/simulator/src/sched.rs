@@ -7,11 +7,18 @@
 //! transfers plus optional compute tasks, on either network model, under
 //! an optional fault plan.
 //!
-//! * **Transfers** are lowered once ([`PreparedLowering`]) and occupy
-//!   their resource path in a [`ChannelPool`] — the channel path under
-//!   the channel approximation, the port path of the [`FabricMap`] under
-//!   the switch fabric — registered once per interned route. An adaptive [`UplinkPolicy`] revises a transfer's
-//!   uplink slots at the moment it becomes ready.
+//! * **Transfers** are resolved once per logical edge
+//!   ([`PreparedLowering`]): the run keeps the prepared routes (channel
+//!   path, detour GPU, [`Wormhole`](ccube_collectives::Wormhole)
+//!   coefficients and, under the switch fabric, the port route) and each
+//!   transfer's route index, and computes a transfer's duration from its
+//!   route when the transfer starts. No per-transfer spec is built. A
+//!   transfer occupies its resource path in a [`ChannelPool`] — the
+//!   channel path under the channel approximation, the port path of the
+//!   [`FabricMap`] under the switch fabric — registered once per route.
+//!   A fault re-route appends a route and repoints the transfer. An
+//!   adaptive [`UplinkPolicy`] revises a transfer's uplink slots at the
+//!   moment it becomes ready.
 //! * **Compute tasks** run on one exclusive [`ComputeStream`] per GPU.
 //! * **Fault boundaries** are kernel events keyed below every completion,
 //!   so a boundary at time `t` is visible to all traffic at `t`.
@@ -23,7 +30,8 @@
 //!
 //! Every run builds its own pool, kernel and dependency tables, reserved
 //! exactly for its job, so no state outlives a run; the per-node fault
-//! state is allocated only when the plan has events.
+//! state is allocated only when the plan has events, and the pool logs
+//! busy intervals only when the run is traced.
 
 use crate::engine::SimOptions;
 use crate::error::SimError;
@@ -35,8 +43,7 @@ use crate::resource::{ChannelPool, ComputeStream};
 use crate::system::{ComputeTask, ComputeTaskId};
 use crate::trace::{BusyInterval, SimTrace, TraceRecord};
 use ccube_collectives::{
-    Embedding, LinkTiming, LowerError, PreparedLowering, Schedule, TransferId, TransferSpec,
-    Wormhole,
+    Embedding, LinkTiming, LowerError, PreparedLowering, PreparedRoute, Schedule, TransferId,
 };
 use ccube_topology::{ChannelClass, ChannelId, GpuId, PortId, Router, Seconds, SwitchId, Topology};
 use std::collections::HashMap;
@@ -68,7 +75,7 @@ impl<'a> Job<'a> {
         let transfers = self.schedule.transfers();
         let nt = transfers.len();
         for t in transfers {
-            for d in &t.deps {
+            for d in self.schedule.deps(t.id) {
                 f(d.index(), t.id.0);
             }
         }
@@ -103,17 +110,15 @@ pub(crate) struct Run {
 }
 
 /// Runs the analyzer's structural gate (debug builds only: malformed
-/// DAG, missing or invalid routes) and lowers `schedule`, keeping the
-/// interned routes the pool registers.
+/// DAG, missing or invalid routes) and resolves `schedule`'s routes.
 /// Conflicted-but-valid embeddings are deliberately NOT gated: the
 /// extension studies simulate them on purpose to measure the cost of the
 /// conflicts.
-fn gate_and_lower(
+fn gate_and_prepare(
     topo: &Topology,
     schedule: &Schedule,
     embedding: &Embedding,
-    timing: &LinkTiming,
-) -> Result<(PreparedLowering, Vec<TransferSpec>), LowerError> {
+) -> Result<PreparedLowering, LowerError> {
     #[cfg(debug_assertions)]
     {
         let lint = ccube_collectives::analyze::gate(schedule, embedding, topo);
@@ -122,9 +127,7 @@ fn gate_and_lower(
             "schedule/embedding failed the static gate:\n{lint}"
         );
     }
-    let prepared = PreparedLowering::new(schedule, embedding, topo)?;
-    let specs = prepared.lower(schedule, timing);
-    Ok((prepared, specs))
+    PreparedLowering::new(schedule, embedding, topo)
 }
 
 /// The reverse dependency edges of a job as one flat table (CSR): the
@@ -243,8 +246,7 @@ pub(crate) fn run(
     if faulted {
         plan.validate_against(topo)?;
     }
-    let timing = opts.link_timing();
-    let (prepared, mut specs) = gate_and_lower(topo, job.schedule, embedding, &timing)?;
+    let (routes, route_of) = gate_and_prepare(topo, job.schedule, embedding)?.into_routes();
     let fabric = FabricMap::for_options(topo, opts);
     if faulted {
         plan.validate_fabric_events(fabric.as_ref().map(|f| &f.graph))?;
@@ -261,45 +263,44 @@ pub(crate) fn run(
         );
     }
 
-    let nt = specs.len();
+    let transfers = job.schedule.transfers();
+    let nt = transfers.len();
     let nc = job.compute.len();
     let num_channels = topo.channels().len();
     let num_resources = fabric.as_ref().map_or(num_channels, |f| f.num_ports());
 
     let (dependents, mut deps_remaining) = Dependents::new(job);
 
-    // The pool's routes are the lowering's, in its order. Under the
-    // switch fabric they are port paths and durations follow the ports;
-    // specs keep their channel-level paths, on which fault events are
-    // declared. Pool task ids follow registration order, which is
-    // transfer-id order (ids are dense and equal their index), so the
-    // pool's `(chunk, id)` key is the transfer's.
+    // The pool's routes are the lowering's, in its order: port paths
+    // under the switch fabric, where durations follow the ports, and
+    // channel paths otherwise. Fault events are declared on the
+    // channel-level paths either way. Pool task ids follow registration
+    // order, which is transfer-id order (ids are dense and equal their
+    // index), so the pool's `(chunk, id)` key is the transfer's.
     let mut pool = ChannelPool::new(num_resources, opts.arbitration);
     pool.reserve_tasks(nt);
-    match &fabric {
-        Some(f) => {
-            let port_routes: Vec<_> = prepared.paths().map(|p| f.graph.port_route(p)).collect();
-            for route in &port_routes {
-                pool.add_route(route.iter().map(|p| ChannelId(p.0)));
-            }
-            for (s, &r) in specs.iter_mut().zip(prepared.route_of()) {
-                let route = &port_routes[r as usize];
-                s.duration = f.duration(route, s.bytes, s.via.is_some(), &timing);
-                pool.add_task(r, s.chunk.0);
-            }
+    let port_routes: Vec<Vec<PortId>> = match &fabric {
+        Some(f) => routes
+            .iter()
+            .map(|r| f.graph.port_route(r.path()))
+            .collect(),
+        None => Vec::new(),
+    };
+    if fabric.is_some() {
+        for route in &port_routes {
+            pool.add_route(route.iter().map(|p| ChannelId(p.0)));
         }
-        None => {
-            for path in prepared.paths() {
-                pool.add_route(path.iter().copied());
-            }
-            for (s, &r) in specs.iter().zip(prepared.route_of()) {
-                pool.add_task(r, s.chunk.0);
-            }
+    } else {
+        for route in &routes {
+            pool.add_route(route.path().iter().copied());
         }
     }
-    // The per-transfer route index is not needed past registration.
-    drop(prepared);
-    pool.reserve_intervals();
+    for (t, &r) in transfers.iter().zip(&route_of) {
+        pool.add_task(r, t.chunk.0);
+    }
+    if opts.trace_capacity > 0 {
+        pool.record_intervals();
+    }
 
     let mut streams: Vec<Option<ComputeStream>> = Vec::new();
     for c in job.compute {
@@ -320,9 +321,11 @@ pub(crate) fn run(
         topo,
         job,
         embedding,
-        opts,
         plan,
-        specs,
+        timing: opts.link_timing(),
+        routes,
+        port_routes,
+        route_of,
         switch_queue_depth: fabric
             .as_ref()
             .map_or_else(Vec::new, |f| vec![0; f.graph.num_switches()]),
@@ -482,11 +485,15 @@ struct Sched<'a> {
     topo: &'a Topology,
     job: &'a Job<'a>,
     embedding: &'a Embedding,
-    opts: &'a SimOptions,
     plan: &'a FaultPlan,
-    /// Lowered transfers; a fault re-route rewrites a spec's channel path
-    /// and duration in place.
-    specs: Vec<TransferSpec>,
+    timing: LinkTiming,
+    /// The prepared routes; a fault re-route appends one.
+    routes: Vec<PreparedRoute>,
+    /// The port route of each of `routes` under the switch fabric (empty
+    /// under the channel approximation).
+    port_routes: Vec<Vec<PortId>>,
+    /// Each transfer's index into `routes`.
+    route_of: Vec<u32>,
     /// Channel→port mapping under the switch-fabric network model.
     fabric: Option<FabricMap>,
     pool: ChannelPool,
@@ -509,7 +516,36 @@ struct Sched<'a> {
 
 impl Sched<'_> {
     fn nt(&self) -> usize {
-        self.specs.len()
+        self.route_of.len()
+    }
+
+    /// The route transfer `t` currently takes.
+    fn route(&self, t: usize) -> &PreparedRoute {
+        &self.routes[self.route_of[t] as usize]
+    }
+
+    /// The channel-level path of transfer `t`.
+    fn path(&self, t: usize) -> &[ChannelId] {
+        self.route(t).path()
+    }
+
+    /// The transit time of transfer `t` over its current route: the
+    /// route's wormhole, or the port route's transit time under the
+    /// switch fabric. Computed afresh on every call, from the same
+    /// inputs each time, so repeated calls agree bit for bit.
+    fn duration(&self, t: usize) -> Seconds {
+        let r = self.route_of[t] as usize;
+        let route = &self.routes[r];
+        let bytes = self.job.schedule.transfers()[t].bytes;
+        match &self.fabric {
+            Some(f) => f.duration(
+                &self.port_routes[r],
+                bytes,
+                route.via().is_some(),
+                &self.timing,
+            ),
+            None => route.duration(bytes, &self.timing),
+        }
     }
 
     fn faults(&mut self) -> &mut FaultState {
@@ -541,7 +577,7 @@ impl Sched<'_> {
     /// records the trace entry.
     fn begin_transfer(&mut self, tid: u32, now: Seconds) {
         let t = tid as usize;
-        let mut duration = self.specs[t].duration;
+        let mut duration = self.duration(t);
         let mut gen = 0;
         if self.faults.is_some() {
             let eff = self.path_rate(tid);
@@ -556,7 +592,7 @@ impl Sched<'_> {
             .schedule(now + duration, transfer_key(tid), Ev::Transfer(tid, gen));
         self.in_flight += 1;
         self.trace.push(TraceRecord::TransferStart {
-            id: self.specs[t].id,
+            id: TransferId(tid),
             at: now,
         });
     }
@@ -616,7 +652,7 @@ impl Sched<'_> {
         self.pool.reroute(tid, revised);
         self.failovers += 1;
         self.trace.push(TraceRecord::Failover {
-            id: self.specs[tid as usize].id,
+            id: TransferId(tid),
             port,
             at: now,
         });
@@ -641,18 +677,12 @@ impl Sched<'_> {
         let t = tid as usize;
         self.timings[t].complete = now;
         self.pool.complete(tid, now);
-        let spec = &self.specs[t];
-        self.trace.push(TraceRecord::TransferEnd {
-            id: spec.id,
-            at: now,
-        });
-        if let Some(via) = spec.via {
-            *self.forwarding_busy.entry(via).or_insert(Seconds::ZERO) += spec.duration;
-            self.trace.push(TraceRecord::DetourHop {
-                id: spec.id,
-                via,
-                at: now,
-            });
+        let id = TransferId(tid);
+        self.trace.push(TraceRecord::TransferEnd { id, at: now });
+        if let Some(via) = self.route(t).via() {
+            let duration = self.duration(t);
+            *self.forwarding_busy.entry(via).or_insert(Seconds::ZERO) += duration;
+            self.trace.push(TraceRecord::DetourHop { id, via, at: now });
         }
     }
 
@@ -709,8 +739,7 @@ impl Sched<'_> {
 
     /// Effective rate of a transfer: its bottleneck degradation.
     fn path_rate(&self, tid: u32) -> f64 {
-        self.specs[tid as usize]
-            .path
+        self.path(tid as usize)
             .iter()
             .map(|&c| self.channel_rate(c))
             .fold(1.0, f64::min)
@@ -834,7 +863,8 @@ impl Sched<'_> {
     /// Re-slots every waiting transfer's spine crossings onto surviving
     /// (or less-queued) uplinks. Unlike [`Self::reroute_pass`] this never
     /// changes the channel-level route — slot substitution is
-    /// duration-invariant by construction, so specs stay untouched. A
+    /// duration-invariant by construction, so the transfer keeps its
+    /// route and its duration. A
     /// crossing with no surviving slot keeps its current one and stalls
     /// until repair; permanent total severance surfaces as
     /// [`SimError::Unroutable`] when the queue drains.
@@ -881,7 +911,7 @@ impl Sched<'_> {
             if self.pool.is_done(tid) || self.pool.is_running(tid) {
                 continue;
             }
-            let path = &self.specs[t].path;
+            let path = self.path(t);
             if !path.iter().any(|&c| self.is_channel_down(c)) {
                 continue;
             }
@@ -896,28 +926,16 @@ impl Sched<'_> {
             let Ok(route) = router.allocate(src, dst) else {
                 continue; // no surviving route: wait for the link
             };
-            let timing = self.opts.link_timing();
-            let bytes = transfers[t].bytes;
-            let detour = route.is_detour();
-            let duration = match &self.fabric {
-                Some(f) => f.duration(
-                    &f.graph.port_route(route.channels()),
-                    bytes,
-                    detour,
-                    &timing,
-                ),
-                None => Wormhole::of_channels(self.topo, route.channels())
-                    .duration(bytes, detour, &timing),
-            };
-            let spec = &mut self.specs[t];
-            spec.path = route.channels().into();
-            spec.via = route.via();
-            spec.duration = duration;
-            let res_path = self.res_path(&self.specs[t].path);
+            let res_path = self.res_path(route.channels());
+            if let Some(f) = &self.fabric {
+                self.port_routes.push(f.graph.port_route(route.channels()));
+            }
+            self.route_of[t] = self.routes.len() as u32;
+            self.routes.push(PreparedRoute::of_route(&route, self.topo));
             self.pool.reroute(tid, res_path);
             self.faults().reroutes_taken += 1;
             self.trace.push(TraceRecord::Reroute {
-                id: self.specs[t].id,
+                id: TransferId(tid),
                 at: now,
             });
             if self.pool.poke(tid, now, &mut self.trace) {
@@ -931,7 +949,7 @@ impl Sched<'_> {
     fn rescale_channel(&mut self, channel: ChannelId, now: Seconds) {
         for tid in 0..self.nt() as u32 {
             let t = tid as usize;
-            if !self.pool.is_running(tid) || !self.specs[t].path.contains(&channel) {
+            if !self.pool.is_running(tid) || !self.path(t).contains(&channel) {
                 continue;
             }
             let eff_new = self.path_rate(tid);
@@ -992,7 +1010,7 @@ impl Sched<'_> {
             if self.pool.is_done(tid) {
                 continue;
             }
-            let stuck = self.specs[t].path.iter().any(|&c| self.is_channel_down(c))
+            let stuck = self.path(t).iter().any(|&c| self.is_channel_down(c))
                 || (self.fabric.is_some()
                     && self
                         .pool

@@ -4,8 +4,8 @@
 //! plans, and shrinking of failing plans to 1-minimal reproducers.
 
 use ccube_collectives::{
-    ring_allreduce, tree_allreduce, verify, Chunking, DoubleBinaryTree, Embedding, Overlap,
-    Schedule,
+    ring_allreduce, tree_allreduce, verify, Chunking, DoubleBinaryTree, Embedding, LinkTiming,
+    Overlap, Schedule, Wormhole,
 };
 use ccube_sim::{
     forever, simulate_faulted, simulate_system_faulted, FaultEvent, FaultModel, FaultPlan,
@@ -121,6 +121,40 @@ fn downing_the_doubled_nvlink_pair_forces_the_documented_detour() {
         .filter(|rec| matches!(rec, TraceRecord::Reroute { .. }))
         .count() as u64;
     assert_eq!(reroutes, r.stats.reroutes_taken);
+
+    // A re-routed 2->3 transfer runs for exactly the wormhole time of the
+    // channels it was granted, as a detour.
+    let mut checked = 0;
+    for rec in r.trace.records() {
+        let TraceRecord::Reroute { id, .. } = *rec else {
+            continue;
+        };
+        if !direct_pairs.contains(&id) {
+            continue;
+        }
+        let mut granted = Vec::new();
+        let (mut start, mut end) = (None, None);
+        for rec in r.trace.records() {
+            match *rec {
+                TraceRecord::ChannelGrant { channel, id: g, .. } if g == id => {
+                    granted.push(channel)
+                }
+                TraceRecord::TransferStart { id: g, at } if g == id => start = Some(at),
+                TraceRecord::TransferEnd { id: g, at } if g == id => end = Some(at),
+                _ => {}
+            }
+        }
+        let took = end.expect("the transfer ends") - start.expect("the transfer starts");
+        let want = Wormhole::of_channels(&topo, &granted).duration(
+            s.transfer(id).bytes,
+            true,
+            &LinkTiming::default(),
+        );
+        let rel = (took.as_secs_f64() - want.as_secs_f64()).abs() / want.as_secs_f64();
+        assert!(rel <= 1e-12, "{id} took {took}, its detour {want}");
+        checked += 1;
+    }
+    assert!(checked > 0, "some 2->3 transfer was re-routed");
 }
 
 fn detour_vias_of(

@@ -46,6 +46,17 @@ fn trace_off_fast_path_preserves_timings() {
         assert_eq!(a.timings(), b.timings());
         assert_eq!(a.stats(), b.stats());
         assert!(b.trace().records().next().is_none());
+        // Busy totals do not depend on the trace; busy intervals are
+        // logged only by traced runs.
+        let bits = |r: &SimReport| -> Vec<u64> {
+            r.channel_busy()
+                .iter()
+                .map(|s| s.as_secs_f64().to_bits())
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b));
+        assert!(a.channel_intervals().iter().any(|iv| !iv.is_empty()));
+        assert!(b.channel_intervals().iter().all(|iv| iv.is_empty()));
     }
 }
 

@@ -19,6 +19,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> per-transfer state allocates O(routes), not O(transfers)"
+cargo test -q -p ccube-sim --test alloc_budget
+
 echo "==> closed-form iteration model agrees with the one scheduler"
 cargo test -q -p ccube --lib systemjob
 

@@ -12,7 +12,7 @@ use ccube_collectives::analyze::{analyze, analyze_embedded, gate};
 use ccube_collectives::verify::check_allreduce;
 use ccube_collectives::{
     ring_allreduce, tree_allreduce, AnalyzeOptions, Chunking, DoubleBinaryTree, EdgeKey, Embedding,
-    LintCode, Overlap, Schedule, Severity, TransferId,
+    LintCode, Overlap, Schedule, ScheduleBuilder, Severity, Transfer, TransferId,
 };
 use ccube_runtime::protocol::{DEFAULT_RING_MAILBOX_CAPACITY, DEFAULT_TREE_MAILBOX_CAPACITY};
 use ccube_topology::{dgx1, ByteSize, ChannelClass, Route};
@@ -33,21 +33,32 @@ fn opts(capacity: usize) -> AnalyzeOptions {
 /// transfer's source or destination buffer) from the first transfer that
 /// has one. Returns `None` when no transfer carries such a dependency.
 fn drop_data_dep(s: &Schedule) -> Option<Schedule> {
-    let mut transfers = s.transfers().to_vec();
-    let carries = |t: &ccube_collectives::Transfer, d: &TransferId| {
+    let carries = |t: &Transfer, d: &TransferId| {
         let dep = &s.transfers()[d.index()];
         dep.chunk == t.chunk && (dep.dst == t.src || dep.dst == t.dst)
     };
-    let victim = transfers
+    let victim = s
+        .transfers()
         .iter()
-        .position(|t| t.deps.iter().any(|d| carries(t, d)))?;
-    let t = transfers[victim].clone();
-    transfers[victim].deps.retain(|d| !carries(&t, d));
-    Some(Schedule::new(
+        .position(|t| s.deps(t.id).iter().any(|d| carries(t, d)))?;
+    let mut b = ScheduleBuilder::new();
+    for t in s.transfers() {
+        let deps = s.deps(t.id).iter().copied();
+        let dropped = t.id.index() == victim;
+        b.push(
+            t.src,
+            t.dst,
+            t.chunk,
+            t.bytes,
+            t.phase,
+            t.tree,
+            deps.filter(|d| !(dropped && carries(t, d))),
+        );
+    }
+    Some(b.finish(
         s.algorithm().to_string(),
         s.num_ranks(),
         s.chunking().clone(),
-        transfers,
     ))
 }
 
