@@ -40,7 +40,7 @@ use crate::kernel::SimRng;
 use crate::sched::{self, Job};
 use crate::system::{SystemJob, SystemReport};
 use ccube_collectives::{Embedding, Schedule};
-use ccube_topology::{ChannelClass, ChannelId, FabricGraph, GpuId, Seconds, Topology};
+use ccube_topology::{ChannelClass, ChannelId, FabricGraph, GpuId, Seconds, SwitchId, Topology};
 use std::collections::HashMap;
 
 /// The sentinel end time of a permanent fault: the event never lifts.
@@ -148,6 +148,26 @@ impl FaultEvent {
     /// True if the event never lifts.
     pub fn is_permanent(&self) -> bool {
         self.until().as_secs_f64().is_infinite()
+    }
+
+    /// The `(leaf, slot)` uplinks of `graph` this event takes down,
+    /// leaf-major and slot-minor: the one slot of an
+    /// [`UplinkDown`](FaultEvent::UplinkDown), every slot attached to
+    /// the spine of a [`SwitchDown`](FaultEvent::SwitchDown) on every
+    /// leaf, and none for channel- and GPU-level events.
+    pub(crate) fn downed_uplinks(&self, graph: &FabricGraph) -> Vec<(u32, u32)> {
+        match *self {
+            FaultEvent::UplinkDown { leaf, uplink, .. } => vec![(leaf, uplink)],
+            FaultEvent::SwitchDown { spine, .. } => (0..graph.num_switches() as u32)
+                .flat_map(|leaf| {
+                    let slots = graph.uplinks_up(SwitchId(leaf)).len() as u32;
+                    (0..slots)
+                        .filter(move |&slot| graph.spine_of_uplink(slot) == spine)
+                        .map(move |slot| (leaf, slot))
+                })
+                .collect(),
+            _ => Vec::new(),
+        }
     }
 }
 

@@ -828,36 +828,25 @@ impl Sched<'_> {
     /// The pool port resources a fabric-native fault event downs: both
     /// legs of the uplink crossing (a transfer that cannot reach the
     /// spine cannot come back down it either), or every crossing homed
-    /// on a downed spine.
+    /// on a downed spine. Ports come leaf-major, slot-minor, up before
+    /// down ([`FaultEvent::downed_uplinks`] order): [`Self::apply_end`]
+    /// serves the repaired ports in this order.
     fn fault_ports(&self, e: &FaultEvent) -> Vec<ChannelId> {
         let Some(f) = &self.fabric else {
             return Vec::new(); // validated away under ChannelApprox
         };
         let g = &f.graph;
-        match *e {
-            FaultEvent::UplinkDown { leaf, uplink, .. } => {
+        e.downed_uplinks(g)
+            .into_iter()
+            .flat_map(|(leaf, slot)| {
                 let sw = SwitchId(leaf);
-                let up = g.uplinks_up(sw)[uplink as usize];
-                let down = g.uplinks_down(sw)[uplink as usize];
-                vec![ChannelId(up.0), ChannelId(down.0)]
-            }
-            FaultEvent::SwitchDown { spine, .. } => {
-                let mut out = Vec::new();
-                for leaf in 0..g.num_switches() {
-                    let sw = SwitchId(leaf as u32);
-                    for (slot, (&u, &d)) in
-                        g.uplinks_up(sw).iter().zip(g.uplinks_down(sw)).enumerate()
-                    {
-                        if g.spine_of_uplink(slot as u32) == spine {
-                            out.push(ChannelId(u.0));
-                            out.push(ChannelId(d.0));
-                        }
-                    }
-                }
-                out
-            }
-            _ => Vec::new(),
-        }
+                let (up, down) = (
+                    g.uplinks_up(sw)[slot as usize],
+                    g.uplinks_down(sw)[slot as usize],
+                );
+                [ChannelId(up.0), ChannelId(down.0)]
+            })
+            .collect()
     }
 
     /// Re-slots every waiting transfer's spine crossings onto surviving

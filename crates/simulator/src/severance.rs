@@ -65,29 +65,13 @@ fn down_slots(
     from: Seconds,
     until: Seconds,
 ) -> BTreeSet<usize> {
-    let k = graph.uplinks_per_leaf();
-    let mut out = BTreeSet::new();
-    for e in plan.events() {
-        if !overlaps(from, until, e.from(), e.until()) {
-            continue;
-        }
-        match *e {
-            FaultEvent::UplinkDown {
-                leaf: l, uplink, ..
-            } if l == leaf => {
-                out.insert(uplink as usize);
-            }
-            FaultEvent::SwitchDown { spine, .. } => {
-                for slot in 0..k {
-                    if graph.spine_of_uplink(slot as u32) == spine {
-                        out.insert(slot);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
+    plan.events()
+        .iter()
+        .filter(|e| overlaps(from, until, e.from(), e.until()))
+        .flat_map(|e| e.downed_uplinks(graph))
+        .filter(|&(l, _)| l == leaf)
+        .map(|(_, slot)| slot as usize)
+        .collect()
 }
 
 /// Spec indices whose static port route uses the up or down port of
@@ -279,8 +263,10 @@ pub fn analyze_severance(
                     continue;
                 };
                 let k = graph.uplinks_per_leaf();
-                let spine_slots: BTreeSet<usize> = (0..k)
-                    .filter(|&s| graph.spine_of_uplink(s as u32) == spine)
+                let spine_slots: BTreeSet<usize> = e
+                    .downed_uplinks(graph)
+                    .into_iter()
+                    .map(|(_, slot)| slot as usize)
                     .collect();
                 if spine_slots.is_empty() {
                     continue;

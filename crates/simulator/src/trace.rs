@@ -14,7 +14,7 @@
 
 use ccube_collectives::TransferId;
 use ccube_topology::{ChannelId, GpuId, Seconds};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::{self, Write as _};
 
 /// One closed span during which a resource was occupied.
@@ -146,22 +146,91 @@ pub enum TraceRecord {
     },
 }
 
+/// One trace-CSV row, `(kind, id, lane column, t, extra column)`: the
+/// single schema [`SimTrace::to_csv`] writes and [`SimTrace::from_csv`]
+/// parses. The lane column is the channel, port or GPU a record names;
+/// the extra column is a queue wait's length.
+pub(crate) type Row<'k> = (&'k str, u32, Option<u32>, Seconds, Option<Seconds>);
+
 impl TraceRecord {
     /// The record's timestamp.
     pub fn at(&self) -> Seconds {
+        self.row().3
+    }
+
+    /// The record's CSV kind name (`transfer_start`, `queue_wait`, …).
+    pub(crate) fn kind(&self) -> &'static str {
+        self.row().0
+    }
+
+    /// The record as one CSV row; [`TraceRecord::from_row`] is the
+    /// inverse.
+    pub(crate) fn row(&self) -> Row<'static> {
         match *self {
-            TraceRecord::TransferStart { at, .. }
-            | TraceRecord::TransferEnd { at, .. }
-            | TraceRecord::ChannelGrant { at, .. }
-            | TraceRecord::ComputeStart { at, .. }
-            | TraceRecord::ComputeEnd { at, .. }
-            | TraceRecord::DetourHop { at, .. }
-            | TraceRecord::FaultStart { at, .. }
-            | TraceRecord::FaultEnd { at, .. }
-            | TraceRecord::Reroute { at, .. }
-            | TraceRecord::Failover { at, .. } => at,
-            TraceRecord::QueueWait { granted, .. } => granted,
+            Self::TransferStart { id, at } => ("transfer_start", id.0, None, at, None),
+            Self::TransferEnd { id, at } => ("transfer_end", id.0, None, at, None),
+            Self::ChannelGrant { channel, id, at } => {
+                ("channel_grant", id.0, Some(channel.0), at, None)
+            }
+            Self::QueueWait {
+                id,
+                enqueued,
+                granted,
+            } => ("queue_wait", id.0, None, granted, Some(granted - enqueued)),
+            Self::ComputeStart { id, gpu, at } => ("compute_start", id, Some(gpu.0), at, None),
+            Self::ComputeEnd { id, gpu, at } => ("compute_end", id, Some(gpu.0), at, None),
+            Self::DetourHop { id, via, at } => ("detour_hop", id.0, Some(via.0), at, None),
+            Self::FaultStart { fault, at } => ("fault_start", fault, None, at, None),
+            Self::FaultEnd { fault, at } => ("fault_end", fault, None, at, None),
+            Self::Reroute { id, at } => ("reroute", id.0, None, at, None),
+            Self::Failover { id, port, at } => ("failover", id.0, Some(port.0), at, None),
         }
+    }
+
+    /// The record a row describes, or `None` for an unknown kind. A
+    /// column the kind does not use is ignored and a missing one reads
+    /// as zero; [`SimTrace::from_csv`] rejects both by comparing the
+    /// row's shape with the record's [`row`](TraceRecord::row).
+    fn from_row((kind, id, lane, at, extra): Row<'_>) -> Option<TraceRecord> {
+        let (lane, tid) = (lane.unwrap_or(0), TransferId(id));
+        Some(match kind {
+            "transfer_start" => Self::TransferStart { id: tid, at },
+            "transfer_end" => Self::TransferEnd { id: tid, at },
+            "channel_grant" => Self::ChannelGrant {
+                channel: ChannelId(lane),
+                id: tid,
+                at,
+            },
+            "queue_wait" => Self::QueueWait {
+                id: tid,
+                enqueued: at - extra.unwrap_or(Seconds::ZERO),
+                granted: at,
+            },
+            "compute_start" => Self::ComputeStart {
+                id,
+                gpu: GpuId(lane),
+                at,
+            },
+            "compute_end" => Self::ComputeEnd {
+                id,
+                gpu: GpuId(lane),
+                at,
+            },
+            "detour_hop" => Self::DetourHop {
+                id: tid,
+                via: GpuId(lane),
+                at,
+            },
+            "fault_start" => Self::FaultStart { fault: id, at },
+            "fault_end" => Self::FaultEnd { fault: id, at },
+            "reroute" => Self::Reroute { id: tid, at },
+            "failover" => Self::Failover {
+                id: tid,
+                port: ChannelId(lane),
+                at,
+            },
+            _ => return None,
+        })
     }
 }
 
@@ -282,57 +351,20 @@ impl SimTrace {
     }
 
     /// Exports the retained records as CSV
-    /// (`kind,id,channel_or_gpu,t_us,extra_us`).
+    /// (`kind,id,channel_or_gpu,t_us,extra_us`), one row per record.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("kind,id,channel_or_gpu,t_us,extra_us\n");
         for r in &self.records {
-            let _ = match *r {
-                TraceRecord::TransferStart { id, at } => {
-                    writeln!(out, "transfer_start,{},,{:.3},", id.0, at.as_micros())
-                }
-                TraceRecord::TransferEnd { id, at } => {
-                    writeln!(out, "transfer_end,{},,{:.3},", id.0, at.as_micros())
-                }
-                TraceRecord::ChannelGrant { channel, id, at } => writeln!(
-                    out,
-                    "channel_grant,{},{},{:.3},",
-                    id.0,
-                    channel.0,
-                    at.as_micros()
-                ),
-                TraceRecord::QueueWait {
-                    id,
-                    enqueued,
-                    granted,
-                } => writeln!(
-                    out,
-                    "queue_wait,{},,{:.3},{:.3}",
-                    id.0,
-                    granted.as_micros(),
-                    (granted - enqueued).as_micros()
-                ),
-                TraceRecord::ComputeStart { id, gpu, at } => {
-                    writeln!(out, "compute_start,{},{},{:.3},", id, gpu.0, at.as_micros())
-                }
-                TraceRecord::ComputeEnd { id, gpu, at } => {
-                    writeln!(out, "compute_end,{},{},{:.3},", id, gpu.0, at.as_micros())
-                }
-                TraceRecord::DetourHop { id, via, at } => {
-                    writeln!(out, "detour_hop,{},{},{:.3},", id.0, via.0, at.as_micros())
-                }
-                TraceRecord::FaultStart { fault, at } => {
-                    writeln!(out, "fault_start,{},,{:.3},", fault, at.as_micros())
-                }
-                TraceRecord::FaultEnd { fault, at } => {
-                    writeln!(out, "fault_end,{},,{:.3},", fault, at.as_micros())
-                }
-                TraceRecord::Reroute { id, at } => {
-                    writeln!(out, "reroute,{},,{:.3},", id.0, at.as_micros())
-                }
-                TraceRecord::Failover { id, port, at } => {
-                    writeln!(out, "failover,{},{},{:.3},", id.0, port.0, at.as_micros())
-                }
-            };
+            let (kind, id, lane, t, extra) = r.row();
+            let _ = write!(out, "{kind},{id},");
+            if let Some(lane) = lane {
+                let _ = write!(out, "{lane}");
+            }
+            let _ = write!(out, ",{:.3},", t.as_micros());
+            if let Some(wait) = extra {
+                let _ = write!(out, "{:.3}", wait.as_micros());
+            }
+            out.push('\n');
         }
         out
     }
@@ -349,10 +381,12 @@ impl SimTrace {
     /// reproduces the input byte-for-byte when the input came from
     /// `to_csv`. Fails with a line-numbered message on an unknown record
     /// kind or a malformed field — a timestamp or wait that is not a
-    /// finite, non-negative number included; the header line is
-    /// required.
+    /// finite, non-negative number included, and a queue wait longer
+    /// than its grant time (it would have queued before time zero). A
+    /// row must also have the column shape its kind exports: a
+    /// non-empty column the kind does not use, or an empty one it does,
+    /// is an error. The header line is required.
     pub fn from_csv(csv: &str) -> Result<SimTrace, String> {
-        use ccube_collectives::TransferId;
         let mut lines = csv.lines();
         match lines.next() {
             Some(h) if h.starts_with("kind,") => {}
@@ -365,72 +399,29 @@ impl SimTrace {
             }
             let err = |what: &str| format!("line {}: {what}: {line:?}", n + 2);
             let cols: Vec<&str> = line.split(',').collect();
-            if cols.len() != 5 {
+            let [kind, id, lane, t, extra] = cols[..] else {
                 return Err(err("expected 5 columns"));
-            }
-            let id = |c: &str| c.parse::<u32>().map_err(|_| err("bad id"));
+            };
+            let num = |c: &str| c.parse::<u32>().map_err(|_| err("bad id"));
             // Times and waits are finite and non-negative: anything else
             // would poison every later comparison and binning.
-            let at = |c: &str| match c.parse::<f64>() {
+            let time = |c: &str| match c.parse::<f64>() {
                 Ok(us) if us.is_finite() && us >= 0.0 => Ok(Seconds::from_micros(us)),
                 _ => Err(err("bad timestamp")),
             };
-            records.push(match cols[0] {
-                "transfer_start" => TraceRecord::TransferStart {
-                    id: TransferId(id(cols[1])?),
-                    at: at(cols[3])?,
-                },
-                "transfer_end" => TraceRecord::TransferEnd {
-                    id: TransferId(id(cols[1])?),
-                    at: at(cols[3])?,
-                },
-                "channel_grant" => TraceRecord::ChannelGrant {
-                    id: TransferId(id(cols[1])?),
-                    channel: ChannelId(id(cols[2])?),
-                    at: at(cols[3])?,
-                },
-                "queue_wait" => {
-                    let granted = at(cols[3])?;
-                    TraceRecord::QueueWait {
-                        id: TransferId(id(cols[1])?),
-                        enqueued: granted - at(cols[4])?,
-                        granted,
-                    }
-                }
-                "compute_start" => TraceRecord::ComputeStart {
-                    id: id(cols[1])?,
-                    gpu: GpuId(id(cols[2])?),
-                    at: at(cols[3])?,
-                },
-                "compute_end" => TraceRecord::ComputeEnd {
-                    id: id(cols[1])?,
-                    gpu: GpuId(id(cols[2])?),
-                    at: at(cols[3])?,
-                },
-                "detour_hop" => TraceRecord::DetourHop {
-                    id: TransferId(id(cols[1])?),
-                    via: GpuId(id(cols[2])?),
-                    at: at(cols[3])?,
-                },
-                "fault_start" => TraceRecord::FaultStart {
-                    fault: id(cols[1])?,
-                    at: at(cols[3])?,
-                },
-                "fault_end" => TraceRecord::FaultEnd {
-                    fault: id(cols[1])?,
-                    at: at(cols[3])?,
-                },
-                "reroute" => TraceRecord::Reroute {
-                    id: TransferId(id(cols[1])?),
-                    at: at(cols[3])?,
-                },
-                "failover" => TraceRecord::Failover {
-                    id: TransferId(id(cols[1])?),
-                    port: ChannelId(id(cols[2])?),
-                    at: at(cols[3])?,
-                },
-                other => return Err(err(&format!("unknown record kind {other:?}"))),
-            });
+            let lane = (!lane.is_empty()).then(|| num(lane)).transpose()?;
+            let extra = (!extra.is_empty()).then(|| time(extra)).transpose()?;
+            let record = TraceRecord::from_row((kind, num(id)?, lane, time(t)?, extra))
+                .ok_or_else(|| err(&format!("unknown record kind {kind:?}")))?;
+            let (_, _, used_lane, _, used_extra) = record.row();
+            if used_lane.is_some() != lane.is_some() || used_extra.is_some() != extra.is_some() {
+                return Err(err("columns do not match the record kind"));
+            }
+            if matches!(record, TraceRecord::QueueWait { enqueued, .. } if enqueued < Seconds::ZERO)
+            {
+                return Err(err("bad timestamp: wait exceeds grant time"));
+            }
+            records.push(record);
         }
         let mut trace = SimTrace::bounded(records.len().max(1));
         for r in records {
@@ -471,8 +462,7 @@ impl SimTrace {
     /// labeled `<lane> <n>` — pass `"port"` for traces recorded on the
     /// switch fabric, whose grant records carry port indices.
     pub fn to_chrome_json_labeled(&self, lane: &str) -> String {
-        use std::collections::BTreeMap;
-        use std::collections::BTreeSet;
+        let scene = Scene::of(self);
         let mut events: Vec<String> = Vec::with_capacity(self.records.len() + 4);
         for (pid, name) in [(0, "channels"), (1, "compute"), (2, "faults")] {
             events.push(format!(
@@ -480,154 +470,253 @@ impl SimTrace {
                  \"args\":{{\"name\":\"{name}\"}}}}"
             ));
         }
-        // One thread_name metadata row per lane actually used, so
-        // Perfetto labels channels/ports, GPUs and faults readably.
-        let mut lanes: BTreeSet<(u32, u32, String)> = BTreeSet::new();
-        for r in &self.records {
-            match *r {
-                TraceRecord::ChannelGrant { channel, .. } => {
-                    lanes.insert((0, channel.0, format!("{lane} {}", channel.0)));
-                }
-                TraceRecord::QueueWait { .. }
-                | TraceRecord::Reroute { .. }
-                | TraceRecord::Failover { .. } => {
-                    lanes.insert((0, 0, format!("{lane} 0")));
-                }
-                TraceRecord::ComputeStart { gpu, .. } | TraceRecord::ComputeEnd { gpu, .. } => {
-                    lanes.insert((1, gpu.0, format!("gpu {}", gpu.0)));
-                }
-                TraceRecord::DetourHop { via, .. } => {
-                    lanes.insert((1, via.0, format!("gpu {}", via.0)));
-                }
-                TraceRecord::FaultStart { fault, .. } | TraceRecord::FaultEnd { fault, .. } => {
-                    lanes.insert((2, fault, format!("fault {fault}")));
-                }
-                TraceRecord::TransferStart { .. } | TraceRecord::TransferEnd { .. } => {}
-            }
+        // One thread_name metadata row per lane in use, so Perfetto
+        // labels channels/ports, GPUs and faults readably; lane-less
+        // marks draw on grant lane 0.
+        let mut lanes = scene.lanes.clone();
+        let laneless = |i: &Item| matches!(i, Item::Mark { lane: None, .. });
+        if scene.items.iter().any(laneless) {
+            lanes.insert((0, 0));
         }
-        for (pid, tid, name) in lanes {
+        for (pid, tid) in lanes {
+            let group = Scene::group(pid, lane);
             events.push(format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
+                 \"args\":{{\"name\":\"{group} {tid}\"}}}}"
             ));
         }
-        let horizon = self
-            .records
-            .iter()
-            .map(|r| r.at())
-            .fold(Seconds::ZERO, Seconds::max);
-        // Open slices awaiting their end record. BTreeMaps keep the
-        // leftover-fault close-out below deterministic.
-        let mut open_grants: BTreeMap<u32, Vec<(u32, Seconds)>> = BTreeMap::new();
-        let mut open_compute: BTreeMap<u32, (u32, Seconds)> = BTreeMap::new();
-        let mut open_faults: BTreeMap<u32, Seconds> = BTreeMap::new();
-        // Completed occupancy spans per lane, feeding the pid-3
-        // utilization counter track below (BTreeMap: the bin averages
-        // sum lanes in a fixed order).
-        let mut channel_busy: BTreeMap<u32, Vec<BusyInterval>> = BTreeMap::new();
-        let slice = |name: &str, pid: u32, tid: u32, start: Seconds, end: Seconds| {
-            format!(
-                "{{\"name\":\"{name}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\
-                 \"ts\":{:.3},\"dur\":{:.3}}}",
-                start.as_micros(),
-                (end - start).as_micros()
-            )
-        };
-        let instant = |name: &str, pid: u32, tid: u32, at: Seconds| {
-            format!(
-                "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\
-                 \"ts\":{:.3}}}",
-                at.as_micros()
-            )
-        };
-        for r in &self.records {
-            match *r {
-                TraceRecord::TransferStart { .. } => {}
-                TraceRecord::ChannelGrant { channel, id, at } => {
-                    open_grants.entry(id.0).or_default().push((channel.0, at));
+        for item in &scene.items {
+            events.push(match *item {
+                Item::Span {
+                    lane: (pid, tid),
+                    name,
+                    start,
+                    end,
+                } => format!(
+                    "{{\"name\":\"{name}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\
+                     \"ts\":{:.3},\"dur\":{:.3}}}",
+                    start.as_micros(),
+                    (end - start).as_micros()
+                ),
+                Item::Mark {
+                    kind,
+                    name,
+                    at,
+                    lane,
+                } => {
+                    let (pid, tid) = lane.unwrap_or((0, 0));
+                    format!(
+                        "{{\"name\":\"{kind} {name}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\
+                         \"tid\":{tid},\"ts\":{:.3}}}",
+                        at.as_micros()
+                    )
                 }
-                TraceRecord::TransferEnd { id, at } => {
-                    for (ch, start) in open_grants.remove(&id.0).unwrap_or_default() {
-                        events.push(slice(&format!("t{}", id.0), 0, ch, start, at));
-                        channel_busy
-                            .entry(ch)
-                            .or_default()
-                            .push(BusyInterval { start, end: at });
-                    }
-                }
-                TraceRecord::QueueWait { id, granted, .. } => {
-                    events.push(instant(&format!("wait t{}", id.0), 0, 0, granted));
-                }
-                TraceRecord::ComputeStart { id, gpu, at } => {
-                    open_compute.insert(id, (gpu.0, at));
-                }
-                TraceRecord::ComputeEnd { id, at, .. } => {
-                    if let Some((gpu, start)) = open_compute.remove(&id) {
-                        events.push(slice(&format!("c{id}"), 1, gpu, start, at));
-                    }
-                }
-                TraceRecord::DetourHop { id, via, at } => {
-                    events.push(instant(&format!("detour t{}", id.0), 1, via.0, at));
-                }
-                TraceRecord::FaultStart { fault, at } => {
-                    open_faults.insert(fault, at);
-                }
-                TraceRecord::FaultEnd { fault, at } => {
-                    if let Some(start) = open_faults.remove(&fault) {
-                        events.push(slice(&format!("fault{fault}"), 2, fault, start, at));
-                    }
-                }
-                TraceRecord::Reroute { id, at } => {
-                    events.push(instant(&format!("reroute t{}", id.0), 0, 0, at));
-                }
-                TraceRecord::Failover { id, at, .. } => {
-                    events.push(instant(&format!("failover t{}", id.0), 0, 0, at));
-                }
-            }
-        }
-        for (fault, start) in open_faults {
-            events.push(slice(&format!("fault{fault}"), 2, fault, start, horizon));
+            });
         }
         // Counter track: mean utilization across the pid-0 lanes, one
         // "C" sample per bin edge plus a closing zero at the horizon so
         // the step plot ends where the trace does.
-        if !channel_busy.is_empty() && !horizon.is_zero() {
-            const NBINS: usize = 64;
+        if let Some(mean) = scene.mean_utilization() {
             events.push(
                 "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":3,\"tid\":0,\
                  \"args\":{\"name\":\"utilization\"}}"
                     .to_string(),
             );
-            let mut mean = vec![0.0f64; NBINS];
-            for intervals in channel_busy.values() {
-                for (m, u) in mean
-                    .iter_mut()
-                    .zip(utilization_bins(intervals, horizon, NBINS))
-                {
-                    *m += u;
-                }
-            }
-            let lanes = channel_busy.len() as f64;
-            let bin_width = horizon.as_secs_f64() / NBINS as f64;
+            let bin_width = scene.horizon.as_secs_f64() / mean.len() as f64;
             for (b, m) in mean.iter().enumerate() {
                 let ts = Seconds::new(bin_width * b as f64);
                 events.push(format!(
                     "{{\"name\":\"{lane} busy\",\"ph\":\"C\",\"pid\":3,\"tid\":0,\
-                     \"ts\":{:.3},\"args\":{{\"busy\":{:.6}}}}}",
-                    ts.as_micros(),
-                    m / lanes
+                     \"ts\":{:.3},\"args\":{{\"busy\":{m:.6}}}}}",
+                    ts.as_micros()
                 ));
             }
             events.push(format!(
                 "{{\"name\":\"{lane} busy\",\"ph\":\"C\",\"pid\":3,\"tid\":0,\
                  \"ts\":{:.3},\"args\":{{\"busy\":0.000000}}}}",
-                horizon.as_micros()
+                scene.horizon.as_micros()
             ));
         }
         let mut out = String::from("{\"traceEvents\":[");
         out.push_str(&events.join(","));
         out.push_str("],\"displayTimeUnit\":\"ms\"}");
         out
+    }
+}
+
+/// A scene lane, `(group, id)`: group 0 holds the grant lanes (channels
+/// or ports), 1 the GPUs and 2 the fault-plan events.
+pub(crate) type Lane = (u8, u32);
+
+/// A span or mark name: a prefix and an id, shown as `t7`, `c3` or
+/// `fault0`.
+#[derive(Clone, Copy)]
+pub(crate) struct Name(&'static str, u32);
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}{}", self.0, self.1)
+    }
+}
+
+/// One drawable item of a [`Scene`].
+#[derive(Clone, Copy)]
+pub(crate) enum Item {
+    /// A closed occupancy span.
+    Span {
+        lane: Lane,
+        name: Name,
+        start: Seconds,
+        end: Seconds,
+    },
+    /// An instant: `kind` is `wait`, `reroute`, `failover` or `detour`;
+    /// only a detour has a lane (the forwarding GPU).
+    Mark {
+        kind: &'static str,
+        name: Name,
+        at: Seconds,
+        lane: Option<Lane>,
+    },
+}
+
+/// How one trace's records pair into lanes, spans and marks — the one
+/// view both the Chrome export and the HTML viewer
+/// ([`trace_html`](crate::trace_html)) serialize.
+///
+/// A grant-lane span opens at [`TraceRecord::ChannelGrant`] and closes at
+/// the matching [`TraceRecord::TransferEnd`]; compute spans pair
+/// start/end records; a fault window still open at the end of the trace
+/// (a permanent link-down) closes at the horizon, after every other item.
+pub(crate) struct Scene {
+    /// The last record timestamp.
+    pub(crate) horizon: Seconds,
+    /// Every lane a record names, in `(group, id)` order.
+    pub(crate) lanes: BTreeSet<Lane>,
+    /// Spans and marks in record order.
+    pub(crate) items: Vec<Item>,
+    /// Records per [`kind`](TraceRecord::kind).
+    pub(crate) counts: BTreeMap<&'static str, usize>,
+    /// Closed spans per grant lane (BTreeMap: the utilization mean sums
+    /// lanes in a fixed order).
+    busy: BTreeMap<u32, Vec<BusyInterval>>,
+}
+
+impl Scene {
+    /// Utilization bins of [`Scene::mean_utilization`].
+    const UTIL_BINS: usize = 64;
+
+    pub(crate) fn of(trace: &SimTrace) -> Scene {
+        let horizon = trace
+            .records()
+            .map(TraceRecord::at)
+            .fold(Seconds::ZERO, Seconds::max);
+        let mut scene = Scene {
+            horizon,
+            lanes: BTreeSet::new(),
+            items: Vec::with_capacity(trace.len()),
+            counts: BTreeMap::new(),
+            busy: BTreeMap::new(),
+        };
+        // Open spans awaiting their end record. BTreeMaps keep the
+        // leftover-fault close-out below deterministic.
+        let mut open_grants: BTreeMap<u32, Vec<(u32, Seconds)>> = BTreeMap::new();
+        let mut open_compute: BTreeMap<u32, (u32, Seconds)> = BTreeMap::new();
+        let mut open_faults: BTreeMap<u32, Seconds> = BTreeMap::new();
+        let span = |lane, name, start, end| Item::Span {
+            lane,
+            name,
+            start,
+            end,
+        };
+        let mark = |kind, id: TransferId, at, lane| Item::Mark {
+            kind,
+            name: Name("t", id.0),
+            at,
+            lane,
+        };
+        for r in trace.records() {
+            *scene.counts.entry(r.kind()).or_default() += 1;
+            match *r {
+                TraceRecord::TransferStart { .. } => {}
+                TraceRecord::ChannelGrant { channel, id, at } => {
+                    scene.lanes.insert((0, channel.0));
+                    open_grants.entry(id.0).or_default().push((channel.0, at));
+                }
+                TraceRecord::TransferEnd { id, at } => {
+                    for (ch, start) in open_grants.remove(&id.0).unwrap_or_default() {
+                        scene.items.push(span((0, ch), Name("t", id.0), start, at));
+                        let busy = BusyInterval { start, end: at };
+                        scene.busy.entry(ch).or_default().push(busy);
+                    }
+                }
+                TraceRecord::QueueWait { id, granted, .. } => {
+                    scene.items.push(mark("wait", id, granted, None));
+                }
+                TraceRecord::ComputeStart { id, gpu, at } => {
+                    scene.lanes.insert((1, gpu.0));
+                    open_compute.insert(id, (gpu.0, at));
+                }
+                TraceRecord::ComputeEnd { id, gpu, at } => {
+                    scene.lanes.insert((1, gpu.0));
+                    if let Some((gpu, start)) = open_compute.remove(&id) {
+                        scene.items.push(span((1, gpu), Name("c", id), start, at));
+                    }
+                }
+                TraceRecord::DetourHop { id, via, at } => {
+                    scene.lanes.insert((1, via.0));
+                    scene.items.push(mark("detour", id, at, Some((1, via.0))));
+                }
+                TraceRecord::FaultStart { fault, at } => {
+                    scene.lanes.insert((2, fault));
+                    open_faults.insert(fault, at);
+                }
+                TraceRecord::FaultEnd { fault, at } => {
+                    scene.lanes.insert((2, fault));
+                    if let Some(start) = open_faults.remove(&fault) {
+                        scene
+                            .items
+                            .push(span((2, fault), Name("fault", fault), start, at));
+                    }
+                }
+                TraceRecord::Reroute { id, at } => {
+                    scene.items.push(mark("reroute", id, at, None));
+                }
+                TraceRecord::Failover { id, at, .. } => {
+                    scene.items.push(mark("failover", id, at, None));
+                }
+            }
+        }
+        for (fault, start) in open_faults {
+            let name = Name("fault", fault);
+            scene.items.push(span((2, fault), name, start, horizon));
+        }
+        scene
+    }
+
+    /// The name of lane group `group`: `grant` (what the grant lanes
+    /// are) for group 0, then `gpu` and `fault`.
+    pub(crate) fn group(group: u8, grant: &str) -> &str {
+        [grant, "gpu", "fault"][group as usize]
+    }
+
+    /// Mean grant-lane utilization in 64 [`utilization_bins`] over the
+    /// horizon; `None` when no grant span closed or the horizon is zero.
+    pub(crate) fn mean_utilization(&self) -> Option<Vec<f64>> {
+        if self.busy.is_empty() || self.horizon.is_zero() {
+            return None;
+        }
+        let mut mean = vec![0.0f64; Self::UTIL_BINS];
+        for intervals in self.busy.values() {
+            let bins = utilization_bins(intervals, self.horizon, Self::UTIL_BINS);
+            for (m, u) in mean.iter_mut().zip(bins) {
+                *m += u;
+            }
+        }
+        let lanes = self.busy.len() as f64;
+        for m in &mut mean {
+            *m /= lanes;
+        }
+        Some(mean)
     }
 }
 
@@ -1001,10 +1090,74 @@ mod tests {
             "queue_wait,1,,inf,1.000",
             "queue_wait,1,,2.000,NaN",
             "queue_wait,1,,2.000,-1.000",
+            "queue_wait,1,,2.000,3.000",
         ] {
             let err = parse(row).unwrap_err();
             assert!(err.starts_with("line 2: bad timestamp"), "{row}: {err}");
         }
+        // Every column the kind uses is filled, and no other.
+        for row in [
+            "transfer_start,0,junk,1.000,zzz",
+            "transfer_start,0,3,1.000,",
+            "transfer_start,0,,1.000,2.000",
+            "channel_grant,0,,1.000,",
+            "compute_end,4,,1.000,",
+            "queue_wait,1,,2.000,",
+        ] {
+            let err = parse(row).unwrap_err();
+            assert!(err.starts_with("line 2: "), "{row}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_record_kind_round_trips_through_csv() {
+        use ccube_collectives::TransferId;
+        let (id, at) = (TransferId(3), Seconds::from_micros(4.0));
+        let mut t = SimTrace::default();
+        for r in [
+            TraceRecord::TransferStart { id, at },
+            TraceRecord::TransferEnd { id, at },
+            TraceRecord::ChannelGrant {
+                channel: ChannelId(2),
+                id,
+                at,
+            },
+            TraceRecord::QueueWait {
+                id,
+                enqueued: Seconds::from_micros(1.5),
+                granted: at,
+            },
+            TraceRecord::ComputeStart {
+                id: 7,
+                gpu: GpuId(1),
+                at,
+            },
+            TraceRecord::ComputeEnd {
+                id: 7,
+                gpu: GpuId(1),
+                at,
+            },
+            TraceRecord::DetourHop {
+                id,
+                via: GpuId(5),
+                at,
+            },
+            TraceRecord::FaultStart { fault: 0, at },
+            TraceRecord::FaultEnd { fault: 0, at },
+            TraceRecord::Reroute { id, at },
+            TraceRecord::Failover {
+                id,
+                port: ChannelId(9),
+                at,
+            },
+        ] {
+            t.push(r);
+        }
+        let csv = t.to_csv();
+        assert_eq!(SimTrace::from_csv(&csv).unwrap().to_csv(), csv);
+        let counts = Scene::of(&t).counts;
+        assert_eq!(counts.len(), 11, "{counts:?}");
+        assert!(counts.values().all(|&n| n == 1));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! per-GPU compute lanes, fault windows shaded behind the traffic they
 //! perturb, instant marks for queue waits / re-routes / failovers /
 //! detours, hover tooltips, wheel zoom + drag pan, and a
-//! [`utilization_bins`]-backed utilization strip.
+//! [`utilization_bins`](crate::utilization_bins)-backed utilization
+//! strip.
 //!
 //! [`diff_to_html`] renders **two** runs in locked-scroll side-by-side
 //! panes sharing one time axis, with the [`TraceDiff`](crate::TraceDiff)'s first
@@ -53,11 +54,14 @@
 //! | `counts`     | per-record-kind counts (`to_csv` kind names, name order) |
 //! | `util`       | 64 bins of mean grant-lane utilization over the horizon (6 decimals), `[]` when no grant completed |
 //!
-//! Span pairing follows the Chrome exporter exactly: a grant-lane span
-//! opens at [`TraceRecord::ChannelGrant`] and closes at the matching
-//! [`TraceRecord::TransferEnd`]; compute spans pair start/end records;
-//! a fault window still open at the end of the trace (a permanent
-//! link-down) closes at the horizon.
+//! Pairing records into lanes, spans and marks is not decided here: the
+//! Chrome export and this viewer serialize one shared scene of the trace
+//! (crate-private, in `trace.rs`). A grant-lane span opens at
+//! [`TraceRecord::ChannelGrant`](crate::TraceRecord::ChannelGrant) and
+//! closes at the matching
+//! [`TraceRecord::TransferEnd`](crate::TraceRecord::TransferEnd);
+//! compute spans pair start/end records; a fault window still open at
+//! the end of the trace (a permanent link-down) closes at the horizon.
 //!
 //! # Examples
 //!
@@ -77,18 +81,14 @@
 //! ```
 
 use crate::fabric::NetworkModel;
-use crate::trace::{diff_csv, json_escape, utilization_bins, BusyInterval, SimTrace, TraceRecord};
-use ccube_topology::{FabricGraph, Seconds, Topology};
+use crate::trace::{diff_csv, json_escape, Item, Lane, Scene, SimTrace};
+use ccube_topology::{FabricGraph, Topology};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The vendored single-file viewer template. `__CCUBE_DATA__` is
 /// replaced by the payload, `__CCUBE_TITLE__` by the page title.
 const TEMPLATE: &str = include_str!("trace_html/viewer.html");
-
-/// Number of utilization bins a scene embeds — matches the Perfetto
-/// counter track of [`SimTrace::to_chrome_json`].
-const UTIL_BINS: usize = 64;
 
 /// How a scene labels its lanes: the grant-lane kind (`"channel"` for
 /// the channel approximation, `"port"` for the switch fabric) plus optional
@@ -144,216 +144,92 @@ impl LaneLabels {
     pub fn title(&self) -> &str {
         &self.title
     }
-
-    fn lane_label(&self, id: u32) -> String {
-        match self.names.get(&id) {
-            Some(name) => name.clone(),
-            None => format!("{} {}", self.lane_kind, id),
-        }
-    }
 }
-
-/// One lane of the scene, keyed for stable ordering: grant lanes first
-/// (group 0), then GPUs (1), then faults (2), ascending id within each.
-type LaneKey = (u8, u32);
 
 /// Serializes one run into the viewer's *scene* JSON object — the
 /// byte-stable payload half of the module-level schema contract.
 pub fn scene_json(trace: &SimTrace, labels: &LaneLabels) -> String {
-    let horizon = trace
-        .records()
-        .map(|r| r.at())
-        .fold(Seconds::ZERO, Seconds::max);
-
-    // Pass 1: the lane population, in contract order.
-    let mut lanes: BTreeMap<LaneKey, String> = BTreeMap::new();
-    for r in trace.records() {
-        match *r {
-            TraceRecord::ChannelGrant { channel, .. } => {
-                lanes
-                    .entry((0, channel.0))
-                    .or_insert_with(|| labels.lane_label(channel.0));
-            }
-            TraceRecord::ComputeStart { gpu, .. }
-            | TraceRecord::ComputeEnd { gpu, .. }
-            | TraceRecord::DetourHop { via: gpu, .. } => {
-                lanes
-                    .entry((1, gpu.0))
-                    .or_insert_with(|| format!("gpu {}", gpu.0));
-            }
-            TraceRecord::FaultStart { fault, .. } | TraceRecord::FaultEnd { fault, .. } => {
-                lanes
-                    .entry((2, fault))
-                    .or_insert_with(|| format!("fault {fault}"));
-            }
-            _ => {}
-        }
-    }
-    let lane_index: BTreeMap<LaneKey, usize> =
-        lanes.keys().enumerate().map(|(i, &k)| (k, i)).collect();
-
-    // Pass 2: spans and marks, pairing open/close records exactly like
-    // the Chrome exporter.
-    let mut spans: Vec<(usize, String, Seconds, Seconds)> = Vec::new();
-    let mut marks: Vec<(&str, String, Seconds, Option<usize>)> = Vec::new();
-    let mut open_grants: BTreeMap<u32, Vec<(u32, Seconds)>> = BTreeMap::new();
-    let mut open_compute: BTreeMap<u32, (u32, Seconds)> = BTreeMap::new();
-    let mut open_faults: BTreeMap<u32, Seconds> = BTreeMap::new();
-    let mut lane_busy: BTreeMap<u32, Vec<BusyInterval>> = BTreeMap::new();
-    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
-    for r in trace.records() {
-        match *r {
-            TraceRecord::TransferStart { .. } => {
-                *counts.entry("transfer_start").or_default() += 1;
-            }
-            TraceRecord::ChannelGrant { channel, id, at } => {
-                *counts.entry("channel_grant").or_default() += 1;
-                open_grants.entry(id.0).or_default().push((channel.0, at));
-            }
-            TraceRecord::TransferEnd { id, at } => {
-                *counts.entry("transfer_end").or_default() += 1;
-                for (ch, start) in open_grants.remove(&id.0).unwrap_or_default() {
-                    spans.push((lane_index[&(0, ch)], format!("t{}", id.0), start, at));
-                    lane_busy
-                        .entry(ch)
-                        .or_default()
-                        .push(BusyInterval { start, end: at });
-                }
-            }
-            TraceRecord::QueueWait { id, granted, .. } => {
-                *counts.entry("queue_wait").or_default() += 1;
-                marks.push(("wait", format!("t{}", id.0), granted, None));
-            }
-            TraceRecord::ComputeStart { id, gpu, at } => {
-                *counts.entry("compute_start").or_default() += 1;
-                open_compute.insert(id, (gpu.0, at));
-            }
-            TraceRecord::ComputeEnd { id, at, .. } => {
-                *counts.entry("compute_end").or_default() += 1;
-                if let Some((gpu, start)) = open_compute.remove(&id) {
-                    spans.push((lane_index[&(1, gpu)], format!("c{id}"), start, at));
-                }
-            }
-            TraceRecord::DetourHop { id, via, at } => {
-                *counts.entry("detour_hop").or_default() += 1;
-                marks.push((
-                    "detour",
-                    format!("t{}", id.0),
-                    at,
-                    Some(lane_index[&(1, via.0)]),
-                ));
-            }
-            TraceRecord::FaultStart { fault, at } => {
-                *counts.entry("fault_start").or_default() += 1;
-                open_faults.insert(fault, at);
-            }
-            TraceRecord::FaultEnd { fault, at } => {
-                *counts.entry("fault_end").or_default() += 1;
-                if let Some(start) = open_faults.remove(&fault) {
-                    spans.push((lane_index[&(2, fault)], format!("fault{fault}"), start, at));
-                }
-            }
-            TraceRecord::Reroute { id, at } => {
-                *counts.entry("reroute").or_default() += 1;
-                marks.push(("reroute", format!("t{}", id.0), at, None));
-            }
-            TraceRecord::Failover { id, at, .. } => {
-                *counts.entry("failover").or_default() += 1;
-                marks.push(("failover", format!("t{}", id.0), at, None));
-            }
-        }
-    }
-    // A fault still active at the end of the trace closes at the
-    // horizon, like the Chrome export's permanent-link-down rule.
-    for (fault, start) in open_faults {
-        spans.push((
-            lane_index[&(2, fault)],
-            format!("fault{fault}"),
-            start,
-            horizon,
-        ));
-    }
-
+    let scene = Scene::of(trace);
+    let index: BTreeMap<Lane, usize> = scene.lanes.iter().copied().zip(0..).collect();
     let mut out = String::from("{");
     let _ = write!(
         out,
-        "\"title\":\"{}\",\"lane_kind\":\"{}\",\"horizon_us\":{:.3},\"dropped\":{},",
+        "\"title\":\"{}\",\"lane_kind\":\"{}\",\"horizon_us\":{:.3},\"dropped\":{},\"lanes\":[",
         json_escape(&labels.title),
         labels.lane_kind,
-        horizon.as_micros(),
+        scene.horizon.as_micros(),
         trace.dropped()
     );
-    out.push_str("\"lanes\":[");
-    for (i, (&(group, id), label)) in lanes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let group = match group {
-            0 => labels.lane_kind,
-            1 => "gpu",
-            _ => "fault",
+    for (i, &(g, id)) in scene.lanes.iter().enumerate() {
+        let group = Scene::group(g, labels.lane_kind);
+        let label = match labels.names.get(&id) {
+            Some(name) if g == 0 => json_escape(name),
+            _ => format!("{group} {id}"),
         };
         let _ = write!(
             out,
-            "{{\"group\":\"{group}\",\"id\":{id},\"label\":\"{}\"}}",
-            json_escape(label)
+            "{}{{\"group\":\"{group}\",\"id\":{id},\"label\":\"{label}\"}}",
+            sep(i)
         );
     }
-    out.push_str("],\"spans\":[");
-    for (i, (lane, name, start, end)) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"lane\":{lane},\"name\":\"{name}\",\"start_us\":{:.3},\"end_us\":{:.3}}}",
-            start.as_micros(),
-            end.as_micros()
-        );
-    }
-    out.push_str("],\"marks\":[");
-    for (i, (kind, name, at, lane)) in marks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let lane = match lane {
-            Some(l) => l.to_string(),
-            None => "null".to_string(),
+    // Spans, then marks, each in record order.
+    let (mut spans, mut marks) = (String::new(), String::new());
+    for item in &scene.items {
+        let _ = match *item {
+            Item::Span {
+                lane,
+                name,
+                start,
+                end,
+            } => write!(
+                spans,
+                "{}{{\"lane\":{},\"name\":\"{name}\",\"start_us\":{:.3},\"end_us\":{:.3}}}",
+                sep(spans.len()),
+                index[&lane],
+                start.as_micros(),
+                end.as_micros()
+            ),
+            Item::Mark {
+                kind,
+                name,
+                at,
+                lane,
+            } => write!(
+                marks,
+                "{}{{\"kind\":\"{kind}\",\"name\":\"{name}\",\"t_us\":{:.3},\"lane\":{}}}",
+                sep(marks.len()),
+                at.as_micros(),
+                lane.map_or("null".to_string(), |l| index[&l].to_string())
+            ),
         };
-        let _ = write!(
-            out,
-            "{{\"kind\":\"{kind}\",\"name\":\"{name}\",\"t_us\":{:.3},\"lane\":{lane}}}",
-            at.as_micros()
-        );
     }
-    out.push_str("],\"counts\":{");
-    for (i, (kind, n)) in counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{kind}\":{n}");
+    let _ = write!(
+        out,
+        "],\"spans\":[{spans}],\"marks\":[{marks}],\"counts\":{{"
+    );
+    for (i, (kind, n)) in scene.counts.iter().enumerate() {
+        let _ = write!(out, "{}\"{kind}\":{n}", sep(i));
     }
     out.push_str("},\"util\":[");
-    if !lane_busy.is_empty() && !horizon.is_zero() {
-        let mut mean = vec![0.0f64; UTIL_BINS];
-        for intervals in lane_busy.values() {
-            for (m, u) in mean
-                .iter_mut()
-                .zip(utilization_bins(intervals, horizon, UTIL_BINS))
-            {
-                *m += u;
-            }
-        }
-        let n = lane_busy.len() as f64;
-        for (b, m) in mean.iter().enumerate() {
-            if b > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{:.6}", m / n);
-        }
+    for (i, m) in scene
+        .mean_utilization()
+        .unwrap_or_default()
+        .iter()
+        .enumerate()
+    {
+        let _ = write!(out, "{}{m:.6}", sep(i));
     }
     out.push_str("]}");
     out
+}
+
+/// The separator written before element `i` of a JSON list.
+fn sep(i: usize) -> &'static str {
+    if i == 0 {
+        ""
+    } else {
+        ","
+    }
 }
 
 /// Renders one run as a self-contained HTML viewer.
@@ -412,8 +288,9 @@ fn render(payload: &str, title: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceRecord;
     use ccube_collectives::TransferId;
-    use ccube_topology::{ChannelId, GpuId};
+    use ccube_topology::{ChannelId, GpuId, Seconds};
 
     fn sample_trace() -> SimTrace {
         let mut t = SimTrace::default();
@@ -470,7 +347,7 @@ mod tests {
         assert!(scene.contains("\"queue_wait\":1"));
         assert!(scene.contains("\"horizon_us\":6.000"));
         // 64 utilization bins present (the grant lane completed a span).
-        assert!(scene.matches("0.").count() >= UTIL_BINS / 2);
+        assert!(scene.matches("0.").count() >= 64 / 2);
     }
 
     #[test]

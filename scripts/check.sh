@@ -98,6 +98,11 @@ cargo test -q -p ccube --test doc_consistency
 echo "==> HTML trace viewer renders self-contained single-run and diff files"
 rm -rf target/check-html && mkdir -p target/check-html
 cargo run -q --release -p ccube --bin ccube -- trace --html target/check-html/run.html > /dev/null
+# The default trace saved as CSV parses under the strict trace-CSV
+# parser and equals a live re-run of its seed (exit 0: identical).
+cargo run -q --release -p ccube --bin ccube -- trace target/check-html/run.csv > /dev/null
+cargo run -q --release -p ccube --bin ccube -- \
+    trace --diff target/check-html/run.csv 195 > /dev/null
 # trace --diff exits 1 when the traces differ (they do: different seeds);
 # only exit codes above 1 are real failures.
 status=0
