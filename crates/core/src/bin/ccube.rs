@@ -352,8 +352,11 @@ fn cmd_train(args: &[String]) -> CmdResult {
     }
     let ok =
         trainer.replicas_agree() && trainer.params(0) == &serial_reference(&config, iterations)[..];
+    // How many layers started before their collective finished depends
+    // on thread timing, so it goes to stderr; stdout stays deterministic.
+    eprintln!("{chained} chained layer-starts");
     println!(
-        "{iterations} iterations, {chained} chained layer-starts, replicas {}",
+        "{iterations} iterations, replicas {}",
         if ok {
             "bit-identical (== serial)"
         } else {

@@ -6,11 +6,27 @@
 //! number makes the order total even for identical `(time, key)` pairs,
 //! so replays are bit-identical run to run.
 //!
-//! The heap compares integers only: a time is stored as its IEEE-754
-//! bits mapped to an unsigned integer with the same order (after `-0.0`
-//! is normalised to `+0.0`, which [`Seconds`] already treats as equal),
-//! so each comparison is three `u64` compares instead of a float
-//! `partial_cmp`.
+//! Times are ordered as integers: a time is stored as its IEEE-754 bits
+//! mapped to an unsigned integer with the same order (after `-0.0` is
+//! normalised to `+0.0`, which [`Seconds`] already treats as equal).
+//!
+//! The queue is a **monotone radix queue** over those integers. Pops
+//! never go back in time, so every pending event lies at or after the
+//! last popped time `last`, and an event is filed by the highest bit in
+//! which its time differs from `last`: bucket *b* ≥ 1 holds the events
+//! whose time first differs from `last` at bit *b* − 1 (a linked list
+//! in one node slab), and bucket 0 holds the current instant, kept in
+//! descending `(key, seq)` order so a pop takes its back. When bucket 0
+//! runs dry, a pop refills it from the lowest non-empty bucket: that
+//! bucket's earliest time becomes `last`, and each of its events drops
+//! to a strictly lower bucket — all of them into bucket 0 when they
+//! share one instant, as a ring step's completions do. Bucket 0 is then
+//! sorted by merging its natural runs in its own spare capacity; a
+//! step's completions arrive nearly sorted, so that is a pass or two. A
+//! push at the current instant is a sorted insert into bucket 0, even
+//! when its key is below the last pop's, so the pop order stays exactly
+//! `(time, key, seq)`. Within the room [`Kernel::reserve`] made, neither
+//! a push nor a refill allocates.
 //!
 //! Determinism contract: a kernel fed the same `schedule` calls in the
 //! same order pops the same events at the same times. Nothing in the
@@ -19,8 +35,6 @@
 //! and the fault-plan sampler, never by the kernel.
 
 use ccube_topology::Seconds;
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
 
 /// Deterministic simulation RNG (splitmix64).
 ///
@@ -106,8 +120,8 @@ fn time_of(bits: u64) -> Seconds {
     Seconds::new(f64::from_bits(raw))
 }
 
-/// One scheduled event; the ordering ignores the payload.
-#[derive(Debug, Clone)]
+/// One scheduled event.
+#[derive(Debug, Clone, Copy)]
 struct Scheduled<E> {
     /// [`time_bits`] of the event time.
     time: u64,
@@ -116,24 +130,28 @@ struct Scheduled<E> {
     event: E,
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.key == other.key && self.seq == other.seq
+impl<E> Scheduled<E> {
+    /// The order of events at one instant.
+    fn rank(&self) -> (u64, u64) {
+        (self.key, self.seq)
     }
 }
 
-impl<E> Eq for Scheduled<E> {}
+/// The end-of-list mark of a bucket's linked list.
+const NIL: u32 = u32::MAX;
 
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// A pending event outside the current instant, linked into its bucket.
+#[derive(Debug, Clone, Copy)]
+struct Node<E> {
+    entry: Scheduled<E>,
+    /// The next node of the same bucket (or of the free list).
+    next: u32,
 }
 
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.time, self.key, self.seq).cmp(&(other.time, other.key, other.seq))
-    }
+/// The bucket of an event at `time` (`time >= last`): 0 for `last`
+/// itself, else one past the highest bit in which the two differ.
+fn bucket_of(time: u64, last: u64) -> usize {
+    (u64::BITS - (time ^ last).leading_zeros()) as usize
 }
 
 /// A deterministic future-event queue with a simulation clock.
@@ -165,25 +183,52 @@ impl<E> Ord for Scheduled<E> {
 #[derive(Debug, Clone)]
 pub struct Kernel<E> {
     now: Seconds,
+    /// [`time_bits`] of `now`: the radix every pending time is filed by.
+    last: u64,
     seq: u64,
-    heap: BinaryHeap<Reverse<Scheduled<E>>>,
+    /// Bucket 0: the events at `last` in descending `(key, seq)` order,
+    /// so a pop takes the back. Past its length, the refill sort's merge
+    /// passes use its spare capacity as scratch.
+    current: Vec<Scheduled<E>>,
+    /// Buckets 1 to 64 as linked lists through `nodes`: `heads[b - 1]`
+    /// starts the unordered list of events whose time first differs
+    /// from `last` at bit `b - 1`.
+    heads: [u32; 64],
+    /// Bit `b - 1` is set while bucket `b` is non-empty.
+    occupied: u64,
+    /// Storage of buckets 1 to 64, one allocation for all of them; freed
+    /// nodes are chained from `free`.
+    nodes: Vec<Node<E>>,
+    free: u32,
+    len: usize,
     stats: KernelStats,
 }
 
-impl<E> Kernel<E> {
+impl<E: Copy> Kernel<E> {
     /// A kernel starting at `t = 0`.
     pub fn new() -> Self {
         Kernel {
             now: Seconds::ZERO,
+            last: time_bits(Seconds::ZERO),
             seq: 0,
-            heap: BinaryHeap::new(),
+            current: Vec::new(),
+            heads: [NIL; 64],
+            occupied: 0,
+            nodes: Vec::new(),
+            free: NIL,
+            len: 0,
             stats: KernelStats::default(),
         }
     }
 
-    /// Pre-allocates room for `additional` more pending events.
+    /// Pre-allocates room for `additional` more pending events: one
+    /// allocation for the buckets and one for the current instant, whose
+    /// spare capacity is also the refill sort's scratch. While at most
+    /// that many events are pending and no instant holds more than half
+    /// of them, neither a push nor a refill allocates.
     pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
+        self.nodes.reserve(additional);
+        self.current.reserve(additional);
     }
 
     /// The current simulation time (the timestamp of the last popped
@@ -198,29 +243,99 @@ impl<E> Kernel<E> {
     ///
     /// # Panics
     ///
-    /// Panics (debug) if `time` is before the current clock — the past
-    /// is immutable in a DES.
+    /// Panics if `time` is before the current clock — the past is
+    /// immutable in a DES, and the radix queue could not order it.
     pub fn schedule(&mut self, time: Seconds, key: u64, event: E) {
-        debug_assert!(time >= self.now, "cannot schedule into the past");
+        let time = time_bits(time);
+        assert!(time >= self.last, "cannot schedule into the past");
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Scheduled {
-            time: time_bits(time),
+        let entry = Scheduled {
+            time,
             key,
             seq,
             event,
-        }));
+        };
+        match bucket_of(time, self.last) {
+            0 => {
+                // `seq` is the largest yet, so only the key places it.
+                let at = self.current.partition_point(|e| e.key > key);
+                self.current.insert(at, entry);
+            }
+            b => {
+                let node = Node {
+                    entry,
+                    next: self.heads[b - 1],
+                };
+                self.heads[b - 1] = match self.free {
+                    NIL => {
+                        self.nodes.push(node);
+                        (self.nodes.len() - 1) as u32
+                    }
+                    slot => {
+                        self.free = self.nodes[slot as usize].next;
+                        self.nodes[slot as usize] = node;
+                        slot
+                    }
+                };
+                self.occupied |= 1 << (b - 1);
+            }
+        }
+        self.len += 1;
         self.stats.events_scheduled += 1;
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.heap.len());
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.len);
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Seconds, E)> {
-        let Reverse(s) = self.heap.pop()?;
-        let time = time_of(s.time);
-        self.now = time;
+        if self.current.is_empty() && !self.refill() {
+            return None;
+        }
+        let s = self.current.pop()?;
+        self.len -= 1;
+        self.now = time_of(s.time);
         self.stats.events_processed += 1;
-        Some((time, s.event))
+        Some((self.now, s.event))
+    }
+
+    /// Moves the earliest pending instant into the (empty) bucket 0 and
+    /// sorts it; `false` if nothing is pending.
+    fn refill(&mut self) -> bool {
+        if self.occupied == 0 {
+            return false;
+        }
+        let bit = self.occupied.trailing_zeros() as usize;
+        self.occupied &= !(1 << bit);
+        let head = std::mem::replace(&mut self.heads[bit], NIL);
+        // The bucket's earliest time is the new radix; every event of
+        // the bucket lands in a lower one, the earliest ones in bucket 0.
+        let mut last = u64::MAX;
+        let mut i = head;
+        while i != NIL {
+            let node = &self.nodes[i as usize];
+            last = last.min(node.entry.time);
+            i = node.next;
+        }
+        self.last = last;
+        let mut i = head;
+        while i != NIL {
+            let Node { entry, next } = self.nodes[i as usize];
+            match bucket_of(entry.time, last) {
+                0 => {
+                    self.current.push(entry);
+                    self.nodes[i as usize].next = self.free;
+                    self.free = i;
+                }
+                b => {
+                    self.nodes[i as usize].next = self.heads[b - 1];
+                    self.heads[b - 1] = i;
+                    self.occupied |= 1 << (b - 1);
+                }
+            }
+            i = next;
+        }
+        sort_descending(&mut self.current);
+        true
     }
 
     /// The kernel's counters.
@@ -229,10 +344,67 @@ impl<E> Kernel<E> {
     }
 }
 
+/// Sorts `v` into descending `(key, seq)` order by merging its natural
+/// runs: the first pass reverses ascending runs in place, and each merge
+/// pass appends the merged pairs past the end and copies them back, so
+/// `v`'s spare capacity is the only scratch. A sorted or reversed input
+/// costs one scan, and `k` runs cost `⌈log2 k⌉` merge passes. Ranks are
+/// unique, so the result is the one any sort would give.
+fn sort_descending<E: Copy>(v: &mut Vec<Scheduled<E>>) {
+    let n = v.len();
+    let mut i = 0;
+    while i < n {
+        let start = i;
+        i += 1;
+        if i < n && v[i - 1].rank() < v[i].rank() {
+            while i < n && v[i - 1].rank() < v[i].rank() {
+                i += 1;
+            }
+            v[start..i].reverse();
+        } else {
+            while i < n && v[i - 1].rank() > v[i].rank() {
+                i += 1;
+            }
+        }
+    }
+    // The end of the descending run of `v[..n]` that starts at `i`.
+    let run_end = |v: &[Scheduled<E>], mut i: usize| {
+        i += 1;
+        while i < n && v[i - 1].rank() > v[i].rank() {
+            i += 1;
+        }
+        i
+    };
+    while run_end(v, 0) < n {
+        let mut a = 0;
+        while a < n {
+            let mid = run_end(v, a);
+            let end = if mid < n { run_end(v, mid) } else { n };
+            let (mut x, mut y) = (a, mid);
+            while x < mid && y < end {
+                let e = if v[x].rank() > v[y].rank() {
+                    x += 1;
+                    v[x - 1]
+                } else {
+                    y += 1;
+                    v[y - 1]
+                };
+                v.push(e);
+            }
+            v.extend_from_within(x..mid);
+            v.extend_from_within(y..end);
+            a = end;
+        }
+        v.copy_within(n.., 0);
+        v.truncate(n);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn pops_in_time_key_seq_order() {
@@ -262,6 +434,15 @@ mod tests {
         assert_eq!(s.events_scheduled, 10);
         assert_eq!(s.events_processed, 10);
         assert_eq!(s.max_queue_depth, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn scheduling_into_the_past_panics() {
+        let mut k: Kernel<()> = Kernel::new();
+        k.schedule(Seconds::from_micros(2.0), 0, ());
+        assert!(k.pop().is_some());
+        k.schedule(Seconds::from_micros(1.0), 0, ());
     }
 
     #[test]
@@ -324,6 +505,100 @@ mod tests {
             for &(time, i) in &popped {
                 prop_assert_eq!(time, events[i].0);
                 prop_assert!(time.as_secs_f64().is_sign_positive(), "-0.0 pops as +0.0");
+            }
+        }
+
+        /// Pushes interleaved with pops come out exactly as a sorted set
+        /// of `(time_bits, key, seq)` gives them up: zero-delay pushes at
+        /// the current instant (keys below the last pop's included),
+        /// `-0.0`, exact ties with earlier times, times spread over forty
+        /// binary orders of magnitude and times a few ulps past the
+        /// current instant, so refills cross every bucket boundary,
+        /// and ring-step bursts of 1000+ same-instant events in the
+        /// nearly sorted order a step's completions arrive in.
+        #[test]
+        fn interleaved_pushes_and_pops_match_a_sorted_set(
+            ops in 1usize..300,
+            seed in 0u64..1 << 32,
+        ) {
+            let mut rng = SimRng::new(seed);
+            let mut k = Reference::new();
+            let mut times = vec![Seconds::ZERO];
+            for _ in 0..ops {
+                let now = k.kernel.now();
+                let time = match rng.below(16) {
+                    0..=5 => {
+                        k.pop_both();
+                        continue;
+                    }
+                    6 | 7 => now,
+                    8 if now == Seconds::ZERO => Seconds::new(-0.0),
+                    8..=10 => {
+                        let later: Vec<Seconds> =
+                            times.iter().copied().filter(|&t| t >= now).collect();
+                        later[rng.below(later.len() as u64) as usize]
+                    }
+                    11..=13 => {
+                        let scale = 2f64.powi(-(rng.below(40) as i32));
+                        now + Seconds::new(rng.next_f64() * scale)
+                    }
+                    14 => {
+                        // A few ulps later: times that differ from the
+                        // current instant in the lowest bits only.
+                        let bits = now.as_secs_f64().to_bits() + rng.below(4);
+                        Seconds::new(f64::from_bits(bits))
+                    }
+                    _ => {
+                        let t = now + Seconds::new(rng.next_f64() * 1e-5);
+                        let p = 1000 + rng.below(200);
+                        for key in (1..p - 1).chain([0, p - 1]) {
+                            k.push(t, key);
+                        }
+                        times.push(t);
+                        continue;
+                    }
+                };
+                k.push(time, rng.below(8));
+                times.push(time);
+            }
+            while !k.reference.is_empty() {
+                k.pop_both();
+            }
+            prop_assert!(k.kernel.pop().is_none());
+        }
+    }
+
+    /// A kernel driven in lockstep with a sorted set of `(time_bits, key,
+    /// seq)`, the obviously correct pop order.
+    struct Reference {
+        kernel: Kernel<u64>,
+        reference: BTreeSet<(u64, u64, u64)>,
+    }
+
+    impl Reference {
+        fn new() -> Self {
+            Reference {
+                kernel: Kernel::new(),
+                reference: BTreeSet::new(),
+            }
+        }
+
+        fn push(&mut self, time: Seconds, key: u64) {
+            let seq = self.kernel.stats().events_scheduled;
+            self.kernel.schedule(time, key, seq);
+            self.reference.insert((time_bits(time), key, seq));
+        }
+
+        fn pop_both(&mut self) {
+            let want = self
+                .reference
+                .pop_first()
+                .map(|(time, _, seq)| (time_of(time), seq));
+            let got = self.kernel.pop();
+            prop_assert_eq!(got, want);
+            if let Some((time, _)) = got {
+                prop_assert!(time.as_secs_f64().is_sign_positive(), "-0.0 pops as +0.0");
+                prop_assert_eq!(self.kernel.now(), time);
             }
         }
     }

@@ -17,14 +17,21 @@
 //!   lowered from one logical edge share one route, and registering a
 //!   task copies no path and bumps no reference count.
 //! * **One 24-byte slot per task** holds everything a grant touches: the
-//!   packed arbitration key, the route index, the task state, and one
-//!   timestamp (the enqueue time while queued, the grant time after).
-//! * **Waiter queues are ring buffers of packed keys**
-//!   `(chunk << 32) | id`. The low half is the task id, so a queue never
+//!   payload (so the caller times the grant without reading the
+//!   schedule), one timestamp (the enqueue time while queued, the grant
+//!   time after), the chunk, and the route index with the task state in
+//!   its low bits. The arbitration key `(chunk << 32) | id` is not
+//!   stored: its low half is the slot's own index.
+//! * **One record per channel** holds everything a grant checks on each
+//!   channel of its path: the key at the front of the waiter queue, the
+//!   count of active link-down faults and the free flag, so the check
+//!   reads one 16-byte record per channel of the path.
+//! * **Waiter queues are ring buffers of packed keys**, so a queue never
 //!   dereferences a task to order or identify a waiter. Under
-//!   ChunkPriority a queue is a sorted run of integers: inserts
-//!   binary-search it, the priority check compares the front key, and a
-//!   grant pops the head in O(1).
+//!   ChunkPriority a queue is a sorted run of integers: an insert gallops
+//!   from the back (sorted inserts land next to an end almost always),
+//!   the priority check compares the record's front key, and a grant
+//!   pops the head in O(1).
 //! * **Busy-interval logs are opt-in and reserved exactly**: only a
 //!   traced run asks for them ([`ChannelPool::record_intervals`]), and
 //!   then each channel's log gets room for one interval per task
@@ -39,7 +46,7 @@
 use crate::engine::Arbitration;
 use crate::trace::{BusyInterval, SimTrace, TraceRecord};
 use ccube_collectives::TransferId;
-use ccube_topology::{ChannelId, Seconds};
+use ccube_topology::{ByteSize, ChannelId, Seconds};
 use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,22 +64,53 @@ enum TaskState {
     Done,
 }
 
-/// One registered task: everything a grant reads or writes.
+/// Low bits of [`Task::route_state`] that hold the state.
+const STATE_BITS: u32 = 3;
+const STATE_MASK: u32 = (1 << STATE_BITS) - 1;
+
+/// One registered task: everything a grant reads or writes, in 24 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Task {
-    /// `(chunk << 32) | id` — the arbitration key, lowest first under
-    /// [`Arbitration::ChunkPriority`], and the entry the task leaves in
-    /// its channels' waiter queues.
-    key: u64,
+    /// The payload, read when the caller times the task's grant.
+    bytes: ByteSize,
     /// While `Queued`, when the task joined its queues; from `Running`
     /// on, when it acquired its channels.
     since: Seconds,
-    /// Index of the task's channel path in the pool's route table.
-    route: u32,
-    state: TaskState,
+    /// The chunk carried: the high half of the task's arbitration key.
+    chunk: u32,
+    /// `route << STATE_BITS | state`: the index of the task's channel
+    /// path in the pool's route table, and its [`TaskState`].
+    route_state: u32,
 }
 
-/// The packed arbitration key of task `id` carrying `chunk`.
+const _: () = assert!(std::mem::size_of::<Task>() == 24);
+
+impl Task {
+    fn route(&self) -> u32 {
+        self.route_state >> STATE_BITS
+    }
+
+    fn state(&self) -> TaskState {
+        match self.route_state & STATE_MASK {
+            0 => TaskState::Pending,
+            1 => TaskState::Ready,
+            2 => TaskState::Queued,
+            3 => TaskState::Running,
+            _ => TaskState::Done,
+        }
+    }
+
+    fn set_route(&mut self, route: u32) {
+        self.route_state = (route << STATE_BITS) | (self.route_state & STATE_MASK);
+    }
+
+    fn set_state(&mut self, state: TaskState) {
+        self.route_state = (self.route_state & !STATE_MASK) | state as u32;
+    }
+}
+
+/// The packed arbitration key of task `id` carrying `chunk`:
+/// `(chunk << 32) | id`, so the low half is the task's slot index.
 fn pack_key(chunk: u32, id: u32) -> u64 {
     (u64::from(chunk) << 32) | u64::from(id)
 }
@@ -82,14 +120,36 @@ fn key_task(key: u64) -> u32 {
     key as u32
 }
 
+/// What a grant reads of one channel, in one record.
+#[derive(Debug, Clone, Copy)]
+struct Channel {
+    /// The key at the front of the channel's waiter queue, or `u64::MAX`
+    /// (no smaller than any key) while the queue is empty.
+    front: u64,
+    /// Count of active link-down faults: a down channel rejects every new
+    /// grant (force-starts included) until every overlapping fault has
+    /// lifted.
+    down: u32,
+    /// Whether no task occupies the channel.
+    free: bool,
+}
+
+impl Channel {
+    const IDLE: Channel = Channel {
+        front: u64::MAX,
+        down: 0,
+        free: true,
+    };
+}
+
 /// The exclusive-channel resource manager shared by every engine.
 ///
 /// Channel paths are registered up front as routes
-/// ([`ChannelPool::add_route`]), then tasks with their route and the
-/// chunk they carry ([`ChannelPool::add_task`]); the arbitration key is
-/// `(chunk, id)`, lowest first under [`Arbitration::ChunkPriority`]. A
-/// task occupies **all** channels of its path at once (wormhole
-/// switching) or none.
+/// ([`ChannelPool::add_route`]), then tasks with their route, the chunk
+/// they carry and their payload ([`ChannelPool::add_task`]); the
+/// arbitration key is `(chunk, id)`, lowest first under
+/// [`Arbitration::ChunkPriority`]. A task occupies **all** channels of
+/// its path at once (wormhole switching) or none.
 #[derive(Debug, Clone)]
 pub struct ChannelPool {
     arbitration: Arbitration,
@@ -98,12 +158,14 @@ pub struct ChannelPool {
     route_channels: Vec<ChannelId>,
     route_start: Vec<u32>,
     tasks: Vec<Task>,
-    free: Vec<bool>,
+    /// Per-channel grant state: the waiter front, down count and free
+    /// flag a grant checks, kept next to each other.
+    channels: Vec<Channel>,
     /// Per-channel waiter queues of packed keys. Under
     /// [`Arbitration::FifoHol`] each queue is in readiness (FIFO) order;
     /// under [`Arbitration::ChunkPriority`] it is kept strictly
     /// ascending, so the best waiter is always the front — no per-round
-    /// scan.
+    /// scan. Each change re-reads the front into the channel's record.
     waiters: Vec<VecDeque<u64>>,
     /// Scratch buffer for [`ChannelPool::force_start`]'s key-sorted scan
     /// of the waiting set. Built lazily per stall round: stalls are rare,
@@ -111,10 +173,6 @@ pub struct ChannelPool {
     /// insert/remove an eagerly maintained ready list costs on *every*
     /// readiness change (quadratic over deep tree schedules).
     force_scratch: Vec<u64>,
-    /// Count of active link-down faults per channel: a down channel
-    /// rejects every new grant (force-starts included) until every
-    /// overlapping fault has lifted.
-    link_down: Vec<u32>,
     /// Tasks registered on each channel: the exact length of its
     /// busy-interval log unless a re-route moves traffic.
     registered: Vec<u32>,
@@ -135,10 +193,9 @@ impl ChannelPool {
             route_channels: Vec::new(),
             route_start: vec![0],
             tasks: Vec::new(),
-            free: vec![true; num_channels],
+            channels: vec![Channel::IDLE; num_channels],
             waiters: vec![VecDeque::new(); num_channels],
             force_scratch: Vec::new(),
-            link_down: vec![0; num_channels],
             registered: vec![0; num_channels],
             busy: vec![Seconds::ZERO; num_channels],
             record_intervals: false,
@@ -160,36 +217,45 @@ impl ChannelPool {
     ///
     /// # Panics
     ///
-    /// Panics if the path is empty or references an unknown channel.
+    /// Panics if the path is empty or references an unknown channel, or
+    /// if the route id would not fit a task slot.
     pub fn add_route(&mut self, path: impl IntoIterator<Item = ChannelId>) -> u32 {
         let start = self.route_channels.len();
         self.route_channels.extend(path);
         let path = &self.route_channels[start..];
         assert!(!path.is_empty(), "a route needs at least one channel");
         assert!(
-            path.iter().all(|c| c.index() < self.free.len()),
+            path.iter().all(|c| c.index() < self.channels.len()),
             "path references an unknown channel"
         );
+        let route = (self.route_start.len() - 1) as u32;
+        assert!(route < 1 << (u32::BITS - STATE_BITS), "too many routes");
         self.route_start.push(self.route_channels.len() as u32);
-        (self.route_start.len() - 2) as u32
+        route
     }
 
-    /// Registers a task on `route` carrying `chunk`; ids are dense and
-    /// assigned in call order, and the arbitration key is `(chunk, id)`.
+    /// Registers a task on `route` carrying `chunk` and `bytes`; ids are
+    /// dense and assigned in call order, and the arbitration key is
+    /// `(chunk, id)`.
     ///
     /// # Panics
     ///
-    /// Panics if `route` was never registered.
-    pub fn add_task(&mut self, route: u32, chunk: u32) -> u32 {
-        let id = self.tasks.len() as u32;
+    /// Panics if `route` was never registered, or if the pool already
+    /// holds `u32::MAX` tasks (so no key is `u64::MAX`, the empty-queue
+    /// front).
+    pub fn add_task(&mut self, route: u32, chunk: u32, bytes: ByteSize) -> u32 {
+        let id = u32::try_from(self.tasks.len())
+            .ok()
+            .filter(|&id| id < u32::MAX)
+            .expect("too many tasks");
         for c in route_path(&self.route_channels, &self.route_start, route) {
             self.registered[c.index()] += 1;
         }
         self.tasks.push(Task {
-            key: pack_key(chunk, id),
+            bytes,
             since: Seconds::ZERO,
-            route,
-            state: TaskState::Pending,
+            chunk,
+            route_state: (route << STATE_BITS) | TaskState::Pending as u32,
         });
         id
     }
@@ -208,8 +274,13 @@ impl ChannelPool {
 
     /// The channel path of `task`.
     pub fn path(&self, task: u32) -> &[ChannelId] {
-        let route = self.tasks[task as usize].route;
+        let route = self.tasks[task as usize].route();
         route_path(&self.route_channels, &self.route_start, route)
+    }
+
+    /// The payload `task` was registered with.
+    pub fn bytes(&self, task: u32) -> ByteSize {
+        self.tasks[task as usize].bytes
     }
 
     /// Declares `task`'s dependencies satisfied. Returns `true` if the
@@ -218,8 +289,8 @@ impl ChannelPool {
     /// channels' queues.
     pub fn mark_ready(&mut self, task: u32, now: Seconds, trace: &mut SimTrace) -> bool {
         let t = &mut self.tasks[task as usize];
-        debug_assert_eq!(t.state, TaskState::Pending);
-        t.state = TaskState::Ready;
+        debug_assert_eq!(t.state(), TaskState::Pending);
+        t.set_state(TaskState::Ready);
         self.try_start(task, now, false, trace)
     }
 
@@ -231,15 +302,15 @@ impl ChannelPool {
     /// historical unblock-then-serve order.
     pub fn complete(&mut self, task: u32, now: Seconds) {
         let t = &mut self.tasks[task as usize];
-        debug_assert_eq!(t.state, TaskState::Running);
-        t.state = TaskState::Done;
+        debug_assert_eq!(t.state(), TaskState::Running);
+        t.set_state(TaskState::Done);
         let started = t.since;
         let occupancy = now - started;
-        for ci in route_path(&self.route_channels, &self.route_start, t.route)
+        for ci in route_path(&self.route_channels, &self.route_start, t.route())
             .iter()
             .map(|c| c.index())
         {
-            self.free[ci] = true;
+            self.channels[ci].free = true;
             self.busy[ci] += occupancy;
             if self.record_intervals {
                 self.intervals[ci].push(BusyInterval {
@@ -256,7 +327,7 @@ impl ChannelPool {
     pub fn serve(&mut self, task: u32, now: Seconds, trace: &mut SimTrace, started: &mut Vec<u32>) {
         // Serving only grants, and grants add no routes, so the route's
         // span of the table stays put.
-        let route = self.tasks[task as usize].route as usize;
+        let route = self.tasks[task as usize].route() as usize;
         for i in self.route_start[route]..self.route_start[route + 1] {
             let c = self.route_channels[i as usize];
             self.serve_channel(c, now, trace, started);
@@ -281,7 +352,11 @@ impl ChannelPool {
         started: &mut Vec<u32>,
     ) {
         let ci = channel.index();
-        while let Some(&head) = self.waiters[ci].front() {
+        loop {
+            let head = self.channels[ci].front;
+            if head == u64::MAX {
+                break; // no task id reaches `u32::MAX`, so no key is `MAX`
+            }
             let task = key_task(head);
             if self.try_start(task, now, false, trace) {
                 started.push(task);
@@ -305,8 +380,9 @@ impl ChannelPool {
         scratch.extend(
             self.tasks
                 .iter()
-                .filter(|t| matches!(t.state, TaskState::Ready | TaskState::Queued))
-                .map(|t| t.key),
+                .enumerate()
+                .filter(|(_, t)| matches!(t.state(), TaskState::Ready | TaskState::Queued))
+                .map(|(id, t)| pack_key(t.chunk, id as u32)),
         );
         scratch.sort_unstable();
         let mut found = None;
@@ -328,44 +404,40 @@ impl ChannelPool {
             route_channels,
             route_start,
             tasks,
-            free,
+            channels,
             waiters,
-            link_down,
             queue_wait,
             max_waiting,
             ..
         } = self;
         let t = &mut tasks[task as usize];
-        let queued = match t.state {
+        let queued = match t.state() {
             TaskState::Ready => false,
             TaskState::Queued => true,
             _ => return false,
         };
-        let key = t.key;
-        let path = route_path(route_channels, route_start, t.route);
-        let channels_free = path
-            .iter()
-            .all(|c| free[c.index()] && link_down[c.index()] == 0);
-        let priority_ok = force
-            || match arbitration {
-                Arbitration::FifoHol => true,
-                // A freed channel is implicitly reserved for the oldest
-                // waiting chunk: a younger task yields to any waiter with
-                // a smaller key anywhere on its path. The queues are
-                // ascending, so the front key decides for the whole
-                // queue (a queued task's own key is its front at best).
-                Arbitration::ChunkPriority => path
-                    .iter()
-                    .all(|c| waiters[c.index()].front().is_none_or(|&w| w >= key)),
-            };
-        if !(channels_free && priority_ok) {
+        let key = pack_key(t.chunk, task);
+        let path = route_path(route_channels, route_start, t.route());
+        // A freed channel is implicitly reserved for the oldest waiting
+        // chunk under ChunkPriority: a younger task yields to any waiter
+        // with a smaller key anywhere on its path. The queues are
+        // ascending, so the front key decides for the whole queue (a
+        // queued task's own key is its front at best).
+        let priority = !force && arbitration == Arbitration::ChunkPriority;
+        let grantable = path.iter().all(|c| {
+            let ch = &channels[c.index()];
+            ch.free && ch.down == 0 && (!priority || ch.front >= key)
+        });
+        if !grantable {
             // A task waits in either all of its path's queues or none.
             if !queued {
-                t.state = TaskState::Queued;
+                t.set_state(TaskState::Queued);
                 t.since = now;
                 for c in path {
-                    let queue = &mut waiters[c.index()];
+                    let ci = c.index();
+                    let queue = &mut waiters[ci];
                     enqueue_waiter(queue, key, arbitration);
+                    channels[ci].front = front_of(queue);
                     *max_waiting = (*max_waiting).max(queue.len());
                 }
             }
@@ -373,7 +445,7 @@ impl ChannelPool {
         }
         for c in path {
             let ci = c.index();
-            free[ci] = false;
+            channels[ci].free = false;
             if queued {
                 debug_assert!(
                     force
@@ -381,7 +453,9 @@ impl ChannelPool {
                         || waiters[ci].front() == Some(&key),
                     "a non-forced ChunkPriority grant must head every queue on its path"
                 );
-                remove_waiter(&mut waiters[ci], key, arbitration);
+                let queue = &mut waiters[ci];
+                remove_waiter(queue, key, arbitration);
+                channels[ci].front = front_of(queue);
             }
             trace.push(TraceRecord::ChannelGrant {
                 channel: *c,
@@ -401,7 +475,7 @@ impl ChannelPool {
                 granted: now,
             });
         }
-        t.state = TaskState::Running;
+        t.set_state(TaskState::Running);
         t.since = now;
         true
     }
@@ -412,21 +486,21 @@ impl ChannelPool {
     /// fault driver). In-flight occupants are unaffected: a flap is
     /// detected at grant time, not mid-wormhole.
     pub fn set_link_down(&mut self, channel: ChannelId) {
-        self.link_down[channel.index()] += 1;
+        self.channels[channel.index()].down += 1;
     }
 
     /// Lifts one link-down fault from `channel`. The channel serves
     /// again once **every** overlapping fault has lifted; the caller
     /// should then [`ChannelPool::serve_channel`] it.
     pub fn set_link_up(&mut self, channel: ChannelId) {
-        let ci = channel.index();
-        debug_assert!(self.link_down[ci] > 0, "link-up without a matching down");
-        self.link_down[ci] -= 1;
+        let ch = &mut self.channels[channel.index()];
+        debug_assert!(ch.down > 0, "link-up without a matching down");
+        ch.down -= 1;
     }
 
     /// Whether `channel` is currently down.
     pub fn is_link_down(&self, channel: ChannelId) -> bool {
-        self.link_down[channel.index()] > 0
+        self.channels[channel.index()].down > 0
     }
 
     /// Whether `channel` is currently unoccupied — the live congestion
@@ -437,7 +511,7 @@ impl ChannelPool {
     ///
     /// Panics if `channel` is out of range.
     pub fn is_free(&self, channel: ChannelId) -> bool {
-        self.free[channel.index()]
+        self.channels[channel.index()].free
     }
 
     /// Moves a waiting (not running, not done) task onto a new channel
@@ -459,6 +533,7 @@ impl ChannelPool {
             route_channels,
             route_start,
             tasks,
+            channels,
             waiters,
             max_waiting,
             ..
@@ -466,22 +541,26 @@ impl ChannelPool {
         let t = &mut tasks[task as usize];
         debug_assert!(
             matches!(
-                t.state,
+                t.state(),
                 TaskState::Pending | TaskState::Ready | TaskState::Queued
             ),
             "only waiting tasks can be re-routed"
         );
-        let queued = t.state == TaskState::Queued;
+        let key = pack_key(t.chunk, task);
+        let queued = t.state() == TaskState::Queued;
         if queued {
-            for c in route_path(route_channels, route_start, t.route) {
-                remove_waiter(&mut waiters[c.index()], t.key, arbitration);
+            for c in route_path(route_channels, route_start, t.route()) {
+                let queue = &mut waiters[c.index()];
+                remove_waiter(queue, key, arbitration);
+                channels[c.index()].front = front_of(queue);
             }
         }
-        t.route = route;
+        t.set_route(route);
         if queued {
             for c in route_path(route_channels, route_start, route) {
                 let queue = &mut waiters[c.index()];
-                enqueue_waiter(queue, t.key, arbitration);
+                enqueue_waiter(queue, key, arbitration);
+                channels[c.index()].front = front_of(queue);
                 *max_waiting = (*max_waiting).max(queue.len());
             }
         }
@@ -496,12 +575,12 @@ impl ChannelPool {
 
     /// Whether `task` is currently occupying its channels.
     pub fn is_running(&self, task: u32) -> bool {
-        self.tasks[task as usize].state == TaskState::Running
+        self.tasks[task as usize].state() == TaskState::Running
     }
 
     /// Whether `task` has completed.
     pub fn is_done(&self, task: u32) -> bool {
-        self.tasks[task as usize].state == TaskState::Done
+        self.tasks[task as usize].state() == TaskState::Done
     }
 
     /// Total busy time per channel.
@@ -551,6 +630,11 @@ fn route_path<'a>(channels: &'a [ChannelId], start: &[u32], route: u32) -> &'a [
     &channels[start[r] as usize..start[r + 1] as usize]
 }
 
+/// A waiter queue's front key, as a [`Channel`] record keeps it.
+fn front_of(queue: &VecDeque<u64>) -> u64 {
+    queue.front().copied().unwrap_or(u64::MAX)
+}
+
 /// Adds `key` to a waiter queue: at the back under
 /// [`Arbitration::FifoHol`], at its sorted position under
 /// [`Arbitration::ChunkPriority`] (usually the back too: later chunks
@@ -558,11 +642,42 @@ fn route_path<'a>(channels: &'a [ChannelId], start: &[u32], route: u32) -> &'a [
 fn enqueue_waiter(queue: &mut VecDeque<u64>, key: u64, arbitration: Arbitration) {
     match arbitration {
         Arbitration::ChunkPriority if queue.back().is_some_and(|&b| b > key) => {
-            let pos = queue.partition_point(|&w| w < key);
-            queue.insert(pos, key);
+            queue.insert(sorted_position(queue, key), key);
         }
         _ => queue.push_back(key),
     }
+}
+
+/// Where `key` goes in an ascending queue — `partition_point(|&w| w <
+/// key)` — found by galloping from the back: a sorted insert lands next
+/// to an end almost always, so a front insert is one compare and a back
+/// one a few, where a binary search pays `log2(len)` either way.
+fn sorted_position(queue: &VecDeque<u64>, key: u64) -> usize {
+    if queue.front().is_none_or(|&f| f > key) {
+        return 0;
+    }
+    // `queue[lo - 1] < key` and every entry from `hi` on is `> key`;
+    // the caller has checked the back.
+    let (mut lo, mut hi) = (1, queue.len() - 1);
+    let mut step = 1;
+    while hi - lo > step {
+        let probe = hi - step;
+        if queue[probe] < key {
+            lo = probe + 1;
+            break;
+        }
+        hi = probe;
+        step *= 2;
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if queue[mid] < key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Removes `key` from a waiter queue it sits in. A grant under either
@@ -696,7 +811,7 @@ mod tests {
     /// Registers a task on a route of its own over `channels`.
     fn task(p: &mut ChannelPool, channels: &[u32], chunk: u32) -> u32 {
         let route = p.add_route(channels.iter().map(|&c| ChannelId(c)));
-        p.add_task(route, chunk)
+        p.add_task(route, chunk, ByteSize::kib(u64::from(chunk)))
     }
 
     #[test]
@@ -828,15 +943,16 @@ mod tests {
     fn reroute_leaves_siblings_on_the_shared_path() {
         let (mut p, mut tr) = pool(2, Arbitration::FifoHol);
         let shared = p.add_route([ChannelId(0)]);
-        let a = p.add_task(shared, 0);
-        let b = p.add_task(shared, 1);
+        let a = p.add_task(shared, 0, ByteSize::kib(4));
+        let b = p.add_task(shared, 1, ByteSize::kib(4));
         assert!(p.mark_ready(a, us(0.0), &mut tr));
         assert!(!p.mark_ready(b, us(0.0), &mut tr)); // queued on ch0
         p.reroute(b, vec![ChannelId(1)]);
         assert_eq!(p.path(b), &[ChannelId(1)]);
         assert_eq!(p.path(a), &[ChannelId(0)], "the sibling keeps its path");
         assert_eq!(
-            p.tasks[a as usize].route, shared,
+            p.tasks[a as usize].route(),
+            shared,
             "the shared route is untouched"
         );
         p.complete(a, us(1.0));
@@ -865,15 +981,20 @@ mod tests {
     }
 
     /// Asserts the pool's structural invariants. `stamps[t]` is the
-    /// order in which task `t` last joined its queues.
-    fn check_invariants(p: &ChannelPool, stamps: &[u64]) {
+    /// order in which task `t` last joined its queues, `down[c]` the
+    /// link-down faults active on channel `c`, and `bytes[t]` the payload
+    /// task `t` was registered with.
+    fn check_invariants(p: &ChannelPool, stamps: &[u64], down: &[u32], bytes: &[ByteSize]) {
         for (ci, queue) in p.waiters.iter().enumerate() {
             let keys: Vec<u64> = queue.iter().copied().collect();
             match p.arbitration {
-                Arbitration::ChunkPriority => assert!(
-                    keys.windows(2).all(|w| w[0] < w[1]),
-                    "channel {ci}: ChunkPriority queue not strictly ascending: {keys:?}"
-                ),
+                Arbitration::ChunkPriority => {
+                    assert!(
+                        keys.windows(2).all(|w| w[0] < w[1]),
+                        "channel {ci}: ChunkPriority queue not strictly ascending: {keys:?}"
+                    );
+                    check_sorted_inserts(queue);
+                }
                 Arbitration::FifoHol => assert!(
                     keys.windows(2)
                         .all(|w| stamps[key_task(w[0]) as usize] < stamps[key_task(w[1]) as usize]),
@@ -882,21 +1003,30 @@ mod tests {
             }
             for &k in &keys {
                 let t = &p.tasks[key_task(k) as usize];
-                assert_eq!(t.key, k);
-                assert_eq!(t.state, TaskState::Queued, "only queued tasks wait");
+                assert_eq!(pack_key(t.chunk, key_task(k)), k);
+                assert_eq!(t.state(), TaskState::Queued, "only queued tasks wait");
                 assert!(
                     p.path(key_task(k)).iter().any(|c| c.index() == ci),
                     "task {} waits on channel {ci}, off its path",
                     key_task(k)
                 );
             }
+            let ch = &p.channels[ci];
+            assert_eq!(
+                ch.front,
+                keys.first().copied().unwrap_or(u64::MAX),
+                "channel {ci}: the record's front key is not the queue's"
+            );
+            assert_eq!(ch.down, down[ci], "channel {ci}: down count drifted");
         }
-        let mut occupied = vec![false; p.free.len()];
+        let mut occupied = vec![false; p.channels.len()];
         for (id, t) in p.tasks.iter().enumerate() {
-            match t.state {
+            assert_eq!(t.bytes, bytes[id], "task {id} lost its payload");
+            let key = pack_key(t.chunk, id as u32);
+            match t.state() {
                 TaskState::Queued => {
                     for c in p.path(id as u32) {
-                        let n = p.waiters[c.index()].iter().filter(|&&w| w == t.key).count();
+                        let n = p.waiters[c.index()].iter().filter(|&&w| w == key).count();
                         assert_eq!(n, 1, "a queued task sits once in each queue of its path");
                     }
                 }
@@ -911,9 +1041,27 @@ mod tests {
         }
         for (ci, &busy) in occupied.iter().enumerate() {
             assert_eq!(
-                p.free[ci], !busy,
+                p.channels[ci].free, !busy,
                 "channel {ci}: free flag disagrees with occupancy"
             );
+        }
+    }
+
+    /// Asserts that a ChunkPriority insert of any key not in the ascending
+    /// `queue` — below its front, in each gap, past its back — lands
+    /// where `partition_point` puts it.
+    fn check_sorted_inserts(queue: &VecDeque<u64>) {
+        let probes = queue
+            .iter()
+            .flat_map(|&w| [w.wrapping_sub(1), w + 1])
+            .chain([0])
+            .filter(|k| !queue.contains(k));
+        for key in probes {
+            let mut inserted = queue.clone();
+            enqueue_waiter(&mut inserted, key, Arbitration::ChunkPriority);
+            let mut expected = queue.clone();
+            expected.insert(queue.partition_point(|&w| w < key), key);
+            assert_eq!(inserted, expected, "key {key} inserted out of place");
         }
     }
 
@@ -922,8 +1070,14 @@ mod tests {
 
         /// Random operation sequences under both arbitrations keep the
         /// queues ordered, keep every waiting task in exactly the queues
-        /// of its current path, and keep running paths disjoint. The
-        /// grant-time head check is the debug assertion in `try_start`.
+        /// of its current path, keep running paths disjoint, keep each
+        /// channel record's front key, down count and free flag equal to
+        /// its queue, faults and occupancy, and keep each task's payload
+        /// through re-routes; every ChunkPriority queue also takes an
+        /// insert of each absent key where `partition_point` would. A
+        /// wrapped queue up to 512 deep checks the gallop on deep queues.
+        /// The grant-time head check is the debug assertion in
+        /// `try_start`.
         #[test]
         fn pool_invariants_hold_under_random_operations(
             arb in prop::sample::select(vec![Arbitration::FifoHol, Arbitration::ChunkPriority]),
@@ -933,6 +1087,23 @@ mod tests {
             seed in 0u64..1 << 32,
         ) {
             let mut rng = crate::kernel::SimRng::new(seed);
+            let depth = 1 + rng.below(512) as usize;
+            let mut deep = VecDeque::with_capacity(depth);
+            // Start mid-buffer so the queue wraps, as a long-lived one does.
+            for _ in 0..rng.below(depth as u64) {
+                deep.push_back(0);
+                deep.pop_front();
+            }
+            let mut key = rng.below(3);
+            for _ in 0..depth {
+                key += 2 + rng.below(4);
+                deep.push_back(key);
+            }
+            let back = deep[deep.len() - 1];
+            for key in (0..=back).filter(|k| deep.binary_search(k).is_err()) {
+                let want = deep.partition_point(|&w| w < key);
+                prop_assert_eq!(sorted_position(&deep, key), want, "key {}", key);
+            }
             let path_of = |mask: u64| -> Vec<ChannelId> {
                 let mask = match mask & ((1 << num_channels) - 1) {
                     0 => 1,
@@ -944,14 +1115,16 @@ mod tests {
                     .collect()
             };
             let (mut p, mut tr) = pool(num_channels, arb);
+            let mut bytes = Vec::new();
             for _ in 0..num_tasks {
                 // Reuse the last route now and then, as tasks of one
                 // logical edge do.
                 let route = match p.tasks.len() {
-                    n if n > 0 && rng.below(3) == 0 => p.tasks[n - 1].route,
+                    n if n > 0 && rng.below(3) == 0 => p.tasks[n - 1].route(),
                     _ => p.add_route(path_of(rng.next_u64())),
                 };
-                p.add_task(route, rng.below(6) as u32);
+                bytes.push(ByteSize::new(rng.next_u64() >> 8));
+                p.add_task(route, rng.below(6) as u32, bytes[bytes.len() - 1]);
             }
             p.record_intervals();
             let mut stamps = vec![0u64; num_tasks];
@@ -963,7 +1136,7 @@ mod tests {
                 let (op, pick, mask) = (rng.below(7), rng.below(1 << 16), rng.next_u64());
                 let with = |p: &ChannelPool, want: &[TaskState]| -> Option<u32> {
                     let ids: Vec<u32> = (0..p.tasks.len() as u32)
-                        .filter(|&t| want.contains(&p.tasks[t as usize].state))
+                        .filter(|&t| want.contains(&p.tasks[t as usize].state()))
                         .collect();
                     (!ids.is_empty()).then(|| ids[pick as usize % ids.len()])
                 };
@@ -999,7 +1172,7 @@ mod tests {
                         let waiting = [TaskState::Pending, TaskState::Queued];
                         if let Some(t) = with(&p, &waiting) {
                             p.reroute(t, path_of(mask));
-                            if p.tasks[t as usize].state == TaskState::Queued {
+                            if p.tasks[t as usize].state() == TaskState::Queued {
                                 stamps[t as usize] = next_stamp;
                                 next_stamp += 1;
                             }
@@ -1019,7 +1192,7 @@ mod tests {
                         }
                     }
                 }
-                check_invariants(&p, &stamps);
+                check_invariants(&p, &stamps, &down, &bytes);
             }
         }
     }

@@ -276,7 +276,8 @@ pub(crate) fn run(
     // channel paths otherwise. Fault events are declared on the
     // channel-level paths either way. Pool task ids follow registration
     // order, which is transfer-id order (ids are dense and equal their
-    // index), so the pool's `(chunk, id)` key is the transfer's.
+    // index), so the pool's `(chunk, id)` key is the transfer's, and the
+    // pool's task slot carries the payload a grant is timed by.
     let mut pool = ChannelPool::new(num_resources, opts.arbitration);
     pool.reserve_tasks(nt);
     let port_routes: Vec<Vec<PortId>> = match &fabric {
@@ -296,7 +297,7 @@ pub(crate) fn run(
         }
     }
     for (t, &r) in transfers.iter().zip(&route_of) {
-        pool.add_task(r, t.chunk.0);
+        pool.add_task(r, t.chunk.0, t.bytes);
     }
     if opts.trace_capacity > 0 {
         pool.record_intervals();
@@ -532,11 +533,12 @@ impl Sched<'_> {
     /// The transit time of transfer `t` over its current route: the
     /// route's wormhole, or the port route's transit time under the
     /// switch fabric. Computed afresh on every call, from the same
-    /// inputs each time, so repeated calls agree bit for bit.
+    /// inputs each time, so repeated calls agree bit for bit. The payload
+    /// comes from the pool's task slot, which the grant just touched.
     fn duration(&self, t: usize) -> Seconds {
         let r = self.route_of[t] as usize;
         let route = &self.routes[r];
-        let bytes = self.job.schedule.transfers()[t].bytes;
+        let bytes = self.pool.bytes(t as u32);
         match &self.fabric {
             Some(f) => f.duration(
                 &self.port_routes[r],

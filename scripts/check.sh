@@ -76,6 +76,10 @@ diff target/check-scaleout/t1.txt target/check-scaleout/t2.txt
 diff target/check-scaleout/t1.txt target/check-scaleout/sw.txt
 rm -rf target/check-scaleout
 
+echo "==> ccube scaleout 1024 64 (the benchmark's scaleout command): stdout matches tests/data/scaleout_1024_64.txt"
+cargo run -q --release -p ccube --bin ccube -- scaleout 1024 64 --threads 1 \
+    | diff tests/data/scaleout_1024_64.txt -
+
 echo "==> resilience smoke run (ccube faults --smoke)"
 cargo run -q --release -p ccube --bin ccube -- faults --smoke
 

@@ -158,6 +158,24 @@ fn valid_counts_still_run() {
 }
 
 #[test]
+fn train_stdout_is_deterministic() {
+    // The thread-timing chained-start count goes to stderr; stdout holds
+    // only the iterations and the bit-identity verdict.
+    let a = ccube(&["train", "2"]);
+    let b = ccube(&["train", "2"]);
+    assert!(a.status.success() && b.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&a.stdout),
+        "2 iterations, replicas bit-identical (== serial)\n"
+    );
+    assert_eq!(
+        a.stdout, b.stdout,
+        "two train runs printed different stdout"
+    );
+    assert!(String::from_utf8_lossy(&a.stderr).contains("chained layer-starts"));
+}
+
+#[test]
 fn figures_rejects_unknown_flags_and_extra_arguments() {
     // Run in an empty directory: a mistaken run would write its CSVs
     // under it (into a directory named after the stray argument).
