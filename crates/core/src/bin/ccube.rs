@@ -734,7 +734,9 @@ fn cmd_faults_shrink(seed: u64, fabric: ccube_sim::NetworkModel) -> ExitCode {
 /// compares two live runs without temp files, and `ccube trace --diff 7
 /// before.csv` checks a live run against a saved baseline. With `--html
 /// <out.html>` the same comparison is written as a side-by-side HTML
-/// viewer. Exit code 0 when identical, 1 when they differ.
+/// viewer. Exit code 0 when identical, 1 when they differ, and 2 (a
+/// usage error) when a side cannot be read, parsed or simulated or the
+/// viewer cannot be written.
 fn cmd_trace_diff(
     sides: &[String],
     fabric: ccube_sim::NetworkModel,
@@ -745,45 +747,29 @@ fn cmd_trace_diff(
         return Err("--diff expects exactly two sides (trace-CSV paths or seeds)".to_string());
     };
     // A side that parses as a u64 is a seed: re-simulate it in-process.
-    let side = |arg: &String| -> Option<(ccube_sim::SimTrace, ccube_sim::LaneLabels)> {
+    // A side that cannot be read, parsed or run is an input error (exit
+    // 2), never a difference.
+    let side = |arg: &String| -> Result<(ccube_sim::SimTrace, ccube_sim::LaneLabels), String> {
         if let Ok(seed) = arg.parse::<u64>() {
-            match resilience::demo_trace(seed, fabric) {
-                Ok(report) => Some((
-                    report.trace,
-                    resilience::demo_labels(format!("seed {seed}"), &fabric),
-                )),
-                Err(e) => {
-                    eprintln!("trace --diff: seed {seed}: faulted run failed: {e}");
-                    None
-                }
-            }
-        } else {
-            let text = match std::fs::read_to_string(arg) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("trace --diff: failed to read {arg}: {e}");
-                    return None;
-                }
-            };
-            match ccube_sim::SimTrace::from_csv(&text) {
-                Ok(t) => Some((t, resilience::demo_labels(arg.clone(), &fabric))),
-                Err(e) => {
-                    eprintln!("trace --diff: {arg}: {e}");
-                    None
-                }
-            }
+            let report = resilience::demo_trace(seed, fabric)
+                .map_err(|e| format!("--diff side {seed}: faulted run failed: {e}"))?;
+            return Ok((
+                report.trace,
+                resilience::demo_labels(format!("seed {seed}"), &fabric),
+            ));
         }
+        let text = std::fs::read_to_string(arg)
+            .map_err(|e| format!("--diff side {arg}: failed to read: {e}"))?;
+        let trace =
+            ccube_sim::SimTrace::from_csv(&text).map_err(|e| format!("--diff side {arg}: {e}"))?;
+        Ok((trace, resilience::demo_labels(arg.clone(), &fabric)))
     };
-    let (Some((lt, ll)), Some((rt, rl))) = (side(left), side(right)) else {
-        return Ok(ExitCode::FAILURE);
-    };
+    let (lt, ll) = side(left)?;
+    let (rt, rl) = side(right)?;
     let diff = ccube_sim::diff_csv(&lt.to_csv(), &rt.to_csv());
     if let Some(path) = html {
         let doc = ccube_sim::diff_to_html((&lt, &ll), (&rt, &rl));
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("trace --diff: failed to write {path}: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
+        std::fs::write(path, doc).map_err(|e| format!("--diff: failed to write {path}: {e}"))?;
         println!(
             "traces are {}; wrote {path}",
             if diff.is_identical() {

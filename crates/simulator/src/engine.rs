@@ -2,8 +2,9 @@
 //! point.
 //!
 //! [`simulate`] owns no event loop: it runs the schedule's transfers
-//! through the shared scheduler (`sched.rs`) and derives the
-//! per-chunk views of the [`SimReport`] from the transfer timings.
+//! through the shared scheduler (`sched.rs`), which records each
+//! transfer's timing and its chunk's completion as the transfer
+//! completes, and shapes the run into a [`SimReport`].
 
 use crate::error::SimError;
 use crate::fabric::NetworkModel;
@@ -178,26 +179,10 @@ pub fn simulate(
         opts,
         &FaultPlan::empty(),
     )?;
-
-    // Derive per-(rank, chunk) completion and per-chunk completion.
-    let p = schedule.num_ranks();
-    let k = schedule.chunking().num_chunks();
-    let mut done_at = vec![vec![Seconds::ZERO; k]; p];
-    let mut chunk_complete = vec![Seconds::ZERO; k];
-    for t in schedule.transfers() {
-        let finish = run.timings[t.id.index()].complete;
-        let cell = &mut done_at[t.dst.index()][t.chunk.index()];
-        *cell = (*cell).max(finish);
-        let cc = &mut chunk_complete[t.chunk.index()];
-        *cc = (*cc).max(finish);
-    }
-
     Ok(SimReport {
-        num_ranks: p,
-        num_chunks: k,
+        num_ranks: schedule.num_ranks(),
         timings: run.timings,
-        done_at,
-        chunk_complete,
+        chunk_complete: run.chunk_complete,
         makespan: run.makespan,
         channel_busy: run.channel_busy,
         channel_intervals: run.channel_intervals,
@@ -277,19 +262,67 @@ mod tests {
 
     #[test]
     fn done_at_is_bounded_by_chunk_complete() {
-        let report = dgx1_ring_report(ByteSize::mib(8));
-        for r in 0..report.num_ranks() {
-            for c in 0..report.num_chunks() {
-                assert!(
-                    report.done_at(Rank(r as u32), ChunkId(c as u32))
-                        <= report.chunk_complete(ChunkId(c as u32))
-                );
+        let topo = dgx1();
+        let s = ring_allreduce(8, ByteSize::mib(8));
+        let e = Embedding::identity(&topo, &s).unwrap();
+        let report = simulate(&topo, &s, &e, &SimOptions::default()).unwrap();
+        let done_at = report.done_at(&s);
+        assert_eq!(done_at.len(), report.num_ranks());
+        for (r, row) in done_at.iter().enumerate() {
+            assert_eq!(row.len(), report.num_chunks());
+            for (c, &done) in row.iter().enumerate() {
+                let chunk = ChunkId(c as u32);
+                assert!(done <= report.chunk_complete(chunk));
+                // The last delivery of the chunk to the rank.
+                let last = s
+                    .transfers()
+                    .iter()
+                    .filter(|t| t.dst == Rank(r as u32) && t.chunk == chunk)
+                    .map(|t| report.timings()[t.id.index()].complete)
+                    .max()
+                    .unwrap_or(Seconds::ZERO);
+                assert_eq!(done, last);
             }
         }
         assert_eq!(
             report.makespan(),
             report.chunk_completions().iter().copied().max().unwrap()
         );
+    }
+
+    #[test]
+    fn timings_agree_with_the_trace_and_the_dependencies() {
+        // The overlapped double tree on DGX-1: contended channels and
+        // detours, so starts are grant times, not dependency times.
+        let topo = dgx1();
+        let dt = DoubleBinaryTree::new(8).unwrap();
+        let chunking = Chunking::even(ByteSize::mib(8), 8);
+        let s = tree_allreduce(dt.trees(), &chunking, Overlap::ReductionBroadcast);
+        let e = Embedding::dgx1_double_tree(&topo, &s).unwrap();
+        let report = simulate(&topo, &s, &e, &SimOptions::default()).unwrap();
+        let timings = report.timings();
+        let (mut starts, mut ends) = (0, 0);
+        for r in report.trace().records() {
+            match *r {
+                TraceRecord::TransferStart { id, at } => {
+                    assert_eq!(timings[id.index()].start, at, "transfer {}", id.0);
+                    starts += 1;
+                }
+                TraceRecord::TransferEnd { id, at } => {
+                    assert_eq!(timings[id.index()].complete, at, "transfer {}", id.0);
+                    ends += 1;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!((starts, ends), (timings.len(), timings.len()));
+        for t in s.transfers() {
+            let timing = timings[t.id.index()];
+            assert!(timing.start < timing.complete, "transfer {}", t.id.0);
+            for d in s.deps(t.id) {
+                assert!(timings[d.index()].complete <= timing.start);
+            }
+        }
     }
 
     #[test]

@@ -21,10 +21,13 @@
 //! bucket's earliest time becomes `last`, and each of its events drops
 //! to a strictly lower bucket — all of them into bucket 0 when they
 //! share one instant, as a ring step's completions do. Bucket 0 is then
-//! sorted by merging its natural runs in its own spare capacity; a
-//! step's completions arrive nearly sorted, so that is a pass or two. A
-//! push at the current instant is a sorted insert into bucket 0, even
-//! when its key is below the last pop's, so the pop order stays exactly
+//! sorted. An instant of at most two natural runs (a ring step's
+//! completions arrive that nearly sorted) is reversed and merged in one
+//! pass through bucket 0's own spare capacity; any other instant (a
+//! chunked tree's holds hundreds of short runs, where merging would take
+//! eight passes) is sorted in place with `sort_unstable_by_key`. A push
+//! at the current instant is a sorted insert into bucket 0, even when its
+//! key is below the last pop's, so the pop order stays exactly
 //! `(time, key, seq)`. Within the room [`Kernel::reserve`] made, neither
 //! a push nor a refill allocates.
 //!
@@ -187,8 +190,8 @@ pub struct Kernel<E> {
     last: u64,
     seq: u64,
     /// Bucket 0: the events at `last` in descending `(key, seq)` order,
-    /// so a pop takes the back. Past its length, the refill sort's merge
-    /// passes use its spare capacity as scratch.
+    /// so a pop takes the back. Past its length, the refill sort's
+    /// two-run merge uses its spare capacity as scratch.
     current: Vec<Scheduled<E>>,
     /// Buckets 1 to 64 as linked lists through `nodes`: `heads[b - 1]`
     /// starts the unordered list of events whose time first differs
@@ -223,9 +226,10 @@ impl<E: Copy> Kernel<E> {
 
     /// Pre-allocates room for `additional` more pending events: one
     /// allocation for the buckets and one for the current instant, whose
-    /// spare capacity is also the refill sort's scratch. While at most
-    /// that many events are pending and no instant holds more than half
-    /// of them, neither a push nor a refill allocates.
+    /// spare capacity is also the two-run merge's scratch. While at most
+    /// that many events are pending and no instant of two natural runs
+    /// holds more than half of them, neither a push nor a refill
+    /// allocates.
     pub fn reserve(&mut self, additional: usize) {
         self.nodes.reserve(additional);
         self.current.reserve(additional);
@@ -344,60 +348,59 @@ impl<E: Copy> Kernel<E> {
     }
 }
 
-/// Sorts `v` into descending `(key, seq)` order by merging its natural
-/// runs: the first pass reverses ascending runs in place, and each merge
-/// pass appends the merged pairs past the end and copies them back, so
-/// `v`'s spare capacity is the only scratch. A sorted or reversed input
-/// costs one scan, and `k` runs cost `⌈log2 k⌉` merge passes. Ranks are
-/// unique, so the result is the one any sort would give.
+/// The end of the natural run of `v` that starts at `start` (below
+/// `v.len()`), and whether it ascends by rank.
+fn run_end<E>(v: &[Scheduled<E>], start: usize) -> (usize, bool) {
+    let mut i = start + 1;
+    let ascending = i < v.len() && v[i - 1].rank() < v[i].rank();
+    while i < v.len() && (v[i - 1].rank() < v[i].rank()) == ascending {
+        i += 1;
+    }
+    (i, ascending)
+}
+
+/// Sorts `v` into descending `(key, seq)` order. An instant of one or
+/// two natural runs — every ring step — takes one pass: each run is
+/// reversed in place if it ascends, and two runs are merged past the end
+/// and copied back, so `v`'s spare capacity is the only scratch. Any
+/// other instant — a chunked tree's holds hundreds of runs — is sorted in
+/// place by `sort_unstable_by_key`, which allocates nothing either. Ranks
+/// are unique, so both give the one order any sort would.
 fn sort_descending<E: Copy>(v: &mut Vec<Scheduled<E>>) {
     let n = v.len();
-    let mut i = 0;
-    while i < n {
-        let start = i;
-        i += 1;
-        if i < n && v[i - 1].rank() < v[i].rank() {
-            while i < n && v[i - 1].rank() < v[i].rank() {
-                i += 1;
-            }
-            v[start..i].reverse();
+    if n < 2 {
+        return;
+    }
+    let (mid, first_ascends) = run_end(v, 0);
+    let (end, second_ascends) = if mid < n { run_end(v, mid) } else { (n, false) };
+    if end < n {
+        v.sort_unstable_by_key(|e| std::cmp::Reverse(e.rank()));
+        return;
+    }
+    if first_ascends {
+        v[..mid].reverse();
+    }
+    if second_ascends {
+        v[mid..].reverse();
+    }
+    if mid == n {
+        return;
+    }
+    let (mut x, mut y) = (0, mid);
+    while x < mid && y < n {
+        let e = if v[x].rank() > v[y].rank() {
+            x += 1;
+            v[x - 1]
         } else {
-            while i < n && v[i - 1].rank() > v[i].rank() {
-                i += 1;
-            }
-        }
+            y += 1;
+            v[y - 1]
+        };
+        v.push(e);
     }
-    // The end of the descending run of `v[..n]` that starts at `i`.
-    let run_end = |v: &[Scheduled<E>], mut i: usize| {
-        i += 1;
-        while i < n && v[i - 1].rank() > v[i].rank() {
-            i += 1;
-        }
-        i
-    };
-    while run_end(v, 0) < n {
-        let mut a = 0;
-        while a < n {
-            let mid = run_end(v, a);
-            let end = if mid < n { run_end(v, mid) } else { n };
-            let (mut x, mut y) = (a, mid);
-            while x < mid && y < end {
-                let e = if v[x].rank() > v[y].rank() {
-                    x += 1;
-                    v[x - 1]
-                } else {
-                    y += 1;
-                    v[y - 1]
-                };
-                v.push(e);
-            }
-            v.extend_from_within(x..mid);
-            v.extend_from_within(y..end);
-            a = end;
-        }
-        v.copy_within(n.., 0);
-        v.truncate(n);
-    }
+    v.extend_from_within(x..mid);
+    v.extend_from_within(y..n);
+    v.copy_within(n.., 0);
+    v.truncate(n);
 }
 
 #[cfg(test)]
@@ -514,8 +517,10 @@ mod tests {
         /// `-0.0`, exact ties with earlier times, times spread over forty
         /// binary orders of magnitude and times a few ulps past the
         /// current instant, so refills cross every bucket boundary,
-        /// and ring-step bursts of 1000+ same-instant events in the
-        /// nearly sorted order a step's completions arrive in.
+        /// and bursts of hundreds of same-instant events: a ring step's
+        /// nearly sorted completions, one run either way, two runs, and a
+        /// chunked tree's crowded instant in random key order with
+        /// repeated keys, which the refill sorts rather than merges.
         #[test]
         fn interleaved_pushes_and_pops_match_a_sorted_set(
             ops in 1usize..300,
@@ -550,8 +555,25 @@ mod tests {
                     }
                     _ => {
                         let t = now + Seconds::new(rng.next_f64() * 1e-5);
-                        let p = 1000 + rng.below(200);
-                        for key in (1..p - 1).chain([0, p - 1]) {
+                        let p = 200 + rng.below(1000);
+                        let keys: Vec<u64> = match rng.below(6) {
+                            // A ring step: keys 1…P−2, then 0 and P−1.
+                            0 => (1..p - 1).chain([0, p - 1]).collect(),
+                            // One run, ascending or descending.
+                            1 => (0..p).collect(),
+                            2 => (0..p).rev().collect(),
+                            // Two runs: the even keys, then the odd ones
+                            // ascending or descending.
+                            3 => (0..p).step_by(2).chain((1..p).step_by(2)).collect(),
+                            4 => (0..p)
+                                .step_by(2)
+                                .chain((1..p).rev().filter(|k| k % 2 == 1))
+                                .collect(),
+                            // A chunked tree's crowded instant: keys in
+                            // random order, repeats included.
+                            _ => (0..p).map(|_| rng.below(p / 2)).collect(),
+                        };
+                        for key in keys {
                             k.push(t, key);
                         }
                         times.push(t);

@@ -1,7 +1,7 @@
 //! Simulation results.
 
 use crate::trace::{utilization_bins, BusyInterval, SimTrace};
-use ccube_collectives::{ChunkId, Rank};
+use ccube_collectives::{ChunkId, Schedule};
 use ccube_topology::{ChannelId, GpuId, Seconds};
 use std::collections::HashMap;
 
@@ -79,11 +79,7 @@ impl SimStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     pub(crate) num_ranks: usize,
-    pub(crate) num_chunks: usize,
     pub(crate) timings: Vec<TransferTiming>,
-    /// done_at[rank][chunk]: when the rank holds the final value of the
-    /// chunk (its last inbound transfer of that chunk completed).
-    pub(crate) done_at: Vec<Vec<Seconds>>,
     /// chunk_complete[chunk]: when the chunk is final at *every* rank.
     pub(crate) chunk_complete: Vec<Seconds>,
     pub(crate) makespan: Seconds,
@@ -102,7 +98,7 @@ impl SimReport {
 
     /// Number of chunks in the simulated schedule.
     pub fn num_chunks(&self) -> usize {
-        self.num_chunks
+        self.chunk_complete.len()
     }
 
     /// Completion time of the entire collective.
@@ -115,13 +111,28 @@ impl SimReport {
         &self.timings
     }
 
-    /// When `rank` holds the final AllReduced value of `chunk`.
+    /// `done_at[rank][chunk]`: when each rank holds the final AllReduced
+    /// value of each chunk (its last inbound transfer of that chunk
+    /// completed; zero if it receives none). The table is P×k, so it is
+    /// derived on demand from `schedule` — the one simulated — and the
+    /// transfer timings rather than kept in every report.
     ///
     /// # Panics
     ///
-    /// Panics if `rank` or `chunk` is out of range.
-    pub fn done_at(&self, rank: Rank, chunk: ChunkId) -> Seconds {
-        self.done_at[rank.index()][chunk.index()]
+    /// Panics if `schedule` has a different transfer count or more
+    /// ranks or chunks than the simulated one.
+    pub fn done_at(&self, schedule: &Schedule) -> Vec<Vec<Seconds>> {
+        assert_eq!(
+            schedule.transfers().len(),
+            self.timings.len(),
+            "done_at needs the simulated schedule"
+        );
+        let mut done_at = vec![vec![Seconds::ZERO; self.num_chunks()]; self.num_ranks];
+        for (t, timing) in schedule.transfers().iter().zip(&self.timings) {
+            let cell = &mut done_at[t.dst.index()][t.chunk.index()];
+            *cell = (*cell).max(timing.complete);
+        }
+        done_at
     }
 
     /// When `chunk` became final at every rank.
@@ -233,7 +244,7 @@ impl SimReport {
     /// Exports the full transfer trace as CSV
     /// (`transfer_id,phase,src,dst,chunk,bytes,start_us,complete_us`) for
     /// offline analysis or plotting.
-    pub fn trace_csv(&self, schedule: &ccube_collectives::Schedule) -> String {
+    pub fn trace_csv(&self, schedule: &Schedule) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("transfer_id,phase,src,dst,chunk,bytes,start_us,complete_us\n");
         for t in schedule.transfers() {

@@ -34,9 +34,10 @@
 //!   pops the head in O(1).
 //! * **Busy-interval logs are opt-in and reserved exactly**: only a
 //!   traced run asks for them ([`ChannelPool::record_intervals`]), and
-//!   then each channel's log gets room for one interval per task
-//!   registered on it, so recording never regrows a vector mid-run. An
-//!   untraced run keeps only the per-channel busy totals.
+//!   then counts the tasks registered on each channel and gives its log
+//!   room for one interval per task, so recording never regrows a vector
+//!   mid-run. Registering a task walks no path, and an untraced run keeps
+//!   only the per-channel busy totals.
 //!
 //! [`ComputeStream`] is the compute-side resource: one exclusive,
 //! FIFO-ordered stream per GPU, with a slowdown factor that models the
@@ -173,9 +174,6 @@ pub struct ChannelPool {
     /// insert/remove an eagerly maintained ready list costs on *every*
     /// readiness change (quadratic over deep tree schedules).
     force_scratch: Vec<u64>,
-    /// Tasks registered on each channel: the exact length of its
-    /// busy-interval log unless a re-route moves traffic.
-    registered: Vec<u32>,
     busy: Vec<Seconds>,
     /// Whether completions log busy intervals.
     record_intervals: bool,
@@ -196,7 +194,6 @@ impl ChannelPool {
             channels: vec![Channel::IDLE; num_channels],
             waiters: vec![VecDeque::new(); num_channels],
             force_scratch: Vec::new(),
-            registered: vec![0; num_channels],
             busy: vec![Seconds::ZERO; num_channels],
             record_intervals: false,
             intervals: vec![Vec::new(); num_channels],
@@ -248,9 +245,10 @@ impl ChannelPool {
             .ok()
             .filter(|&id| id < u32::MAX)
             .expect("too many tasks");
-        for c in route_path(&self.route_channels, &self.route_start, route) {
-            self.registered[c.index()] += 1;
-        }
+        assert!(
+            (route as usize) < self.route_start.len() - 1,
+            "unregistered route"
+        );
         self.tasks.push(Task {
             bytes,
             since: Seconds::ZERO,
@@ -261,26 +259,49 @@ impl ChannelPool {
     }
 
     /// Turns on the busy-interval logs, reserving each channel's for
-    /// exactly the tasks registered on it so far: one allocation per
-    /// used channel, and no regrowth while the run records. Call after
-    /// the last [`ChannelPool::add_task`]. Without it the pool logs no
+    /// exactly the tasks registered on it so far — the exact length of
+    /// its log unless a re-route moves traffic: one allocation per used
+    /// channel, and no regrowth while the run records. Call after the
+    /// last [`ChannelPool::add_task`]. Without it the pool logs no
     /// intervals at all; busy totals are kept either way.
     pub fn record_intervals(&mut self) {
         self.record_intervals = true;
-        for (iv, &n) in self.intervals.iter_mut().zip(&self.registered) {
+        // Tasks per route, then per channel, in one scratch table.
+        let routes = self.route_start.len() - 1;
+        let mut counts = vec![0u32; routes + self.channels.len()];
+        let (per_route, per_channel) = counts.split_at_mut(routes);
+        for t in &self.tasks {
+            per_route[t.route() as usize] += 1;
+        }
+        for (r, &n) in per_route.iter().enumerate() {
+            for c in route_path(&self.route_channels, &self.route_start, r as u32) {
+                per_channel[c.index()] += n;
+            }
+        }
+        for (iv, &n) in self.intervals.iter_mut().zip(per_channel.iter()) {
             iv.reserve_exact(n as usize);
         }
     }
 
     /// The channel path of `task`.
     pub fn path(&self, task: u32) -> &[ChannelId] {
-        let route = self.tasks[task as usize].route();
-        route_path(&self.route_channels, &self.route_start, route)
+        route_path(&self.route_channels, &self.route_start, self.route(task))
+    }
+
+    /// The route `task` currently takes: the one it was registered on, or
+    /// the last [`ChannelPool::reroute`] gave it.
+    pub fn route(&self, task: u32) -> u32 {
+        self.tasks[task as usize].route()
     }
 
     /// The payload `task` was registered with.
     pub fn bytes(&self, task: u32) -> ByteSize {
         self.tasks[task as usize].bytes
+    }
+
+    /// The chunk `task` was registered with.
+    pub fn chunk(&self, task: u32) -> u32 {
+        self.tasks[task as usize].chunk
     }
 
     /// Declares `task`'s dependencies satisfied. Returns `true` if the
@@ -295,12 +316,12 @@ impl ChannelPool {
     }
 
     /// Releases the channels of a completed `task`, charging busy time
-    /// and, if the pool records them, logging the busy interval. Does
-    /// **not** serve the freed
-    /// queues — call [`ChannelPool::serve`] after the caller has
-    /// processed the completion's dependency fallout, preserving the
+    /// and, if the pool records them, logging the busy interval, and
+    /// returns when the task was granted its channels. Does **not** serve
+    /// the freed queues — call [`ChannelPool::serve`] after the caller
+    /// has processed the completion's dependency fallout, preserving the
     /// historical unblock-then-serve order.
-    pub fn complete(&mut self, task: u32, now: Seconds) {
+    pub fn complete(&mut self, task: u32, now: Seconds) -> Seconds {
         let t = &mut self.tasks[task as usize];
         debug_assert_eq!(t.state(), TaskState::Running);
         t.set_state(TaskState::Done);
@@ -319,6 +340,7 @@ impl ChannelPool {
                 });
             }
         }
+        started
     }
 
     /// Serves the waiter queues of the channels a completed `task` just

@@ -10,15 +10,21 @@
 //! * **Transfers** are resolved once per logical edge
 //!   ([`PreparedLowering`]): the run keeps the prepared routes (channel
 //!   path, detour GPU, [`Wormhole`](ccube_collectives::Wormhole)
-//!   coefficients and, under the switch fabric, the port route) and each
-//!   transfer's route index, and computes a transfer's duration from its
-//!   route when the transfer starts. No per-transfer spec is built. A
-//!   transfer occupies its resource path in a [`ChannelPool`] — the
-//!   channel path under the channel approximation, the port path of the
-//!   [`FabricMap`] under the switch fabric — registered once per route.
-//!   A fault re-route appends a route and repoints the transfer. An
-//!   adaptive [`UplinkPolicy`] revises a transfer's uplink slots at the
-//!   moment it becomes ready.
+//!   coefficients and, under the switch fabric, the port route) and
+//!   computes a transfer's duration from its route when the transfer
+//!   starts. No per-transfer spec is built. A transfer occupies its
+//!   resource path in a [`ChannelPool`] — the channel path under the
+//!   channel approximation, the port path of the [`FabricMap`] under the
+//!   switch fabric — registered once per route, and the pool's task slot
+//!   holds the transfer's one route index. A fault re-route appends a
+//!   route to both and repoints the transfer. An adaptive
+//!   [`UplinkPolicy`] revises a transfer's uplink slots at the moment it
+//!   becomes ready: a pool-only route that maps back to the prepared
+//!   route it revises.
+//! * **Per-transfer results** are written once, at completion: the
+//!   timing (the start is the pool's grant time) and the completion
+//!   time of the transfer's chunk, so no pass over the transfers
+//!   follows the run.
 //! * **Compute tasks** run on one exclusive [`ComputeStream`] per GPU.
 //! * **Fault boundaries** are kernel events keyed below every completion,
 //!   so a boundary at time `t` is visible to all traffic at `t`.
@@ -99,6 +105,8 @@ impl<'a> Job<'a> {
 /// [`SystemReport`](crate::SystemReport).
 pub(crate) struct Run {
     pub(crate) timings: Vec<TransferTiming>,
+    /// When the last transfer of each chunk completed.
+    pub(crate) chunk_complete: Vec<Seconds>,
     pub(crate) compute_complete: Vec<Seconds>,
     pub(crate) makespan: Seconds,
     pub(crate) gpu_busy: HashMap<GpuId, Seconds>,
@@ -277,7 +285,8 @@ pub(crate) fn run(
     // channel-level paths either way. Pool task ids follow registration
     // order, which is transfer-id order (ids are dense and equal their
     // index), so the pool's `(chunk, id)` key is the transfer's, and the
-    // pool's task slot carries the payload a grant is timed by.
+    // pool's task slot carries the payload a grant is timed by and the
+    // transfer's route, which from here on is its only route index.
     let mut pool = ChannelPool::new(num_resources, opts.arbitration);
     pool.reserve_tasks(nt);
     let port_routes: Vec<Vec<PortId>> = match &fabric {
@@ -299,6 +308,8 @@ pub(crate) fn run(
     for (t, &r) in transfers.iter().zip(&route_of) {
         pool.add_task(r, t.chunk.0, t.bytes);
     }
+    drop(route_of);
+    let prepared_of = (0..routes.len() as u32).collect();
     if opts.trace_capacity > 0 {
         pool.record_intervals();
     }
@@ -326,7 +337,7 @@ pub(crate) fn run(
         timing: opts.link_timing(),
         routes,
         port_routes,
-        route_of,
+        prepared_of,
         switch_queue_depth: fabric
             .as_ref()
             .map_or_else(Vec::new, |f| vec![0; f.graph.num_switches()]),
@@ -343,6 +354,7 @@ pub(crate) fn run(
             };
             nt
         ],
+        chunk_complete: vec![Seconds::ZERO; job.schedule.chunking().num_chunks()],
         forwarding_busy: HashMap::new(),
         in_flight: 0,
         failovers: 0,
@@ -493,8 +505,11 @@ struct Sched<'a> {
     /// The port route of each of `routes` under the switch fabric (empty
     /// under the channel approximation).
     port_routes: Vec<Vec<PortId>>,
-    /// Each transfer's index into `routes`.
-    route_of: Vec<u32>,
+    /// The index into `routes` of each pool route. Pool and prepared
+    /// routes are registered in step, so this is the identity except
+    /// for the pool-only routes of uplink revisions, which map back to
+    /// the prepared route they revise.
+    prepared_of: Vec<u32>,
     /// Channel→port mapping under the switch-fabric network model.
     fabric: Option<FabricMap>,
     pool: ChannelPool,
@@ -503,6 +518,7 @@ struct Sched<'a> {
     streams: Vec<Option<ComputeStream>>,
     trace: SimTrace,
     timings: Vec<TransferTiming>,
+    chunk_complete: Vec<Seconds>,
     forwarding_busy: HashMap<GpuId, Seconds>,
     /// Valid (current-generation) completion events in the kernel.
     in_flight: usize,
@@ -517,12 +533,17 @@ struct Sched<'a> {
 
 impl Sched<'_> {
     fn nt(&self) -> usize {
-        self.route_of.len()
+        self.timings.len()
+    }
+
+    /// The index into `routes` of the route transfer `t` currently takes.
+    fn route_index(&self, t: usize) -> usize {
+        self.prepared_of[self.pool.route(t as u32) as usize] as usize
     }
 
     /// The route transfer `t` currently takes.
     fn route(&self, t: usize) -> &PreparedRoute {
-        &self.routes[self.route_of[t] as usize]
+        &self.routes[self.route_index(t)]
     }
 
     /// The channel-level path of transfer `t`.
@@ -536,7 +557,7 @@ impl Sched<'_> {
     /// inputs each time, so repeated calls agree bit for bit. The payload
     /// comes from the pool's task slot, which the grant just touched.
     fn duration(&self, t: usize) -> Seconds {
-        let r = self.route_of[t] as usize;
+        let r = self.route_index(t);
         let route = &self.routes[r];
         let bytes = self.pool.bytes(t as u32);
         match &self.fabric {
@@ -574,9 +595,9 @@ impl Sched<'_> {
             .expect("gpu stream exists")
     }
 
-    /// Starts transfer `tid` at `now`: stamps its timing, schedules its
-    /// completion (stretched by any active degradation on its path) and
-    /// records the trace entry.
+    /// Starts transfer `tid` at `now`: schedules its completion
+    /// (stretched by any active degradation on its path) and records the
+    /// trace entry. The pool keeps the grant time for the timing.
     fn begin_transfer(&mut self, tid: u32, now: Seconds) {
         let t = tid as usize;
         let mut duration = self.duration(t);
@@ -589,7 +610,6 @@ impl Sched<'_> {
             f.eff_of[t] = eff;
             gen = f.generation[t];
         }
-        self.timings[t].start = now;
         self.kernel
             .schedule(now + duration, transfer_key(tid), Ev::Transfer(tid, gen));
         self.in_flight += 1;
@@ -651,7 +671,8 @@ impl Sched<'_> {
         else {
             return false;
         };
-        self.pool.reroute(tid, revised);
+        let prepared = self.prepared_of[self.pool.route(tid) as usize];
+        self.repoint(tid, revised, prepared);
         self.failovers += 1;
         self.trace.push(TraceRecord::Failover {
             id: TransferId(tid),
@@ -659,6 +680,32 @@ impl Sched<'_> {
             at: now,
         });
         true
+    }
+
+    /// Moves waiting transfer `tid` onto the pool path `path`, a new pool
+    /// route whose prepared route is `prepared`.
+    fn repoint(&mut self, tid: u32, path: Vec<ChannelId>, prepared: u32) {
+        // Under the fabric the pool path is the prepared port route with
+        // at most its uplink slots substituted.
+        #[cfg(debug_assertions)]
+        if let Some(f) = &self.fabric {
+            let ports = &self.port_routes[prepared as usize];
+            debug_assert!(
+                path.len() == ports.len()
+                    && path.iter().zip(ports).all(|(c, p)| {
+                        c.0 == p.0
+                            || matches!(
+                                f.graph.port(*p).kind(),
+                                ccube_topology::PortKind::UplinkUp
+                                    | ccube_topology::PortKind::UplinkDown
+                            )
+                    }),
+                "transfer {tid}'s pool path is no revision of prepared route {prepared}"
+            );
+        }
+        self.pool.reroute(tid, path);
+        self.prepared_of.push(prepared);
+        debug_assert_eq!(self.pool.route(tid) as usize + 1, self.prepared_of.len());
     }
 
     /// Samples the waiter-queue depth of `tid`'s ports into the
@@ -673,12 +720,19 @@ impl Sched<'_> {
         }
     }
 
-    /// Records the completion of transfer `tid`: releases its resources
-    /// and charges detour forwarding to the intermediate GPU.
+    /// Records the completion of transfer `tid`: releases its resources,
+    /// writes its timing and its chunk's completion, and charges detour
+    /// forwarding to the intermediate GPU.
     fn finish_transfer(&mut self, tid: u32, now: Seconds) {
         let t = tid as usize;
-        self.timings[t].complete = now;
-        self.pool.complete(tid, now);
+        let start = self.pool.complete(tid, now);
+        self.timings[t] = TransferTiming {
+            start,
+            complete: now,
+        };
+        // The clock never runs backwards: a chunk's last completion is
+        // its latest.
+        self.chunk_complete[self.pool.chunk(tid) as usize] = now;
         let id = TransferId(tid);
         self.trace.push(TraceRecord::TransferEnd { id, at: now });
         if let Some(via) = self.route(t).via() {
@@ -921,9 +975,8 @@ impl Sched<'_> {
             if let Some(f) = &self.fabric {
                 self.port_routes.push(f.graph.port_route(route.channels()));
             }
-            self.route_of[t] = self.routes.len() as u32;
+            self.repoint(tid, res_path, self.routes.len() as u32);
             self.routes.push(PreparedRoute::of_route(&route, self.topo));
-            self.pool.reroute(tid, res_path);
             self.faults().reroutes_taken += 1;
             self.trace.push(TraceRecord::Reroute {
                 id: TransferId(tid),
@@ -1092,6 +1145,7 @@ impl Sched<'_> {
         };
         Run {
             timings: self.timings,
+            chunk_complete: self.chunk_complete,
             compute_complete,
             makespan,
             gpu_busy,

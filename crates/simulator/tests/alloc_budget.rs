@@ -6,8 +6,10 @@
 //! * building the P=256 ring (130,560 transfers) or an overlapped double
 //!   tree (C1) on P=64 allocates O(P) times, not O(transfers);
 //! * an untraced `simulate` of either allocates O(channels + routes)
-//!   times, whatever its transfer count: the tree is simulated at two
-//!   chunk counts against the same budget.
+//!   times, whatever its transfer count: the tree is simulated at three
+//!   chunk counts against the same budget. At 256 chunks its instants
+//!   hold hundreds of completions in many natural runs, which the kernel
+//!   sorts in place rather than merging through scratch space.
 //!
 //! A counting global allocator takes the counts. Everything runs in one
 //! `#[test]`, so no other test of this binary can allocate while a count
@@ -92,11 +94,13 @@ fn per_transfer_state_allocates_per_route_not_per_transfer() {
         "simulating the P={p} ring allocated {simulated} times (budget {budget})"
     );
 
-    // C1 on P=64 at two chunk counts: twice the transfers, one budget.
+    // C1 on P=64 at three chunk counts: eight times the transfers, one
+    // budget. At k=256, as in the scale-out figure, the same-instant
+    // completions arrive in many runs.
     let p = 64;
     let dt = DoubleBinaryTree::new(p).expect("p >= 2");
     let topo = hierarchical(p);
-    for k in [32, 64] {
+    for k in [32, 64, 256] {
         let chunking = Chunking::even(ByteSize::mib(64), k);
         let (tree, built) =
             counted(|| tree_allreduce(dt.trees(), &chunking, Overlap::ReductionBroadcast));

@@ -113,6 +113,13 @@ status=0
 cargo run -q --release -p ccube --bin ccube -- \
     trace --diff 7 8 --html target/check-html/diff.html > /dev/null || status=$?
 [ "$status" -le 1 ]
+# A malformed side is an input error: exactly 2, never the "differ" 1.
+printf 'kind,id,channel_or_gpu,t_us,extra_us\ntransfer_end,0,,NaN,\n' \
+    > target/check-html/bad.csv
+status=0
+cargo run -q --release -p ccube --bin ccube -- \
+    trace --diff target/check-html/bad.csv 195 > /dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ]
 for f in target/check-html/run.html target/check-html/diff.html; do
     grep -q 'id="ccube-trace-data"' "$f"
     grep -q '</html>' "$f"

@@ -135,11 +135,54 @@ fn trace_diff_rejects_non_finite_and_negative_timestamps() {
             .output()
             .expect("ccube runs");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "t_us {t_us}: {err}");
+        // A malformed side is an input error (exit 2), not a difference.
+        assert_eq!(out.status.code(), Some(2), "t_us {t_us}: {err}");
+        assert!(out.stdout.is_empty(), "t_us {t_us} printed a diff");
         assert!(!err.contains("panicked"), "t_us {t_us}: {err}");
+        assert!(err.starts_with("trace: "), "t_us {t_us}: {err}");
         assert!(err.contains("line 2: bad timestamp"), "t_us {t_us}: {err}");
         assert!(!html.exists(), "t_us {t_us} wrote a viewer");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn trace_diff_exit_codes_separate_input_errors_from_differences() {
+    let dir = std::env::temp_dir().join(format!("ccube_cli_diff_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let missing = dir.join("missing.csv");
+    let missing = missing.to_str().unwrap();
+    // An unreadable path on either side, alone or against a seed.
+    for sides in [[missing, "7"], ["7", missing], [missing, missing]] {
+        let out = ccube(&["trace", "--diff", sides[0], sides[1]]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{sides:?}: {err}");
+        assert!(out.stdout.is_empty(), "{sides:?} printed a diff");
+        assert!(err.starts_with("trace: "), "{sides:?}: {err}");
+        assert!(err.contains("failed to read"), "{sides:?}: {err}");
+    }
+    // An unwritable viewer path is an error too, even for equal traces.
+    let html = dir.join("no-such-dir").join("diff.html");
+    let out = ccube(&[
+        "trace",
+        "--diff",
+        "7",
+        "7",
+        "--html",
+        html.to_str().unwrap(),
+    ]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("failed to write"), "{err}");
+    // Two runs of one seed are identical (exit 0); two seeds differ (1).
+    let same = ccube(&["trace", "--diff", "7", "7"]);
+    assert_eq!(same.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8_lossy(&same.stdout),
+        "traces are identical\n"
+    );
+    assert_eq!(ccube(&["trace", "--diff", "7", "8"]).status.code(), Some(1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
