@@ -60,6 +60,18 @@
 //! [`gate`] is the cheap structural subset (DAG + routes) that the
 //! simulators debug-assert on every input.
 //!
+//! # Cost
+//!
+//! Every pass works on flat tables, so an analysis allocates per logical
+//! edge and per finding, not per transfer. The transfers are grouped into
+//! their per-tree channel queues once; the wait-for graph is CSR over
+//! them, and an edge's `dep`/`fifo`/`mailbox` label is derived only when
+//! a witness reports it. The dataflow replay keeps one contribution
+//! table, the race check one ancestor bitset and one access table. The
+//! unit-step replay ([`verify::execute_steps`]) runs once and is shared
+//! by the delivery-order and step-bound lints and by the embedding
+//! pass's conflict witnesses; it runs only on a clean logical report.
+//!
 //! # Examples
 //!
 //! ```
@@ -84,8 +96,8 @@
 use crate::chunk::ChunkId;
 use crate::embedding::{EdgeKey, Embedding};
 use crate::rank::Rank;
-use crate::schedule::{Phase, Schedule, TransferId, TreeIndex};
-use crate::verify::{self, ChannelKeying, DagViolation};
+use crate::schedule::{Phase, Schedule, TransferId};
+use crate::verify::{self, ChannelKeying, ChannelQueues, DagViolation};
 use ccube_topology::{ChannelClass, ChannelId, Topology};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -521,6 +533,46 @@ impl WaitKind {
 /// (every buffer must end with all contributions); lint other collective
 /// kinds with [`gate`] and the `verify` checkers instead.
 pub fn analyze(schedule: &Schedule, opts: &AnalyzeOptions) -> LintReport {
+    analyze_logical(schedule, opts).report.finish()
+}
+
+/// [`analyze`] plus the embedding lints: route existence and validity,
+/// channel conflicts with step witnesses, oversubscription, NIC fan-in,
+/// and host-bridge usage.
+pub fn analyze_embedded(
+    schedule: &Schedule,
+    embedding: &Embedding,
+    topo: &Topology,
+    opts: &AnalyzeOptions,
+) -> LintReport {
+    let Logical {
+        mut report,
+        queues,
+        replay,
+    } = analyze_logical(schedule, opts);
+    embedding_lints(
+        schedule,
+        embedding,
+        topo,
+        &queues,
+        replay.as_ref(),
+        &mut report,
+    );
+    // The logical and embedding passes emit disjoint codes, so one sort
+    // gives each code its discovery order.
+    report.finish()
+}
+
+/// What the logical passes hand the embedding pass: their unsorted
+/// findings, the per-tree channel queues, and the unit-step replay,
+/// which exists exactly when the report is clean.
+struct Logical {
+    report: LintReport,
+    queues: ChannelQueues,
+    replay: Option<verify::StepReport>,
+}
+
+fn analyze_logical(schedule: &Schedule, opts: &AnalyzeOptions) -> Logical {
     let mut report = LintReport::default();
 
     // CC001: structural violations, all of them.
@@ -543,15 +595,22 @@ pub fn analyze(schedule: &Schedule, opts: &AnalyzeOptions) -> LintReport {
     });
 
     // CC002: wait-for cycles, with minimal witnesses.
-    wait_cycle_lints(schedule, opts.mailbox_capacity, &mut report);
+    let queues = ChannelQueues::new(schedule, ChannelKeying::PerTree);
+    wait_cycle_lints(schedule, &queues, opts.mailbox_capacity, &mut report);
 
+    let mut replay = None;
     if violations.is_empty() {
         // The remaining analyses replay the schedule in id order, which is
         // only meaningful on a structurally sound DAG.
         dataflow_lints(schedule, &mut report);
         race_lints(schedule, opts.max_race_transfers, &mut report);
         if report.is_clean() {
-            ordering_and_bound_lints(schedule, opts, &mut report);
+            // A replay deadlock is already a CC002 above. The delivery
+            // and bound lints only warn, so the report stays clean.
+            replay = verify::replay_steps(schedule, &queues).ok();
+            if let Some(steps) = &replay {
+                ordering_and_bound_lints(schedule, opts, steps, &mut report);
+            }
         }
     } else if !ids_topological {
         report.push(
@@ -561,22 +620,11 @@ pub fn analyze(schedule: &Schedule, opts: &AnalyzeOptions) -> LintReport {
         );
     }
 
-    report.finish()
-}
-
-/// [`analyze`] plus the embedding lints: route existence and validity,
-/// channel conflicts with step witnesses, oversubscription, NIC fan-in,
-/// and host-bridge usage.
-pub fn analyze_embedded(
-    schedule: &Schedule,
-    embedding: &Embedding,
-    topo: &Topology,
-    opts: &AnalyzeOptions,
-) -> LintReport {
-    let mut report = analyze(schedule, opts);
-    // Re-open the sorted report; finish() re-sorts at the end.
-    embedding_lints(schedule, embedding, topo, &mut report);
-    report.finish()
+    Logical {
+        report,
+        queues,
+        replay,
+    }
 }
 
 /// The fast structural gate the simulators debug-assert on: DAG
@@ -604,48 +652,50 @@ pub fn gate(schedule: &Schedule, embedding: &Embedding, topo: &Topology) -> Lint
 // CC002: wait-for graph and deadlock witnesses
 // ---------------------------------------------------------------------
 
-fn wait_cycle_lints(schedule: &Schedule, mailbox_capacity: Option<usize>, report: &mut LintReport) {
+/// The wait-for graph as CSR: transfer `u` waits for every node of
+/// `targets[offsets[u]..offsets[u + 1]]` — its dependencies, then its
+/// FIFO-queue predecessor, then its mailbox consumer, the order the
+/// edges are derived in. A node may list a target twice.
+struct WaitGraph {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl WaitGraph {
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn waits_for(&self, u: u32) -> &[u32] {
+        &self.targets[self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize]
+    }
+}
+
+/// No such transfer (a queue head's predecessor, a message no send
+/// consumes).
+const NONE: u32 = u32::MAX;
+
+fn wait_cycle_lints(
+    schedule: &Schedule,
+    queues: &ChannelQueues,
+    mailbox_capacity: Option<usize>,
+    report: &mut LintReport,
+) {
     let transfers = schedule.transfers();
     let n = transfers.len();
     if n == 0 {
         return;
     }
-
-    // adj[u] = v: u waits for v.
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut kinds: BTreeMap<(u32, u32), WaitKind> = BTreeMap::new();
-    let add = |adj: &mut Vec<Vec<u32>>,
-               kinds: &mut BTreeMap<(u32, u32), WaitKind>,
-               u: u32,
-               v: u32,
-               kind: WaitKind| {
-        adj[u as usize].push(v);
-        kinds.entry((u, v)).or_insert(kind);
-    };
-
-    // Dependencies: a transfer waits for each of its deps.
-    for (i, t) in transfers.iter().enumerate() {
-        for d in schedule.deps(t.id) {
-            if d.index() < n {
-                add(&mut adj, &mut kinds, i as u32, d.0, WaitKind::Dependency);
-            }
-        }
-    }
+    let in_range = |d: &&TransferId| d.index() < n;
 
     // Channel FIFO: each logical channel grants its transfers in id
     // order, so every transfer waits for its predecessor on the channel.
     // Mailboxes are keyed the same way ((tree, edge) queues in the
     // runtime), so the same queues drive the capacity edges.
-    let mut queues: BTreeMap<(Rank, Rank, TreeIndex), Vec<u32>> = BTreeMap::new();
-    for t in transfers {
-        queues
-            .entry((t.src, t.dst, t.tree))
-            .or_default()
-            .push(t.id.0);
-    }
-    for queue in queues.values() {
+    let mut fifo_prev = vec![NONE; n];
+    for queue in queues.iter() {
         for w in queue.windows(2) {
-            add(&mut adj, &mut kinds, w[1], w[0], WaitKind::ChannelFifo);
+            fifo_prev[w[1] as usize] = w[0];
         }
     }
 
@@ -657,42 +707,61 @@ fn wait_cycle_lints(schedule: &Schedule, mailbox_capacity: Option<usize>, report
     // blocks on between receives. A message with no such send lands in a
     // pure-sink worker (e.g. the root's reduction loop, which only posts
     // semaphores) and never exerts back-pressure.
-    if let Some(cap) = mailbox_capacity {
-        if cap > 0 {
-            let mut consumer: Vec<Option<u32>> = vec![None; n];
-            for t in transfers {
-                for d in schedule.deps(t.id) {
-                    if d.index() < n {
-                        let dep = &transfers[d.index()];
-                        if dep.dst == t.src
-                            && dep.tree == t.tree
-                            && dep.phase.is_reduction() == t.phase.is_reduction()
-                        {
-                            let slot = &mut consumer[d.index()];
-                            if slot.is_none() {
-                                *slot = Some(t.id.0);
-                            }
-                        }
-                    }
+    let mut mailbox = Vec::new();
+    if let Some(cap) = mailbox_capacity.filter(|&cap| cap > 0) {
+        let mut consumer = vec![NONE; n];
+        for t in transfers {
+            for d in schedule.deps(t.id).iter().filter(in_range) {
+                let dep = &transfers[d.index()];
+                if dep.dst == t.src
+                    && dep.tree == t.tree
+                    && dep.phase.is_reduction() == t.phase.is_reduction()
+                    && consumer[d.index()] == NONE
+                {
+                    consumer[d.index()] = t.id.0;
                 }
             }
-            for queue in queues.values() {
-                for i in cap..queue.len() {
-                    if let Some(c) = consumer[queue[i - cap] as usize] {
-                        add(&mut adj, &mut kinds, queue[i], c, WaitKind::MailboxCapacity);
-                    }
-                }
+        }
+        mailbox = vec![NONE; n];
+        for queue in queues.iter() {
+            for i in cap..queue.len() {
+                mailbox[queue[i] as usize] = consumer[queue[i - cap] as usize];
             }
         }
     }
 
-    for cycle in find_cycles(&adj) {
-        let witness = minimal_witness(&adj, &cycle);
+    let deps_total: usize = transfers.iter().map(|t| t.deps.len()).sum();
+    let mut graph = WaitGraph {
+        offsets: Vec::with_capacity(n + 1),
+        targets: Vec::with_capacity(deps_total + 2 * n),
+    };
+    graph.offsets.push(0);
+    for (i, t) in transfers.iter().enumerate() {
+        let deps = schedule.deps(t.id).iter().filter(in_range).map(|d| d.0);
+        let queued = [fifo_prev[i], mailbox.get(i).copied().unwrap_or(NONE)];
+        graph
+            .targets
+            .extend(deps.chain(queued.into_iter().filter(|&v| v != NONE)));
+        graph.offsets.push(graph.targets.len() as u32);
+    }
+
+    // Why `u` waits for `v`, for a witness edge: the first of the three
+    // derivations above that yields the edge.
+    let kind = |u: u32, v: u32| {
+        if schedule.deps(TransferId(u)).iter().any(|d| d.0 == v) {
+            WaitKind::Dependency
+        } else if fifo_prev[u as usize] == v {
+            WaitKind::ChannelFifo
+        } else {
+            WaitKind::MailboxCapacity
+        }
+    };
+    for cycle in find_cycles(&graph) {
+        let witness = minimal_witness(&graph, &cycle);
         let mut msg = String::from("wait-for cycle: ");
         for (i, &u) in witness.iter().enumerate() {
             let v = witness[(i + 1) % witness.len()];
-            let kind = kinds.get(&(u, v)).map(|k| k.label()).unwrap_or("?");
-            msg.push_str(&format!("t{u} -{kind}-> "));
+            msg.push_str(&format!("t{u} -{}-> ", kind(u, v).label()));
         }
         msg.push_str(&format!("t{}", witness[0]));
         report.push(
@@ -708,9 +777,10 @@ fn wait_cycle_lints(schedule: &Schedule, mailbox_capacity: Option<usize>, report
 
 /// Strongly connected components with a cycle (size > 1, or a self
 /// loop), as sorted node lists ordered by smallest member. Iterative
-/// Tarjan, so deep schedules cannot overflow the stack.
-fn find_cycles(adj: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    let n = adj.len();
+/// Tarjan, so deep schedules cannot overflow the stack; only a cyclic
+/// component is copied out.
+fn find_cycles(graph: &WaitGraph) -> Vec<Vec<u32>> {
+    let n = graph.len();
     let mut index = vec![u32::MAX; n];
     let mut low = vec![0u32; n];
     let mut on_stack = vec![false; n];
@@ -734,7 +804,7 @@ fn find_cycles(adj: &[Vec<u32>]) -> Vec<Vec<u32>> {
                 stack.push(v);
                 on_stack[vi] = true;
             }
-            if let Some(&w) = adj[vi].get(*ei) {
+            if let Some(&w) = graph.waits_for(v).get(*ei) {
                 *ei += 1;
                 let wi = w as usize;
                 if index[wi] == u32::MAX {
@@ -744,20 +814,17 @@ fn find_cycles(adj: &[Vec<u32>]) -> Vec<Vec<u32>> {
                 }
             } else {
                 if low[vi] == index[vi] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack");
+                    let root = stack.iter().rposition(|&w| w == v).expect("tarjan stack");
+                    let scc = &stack[root..];
+                    for &w in scc {
                         on_stack[w as usize] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
                     }
-                    scc.sort_unstable();
-                    let cyclic = scc.len() > 1 || adj[scc[0] as usize].contains(&scc[0]);
-                    if cyclic {
+                    if scc.len() > 1 || graph.waits_for(v).contains(&v) {
+                        let mut scc = scc.to_vec();
+                        scc.sort_unstable();
                         out.push(scc);
                     }
+                    stack.truncate(root);
                 }
                 frames.pop();
                 if let Some(&mut (p, _)) = frames.last_mut() {
@@ -773,14 +840,14 @@ fn find_cycles(adj: &[Vec<u32>]) -> Vec<Vec<u32>> {
 
 /// The shortest cycle through the smallest node of a cyclic SCC — the
 /// minimal witness path reported to the user. BFS restricted to the SCC.
-fn minimal_witness(adj: &[Vec<u32>], scc: &[u32]) -> Vec<u32> {
+fn minimal_witness(graph: &WaitGraph, scc: &[u32]) -> Vec<u32> {
     let start = scc[0];
     let in_scc: std::collections::HashSet<u32> = scc.iter().copied().collect();
     let mut prev: BTreeMap<u32, u32> = BTreeMap::new();
     let mut queue = std::collections::VecDeque::new();
     queue.push_back(start);
     while let Some(u) = queue.pop_front() {
-        for &v in &adj[u as usize] {
+        for &v in graph.waits_for(u) {
             if v == start {
                 // Reconstruct start -> ... -> u, closing back to start.
                 let mut path = vec![u];
@@ -808,19 +875,29 @@ fn minimal_witness(adj: &[Vec<u32>], scc: &[u32]) -> Vec<u32> {
 fn dataflow_lints(schedule: &Schedule, report: &mut LintReport) {
     let p = schedule.num_ranks();
     let k = schedule.chunking().num_chunks();
-    let mut state: Vec<Vec<verify::Contrib>> = (0..p)
-        .map(|r| {
-            (0..k)
-                .map(|_| verify::Contrib::single(Rank(r as u32), p))
-                .collect()
-        })
-        .collect();
+    // One flat table of contribution bitsets: buffer (rank r, chunk c)
+    // holds `words` bits at `slot(r, c)`, one per contributing rank.
+    let words = p.div_ceil(64);
+    let slot = |r: usize, c: usize| (r * k + c) * words;
+    let mut state = vec![0u64; p * k * words];
+    for r in 0..p {
+        for c in 0..k {
+            state[slot(r, c) + r / 64] |= 1 << (r % 64);
+        }
+    }
 
     for t in schedule.transfers() {
-        let payload = state[t.src.index()][t.chunk.index()].clone();
-        let dst = &mut state[t.dst.index()][t.chunk.index()];
+        // src != dst (no CC001 here), so the two buffers are disjoint.
+        let src = slot(t.src.index(), t.chunk.index());
+        let dst = slot(t.dst.index(), t.chunk.index());
         if t.phase.is_reduction() {
-            if payload.intersects(dst) {
+            let mut overlap = false;
+            for w in 0..words {
+                let payload = state[src + w];
+                overlap |= payload & state[dst + w] != 0;
+                state[dst + w] |= payload;
+            }
+            if overlap {
                 report.push(
                     LintCode::DoubleReduction,
                     format!(
@@ -835,17 +912,22 @@ fn dataflow_lints(schedule: &Schedule, report: &mut LintReport) {
                     },
                 );
             }
-            dst.union(&payload);
         } else {
-            *dst = payload;
+            state.copy_within(src..src + words, dst);
         }
     }
 
-    #[allow(clippy::needless_range_loop)] // `c` indexes the inner axis of state[r][c]
+    let count = |r: usize, c: usize| -> usize {
+        let at = slot(r, c);
+        state[at..at + words]
+            .iter()
+            .map(|b| b.count_ones() as usize)
+            .sum()
+    };
     for c in 0..k {
         let incomplete: Vec<(Rank, usize)> = (0..p)
             .filter_map(|r| {
-                let have = state[r][c].count();
+                let have = count(r, c);
                 (have != p).then_some((Rank(r as u32), have))
             })
             .collect();
@@ -914,45 +996,62 @@ fn race_lints(schedule: &Schedule, max_transfers: usize, report: &mut LintReport
         return;
     }
 
-    // anc[i] = bitset of transfers reachable from i via deps (ancestors
-    // in execution order). Ids are topological here (checked upstream).
+    // Row i of `anc` = bitset of transfers reachable from i via deps
+    // (ancestors in execution order), `words` words per row. Ids are
+    // topological here (checked upstream), so row i only ever reads rows
+    // of smaller ids, and a dep d's row has no bit at or above d.
     let words = n.div_ceil(64);
-    let mut anc: Vec<Vec<u64>> = Vec::with_capacity(n);
-    for t in transfers {
-        let mut bits = vec![0u64; words];
+    let mut anc = vec![0u64; n * words];
+    for (i, t) in transfers.iter().enumerate() {
+        let (done, rest) = anc.split_at_mut(i * words);
+        let bits = &mut rest[..words];
         for d in schedule.deps(t.id) {
             let di = d.index();
             bits[di / 64] |= 1 << (di % 64);
-            for (w, a) in bits.iter_mut().zip(&anc[di]) {
+            let row = &done[di * words..di * words + di / 64 + 1];
+            for (w, a) in bits.iter_mut().zip(row) {
                 *w |= a;
             }
         }
-        anc.push(bits);
     }
     let ordered = |a: usize, b: usize| -> bool {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        anc[hi][lo / 64] & (1 << (lo % 64)) != 0
+        anc[hi * words + lo / 64] & (1 << (lo % 64)) != 0
     };
 
-    // Buffer accesses, in id order per (rank, chunk) buffer.
-    let mut accesses: BTreeMap<(u32, u32), Vec<(u32, Access)>> = BTreeMap::new();
+    // Buffer accesses as CSR over buffers `rank · k + chunk` (the
+    // (rank, chunk) order the findings are reported in), each buffer's
+    // accesses in id order.
+    let k = schedule.chunking().num_chunks();
+    let buffer = |r: Rank, c: ChunkId| r.index() * k + c.index();
+    let mut starts = vec![0u32; schedule.num_ranks() * k + 1];
     for t in transfers {
-        accesses
-            .entry((t.src.0, t.chunk.0))
-            .or_default()
-            .push((t.id.0, Access::Read));
+        starts[buffer(t.src, t.chunk) + 1] += 1;
+        starts[buffer(t.dst, t.chunk) + 1] += 1;
+    }
+    for b in 1..starts.len() {
+        starts[b] += starts[b - 1];
+    }
+    let mut next = starts.clone();
+    let mut accesses = vec![(0u32, Access::Read); 2 * n];
+    for t in transfers {
         let write = if t.phase.is_reduction() {
             Access::Acc
         } else {
             Access::Over
         };
-        accesses
-            .entry((t.dst.0, t.chunk.0))
-            .or_default()
-            .push((t.id.0, write));
+        for (b, access) in [
+            (buffer(t.src, t.chunk), Access::Read),
+            (buffer(t.dst, t.chunk), write),
+        ] {
+            accesses[next[b] as usize] = (t.id.0, access);
+            next[b] += 1;
+        }
     }
 
-    for (&(rank, chunk), list) in &accesses {
+    for (b, span) in starts.windows(2).enumerate() {
+        let list = &accesses[span[0] as usize..span[1] as usize];
+        let (rank, chunk) = (b / k, b % k);
         for i in 0..list.len() {
             for j in (i + 1)..list.len() {
                 let (ta, ka) = list[i];
@@ -968,8 +1067,8 @@ fn race_lints(schedule: &Schedule, max_transfers: usize, report: &mut LintReport
                         ),
                         Span {
                             transfers: vec![TransferId(ta), TransferId(tb)],
-                            ranks: vec![Rank(rank)],
-                            chunks: vec![ChunkId(chunk)],
+                            ranks: vec![Rank(rank as u32)],
+                            chunks: vec![ChunkId(chunk as u32)],
                             ..Span::default()
                         },
                     );
@@ -983,14 +1082,16 @@ fn race_lints(schedule: &Schedule, max_transfers: usize, report: &mut LintReport
 // CC006 / CC013: delivery order and class step bounds
 // ---------------------------------------------------------------------
 
-fn ordering_and_bound_lints(schedule: &Schedule, opts: &AnalyzeOptions, report: &mut LintReport) {
+fn ordering_and_bound_lints(
+    schedule: &Schedule,
+    opts: &AnalyzeOptions,
+    replay: &verify::StepReport,
+    report: &mut LintReport,
+) {
     let is_pure_tree = schedule
         .transfers()
         .iter()
         .all(|t| matches!(t.phase, Phase::Reduce | Phase::Broadcast));
-    let Ok(replay) = verify::execute_steps(schedule, ChannelKeying::PerTree) else {
-        return; // a replay deadlock would already be a CC002 upstream
-    };
 
     if is_pure_tree && !schedule.transfers().is_empty() {
         let num_trees = schedule
@@ -1024,7 +1125,7 @@ fn ordering_and_bound_lints(schedule: &Schedule, opts: &AnalyzeOptions, report: 
     }
 
     if opts.check_step_bounds {
-        step_bound_lints(schedule, &replay, report);
+        step_bound_lints(schedule, replay, report);
     }
 }
 
@@ -1108,24 +1209,18 @@ fn embedding_lints(
     schedule: &Schedule,
     embedding: &Embedding,
     topo: &Topology,
+    queues: &ChannelQueues,
+    replay: Option<&verify::StepReport>,
     report: &mut LintReport,
 ) {
-    let had_errors = !report.is_clean();
     route_lints(schedule, embedding, topo, report);
 
     // Conflict detection over the valid routes, in deterministic
-    // logical-edge order (never HashMap iteration order).
-    let edges = schedule.logical_edges();
-    let mut by_channel: BTreeMap<ChannelId, Vec<EdgeKey>> = BTreeMap::new();
-    let mut transfers_on_edge: BTreeMap<(u32, u32, u8), Vec<u32>> = BTreeMap::new();
-    for t in schedule.transfers() {
-        transfers_on_edge
-            .entry((t.src.0, t.dst.0, t.tree.0))
-            .or_default()
-            .push(t.id.0);
-    }
+    // logical-edge order (never HashMap iteration order). Each edge
+    // carries its channel queue, which is its step table.
+    let mut by_channel: BTreeMap<ChannelId, Vec<(EdgeKey, usize)>> = BTreeMap::new();
     let mut host_edges: Vec<EdgeKey> = Vec::new();
-    for &(src, dst, tree) in &edges {
+    for (src, dst, tree) in schedule.logical_edges() {
         let key = EdgeKey { src, dst, tree };
         let Some(route) = embedding.route(&key) else {
             continue; // already a CC007
@@ -1133,33 +1228,21 @@ fn embedding_lints(
         if route.class() == ChannelClass::HostBridge {
             host_edges.push(key);
         }
+        let queue = queues
+            .position((src, dst, tree))
+            .expect("a logical edge has a queue");
         for &c in route.channels() {
             if c.index() < topo.channels().len() {
-                by_channel.entry(c).or_default().push(key);
+                by_channel.entry(c).or_default().push((key, queue));
             }
         }
     }
 
     // Unit-step completion times give the "overlapping steps" witness: a
     // shared channel is a real conflict only if two edges occupy it in
-    // the same step.
-    let replay = if had_errors {
-        None
-    } else {
-        verify::execute_steps(schedule, ChannelKeying::PerTree).ok()
-    };
-    let steps_of = |edge: &EdgeKey| -> BTreeMap<usize, u32> {
-        let mut steps = BTreeMap::new();
-        if let Some(rep) = &replay {
-            if let Some(tids) = transfers_on_edge.get(&(edge.src.0, edge.dst.0, edge.tree.0)) {
-                for &tid in tids {
-                    steps
-                        .entry(rep.completion_step[tid as usize])
-                        .or_insert(tid);
-                }
-            }
-        }
-        steps
+    // the same step. The replay exists only on a clean report.
+    let overlap = |q1: usize, q2: usize| -> Option<(usize, u32, u32)> {
+        first_common_step(replay?, queues.get(q1), queues.get(q2))
     };
 
     let mut nic_shared = 0usize;
@@ -1175,13 +1258,8 @@ fn embedding_lints(
         }
         for i in 0..edges.len() {
             for j in (i + 1)..edges.len() {
-                let (e1, e2) = (edges[i], edges[j]);
-                let s1 = steps_of(&e1);
-                let s2 = steps_of(&e2);
-                let overlap = s1
-                    .iter()
-                    .find_map(|(step, &t1)| s2.get(step).map(|&t2| (*step, t1, t2)));
-                match overlap {
+                let ((e1, q1), (e2, q2)) = (edges[i], edges[j]);
+                match overlap(q1, q2) {
                     Some((step, t1, t2)) => report.push(
                         LintCode::ChannelConflict,
                         format!(
@@ -1243,6 +1321,27 @@ fn embedding_lints(
             },
         );
     }
+}
+
+/// The earliest step two logical edges both occupy, with each edge's
+/// transfer at that step. An edge's step table is its channel queue read
+/// through the replay: the replay fires a queue at most once per step,
+/// in FIFO order, so the steps of a queue strictly ascend.
+fn first_common_step(
+    replay: &verify::StepReport,
+    a: &[u32],
+    b: &[u32],
+) -> Option<(usize, u32, u32)> {
+    let step = |t: u32| replay.completion_step[t as usize];
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match step(a[i]).cmp(&step(b[j])) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return Some((step(a[i]), a[i], b[j])),
+        }
+    }
+    None
 }
 
 /// CC007/CC008: every logical edge must have a route that is real on the
@@ -1351,7 +1450,7 @@ mod tests {
     use super::*;
     use crate::chunk::Chunking;
     use crate::ring::{ring_allreduce, ring_allreduce_multi};
-    use crate::schedule::{ScheduleBuilder, Transfer};
+    use crate::schedule::{ScheduleBuilder, Transfer, TreeIndex};
     use crate::tree::{BinaryTree, DoubleBinaryTree};
     use crate::tree_schedule::{tree_allreduce, Overlap};
     use ccube_topology::{dgx1, ByteSize, Route};
@@ -1479,6 +1578,38 @@ mod tests {
                 .iter()
                 .any(|d| d.code == LintCode::WaitCycle),
             "{roomy}"
+        );
+    }
+
+    #[test]
+    fn wait_cycle_labels_each_edge_by_why_it_waits() {
+        // Edge r0->r1 carries m0 (t0), m1 (t1) and m2 (t2); r1's send t3
+        // consumes m0 but also waits for m2. With capacity 1, t1 cannot be
+        // posted until t3 consumes t0, t3 waits for t2, and t2 queues
+        // behind t1: one cycle over a mailbox, a dep and a fifo edge.
+        let mut b = ScheduleBuilder::new();
+        reduce(&mut b, 0, 1, &[]);
+        reduce(&mut b, 0, 1, &[]);
+        reduce(&mut b, 0, 1, &[]);
+        reduce(&mut b, 1, 2, &[0, 2]);
+        let s = b.finish("mixed-wait-cycle", 3, Chunking::even(ByteSize::kib(4), 1));
+        let report = analyze(
+            &s,
+            &AnalyzeOptions {
+                mailbox_capacity: Some(1),
+                ..AnalyzeOptions::default()
+            },
+        );
+        let cycles: Vec<&str> = report
+            .diagnostics()
+            .iter()
+            .filter(|d| d.code == LintCode::WaitCycle)
+            .map(|d| d.message.as_str())
+            .collect();
+        assert_eq!(
+            cycles,
+            ["wait-for cycle: t1 -mailbox-> t3 -dep-> t2 -fifo-> t1"],
+            "{report}"
         );
     }
 

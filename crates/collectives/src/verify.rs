@@ -18,7 +18,6 @@
 use crate::chunk::ChunkId;
 use crate::rank::Rank;
 use crate::schedule::{Schedule, TransferId, TreeIndex};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -170,6 +169,70 @@ pub enum ChannelKeying {
     SharedAcrossTrees,
 }
 
+/// Transfers grouped into the FIFO queues of their logical channels
+/// (per `keying`): one flat table of transfer ids, queues in ascending
+/// channel-key order, ids ascending within a queue. The step replay,
+/// the analyzer's wait-for graph and its channel-conflict witnesses
+/// read it.
+#[derive(Debug, Clone)]
+pub(crate) struct ChannelQueues {
+    /// Transfer ids sorted by `(channel key, id)`.
+    ids: Vec<u32>,
+    /// Queue `q` is `ids[starts[q]..starts[q + 1]]`.
+    starts: Vec<u32>,
+    /// The channel key of each queue, ascending.
+    keys: Vec<(Rank, Rank, TreeIndex)>,
+}
+
+impl ChannelQueues {
+    /// Groups `schedule`'s transfers. Transfer ids are their indices
+    /// (the builder assigns them densely).
+    pub(crate) fn new(schedule: &Schedule, keying: ChannelKeying) -> Self {
+        let transfers = schedule.transfers();
+        let channel = |id: u32| {
+            let t = &transfers[id as usize];
+            let tree = match keying {
+                ChannelKeying::PerTree => t.tree,
+                ChannelKeying::SharedAcrossTrees => TreeIndex(0),
+            };
+            (t.src, t.dst, tree)
+        };
+        let mut ids: Vec<u32> = (0..transfers.len() as u32).collect();
+        ids.sort_unstable_by_key(|&id| (channel(id), id));
+        let mut starts = Vec::new();
+        let mut keys = Vec::new();
+        for (i, &id) in ids.iter().enumerate() {
+            let key = channel(id);
+            if keys.last() != Some(&key) {
+                starts.push(i as u32);
+                keys.push(key);
+            }
+        }
+        starts.push(ids.len() as u32);
+        ChannelQueues { ids, starts, keys }
+    }
+
+    /// Number of queues.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Queue `q`'s transfer ids, in FIFO order.
+    pub(crate) fn get(&self, q: usize) -> &[u32] {
+        &self.ids[self.starts[q] as usize..self.starts[q + 1] as usize]
+    }
+
+    /// Every queue, in channel-key order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        (0..self.len()).map(|q| self.get(q))
+    }
+
+    /// The queue of the channel `key`, if any transfer uses it.
+    pub(crate) fn position(&self, key: (Rank, Rank, TreeIndex)) -> Option<usize> {
+        self.keys.binary_search(&key).ok()
+    }
+}
+
 /// Checks the structural invariants of a schedule DAG.
 ///
 /// # Errors
@@ -222,35 +285,27 @@ pub fn dag_violations(schedule: &Schedule) -> Vec<DagViolation> {
     out
 }
 
-/// A set of rank contributions, one bit per rank. Shared with the
-/// analyzer's dataflow lints (`pub(crate)` for that reason).
+/// A set of rank contributions, one bit per rank.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Contrib {
+struct Contrib {
     bits: Vec<u64>,
 }
 
 impl Contrib {
-    pub(crate) fn single(rank: Rank, p: usize) -> Self {
+    fn single(rank: Rank, p: usize) -> Self {
         let mut bits = vec![0u64; p.div_ceil(64)];
         bits[rank.index() / 64] |= 1 << (rank.index() % 64);
         Contrib { bits }
     }
 
-    pub(crate) fn union(&mut self, other: &Contrib) {
+    fn union(&mut self, other: &Contrib) {
         for (a, b) in self.bits.iter_mut().zip(&other.bits) {
             *a |= b;
         }
     }
 
-    pub(crate) fn count(&self) -> usize {
+    fn count(&self) -> usize {
         self.bits.iter().map(|b| b.count_ones() as usize).sum()
-    }
-
-    /// True if the two sets share any contribution — the signature of a
-    /// double reduction (a payload folded into a buffer that already
-    /// contains part of it).
-    pub(crate) fn intersects(&self, other: &Contrib) -> bool {
-        self.bits.iter().zip(&other.bits).any(|(a, b)| a & b != 0)
     }
 }
 
@@ -267,24 +322,9 @@ impl Contrib {
 /// Returns a [`VerifyError`] if the DAG is malformed or any buffer ends
 /// incomplete.
 pub fn check_allreduce(schedule: &Schedule) -> Result<(), VerifyError> {
-    check_dag(schedule)?;
+    let state = run_symbolic(schedule)?;
     let p = schedule.num_ranks();
     let k = schedule.chunking().num_chunks();
-    // state[rank][chunk] = contribution set of that buffer
-    let mut state: Vec<Vec<Contrib>> = (0..p)
-        .map(|r| (0..k).map(|_| Contrib::single(Rank(r as u32), p)).collect())
-        .collect();
-
-    for t in schedule.transfers() {
-        let payload = state[t.src.index()][t.chunk.index()].clone();
-        let dst = &mut state[t.dst.index()][t.chunk.index()];
-        if t.phase.is_reduction() {
-            dst.union(&payload);
-        } else {
-            *dst = payload;
-        }
-    }
-
     for r in 0..p {
         for c in 0..k {
             let have = state[r][c].count();
@@ -357,56 +397,47 @@ pub fn execute_steps(
     keying: ChannelKeying,
 ) -> Result<StepReport, VerifyError> {
     check_dag(schedule)?;
+    replay_steps(schedule, &ChannelQueues::new(schedule, keying))
+}
+
+/// [`execute_steps`] over prebuilt channel queues, on a schedule that
+/// [`check_dag`] accepts.
+pub(crate) fn replay_steps(
+    schedule: &Schedule,
+    queues: &ChannelQueues,
+) -> Result<StepReport, VerifyError> {
     let transfers = schedule.transfers();
     let n = transfers.len();
     let k = schedule.chunking().num_chunks();
-
-    // Group transfer ids per channel, in id (FIFO) order.
-    type Key = (Rank, Rank, TreeIndex);
-    let key_of = |src: Rank, dst: Rank, tree: TreeIndex| -> Key {
-        match keying {
-            ChannelKeying::PerTree => (src, dst, tree),
-            ChannelKeying::SharedAcrossTrees => (src, dst, TreeIndex(0)),
-        }
-    };
-    let mut queues: HashMap<Key, Vec<u32>> = HashMap::new();
-    for t in transfers {
-        queues
-            .entry(key_of(t.src, t.dst, t.tree))
-            .or_default()
-            .push(t.id.0);
-    }
-    let mut heads: HashMap<Key, usize> = queues.keys().map(|&k| (k, 0usize)).collect();
-
+    let mut heads = vec![0usize; queues.len()];
     let mut completion_step = vec![0usize; n];
     let mut done = vec![false; n];
     let mut remaining = n;
     let mut step = 0usize;
+    let mut fired: Vec<(usize, usize)> = Vec::new();
 
     while remaining > 0 {
         step += 1;
-        let mut fired = Vec::new();
-        for (key, queue) in &queues {
-            let head = heads[key];
-            if head >= queue.len() {
+        fired.clear();
+        for (q, queue) in queues.iter().enumerate() {
+            let Some(&tid) = queue.get(heads[q]) else {
                 continue;
-            }
-            let tid = queue[head] as usize;
+            };
             let ready = schedule
-                .deps(TransferId(tid as u32))
+                .deps(TransferId(tid))
                 .iter()
                 .all(|d| done[d.index()] && completion_step[d.index()] < step);
             if ready {
-                fired.push((*key, tid));
+                fired.push((q, tid as usize));
             }
         }
         if fired.is_empty() {
             return Err(VerifyError::Deadlock { step, remaining });
         }
-        for (key, tid) in fired {
+        for &(q, tid) in &fired {
             done[tid] = true;
             completion_step[tid] = step;
-            *heads.get_mut(&key).expect("queue exists") += 1;
+            heads[q] += 1;
             remaining -= 1;
         }
     }
@@ -424,8 +455,9 @@ pub fn execute_steps(
     })
 }
 
-/// Runs the symbolic executor and returns the final contribution state.
-pub(crate) fn run_symbolic(schedule: &Schedule) -> Result<Vec<Vec<Contrib>>, VerifyError> {
+/// Runs the symbolic executor and returns the final contribution state,
+/// `state[rank][chunk]`.
+fn run_symbolic(schedule: &Schedule) -> Result<Vec<Vec<Contrib>>, VerifyError> {
     check_dag(schedule)?;
     let p = schedule.num_ranks();
     let k = schedule.chunking().num_chunks();

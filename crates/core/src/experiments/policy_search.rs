@@ -28,6 +28,7 @@ use ccube_collectives::{
 use ccube_runtime::protocol::DEFAULT_TREE_MAILBOX_CAPACITY;
 use ccube_sim::{simulate, Arbitration, SimOptions};
 use ccube_topology::{dgx1, hierarchical, ByteSize, Seconds, Topology};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Tree shapes the search considers.
@@ -81,7 +82,7 @@ pub fn arbitration_name(a: Arbitration) -> &'static str {
 }
 
 /// One grid point: which topology, which knob settings.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Point {
     topology: &'static str,
     shape: &'static str,
@@ -94,14 +95,36 @@ struct Point {
     k: usize,
 }
 
+/// The knobs of a grid point that fix its schedule and embedding.
+/// Arbitration only steers the simulator, so the two arbitration points
+/// of a structure share its lint verdict and its certified bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Structure {
+    topology: &'static str,
+    shape: &'static str,
+    placement: &'static str,
+    k: usize,
+}
+
+impl Point {
+    fn structure(&self) -> Structure {
+        Structure {
+            topology: self.topology,
+            shape: self.shape,
+            placement: self.placement,
+            k: self.k,
+        }
+    }
+}
+
 fn build_candidate(
     topo: &Topology,
     ranks: usize,
-    point: &Point,
+    structure: &Structure,
     n: ByteSize,
 ) -> (Schedule, Embedding) {
-    let chunking = Chunking::even(n, point.k);
-    let schedule = if point.shape == "single-tree" {
+    let chunking = Chunking::even(n, structure.k);
+    let schedule = if structure.shape == "single-tree" {
         let tree = BinaryTree::inorder(ranks).expect("valid rank count");
         tree_allreduce(
             std::slice::from_ref(&tree),
@@ -112,7 +135,7 @@ fn build_candidate(
         let dt = DoubleBinaryTree::new(ranks).expect("valid rank count");
         tree_allreduce(dt.trees(), &chunking, Overlap::ReductionBroadcast)
     };
-    let emb = match (point.topology, point.shape, point.placement) {
+    let emb = match (structure.topology, structure.shape, structure.placement) {
         (_, _, "naive") | ("dgx1", "single-tree", _) => Embedding::identity(topo, &schedule),
         ("dgx1", "double-tree", _) => Embedding::dgx1_double_tree(topo, &schedule),
         _ => Embedding::nic(topo, &schedule),
@@ -122,7 +145,7 @@ fn build_candidate(
 }
 
 fn evaluate(topo: &Topology, ranks: usize, point: &Point, n: ByteSize) -> (Seconds, Seconds) {
-    let (schedule, emb) = build_candidate(topo, ranks, point, n);
+    let (schedule, emb) = build_candidate(topo, ranks, &point.structure(), n);
     // The search only reads timings and counters, so it takes the
     // trace-off fast path.
     let opts = SimOptions {
@@ -188,6 +211,18 @@ fn machines() -> [(&'static str, usize, Topology); 2] {
     [("dgx1", 8, dgx1()), ("hier16", 16, hierarchical(16))]
 }
 
+/// The rank count and topology of the machine `name`.
+fn machine<'a>(
+    machines: &'a [(&'static str, usize, Topology)],
+    name: &str,
+) -> (usize, &'a Topology) {
+    let (_, ranks, topo) = machines
+        .iter()
+        .find(|(machine, _, _)| *machine == name)
+        .expect("known topology");
+    (*ranks, topo)
+}
+
 /// The full candidate grid, in stable grid order.
 fn grid_points(machines: &[(&'static str, usize, Topology)]) -> Vec<Point> {
     let mut points = Vec::new();
@@ -222,44 +257,83 @@ fn grid_points(machines: &[(&'static str, usize, Topology)]) -> Vec<Point> {
     points
 }
 
+/// The analyzer options of the static gate: the runtime's bounded tree
+/// mailboxes are modelled, so a back-pressure deadlock is pruned too.
+fn gate_options() -> AnalyzeOptions {
+    AnalyzeOptions {
+        mailbox_capacity: Some(DEFAULT_TREE_MAILBOX_CAPACITY),
+        ..AnalyzeOptions::default()
+    }
+}
+
 /// Runs the static analyzer gate over `points`, splitting them into
-/// survivors (simulable) and pruned candidates, both in grid order.
+/// survivors (simulable) and pruned candidates, both in grid order. Each
+/// structure is linted once; its verdict — `None` when clean, else the
+/// error count and the first error's code — applies to every point of it.
 fn static_gate(
     machines: &[(&'static str, usize, Topology)],
     points: Vec<Point>,
     n: ByteSize,
 ) -> (Vec<Point>, Vec<PrunedCandidate>) {
-    // The static gate, in grid order (serial: linting is cheap relative
-    // to a DES run, and order determinism keeps the log stable).
-    let lint_opts = AnalyzeOptions {
-        mailbox_capacity: Some(DEFAULT_TREE_MAILBOX_CAPACITY),
-        ..AnalyzeOptions::default()
-    };
+    // Serial: linting is cheap relative to a DES run, and order
+    // determinism keeps the log stable.
+    let lint_opts = gate_options();
+    let mut verdicts: BTreeMap<Structure, Option<(usize, &'static str)>> = BTreeMap::new();
     let mut survivors = Vec::with_capacity(points.len());
     let mut pruned = Vec::new();
     for point in points {
-        let (_, ranks, topo) = machines
-            .iter()
-            .find(|(name, _, _)| *name == point.topology)
-            .expect("known topology");
-        let (schedule, emb) = build_candidate(topo, *ranks, &point, n);
-        let report = analyze::analyze_embedded(&schedule, &emb, topo, &lint_opts);
-        if report.is_clean() {
-            survivors.push(point);
-        } else {
-            let first = report.errors().next().expect("unclean report has an error");
-            pruned.push(PrunedCandidate {
+        let structure = point.structure();
+        let verdict = *verdicts.entry(structure).or_insert_with(|| {
+            let (ranks, topo) = machine(machines, structure.topology);
+            let (schedule, emb) = build_candidate(topo, ranks, &structure, n);
+            let report = analyze::analyze_embedded(&schedule, &emb, topo, &lint_opts);
+            let first = report.errors().next()?;
+            Some((report.errors().count(), first.code.as_str()))
+        });
+        match verdict {
+            None => survivors.push(point),
+            Some((errors, code)) => pruned.push(PrunedCandidate {
                 topology: point.topology,
                 shape: point.shape,
                 placement: point.placement,
                 arbitration: point.arbitration,
                 k: point.k,
-                errors: report.errors().count(),
-                code: first.code.as_str().to_string(),
-            });
+                errors,
+                code: code.to_string(),
+            }),
         }
     }
     (survivors, pruned)
+}
+
+/// The certified lower bound of each point, computed once per structure
+/// ([`makespan_lower_bound`](ccube_collectives::makespan_lower_bound)
+/// takes no arbitration). The default `LinkTiming` is the timing
+/// `evaluate`'s default `SimOptions` lowers with, so the certificate
+/// matches the simulation it prunes.
+fn certified_bounds(
+    machines: &[(&'static str, usize, Topology)],
+    points: &[Point],
+    n: ByteSize,
+) -> Vec<Seconds> {
+    let mut by_structure: BTreeMap<Structure, Seconds> = BTreeMap::new();
+    points
+        .iter()
+        .map(|point| {
+            let structure = point.structure();
+            *by_structure.entry(structure).or_insert_with(|| {
+                let (ranks, topo) = machine(machines, structure.topology);
+                let (schedule, emb) = build_candidate(topo, ranks, &structure, n);
+                ccube_collectives::makespan_lower_bound(
+                    &schedule,
+                    &emb,
+                    topo,
+                    &ccube_collectives::LinkTiming::default(),
+                )
+                .expect("gate survivor lowers")
+            })
+        })
+        .collect()
 }
 
 /// Marks the winner per topology: lowest makespan, ties by congestion,
@@ -289,11 +363,8 @@ pub fn run_full(threads: usize) -> SearchOutcome {
     let (survivors, pruned) = static_gate(&machines, grid_points(&machines), n);
 
     let mut rows = ccube_sim::sweep(&survivors, threads, |_, point| {
-        let (_, ranks, topo) = machines
-            .iter()
-            .find(|(name, _, _)| *name == point.topology)
-            .expect("known topology");
-        let (makespan, queue_wait) = evaluate(topo, *ranks, point, n);
+        let (ranks, topo) = machine(&machines, point.topology);
+        let (makespan, queue_wait) = evaluate(topo, ranks, point, n);
         SearchRow {
             topology: point.topology,
             shape: point.shape,
@@ -374,26 +445,7 @@ pub fn run_bounded() -> BoundedOutcome {
     let (survivors, pruned) = static_gate(&machines, grid_points(&machines), n);
     let candidates = survivors.len();
 
-    // The certified bound per survivor. The default `LinkTiming` is the
-    // timing `evaluate`'s default `SimOptions` lowers with, so the
-    // certificate matches the simulation it prunes.
-    let bounds: Vec<Seconds> = survivors
-        .iter()
-        .map(|point| {
-            let (_, ranks, topo) = machines
-                .iter()
-                .find(|(name, _, _)| *name == point.topology)
-                .expect("known topology");
-            let (schedule, emb) = build_candidate(topo, *ranks, point, n);
-            ccube_collectives::makespan_lower_bound(
-                &schedule,
-                &emb,
-                topo,
-                &ccube_collectives::LinkTiming::default(),
-            )
-            .expect("gate survivor lowers")
-        })
-        .collect();
+    let bounds = certified_bounds(&machines, &survivors, n);
 
     let mut results: Vec<Option<SearchRow>> = vec![None; survivors.len()];
     let mut skipped_at: Vec<usize> = Vec::new();
@@ -520,6 +572,58 @@ mod tests {
         }
         // The surviving rows are exactly the original grid.
         assert_eq!(outcome.rows, run());
+    }
+
+    #[test]
+    fn per_structure_gate_and_bounds_match_a_direct_call_on_every_point() {
+        // The gate lints, and the bound is certified, once per structure;
+        // on every grid point the result must equal a direct call there.
+        let n = ByteSize::mib(64);
+        let machines = machines();
+        let points = grid_points(&machines);
+        let (survivors, pruned) = static_gate(&machines, points.clone(), n);
+        let bounds = certified_bounds(&machines, &survivors, n);
+        let (mut s, mut p) = (0, 0);
+        for point in &points {
+            let (ranks, topo) = machine(&machines, point.topology);
+            let (schedule, emb) = build_candidate(topo, ranks, &point.structure(), n);
+            let report = analyze::analyze_embedded(&schedule, &emb, topo, &gate_options());
+            let first_error = report.errors().next().map(|d| d.code.as_str());
+            if let Some(code) = first_error {
+                let entry = &pruned[p];
+                assert_eq!(
+                    (
+                        entry.topology,
+                        entry.shape,
+                        entry.placement,
+                        entry.arbitration,
+                        entry.k
+                    ),
+                    (
+                        point.topology,
+                        point.shape,
+                        point.placement,
+                        point.arbitration,
+                        point.k
+                    )
+                );
+                assert_eq!(entry.errors, report.errors().count(), "{entry}");
+                assert_eq!(entry.code, code, "{entry}");
+                p += 1;
+            } else {
+                assert_eq!(&survivors[s], point);
+                let direct = ccube_collectives::makespan_lower_bound(
+                    &schedule,
+                    &emb,
+                    topo,
+                    &ccube_collectives::LinkTiming::default(),
+                )
+                .expect("survivor lowers");
+                assert_eq!(bounds[s], direct, "{point:?}");
+                s += 1;
+            }
+        }
+        assert_eq!((s, p), (survivors.len(), pruned.len()));
     }
 
     #[test]

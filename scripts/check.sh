@@ -22,6 +22,9 @@ cargo test -q --workspace
 echo "==> per-transfer state allocates O(routes), not O(transfers)"
 cargo test -q -p ccube-sim --test alloc_budget
 
+echo "==> the static analyzer allocates per logical edge, not per transfer"
+cargo test -q -p ccube-collectives --test analyze_budget
+
 echo "==> closed-form iteration model agrees with the one scheduler"
 cargo test -q -p ccube --lib systemjob
 
@@ -39,8 +42,9 @@ cargo run -q --release -p ccube --bin ccube -- lint --physical all --json > /dev
 cargo test -q -p ccube --test lint_golden
 cargo test -q -p ccube --test property_physical
 
-echo "==> policy search with certified-bound pruning (ccube search --bounds)"
-cargo run -q --release -p ccube --bin ccube -- search --bounds > /dev/null
+echo "==> policy search with certified-bound pruning (ccube search --bounds): stdout matches tests/data/search_bounds.txt"
+cargo run -q --release -p ccube --bin ccube -- search --bounds \
+    | diff tests/data/search_bounds.txt -
 
 echo "==> ccube figures: same CSVs at 1 and 2 workers and on the passthrough switch fabric"
 rm -rf target/check-figs
