@@ -1220,7 +1220,7 @@ fn embedding_lints(
     // carries its channel queue, which is its step table.
     let mut by_channel: BTreeMap<ChannelId, Vec<(EdgeKey, usize)>> = BTreeMap::new();
     let mut host_edges: Vec<EdgeKey> = Vec::new();
-    for (src, dst, tree) in schedule.logical_edges() {
+    for (e, &(src, dst, tree)) in schedule.edges().iter().enumerate() {
         let key = EdgeKey { src, dst, tree };
         let Some(route) = embedding.route(&key) else {
             continue; // already a CC007
@@ -1228,9 +1228,7 @@ fn embedding_lints(
         if route.class() == ChannelClass::HostBridge {
             host_edges.push(key);
         }
-        let queue = queues
-            .position((src, dst, tree))
-            .expect("a logical edge has a queue");
+        let queue = queues.of_edge(e);
         for &c in route.channels() {
             if c.index() < topo.channels().len() {
                 by_channel.entry(c).or_default().push((key, queue));
@@ -1354,7 +1352,7 @@ fn route_lints(
     topo: &Topology,
     report: &mut LintReport,
 ) {
-    for (src, dst, tree) in schedule.logical_edges() {
+    for &(src, dst, tree) in schedule.edges() {
         let key = EdgeKey { src, dst, tree };
         let Some(route) = embedding.route(&key) else {
             report.push(
@@ -1719,7 +1717,7 @@ mod tests {
         let mut emb = Embedding::identity(&topo, &s).unwrap();
         // Remap one edge onto a channel with the wrong endpoints.
         let edge = {
-            let (src, dst, tree) = s.logical_edges()[0];
+            let (src, dst, tree) = s.edges()[0];
             EdgeKey { src, dst, tree }
         };
         let wrong = topo

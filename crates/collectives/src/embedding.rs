@@ -48,6 +48,14 @@ pub enum EmbeddingError {
         /// GPUs in the topology.
         gpus: usize,
     },
+    /// A logical edge names a rank the rank→GPU mapping does not place
+    /// (a malformed schedule whose transfers leave its rank range).
+    RankOutOfRange {
+        /// The unplaced rank.
+        rank: Rank,
+        /// Ranks the mapping places.
+        mapped: usize,
+    },
     /// A logical edge could not be routed.
     Routing(TopologyError),
 }
@@ -58,6 +66,10 @@ impl fmt::Display for EmbeddingError {
             EmbeddingError::RankCountMismatch { ranks, gpus } => {
                 write!(f, "schedule has {ranks} ranks but topology has {gpus} gpus")
             }
+            EmbeddingError::RankOutOfRange { rank, mapped } => write!(
+                f,
+                "schedule uses rank {rank} but only {mapped} ranks are placed"
+            ),
             EmbeddingError::Routing(e) => write!(f, "routing failed: {e}"),
         }
     }
@@ -67,7 +79,9 @@ impl Error for EmbeddingError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             EmbeddingError::Routing(e) => Some(e),
-            EmbeddingError::RankCountMismatch { .. } => None,
+            EmbeddingError::RankCountMismatch { .. } | EmbeddingError::RankOutOfRange { .. } => {
+                None
+            }
         }
     }
 }
@@ -137,8 +151,10 @@ impl Embedding {
     /// # Errors
     ///
     /// Returns [`EmbeddingError::RankCountMismatch`] if `mapping` is
-    /// shorter than the rank count or maps to missing GPUs, and
-    /// [`EmbeddingError::Routing`] if an edge cannot be routed.
+    /// shorter than the rank count or maps to missing GPUs,
+    /// [`EmbeddingError::RankOutOfRange`] if an edge names a rank
+    /// `mapping` does not place, and [`EmbeddingError::Routing`] if an
+    /// edge cannot be routed.
     pub fn with_mapping(
         topo: &Topology,
         schedule: &Schedule,
@@ -163,10 +179,11 @@ impl Embedding {
         // channels first, so the load-aware detour selection in the second
         // pass steers around them (static routing, as in the paper's
         // dedicated forwarding kernels).
-        let edges = schedule.logical_edges();
+        let edges = schedule.edges();
+        check_ranks(edges, mapping.len())?;
         let mut routes = HashMap::new();
         for pass in 0..2 {
-            for &(src, dst, tree) in &edges {
+            for &(src, dst, tree) in edges {
                 let sg = mapping[src.index()];
                 let dg = mapping[dst.index()];
                 // "Direct" means a real GPU-to-GPU link; the host bridge
@@ -221,7 +238,9 @@ impl Embedding {
     /// # Errors
     ///
     /// Returns [`EmbeddingError::RankCountMismatch`] if the schedule needs
-    /// more nodes than the topology has.
+    /// more nodes than the topology has, and
+    /// [`EmbeddingError::RankOutOfRange`] if an edge names a rank outside
+    /// the schedule's rank count.
     pub fn nic(topo: &Topology, schedule: &Schedule) -> Result<Self, EmbeddingError> {
         if schedule.num_ranks() > topo.num_gpus() {
             return Err(EmbeddingError::RankCountMismatch {
@@ -230,8 +249,9 @@ impl Embedding {
             });
         }
         let mapping: Vec<GpuId> = (0..schedule.num_ranks() as u32).map(GpuId).collect();
+        check_ranks(schedule.edges(), mapping.len())?;
         let mut routes = HashMap::new();
-        for (src, dst, tree) in schedule.logical_edges() {
+        for &(src, dst, tree) in schedule.edges() {
             let sg = mapping[src.index()];
             let dg = mapping[dst.index()];
             let path = ccube_topology::nic_path(sg, dg);
@@ -308,6 +328,19 @@ impl Embedding {
             }
         }
         load
+    }
+}
+
+/// [`EmbeddingError::RankOutOfRange`] for the first edge (in table
+/// order) with an endpoint at or past `mapped`.
+fn check_ranks(edges: &[(Rank, Rank, TreeIndex)], mapped: usize) -> Result<(), EmbeddingError> {
+    match edges
+        .iter()
+        .flat_map(|&(src, dst, _)| [src, dst])
+        .find(|r| r.index() >= mapped)
+    {
+        Some(rank) => Err(EmbeddingError::RankOutOfRange { rank, mapped }),
+        None => Ok(()),
     }
 }
 
@@ -398,7 +431,7 @@ mod tests {
         let topo = dgx1();
         let s = ring_allreduce(8, ByteSize::mib(64));
         let emb = Embedding::identity(&topo, &s).unwrap();
-        assert_eq!(emb.routes().len(), s.logical_edges().len());
+        assert_eq!(emb.routes().len(), s.edges().len());
     }
 
     #[test]
@@ -409,6 +442,44 @@ mod tests {
             Embedding::identity(&topo, &s),
             Err(EmbeddingError::RankCountMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_rank_past_the_mapping_is_an_error_not_a_panic() {
+        use crate::chunk::ChunkId;
+        use crate::schedule::{Phase, ScheduleBuilder};
+        // Two declared ranks, but the second transfer names rank 9.
+        let mut b = ScheduleBuilder::new();
+        let size = ByteSize::kib(4);
+        b.push(
+            Rank(0),
+            Rank(1),
+            ChunkId(0),
+            size,
+            Phase::Reduce,
+            TreeIndex(0),
+            [],
+        );
+        b.push(
+            Rank(1),
+            Rank(9),
+            ChunkId(0),
+            size,
+            Phase::Reduce,
+            TreeIndex(0),
+            [],
+        );
+        let s = b.finish_unchecked("out-of-range", 2, Chunking::even(size, 1));
+        let out_of_range = Err(EmbeddingError::RankOutOfRange {
+            rank: Rank(9),
+            mapped: 2,
+        });
+        assert_eq!(Embedding::identity(&dgx1(), &s).map(|_| ()), out_of_range);
+        let nic = Embedding::nic(&ccube_topology::hierarchical(4), &s);
+        assert_eq!(nic.map(|_| ()), out_of_range);
+        let mapping = vec![GpuId(0), GpuId(1)];
+        let mapped = Embedding::with_mapping(&dgx1(), &s, mapping, false);
+        assert_eq!(mapped.map(|_| ()), out_of_range);
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! `Σ per-hop latency (+ forwarding latency for detours)
 //!  + bytes / (bottleneck bandwidth × bandwidth_scale)`.
 //!
-//! [`PreparedLowering`] does the resolution once per logical edge. The
-//! scheduler of `ccube-sim` keeps its [`PreparedRoute`]s and each
-//! transfer's route index, and times a transfer through its route's
+//! [`PreparedLowering`] does the resolution once per logical edge: once
+//! per entry of [`Schedule::edges`], which every transfer names by index
+//! ([`Transfer::edge`](crate::Transfer::edge)), so a transfer's route is
+//! found without a lookup. The scheduler of `ccube-sim` keeps the
+//! [`PreparedRoute`]s and times a transfer through its route's
 //! [`Wormhole`] when the transfer starts. [`lower_schedule`] and
 //! [`PreparedLowering::lower`] expand the same routes into one
 //! [`TransferSpec`] per transfer for the static analyzers, fault
@@ -18,19 +20,18 @@
 //! views time transfers through the same call, so they agree float for
 //! float.
 //!
-//! Routes are interned per logical edge: every transfer on the same
-//! [`EdgeKey`] shares one `Arc<[ChannelId]>` path, so a lowering
-//! allocates O(edges) paths rather than one per transfer — the P=1024
-//! ring has 2.1 M transfers but only 1024 edges.
+//! Every transfer on the same [`EdgeKey`] shares its route's one
+//! `Arc<[ChannelId]>` path, so a lowering allocates O(edges) paths
+//! rather than one per transfer — the P=1024 ring has 2.1 M transfers
+//! but only 1024 edges.
 
 use crate::chunk::ChunkId;
 use crate::embedding::{EdgeKey, Embedding};
-use crate::schedule::{EdgeHashBuilder, Schedule, TransferId};
+use crate::schedule::{Schedule, TransferId};
 use ccube_topology::{
     Bandwidth, ByteSize, ChannelId, FabricGraph, FabricPort, GpuId, PortId, Route, Seconds,
     Topology,
 };
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -317,74 +318,54 @@ impl PreparedRoute {
 /// [`Wormhole`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedLowering {
-    /// One entry per distinct logical edge, in first-use order.
+    /// One entry per logical edge, indexed like [`Schedule::edges`].
     routes: Vec<PreparedRoute>,
-    /// Each transfer's index into `routes`.
-    route_of: Vec<u32>,
 }
 
 impl PreparedLowering {
     /// Resolves every logical edge of `schedule` against `embedding`
     /// over `topo`, storing routes and timing coefficients for later
-    /// [`PreparedLowering::lower`] calls.
+    /// [`PreparedLowering::lower`] calls: one embedding lookup per edge,
+    /// none per transfer.
     ///
     /// # Errors
     ///
     /// [`LowerError::MissingRoute`] and [`LowerError::UnknownChannel`],
-    /// for the first transfer (in id order) whose edge fails.
+    /// for the first edge (in first-use order, so for the first transfer
+    /// in id order) that fails.
     pub fn new(
         schedule: &Schedule,
         embedding: &Embedding,
         topo: &Topology,
     ) -> Result<Self, LowerError> {
-        let edges = embedding.routes().len();
-        // Keyed lookup only, never iterated: `routes` keeps first-use
-        // order, so hash order cannot reach any result.
-        let mut index: HashMap<EdgeKey, u32, EdgeHashBuilder> =
-            HashMap::with_capacity_and_hasher(edges, EdgeHashBuilder::default());
-        let mut routes = Vec::with_capacity(edges);
-        let mut route_of = Vec::with_capacity(schedule.transfers().len());
-        for t in schedule.transfers() {
-            let key = EdgeKey {
-                src: t.src,
-                dst: t.dst,
-                tree: t.tree,
-            };
-            let r = match index.get(&key) {
-                Some(&r) => r,
-                None => {
-                    let route = embedding.route(&key).ok_or(LowerError::MissingRoute(key))?;
-                    routes.push(PreparedRoute::resolve(key, route, topo)?);
-                    let r = (routes.len() - 1) as u32;
-                    index.insert(key, r);
-                    r
-                }
-            };
-            route_of.push(r);
+        let mut routes = Vec::with_capacity(schedule.edges().len());
+        for &(src, dst, tree) in schedule.edges() {
+            let key = EdgeKey { src, dst, tree };
+            let route = embedding.route(&key).ok_or(LowerError::MissingRoute(key))?;
+            routes.push(PreparedRoute::resolve(key, route, topo)?);
         }
-        Ok(PreparedLowering { routes, route_of })
+        Ok(PreparedLowering { routes })
     }
 
-    /// Takes the lowering apart: one [`PreparedRoute`] per distinct
-    /// logical edge in first-use order, and each transfer's index into
-    /// them, by transfer id.
-    pub fn into_routes(self) -> (Vec<PreparedRoute>, Vec<u32>) {
-        (self.routes, self.route_of)
+    /// Takes the lowering apart: one [`PreparedRoute`] per logical edge,
+    /// indexed like [`Schedule::edges`], so transfer `t` takes route
+    /// `t.edge`.
+    pub fn into_routes(self) -> Vec<PreparedRoute> {
+        self.routes
     }
 
     /// Produces the [`TransferSpec`]s for `schedule` under `timing`.
     /// `schedule` supplies the per-transfer payload sizes (and
     /// ids/chunks); it must have the same transfers as the schedule this
     /// lowering was prepared from, up to payload sizes (debug builds
-    /// assert the count).
+    /// assert the edge count).
     pub fn lower(&self, schedule: &Schedule, timing: &LinkTiming) -> Vec<TransferSpec> {
-        let transfers = schedule.transfers();
-        debug_assert_eq!(transfers.len(), self.route_of.len());
-        transfers
+        debug_assert_eq!(schedule.edges().len(), self.routes.len());
+        schedule
+            .transfers()
             .iter()
-            .zip(&self.route_of)
-            .map(|(t, &r)| {
-                let r = &self.routes[r as usize];
+            .map(|t| {
+                let r = &self.routes[t.edge as usize];
                 TransferSpec {
                     id: t.id,
                     chunk: t.chunk,
@@ -459,7 +440,7 @@ mod tests {
                 distinct.push(&a.path);
             }
         }
-        assert_eq!(distinct.len(), s.logical_edges().len());
+        assert_eq!(distinct.len(), s.edges().len());
     }
 
     #[test]

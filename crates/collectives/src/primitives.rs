@@ -49,17 +49,20 @@ pub fn tree_broadcast(trees: &[BinaryTree], chunking: &Chunking) -> Schedule {
     let mut bc: HashMap<(usize, ChunkId, u32), TransferId> = HashMap::new();
     for (ti, tree) in trees.iter().enumerate() {
         let top_down = tree.top_down();
+        // The edge into each child, interned at the tree's first chunk.
+        let mut edge_of = vec![u32::MAX; p];
         for c in chunking.ids().filter(|c| c.index() % trees.len() == ti) {
             for &r in &top_down {
                 for &child in tree.children(r) {
+                    if edge_of[child.index()] == u32::MAX {
+                        edge_of[child.index()] = b.edge(r, child, TreeIndex(ti as u8));
+                    }
                     let deps = tree.parent(r).map(|_| bc[&(ti, c, r.0)]);
-                    let id = b.push(
-                        r,
-                        child,
+                    let id = b.push_on(
+                        edge_of[child.index()],
                         c,
                         chunking.size(c),
                         Phase::Broadcast,
-                        TreeIndex(ti as u8),
                         deps,
                     );
                     bc.insert((ti, c, child.0), id);
@@ -85,21 +88,18 @@ pub fn tree_reduce(trees: &[BinaryTree], chunking: &Chunking) -> Schedule {
     let mut red: HashMap<(usize, ChunkId, u32), TransferId> = HashMap::new();
     for (ti, tree) in trees.iter().enumerate() {
         let bottom_up = tree.bottom_up();
+        // The edge out of each rank, interned at the tree's first chunk.
+        let mut edge_of = vec![u32::MAX; p];
         for c in chunking.ids().filter(|c| c.index() % trees.len() == ti) {
             for &r in &bottom_up {
                 let Some(parent) = tree.parent(r) else {
                     continue;
                 };
+                if edge_of[r.index()] == u32::MAX {
+                    edge_of[r.index()] = b.edge(r, parent, TreeIndex(ti as u8));
+                }
                 let deps = tree.children(r).iter().map(|&child| red[&(ti, c, child.0)]);
-                let id = b.push(
-                    r,
-                    parent,
-                    c,
-                    chunking.size(c),
-                    Phase::Reduce,
-                    TreeIndex(ti as u8),
-                    deps,
-                );
+                let id = b.push_on(edge_of[r.index()], c, chunking.size(c), Phase::Reduce, deps);
                 red.insert((ti, c, r.0), id);
             }
         }
@@ -122,17 +122,20 @@ pub fn ring_reduce_scatter(p: usize, total: ByteSize) -> Schedule {
     let modp = |x: i64| (((x % pi) + pi) % pi) as usize;
     let mut b = ScheduleBuilder::new();
     let mut rs: Vec<Vec<TransferId>> = vec![Vec::with_capacity(p - 1); p];
+    // Rank i always sends to its successor; the first step uses the
+    // edges in rank order.
+    let edges: Vec<u32> = (0..p)
+        .map(|i| b.edge(Rank(i as u32), Rank(((i + 1) % p) as u32), TreeIndex(0)))
+        .collect();
     for s in 0..(p - 1) as i64 {
         for i in 0..pi {
             let chunk = ChunkId(modp(i - s) as u32);
             let deps = (s > 0).then(|| rs[modp(i - 1)][(s - 1) as usize]);
-            let id = b.push(
-                Rank(i as u32),
-                Rank(modp(i + 1) as u32),
+            let id = b.push_on(
+                edges[i as usize],
                 chunk,
                 chunking.size(chunk),
                 Phase::ReduceScatter,
-                TreeIndex(0),
                 deps,
             );
             rs[i as usize].push(id);
@@ -157,17 +160,20 @@ pub fn ring_all_gather(p: usize, total: ByteSize) -> Schedule {
     let modp = |x: i64| (((x % pi) + pi) % pi) as usize;
     let mut b = ScheduleBuilder::new();
     let mut ag: Vec<Vec<TransferId>> = vec![Vec::with_capacity(p - 1); p];
+    // Rank i always sends to its successor; the first step uses the
+    // edges in rank order.
+    let edges: Vec<u32> = (0..p)
+        .map(|i| b.edge(Rank(i as u32), Rank(((i + 1) % p) as u32), TreeIndex(0)))
+        .collect();
     for s in 0..(p - 1) as i64 {
         for i in 0..pi {
             let chunk = ChunkId(modp(i + 1 - s) as u32);
             let deps = (s > 0).then(|| ag[modp(i - 1)][(s - 1) as usize]);
-            let id = b.push(
-                Rank(i as u32),
-                Rank(modp(i + 1) as u32),
+            let id = b.push_on(
+                edges[i as usize],
                 chunk,
                 chunking.size(chunk),
                 Phase::AllGather,
-                TreeIndex(0),
                 deps,
             );
             ag[i as usize].push(id);

@@ -37,6 +37,11 @@ fn build_ring(
     let base = b.len();
     let rs = |i: usize, s: usize| TransferId((base + s * p + i) as u32);
     let ag = |i: usize, s: usize| TransferId((base + (p - 1 + s) * p + i) as u32);
+    // Position i always sends over the same edge, to its successor; the
+    // first step uses them in position order.
+    let edges: Vec<u32> = (0..p)
+        .map(|i| b.edge(order[i], order[(i + 1) % p], tree))
+        .collect();
 
     // Reduce-Scatter: at step s, position i sends chunk (i - s) mod p to
     // its successor, which accumulates it.
@@ -47,13 +52,11 @@ fn build_ring(
             // the chunk position i sends now is the one it received from
             // its predecessor in the previous step
             let dep = (s > 0).then(|| rs(modp(i - 1), (s - 1) as usize));
-            let id = b.push(
-                order[i as usize],
-                order[modp(i + 1)],
+            let id = b.push_on(
+                edges[i as usize],
                 chunk,
                 chunking.size(chunk),
                 Phase::ReduceScatter,
-                tree,
                 dep,
             );
             debug_assert_eq!(id, rs(i as usize, s as usize));
@@ -73,13 +76,11 @@ fn build_ring(
             } else {
                 ag(modp(i - 1), (s - 1) as usize)
             };
-            let id = b.push(
-                order[i as usize],
-                order[modp(i + 1)],
+            let id = b.push_on(
+                edges[i as usize],
                 chunk,
                 chunking.size(chunk),
                 Phase::AllGather,
-                tree,
                 [dep],
             );
             debug_assert_eq!(id, ag(i as usize, s as usize));

@@ -3,9 +3,8 @@
 use crate::chunk::{ChunkId, Chunking};
 use crate::rank::Rank;
 use ccube_topology::ByteSize;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a transfer within a [`Schedule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -121,6 +120,9 @@ pub struct Transfer {
     pub phase: Phase,
     /// Which logical tree the transfer belongs to.
     pub tree: TreeIndex,
+    /// The transfer's logical edge: its index in [`Schedule::edges`],
+    /// where `(src, dst, tree)` sits.
+    pub edge: u32,
     /// Transfers that must complete before this one may start: a span
     /// of the schedule's dependency table ([`Schedule::deps`]).
     pub deps: DepSpan,
@@ -140,8 +142,10 @@ impl fmt::Display for Transfer {
 ///
 /// Dependencies are stored in CSR form: one flat table of ids, with each
 /// transfer's [`DepSpan`] naming its slice, so a schedule of any size
-/// holds two allocations rather than one per transfer. Schedules are
-/// built with a [`ScheduleBuilder`].
+/// holds three allocations rather than one per transfer. The third is
+/// the table of logical edges ([`Schedule::edges`]), which every
+/// transfer names by index. Schedules are built with a
+/// [`ScheduleBuilder`].
 ///
 /// Invariants (enforced by [`ScheduleBuilder::finish`] and re-checked by
 /// [`verify::check_dag`](crate::verify::check_dag)):
@@ -150,6 +154,10 @@ impl fmt::Display for Transfer {
 /// * every dependency id is smaller than the dependent's id (the DAG is
 ///   topologically ordered by construction);
 /// * `src != dst` for every transfer.
+///
+/// The builder keeps two more by construction: `edges()[t.edge]` is
+/// `(t.src, t.dst, t.tree)`, and the edge table lists each edge once,
+/// in the order of its first transfer.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     algorithm: String,
@@ -158,6 +166,8 @@ pub struct Schedule {
     transfers: Vec<Transfer>,
     /// Every transfer's dependencies, concatenated in transfer order.
     deps: Vec<TransferId>,
+    /// The distinct logical edges, in first-use order.
+    edges: Vec<(Rank, Rank, TreeIndex)>,
 }
 
 impl Schedule {
@@ -207,63 +217,12 @@ impl Schedule {
     }
 
     /// The distinct logical directed edges `(src, dst, tree)` used by the
-    /// schedule, in first-use order. This is the set the embedding maps to
-    /// physical channels.
-    pub fn logical_edges(&self) -> Vec<(Rank, Rank, TreeIndex)> {
-        // Membership only, never iterated: `out` keeps first-use order.
-        let mut seen: HashSet<_, EdgeHashBuilder> = HashSet::default();
-        let mut out = Vec::new();
-        for t in &self.transfers {
-            let key = (t.src, t.dst, t.tree);
-            if seen.insert(key) {
-                out.push(key);
-            }
-        }
-        out
+    /// schedule, in first-use order, indexed by [`Transfer::edge`]. This
+    /// is the set the embedding maps to physical channels.
+    pub fn edges(&self) -> &[(Rank, Rank, TreeIndex)] {
+        &self.edges
     }
 }
-
-/// A small deterministic multiplicative hasher (the FxHash mixing step)
-/// for the logical-edge interners, which are probed once per transfer.
-/// Their keys are ranks and tree indices the schedule builders produce,
-/// not outside input, and the interners are never iterated, so the hash
-/// values cannot reach any output: they only have to be cheap, which
-/// SipHash's collision resistance does not buy here.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct EdgeHasher(u64);
-
-impl EdgeHasher {
-    const MULTIPLIER: u64 = 0x517c_c1b7_2722_0a95;
-
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MULTIPLIER);
-    }
-}
-
-impl Hasher for EdgeHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply mixes upward; rotate the well-mixed high bits
-        // into the low bits the table indexes by.
-        self.0.rotate_left(26)
-    }
-}
-
-/// The [`std::hash::BuildHasher`] of [`EdgeHasher`].
-pub(crate) type EdgeHashBuilder = BuildHasherDefault<EdgeHasher>;
 
 /// Summary statistics of a schedule (see [`Schedule::stats`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -341,7 +300,7 @@ impl Schedule {
             reduction_transfers: reduction,
             broadcast_transfers: broadcast,
             total_bytes: self.total_traffic(),
-            logical_edges: self.logical_edges().len(),
+            logical_edges: self.edges.len(),
             critical_path: critical,
         }
     }
@@ -364,6 +323,12 @@ impl fmt::Display for Schedule {
 /// [`Schedule`]. Algorithm builders use it, and so do tests and
 /// analyzer cases that need hand-made (even deliberately broken) DAGs.
 ///
+/// Every transfer names its logical edge. The algorithm builders intern
+/// each edge once ([`ScheduleBuilder::edge`], just before its first
+/// transfer) and push on it by id ([`ScheduleBuilder::push_on`]), so
+/// nothing is looked up per transfer; [`ScheduleBuilder::push`] interns
+/// the edge of every transfer it is given, for hand-built schedules.
+///
 /// # Examples
 ///
 /// ```
@@ -376,11 +341,17 @@ impl fmt::Display for Schedule {
 /// let down = b.push(Rank(1), Rank(0), ChunkId(0), size, Phase::Broadcast, TreeIndex(0), [up]);
 /// let s = b.finish("tiny", 2, Chunking::even(size, 1));
 /// assert_eq!(s.deps(down), &[up]);
+/// assert_eq!(s.edges()[s.transfer(down).edge as usize], (Rank(1), Rank(0), TreeIndex(0)));
 /// ```
 #[derive(Debug, Default)]
 pub struct ScheduleBuilder {
     transfers: Vec<Transfer>,
     deps: Vec<TransferId>,
+    edges: Vec<(Rank, Rank, TreeIndex)>,
+    /// Each interned edge's id. Probed per edge, or per transfer by
+    /// [`ScheduleBuilder::push`]; never iterated, so its order cannot
+    /// reach a schedule.
+    edge_ids: HashMap<(Rank, Rank, TreeIndex), u32>,
 }
 
 impl ScheduleBuilder {
@@ -396,6 +367,7 @@ impl ScheduleBuilder {
         ScheduleBuilder {
             transfers: Vec::with_capacity(transfers),
             deps: Vec::with_capacity(deps),
+            ..ScheduleBuilder::default()
         }
     }
 
@@ -410,9 +382,22 @@ impl ScheduleBuilder {
         self.transfers.is_empty()
     }
 
+    /// The id of logical edge `(src, dst, tree)`, added to the edge table
+    /// if it is new. The table is in first-use order only if every edge
+    /// is interned no earlier than the transfer before its first one:
+    /// debug builds check this in [`ScheduleBuilder::finish`].
+    pub fn edge(&mut self, src: Rank, dst: Rank, tree: TreeIndex) -> u32 {
+        let next = self.edges.len() as u32;
+        let id = *self.edge_ids.entry((src, dst, tree)).or_insert(next);
+        if id == next {
+            self.edges.push((src, dst, tree));
+        }
+        id
+    }
+
     /// Appends a transfer that waits for `deps` and returns its id (ids
-    /// are dense, in push order). The dependencies go straight into the
-    /// schedule's flat table.
+    /// are dense, in push order), interning its edge. The dependencies go
+    /// straight into the schedule's flat table.
     #[allow(clippy::too_many_arguments)] // mirrors the Transfer fields
     pub fn push(
         &mut self,
@@ -424,6 +409,26 @@ impl ScheduleBuilder {
         tree: TreeIndex,
         deps: impl IntoIterator<Item = TransferId>,
     ) -> TransferId {
+        let edge = self.edge(src, dst, tree);
+        self.push_on(edge, chunk, bytes, phase, deps)
+    }
+
+    /// Appends a transfer on interned edge `edge` (an id
+    /// [`ScheduleBuilder::edge`] returned) that waits for `deps`, and
+    /// returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edge` was never interned.
+    pub fn push_on(
+        &mut self,
+        edge: u32,
+        chunk: ChunkId,
+        bytes: ByteSize,
+        phase: Phase,
+        deps: impl IntoIterator<Item = TransferId>,
+    ) -> TransferId {
+        let (src, dst, tree) = self.edges[edge as usize];
         let id = TransferId(self.transfers.len() as u32);
         let start = self.deps.len();
         self.deps.extend(deps);
@@ -435,6 +440,7 @@ impl ScheduleBuilder {
             bytes,
             phase,
             tree,
+            edge,
             deps: DepSpan {
                 start: start as u32,
                 len: (self.deps.len() - start) as u32,
@@ -447,8 +453,9 @@ impl ScheduleBuilder {
     ///
     /// # Panics
     ///
-    /// Panics (debug builds) if transfer ids are not dense or a
-    /// dependency points forward.
+    /// Panics (debug builds) if transfer ids are not dense, a dependency
+    /// points forward, or the edge table is not in first-use order
+    /// (an edge interned early, or never used).
     pub fn finish(
         self,
         algorithm: impl Into<String>,
@@ -456,20 +463,26 @@ impl ScheduleBuilder {
         chunking: Chunking,
     ) -> Schedule {
         #[cfg(debug_assertions)]
-        for (i, t) in self.transfers.iter().enumerate() {
-            debug_assert_eq!(t.id.index(), i, "transfer ids must be dense");
-            for d in &self.deps[t.deps.range()] {
-                debug_assert!(
-                    d.index() < t.id.index(),
-                    "dependency must precede dependent"
-                );
+        {
+            let mut used = 0;
+            for (i, t) in self.transfers.iter().enumerate() {
+                debug_assert_eq!(t.id.index(), i, "transfer ids must be dense");
+                for d in &self.deps[t.deps.range()] {
+                    debug_assert!(
+                        d.index() < t.id.index(),
+                        "dependency must precede dependent"
+                    );
+                }
+                debug_assert!(t.edge <= used, "edge {} used before edge {used}", t.edge);
+                used += u32::from(t.edge == used);
             }
+            debug_assert_eq!(used as usize, self.edges.len(), "an edge is never used");
         }
         self.finish_unchecked(algorithm, num_ranks, chunking)
     }
 
-    /// The finished schedule **without** the backward-dependency debug
-    /// check of [`ScheduleBuilder::finish`]. Exists so the static
+    /// The finished schedule **without** the debug checks of
+    /// [`ScheduleBuilder::finish`]. Exists so the static
     /// analyzer ([`analyze`](crate::analyze)) and its tests can construct
     /// deliberately broken schedules — forward dependencies, dependency
     /// cycles — and prove they are detected rather than panicking at
@@ -488,6 +501,7 @@ impl ScheduleBuilder {
             chunking,
             transfers: self.transfers,
             deps: self.deps,
+            edges: self.edges,
         }
     }
 }
@@ -544,7 +558,7 @@ mod tests {
     #[test]
     fn logical_edges_deduplicate() {
         let s = tiny();
-        let edges = s.logical_edges();
+        let edges = s.edges();
         assert_eq!(edges.len(), 2);
         assert_eq!(edges[0], (Rank(0), Rank(1), TreeIndex(0)));
     }

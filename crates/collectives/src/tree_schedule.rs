@@ -95,27 +95,30 @@ pub fn tree_allreduce(trees: &[BinaryTree], chunking: &Chunking, overlap: Overla
         })
         .collect();
 
+    // Each rank's edge to (or from) its parent, interned when the tree's
+    // first chunk first uses it, so the edge table is in first-use order.
+    let mut edge_of: Vec<u32> = vec![u32::MAX; p];
+
     // Reduction phase: pipelined up each tree, chunk-major.
     for (ti, tree) in trees.iter().enumerate() {
         let bottom_up = tree.bottom_up();
+        if !tree_chunks[ti].is_empty() {
+            for &r in &bottom_up {
+                if let Some(parent) = tree.parent(r) {
+                    edge_of[r.index()] = b.edge(r, parent, TreeIndex(ti as u8));
+                }
+            }
+        }
         for &c in &tree_chunks[ti] {
             for &r in &bottom_up {
-                let Some(parent) = tree.parent(r) else {
+                if tree.parent(r).is_none() {
                     continue; // root does not send upward
-                };
+                }
                 let deps = tree
                     .children(r)
                     .iter()
                     .map(|&child| red[idx(ti, c, child.0)]);
-                let id = b.push(
-                    r,
-                    parent,
-                    c,
-                    chunking.size(c),
-                    Phase::Reduce,
-                    TreeIndex(ti as u8),
-                    deps,
-                );
+                let id = b.push_on(edge_of[r.index()], c, chunking.size(c), Phase::Reduce, deps);
                 red[idx(ti, c, r.0)] = id;
             }
         }
@@ -125,6 +128,13 @@ pub fn tree_allreduce(trees: &[BinaryTree], chunking: &Chunking, overlap: Overla
     for (ti, tree) in trees.iter().enumerate() {
         let top_down = tree.top_down();
         let root = tree.root();
+        if !tree_chunks[ti].is_empty() {
+            for &r in &top_down {
+                for &child in tree.children(r) {
+                    edge_of[child.index()] = b.edge(r, child, TreeIndex(ti as u8));
+                }
+            }
+        }
         // Baseline barrier: every reduction transfer into the root of this
         // tree, across all of its chunks.
         let mut barrier: Vec<TransferId> = Vec::new();
@@ -157,13 +167,11 @@ pub fn tree_allreduce(trees: &[BinaryTree], chunking: &Chunking, overlap: Overla
                     } else {
                         std::slice::from_ref(&bc[idx(ti, c, r.0)])
                     };
-                    let id = b.push(
-                        r,
-                        child,
+                    let id = b.push_on(
+                        edge_of[child.index()],
                         c,
                         chunking.size(c),
                         Phase::Broadcast,
-                        TreeIndex(ti as u8),
                         deps.iter().copied(),
                     );
                     bc[idx(ti, c, child.0)] = id;

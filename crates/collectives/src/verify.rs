@@ -180,41 +180,65 @@ pub(crate) struct ChannelQueues {
     ids: Vec<u32>,
     /// Queue `q` is `ids[starts[q]..starts[q + 1]]`.
     starts: Vec<u32>,
-    /// The channel key of each queue, ascending.
-    keys: Vec<(Rank, Rank, TreeIndex)>,
+    /// The queue of each logical edge, by edge id.
+    queue_of_edge: Vec<u32>,
 }
 
 impl ChannelQueues {
-    /// Groups `schedule`'s transfers. Transfer ids are their indices
-    /// (the builder assigns them densely).
+    /// Groups `schedule`'s transfers. Only the edge table is sorted (by
+    /// channel key); the transfers are counted into their edges' queues
+    /// in id order. Transfer ids are their indices (the builder assigns
+    /// them densely).
     pub(crate) fn new(schedule: &Schedule, keying: ChannelKeying) -> Self {
-        let transfers = schedule.transfers();
-        let channel = |id: u32| {
-            let t = &transfers[id as usize];
+        let edges = schedule.edges();
+        let channel = |e: u32| {
+            let (src, dst, tree) = edges[e as usize];
             let tree = match keying {
-                ChannelKeying::PerTree => t.tree,
+                ChannelKeying::PerTree => tree,
                 ChannelKeying::SharedAcrossTrees => TreeIndex(0),
             };
-            (t.src, t.dst, tree)
+            (src, dst, tree)
         };
-        let mut ids: Vec<u32> = (0..transfers.len() as u32).collect();
-        ids.sort_unstable_by_key(|&id| (channel(id), id));
-        let mut starts = Vec::new();
-        let mut keys = Vec::new();
-        for (i, &id) in ids.iter().enumerate() {
-            let key = channel(id);
-            if keys.last() != Some(&key) {
-                starts.push(i as u32);
-                keys.push(key);
+        let mut by_key: Vec<u32> = (0..edges.len() as u32).collect();
+        by_key.sort_unstable_by_key(|&e| (channel(e), e));
+        let mut queue_of_edge = vec![0; edges.len()];
+        let mut n = 0;
+        for (i, &e) in by_key.iter().enumerate() {
+            if i == 0 || channel(by_key[i - 1]) != channel(e) {
+                n += 1;
             }
+            queue_of_edge[e as usize] = n as u32 - 1;
         }
-        starts.push(ids.len() as u32);
-        ChannelQueues { ids, starts, keys }
+        // Counting sort: count each queue into `starts[q + 1]`, sum the
+        // counts up, then fill with `starts[q]` as the write cursor, which
+        // leaves it at the start of `q + 1`; shifting right by one
+        // restores it.
+        let transfers = schedule.transfers();
+        let mut starts = vec![0u32; n + 1];
+        for t in transfers {
+            starts[queue_of_edge[t.edge as usize] as usize + 1] += 1;
+        }
+        for q in 0..n {
+            starts[q + 1] += starts[q];
+        }
+        let mut ids = vec![0; transfers.len()];
+        for t in transfers {
+            let slot = &mut starts[queue_of_edge[t.edge as usize] as usize];
+            ids[*slot as usize] = t.id.0;
+            *slot += 1;
+        }
+        starts.copy_within(0..n, 1);
+        starts[0] = 0;
+        ChannelQueues {
+            ids,
+            starts,
+            queue_of_edge,
+        }
     }
 
     /// Number of queues.
     pub(crate) fn len(&self) -> usize {
-        self.keys.len()
+        self.starts.len() - 1
     }
 
     /// Queue `q`'s transfer ids, in FIFO order.
@@ -227,9 +251,10 @@ impl ChannelQueues {
         (0..self.len()).map(|q| self.get(q))
     }
 
-    /// The queue of the channel `key`, if any transfer uses it.
-    pub(crate) fn position(&self, key: (Rank, Rank, TreeIndex)) -> Option<usize> {
-        self.keys.binary_search(&key).ok()
+    /// The queue of logical edge `edge` (an index into
+    /// [`Schedule::edges`]).
+    pub(crate) fn of_edge(&self, edge: usize) -> usize {
+        self.queue_of_edge[edge] as usize
     }
 }
 

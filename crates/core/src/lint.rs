@@ -136,7 +136,7 @@ fn single_tree(ranks: usize, k: usize) -> Schedule {
 /// edge's channel, so both edges occupy it.
 fn forced_conflict_embedding(topo: &Topology, schedule: &Schedule) -> Embedding {
     let mut emb = Embedding::identity(topo, schedule).expect("embeddable");
-    let edges = schedule.logical_edges();
+    let edges = schedule.edges();
     for (i, &(src1, dst1, tree1)) in edges.iter().enumerate() {
         for &(src2, dst2, tree2) in &edges[i + 1..] {
             if src2 != src1 || (dst2, tree2) == (dst1, tree1) {

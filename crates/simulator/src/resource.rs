@@ -16,12 +16,16 @@
 //!   routes in one flat table, and tasks name theirs by index: tasks
 //!   lowered from one logical edge share one route, and registering a
 //!   task copies no path and bumps no reference count.
-//! * **One 24-byte slot per task** holds everything a grant touches: the
+//! * **One 16-byte slot per task** holds what a grant decides by: the
 //!   payload (so the caller times the grant without reading the
-//!   schedule), one timestamp (the enqueue time while queued, the grant
-//!   time after), the chunk, and the route index with the task state in
+//!   schedule), the chunk, and the route index with the task state in
 //!   its low bits. The arbitration key `(chunk << 32) | id` is not
 //!   stored: its low half is the slot's own index.
+//! * **One timing per task** is the run's result table
+//!   ([`TransferTiming`]): its `start` holds the enqueue time while the
+//!   task is queued, then the grant time, and completion writes its
+//!   `complete`. The scheduler takes the table as the report's timings
+//!   ([`ChannelPool::take_timings`]), so each time is stored once.
 //! * **One record per channel** holds everything a grant checks on each
 //!   channel of its path: the key at the front of the waiter queue, the
 //!   count of active link-down faults and the free flag, so the check
@@ -45,6 +49,7 @@
 //! every task duration.
 
 use crate::engine::Arbitration;
+use crate::report::TransferTiming;
 use crate::trace::{BusyInterval, SimTrace, TraceRecord};
 use ccube_collectives::TransferId;
 use ccube_topology::{ByteSize, ChannelId, Seconds};
@@ -69,14 +74,12 @@ enum TaskState {
 const STATE_BITS: u32 = 3;
 const STATE_MASK: u32 = (1 << STATE_BITS) - 1;
 
-/// One registered task: everything a grant reads or writes, in 24 bytes.
+/// One registered task: what a grant decides by, in 16 bytes. Its
+/// times live in the pool's timing table.
 #[derive(Debug, Clone, Copy)]
 struct Task {
     /// The payload, read when the caller times the task's grant.
     bytes: ByteSize,
-    /// While `Queued`, when the task joined its queues; from `Running`
-    /// on, when it acquired its channels.
-    since: Seconds,
     /// The chunk carried: the high half of the task's arbitration key.
     chunk: u32,
     /// `route << STATE_BITS | state`: the index of the task's channel
@@ -84,7 +87,7 @@ struct Task {
     route_state: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Task>() == 24);
+const _: () = assert!(std::mem::size_of::<Task>() == 16);
 
 impl Task {
     fn route(&self) -> u32 {
@@ -159,6 +162,10 @@ pub struct ChannelPool {
     route_channels: Vec<ChannelId>,
     route_start: Vec<u32>,
     tasks: Vec<Task>,
+    /// Each task's times, by task id: while `Queued`, `start` is when the
+    /// task joined its queues; from `Running` on, when it acquired its
+    /// channels. `complete` is written at completion.
+    timings: Vec<TransferTiming>,
     /// Per-channel grant state: the waiter front, down count and free
     /// flag a grant checks, kept next to each other.
     channels: Vec<Channel>,
@@ -191,6 +198,7 @@ impl ChannelPool {
             route_channels: Vec::new(),
             route_start: vec![0],
             tasks: Vec::new(),
+            timings: Vec::new(),
             channels: vec![Channel::IDLE; num_channels],
             waiters: vec![VecDeque::new(); num_channels],
             force_scratch: Vec::new(),
@@ -203,10 +211,11 @@ impl ChannelPool {
         }
     }
 
-    /// Pre-allocates the per-task slots for `num_tasks` upcoming
-    /// [`ChannelPool::add_task`] calls.
+    /// Pre-allocates the per-task slots and timings for `num_tasks`
+    /// upcoming [`ChannelPool::add_task`] calls.
     pub fn reserve_tasks(&mut self, num_tasks: usize) {
-        self.tasks.reserve(num_tasks);
+        self.tasks.reserve_exact(num_tasks);
+        self.timings.reserve_exact(num_tasks);
     }
 
     /// Registers a channel path as a route that tasks can share; route
@@ -251,9 +260,12 @@ impl ChannelPool {
         );
         self.tasks.push(Task {
             bytes,
-            since: Seconds::ZERO,
             chunk,
             route_state: (route << STATE_BITS) | TaskState::Pending as u32,
+        });
+        self.timings.push(TransferTiming {
+            start: Seconds::ZERO,
+            complete: Seconds::ZERO,
         });
         id
     }
@@ -317,15 +329,17 @@ impl ChannelPool {
 
     /// Releases the channels of a completed `task`, charging busy time
     /// and, if the pool records them, logging the busy interval, and
-    /// returns when the task was granted its channels. Does **not** serve
+    /// writes the task's completion time. Does **not** serve
     /// the freed queues — call [`ChannelPool::serve`] after the caller
     /// has processed the completion's dependency fallout, preserving the
     /// historical unblock-then-serve order.
-    pub fn complete(&mut self, task: u32, now: Seconds) -> Seconds {
+    pub fn complete(&mut self, task: u32, now: Seconds) {
         let t = &mut self.tasks[task as usize];
         debug_assert_eq!(t.state(), TaskState::Running);
         t.set_state(TaskState::Done);
-        let started = t.since;
+        let timing = &mut self.timings[task as usize];
+        timing.complete = now;
+        let started = timing.start;
         let occupancy = now - started;
         for ci in route_path(&self.route_channels, &self.route_start, t.route())
             .iter()
@@ -340,7 +354,6 @@ impl ChannelPool {
                 });
             }
         }
-        started
     }
 
     /// Serves the waiter queues of the channels a completed `task` just
@@ -426,6 +439,7 @@ impl ChannelPool {
             route_channels,
             route_start,
             tasks,
+            timings,
             channels,
             waiters,
             queue_wait,
@@ -433,6 +447,7 @@ impl ChannelPool {
             ..
         } = self;
         let t = &mut tasks[task as usize];
+        let since = &mut timings[task as usize].start;
         let queued = match t.state() {
             TaskState::Ready => false,
             TaskState::Queued => true,
@@ -454,7 +469,7 @@ impl ChannelPool {
             // A task waits in either all of its path's queues or none.
             if !queued {
                 t.set_state(TaskState::Queued);
-                t.since = now;
+                *since = now;
                 for c in path {
                     let ci = c.index();
                     let queue = &mut waiters[ci];
@@ -486,7 +501,7 @@ impl ChannelPool {
             });
         }
         if queued {
-            let enqueued = t.since;
+            let enqueued = *since;
             let wait = now - enqueued;
             for c in path {
                 queue_wait[c.index()] += wait;
@@ -498,7 +513,7 @@ impl ChannelPool {
             });
         }
         t.set_state(TaskState::Running);
-        t.since = now;
+        *since = now;
         true
     }
 
@@ -603,6 +618,12 @@ impl ChannelPool {
     /// Whether `task` has completed.
     pub fn is_done(&self, task: u32) -> bool {
         self.tasks[task as usize].state() == TaskState::Done
+    }
+
+    /// Takes the per-task timings out of the pool, by task id: the grant
+    /// and completion time of every completed task.
+    pub fn take_timings(&mut self) -> Vec<TransferTiming> {
+        std::mem::take(&mut self.timings)
     }
 
     /// Total busy time per channel.
@@ -847,7 +868,7 @@ mod tests {
         let mut started = Vec::new();
         p.serve(a, us(5.0), &mut tr, &mut started);
         assert_eq!(started, vec![b]);
-        assert_eq!(p.tasks[b as usize].since, us(5.0));
+        assert_eq!(p.timings[b as usize].start, us(5.0));
         // b waited 5µs; the wait is charged to channel 0.
         assert_eq!(p.queue_wait()[0], us(5.0));
         assert!(tr

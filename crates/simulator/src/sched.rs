@@ -15,16 +15,19 @@
 //!   starts. No per-transfer spec is built. A transfer occupies its
 //!   resource path in a [`ChannelPool`] — the channel path under the
 //!   channel approximation, the port path of the [`FabricMap`] under the
-//!   switch fabric — registered once per route, and the pool's task slot
-//!   holds the transfer's one route index. A fault re-route appends a
-//!   route to both and repoints the transfer. An adaptive
-//!   [`UplinkPolicy`] revises a transfer's uplink slots at the moment it
-//!   becomes ready: a pool-only route that maps back to the prepared
-//!   route it revises.
-//! * **Per-transfer results** are written once, at completion: the
-//!   timing (the start is the pool's grant time) and the completion
-//!   time of the transfer's chunk, so no pass over the transfers
-//!   follows the run.
+//!   switch fabric — registered once per route, in edge order, so a
+//!   transfer's pool route is its schedule edge
+//!   ([`Transfer::edge`](ccube_collectives::Transfer::edge)) and nothing
+//!   looks a route up per transfer. The pool's task slot holds the
+//!   transfer's one route index. A fault re-route appends a route to both
+//!   and repoints the transfer. An adaptive [`UplinkPolicy`] revises a
+//!   transfer's uplink slots at the moment it becomes ready: a pool-only
+//!   route that maps back to the prepared route it revises.
+//! * **Per-transfer results** are written once, by the pool: its timing
+//!   table holds each transfer's grant and completion time and becomes
+//!   the report's timings. The completion time of the transfer's chunk is
+//!   written at completion, so no pass over the transfers follows the
+//!   run.
 //! * **Compute tasks** run on one exclusive [`ComputeStream`] per GPU.
 //! * **Fault boundaries** are kernel events keyed below every completion,
 //!   so a boundary at time `t` is visible to all traffic at `t`.
@@ -254,7 +257,7 @@ pub(crate) fn run(
     if faulted {
         plan.validate_against(topo)?;
     }
-    let (routes, route_of) = gate_and_prepare(topo, job.schedule, embedding)?.into_routes();
+    let routes = gate_and_prepare(topo, job.schedule, embedding)?.into_routes();
     let fabric = FabricMap::for_options(topo, opts);
     if faulted {
         plan.validate_fabric_events(fabric.as_ref().map(|f| &f.graph))?;
@@ -279,14 +282,15 @@ pub(crate) fn run(
 
     let (dependents, mut deps_remaining) = Dependents::new(job);
 
-    // The pool's routes are the lowering's, in its order: port paths
+    // The pool's routes are the lowering's, in edge order: port paths
     // under the switch fabric, where durations follow the ports, and
     // channel paths otherwise. Fault events are declared on the
     // channel-level paths either way. Pool task ids follow registration
     // order, which is transfer-id order (ids are dense and equal their
     // index), so the pool's `(chunk, id)` key is the transfer's, and the
     // pool's task slot carries the payload a grant is timed by and the
-    // transfer's route, which from here on is its only route index.
+    // transfer's route — its edge — which from here on is its only route
+    // index.
     let mut pool = ChannelPool::new(num_resources, opts.arbitration);
     pool.reserve_tasks(nt);
     let port_routes: Vec<Vec<PortId>> = match &fabric {
@@ -305,10 +309,9 @@ pub(crate) fn run(
             pool.add_route(route.path().iter().copied());
         }
     }
-    for (t, &r) in transfers.iter().zip(&route_of) {
-        pool.add_task(r, t.chunk.0, t.bytes);
+    for t in transfers {
+        pool.add_task(t.edge, t.chunk.0, t.bytes);
     }
-    drop(route_of);
     let prepared_of = (0..routes.len() as u32).collect();
     if opts.trace_capacity > 0 {
         pool.record_intervals();
@@ -347,13 +350,7 @@ pub(crate) fn run(
         streams,
         // Start + end + one grant per hop is the dominant record shape.
         trace: opts.make_trace_for(nt.saturating_mul(4) + nc.saturating_mul(2) + 2 * plan.len()),
-        timings: vec![
-            TransferTiming {
-                start: Seconds::ZERO,
-                complete: Seconds::ZERO,
-            };
-            nt
-        ],
+        nt,
         chunk_complete: vec![Seconds::ZERO; job.schedule.chunking().num_chunks()],
         forwarding_busy: HashMap::new(),
         in_flight: 0,
@@ -517,7 +514,8 @@ struct Sched<'a> {
     /// One compute stream per GPU that runs compute, indexed by GPU.
     streams: Vec<Option<ComputeStream>>,
     trace: SimTrace,
-    timings: Vec<TransferTiming>,
+    /// Number of transfers.
+    nt: usize,
     chunk_complete: Vec<Seconds>,
     forwarding_busy: HashMap<GpuId, Seconds>,
     /// Valid (current-generation) completion events in the kernel.
@@ -532,10 +530,6 @@ struct Sched<'a> {
 }
 
 impl Sched<'_> {
-    fn nt(&self) -> usize {
-        self.timings.len()
-    }
-
     /// The index into `routes` of the route transfer `t` currently takes.
     fn route_index(&self, t: usize) -> usize {
         self.prepared_of[self.pool.route(t as u32) as usize] as usize
@@ -622,7 +616,7 @@ impl Sched<'_> {
     fn begin_compute(&mut self, cid: u32, now: Seconds) {
         let task = &self.job.compute[cid as usize];
         let finish = now + self.stream(task.gpu).scale(task.duration);
-        let me = self.nt() + cid as usize;
+        let me = self.nt + cid as usize;
         let mut gen = 0;
         if let Some(f) = &mut self.faults {
             f.finish_at[me] = finish;
@@ -725,11 +719,7 @@ impl Sched<'_> {
     /// forwarding to the intermediate GPU.
     fn finish_transfer(&mut self, tid: u32, now: Seconds) {
         let t = tid as usize;
-        let start = self.pool.complete(tid, now);
-        self.timings[t] = TransferTiming {
-            start,
-            complete: now,
-        };
+        self.pool.complete(tid, now);
         // The clock never runs backwards: a chunk's last completion is
         // its latest.
         self.chunk_complete[self.pool.chunk(tid) as usize] = now;
@@ -921,7 +911,7 @@ impl Sched<'_> {
         {
             return;
         }
-        for tid in 0..self.nt() as u32 {
+        for tid in 0..self.nt as u32 {
             if self.pool.is_done(tid) || self.pool.is_running(tid) {
                 continue;
             }
@@ -951,7 +941,7 @@ impl Sched<'_> {
             }
         }
         let transfers = self.job.schedule.transfers();
-        for tid in 0..self.nt() as u32 {
+        for tid in 0..self.nt as u32 {
             let t = tid as usize;
             if self.pool.is_done(tid) || self.pool.is_running(tid) {
                 continue;
@@ -991,7 +981,7 @@ impl Sched<'_> {
     /// Rescales in-flight transfers crossing `channel` after its
     /// degradation changed: remaining work finishes at the new rate.
     fn rescale_channel(&mut self, channel: ChannelId, now: Seconds) {
-        for tid in 0..self.nt() as u32 {
+        for tid in 0..self.nt as u32 {
             let t = tid as usize;
             if !self.pool.is_running(tid) || !self.path(t).contains(&channel) {
                 continue;
@@ -1024,7 +1014,7 @@ impl Sched<'_> {
             return;
         }
         stream.set_slowdown(sd_new);
-        let nt = self.nt();
+        let nt = self.nt;
         for (cid, task) in self.job.compute.iter().enumerate() {
             let f = self.faults.as_mut().expect("fault state");
             if !f.compute_running[cid] || task.gpu != gpu {
@@ -1049,7 +1039,7 @@ impl Sched<'_> {
     /// otherwise a plain deadlock.
     fn drained_error(&self, remaining: usize) -> SimError {
         let transfers = self.job.schedule.transfers();
-        for tid in 0..self.nt() as u32 {
+        for tid in 0..self.nt as u32 {
             let t = tid as usize;
             if self.pool.is_done(tid) {
                 continue;
@@ -1144,7 +1134,7 @@ impl Sched<'_> {
             uplink_busy,
         };
         Run {
-            timings: self.timings,
+            timings: pool.take_timings(),
             chunk_complete: self.chunk_complete,
             compute_complete,
             makespan,

@@ -11,9 +11,16 @@
 //!   hold hundreds of completions in many natural runs, which the kernel
 //!   sorts in place rather than merging through scratch space.
 //!
-//! A counting global allocator takes the counts. Everything runs in one
-//! `#[test]`, so no other test of this binary can allocate while a count
-//! is taken.
+//! The scheduler's per-transfer state is also bounded in bytes: the peak
+//! heap an untraced `simulate` of the P=256 ring holds above what its
+//! caller already held stays within [`SIM_PEAK_BYTES_PER_TRANSFER`] per
+//! transfer. A transfer costs a 16-byte pool slot, its 16-byte timing
+//! and three 4-byte dependency-table entries (44 bytes); a wider slot or
+//! a second copy of any per-transfer table breaks the bound.
+//!
+//! A counting global allocator takes the counts and tracks live and
+//! peak bytes. Everything runs in one `#[test]`, so no other test of this
+//! binary can allocate while a count is taken.
 
 use ccube_collectives::{
     ring_allreduce, tree_allreduce, Chunking, DoubleBinaryTree, Embedding, Overlap, Schedule,
@@ -23,29 +30,51 @@ use ccube_topology::{hierarchical, ByteSize, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The system allocator, counting every allocation and reallocation.
+/// The heap an untraced `simulate` may hold at its peak, per transfer,
+/// above what its caller held: 44 bytes of per-transfer state plus
+/// slack for the per-channel and per-route tables.
+const SIM_PEAK_BYTES_PER_TRANSFER: u64 = 48;
+
+/// The system allocator, counting every allocation and reallocation and
+/// tracking live and peak bytes.
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrank(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
 
 // SAFETY: every call forwards to `System` with the caller's arguments.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grew(new_size);
+        shrank(layout.size());
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
         System.dealloc(ptr, layout);
     }
 }
@@ -60,20 +89,24 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (r, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
-/// Allocations of an untraced scale-out `simulate` of `schedule`.
-fn simulate_allocations(topo: &Topology, schedule: &Schedule) -> u64 {
+/// Allocations of an untraced scale-out `simulate` of `schedule`, and
+/// the peak heap it held above what was live when it was called.
+fn simulate_allocations(topo: &Topology, schedule: &Schedule) -> (u64, u64) {
     let emb = Embedding::nic(topo, schedule).expect("nic embedding");
     let opts = SimOptions::scale_out().without_trace();
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
     let (report, n) = counted(|| simulate(topo, schedule, &emb, &opts).expect("simulates"));
+    let peak = PEAK.load(Ordering::Relaxed) - base;
     assert!(report.channel_intervals().iter().all(Vec::is_empty));
-    n
+    (n, peak)
 }
 
 /// A simulation's allocation budget: a few per channel (its waiter
 /// queue, which can regrow as it deepens) and per route, and none per
 /// transfer.
 fn sim_budget(topo: &Topology, schedule: &Schedule) -> u64 {
-    3 * (topo.channels().len() + schedule.logical_edges().len()) as u64 + 64
+    3 * (topo.channels().len() + schedule.edges().len()) as u64 + 64
 }
 
 #[test]
@@ -87,11 +120,21 @@ fn per_transfer_state_allocates_per_route_not_per_transfer() {
         "building the P={p} ring allocated {built} times"
     );
     let topo = hierarchical(p);
-    let simulated = simulate_allocations(&topo, &ring);
+    let (simulated, peak) = simulate_allocations(&topo, &ring);
     let budget = sim_budget(&topo, &ring);
     assert!(
         simulated <= budget,
         "simulating the P={p} ring allocated {simulated} times (budget {budget})"
+    );
+    let transfers = ring.transfers().len() as u64;
+    let per_transfer = peak as f64 / transfers as f64;
+    println!(
+        "simulating the P={p} ring peaked at {peak} heap bytes ({per_transfer:.1} per transfer)"
+    );
+    assert!(
+        peak <= SIM_PEAK_BYTES_PER_TRANSFER * transfers,
+        "simulating the P={p} ring peaked at {peak} heap bytes, {per_transfer:.1} per transfer \
+         (budget {SIM_PEAK_BYTES_PER_TRANSFER})"
     );
 
     // C1 on P=64 at three chunk counts: eight times the transfers, one
@@ -109,7 +152,7 @@ fn per_transfer_state_allocates_per_route_not_per_transfer() {
             built <= p as u64,
             "building C1 on P={p} with {k} chunks allocated {built} times"
         );
-        let simulated = simulate_allocations(&topo, &tree);
+        let (simulated, _) = simulate_allocations(&topo, &tree);
         let budget = sim_budget(&topo, &tree);
         assert!(
             simulated <= budget,

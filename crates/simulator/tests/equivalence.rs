@@ -22,7 +22,7 @@ use proptest::prelude::*;
 fn dedicated_channels(schedule: &Schedule, params: &CostParams) -> Topology {
     let mut b = TopologyBuilder::new("dedicated", schedule.num_ranks());
     let mut seen = std::collections::HashSet::new();
-    for (src, dst, _tree) in schedule.logical_edges() {
+    for (src, dst, _tree) in schedule.edges() {
         if seen.insert((src, dst)) {
             b.channel(
                 ccube_topology::GpuId(src.0),

@@ -84,6 +84,11 @@ echo "==> ccube scaleout 1024 64 (the benchmark's scaleout command): stdout matc
 cargo run -q --release -p ccube --bin ccube -- scaleout 1024 64 --threads 1 \
     | diff tests/data/scaleout_1024_64.txt -
 
+echo "==> ccube scaleout 256 on the 2-uplink least-queued fabric (uplink revisions, per-route pricing): stdout matches tests/data/scaleout_256_fabric_lq.txt"
+cargo run -q --release -p ccube --bin ccube -- scaleout 256 1 64 --fabric switch \
+    --uplinks 2 --uplink-policy least-queued --threads 1 \
+    | diff tests/data/scaleout_256_fabric_lq.txt -
+
 echo "==> resilience smoke run (ccube faults --smoke)"
 cargo run -q --release -p ccube --bin ccube -- faults --smoke
 

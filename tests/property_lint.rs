@@ -118,7 +118,7 @@ proptest! {
         let mut emb = Embedding::identity(&topo, &s).unwrap();
         prop_assert!(gate(&s, &emb, &topo).is_clean());
 
-        let edges = s.logical_edges();
+        let edges = s.edges();
         let (src, dst, tree) = edges[edge_seed % edges.len()];
         let edge = EdgeKey { src, dst, tree };
         let wrong_src: Vec<_> = topo
