@@ -5,8 +5,9 @@
 //! ccube figures [out_dir]          regenerate every paper figure (CSV)
 //! ccube compare <network> [batch] [--low]
 //!                                  mode table (B/C1/C2/R/CC) for a network
-//! ccube scaleout [max_p] [mib...]  Fig. 14 sweep on the switch fabric
-//! ccube search                     best schedule per topology (policy search)
+//! ccube scaleout [max_p] [mib...]  Fig. 14 sweep on the hierarchical fabric
+//! ccube search [--bounds]          best schedule per topology (policy search;
+//!                                  --bounds: skip candidates by lower bound)
 //! ccube timeline [mib]             ASCII Fig. 7 timelines on the DGX-1
 //! ccube train [iterations]         threaded C-Cube training loop
 //! ccube rings                      DGX-1 Hamiltonian ring decomposition
@@ -22,6 +23,8 @@
 //!                                  --html: side-by-side viewer)
 //! ccube faults --html <out.html>   fabric-failover demo viewer (k=1 vs k=2)
 //! ccube lint [case|all] [--json]   static schedule analyzer (CC001.. lints)
+//! ccube lint --physical [case|all] physical-layer analyzer (CC015.. lints:
+//!                                  fabric hazards, bounds, fault severance)
 //! ```
 //!
 //! Sweeps (`figures`, `scaleout`, `search` without `--bounds`, the
@@ -57,7 +60,7 @@ usage: ccube <command>
 commands:
   figures [out_dir]                regenerate every paper figure (CSV)
   compare <network> [batch] [--low] mode table for zfnet|vgg16|resnet50
-  scaleout [max_p] [mib...]        Fig. 14 sweep on the switch fabric
+  scaleout [max_p] [mib...]        Fig. 14 sweep on the hierarchical fabric
   search [--bounds]                best schedule per topology (policy search;
                                    --bounds: skip candidates by lower bound)
   timeline [mib]                   ASCII Fig. 7 timelines on the DGX-1
@@ -636,8 +639,11 @@ fn describe_event(e: &ccube_sim::FaultEvent) -> String {
 /// longer reproduces the faulted outcome (the typed failure, or the full
 /// faulted makespan).
 fn cmd_faults_shrink(seed: u64, fabric: ccube_sim::NetworkModel) -> ExitCode {
+    use ccube::experiments::resilience::healthy_run;
     use ccube_collectives::{tree_allreduce, Chunking, DoubleBinaryTree, Embedding, Overlap};
-    use ccube_sim::{simulate_faulted, FaultModel, FaultPlan, SimError, SimOptions, SimRng};
+    use ccube_sim::{
+        simulate_system_faulted, FaultModel, FaultPlan, SimError, SimOptions, SimRng, SystemJob,
+    };
     use ccube_topology::hierarchical;
 
     // The C1 collective on hierarchical(16): the same workload the
@@ -645,22 +651,19 @@ fn cmd_faults_shrink(seed: u64, fabric: ccube_sim::NetworkModel) -> ExitCode {
     // grid row.
     let topo = hierarchical(16);
     let dt = DoubleBinaryTree::new(16).expect("16 ranks");
-    let s = tree_allreduce(
-        dt.trees(),
-        &Chunking::even(ByteSize::mib(16), 16),
-        Overlap::ReductionBroadcast,
-    );
-    let e = Embedding::nic(&topo, &s).expect("embeds");
-    let opts = SimOptions::scale_out().with_network(fabric);
-    let healthy = simulate_faulted(
-        &topo,
-        &s,
-        &e,
-        &opts.with_network(fabric.static_stripe()),
-        &FaultPlan::empty(),
-    )
-    .expect("healthy run simulates");
-    let h = healthy.makespan;
+    let job = SystemJob {
+        schedule: tree_allreduce(
+            dt.trees(),
+            &Chunking::even(ByteSize::mib(16), 16),
+            Overlap::ReductionBroadcast,
+        ),
+        compute: vec![],
+        transfer_gates: vec![],
+    };
+    let e = Embedding::nic(&topo, &job.schedule).expect("embeds");
+    // Every run reads only the makespan or the error: none is traced.
+    let opts = SimOptions::scale_out().with_network(fabric).without_trace();
+    let h = healthy_run(&topo, &job, &e, &opts).makespan;
 
     let mut events = FaultPlan::sample(&FaultModel::severity(3, h), &topo, &SimRng::new(seed))
         .events()
@@ -689,7 +692,7 @@ fn cmd_faults_shrink(seed: u64, fabric: ccube_sim::NetworkModel) -> ExitCode {
         }
     };
 
-    let run = |p: &FaultPlan| simulate_faulted(&topo, &s, &e, &opts, p);
+    let run = |p: &FaultPlan| simulate_system_faulted(&topo, &job, &e, &opts, p);
     let minimal = match run(&full) {
         Ok(r) => {
             let target = r.makespan;

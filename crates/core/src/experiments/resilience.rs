@@ -16,9 +16,15 @@
 //! path, so traffic stalls until repair — and a permanently-severed NIC
 //! is a typed [`SimError::Unroutable`](ccube_sim::SimError).
 //!
-//! Every point of the severity grid is seeded through
-//! [`ccube_sim::sweep_seeded`]: the same seed yields byte-identical CSVs
-//! at any worker count.
+//! A healthy baseline depends only on the (fabric, mode) workload, so
+//! the grid runs as two sweeps: the first builds each distinct
+//! workload once and simulates its healthy baseline; the second is a
+//! [`ccube_sim::sweep_seeded`] over the grid points, where each point
+//! samples its fault plan from its own forked RNG stream against its
+//! workload's healthy makespan and simulates only the faulted run. The
+//! same seed yields byte-identical CSVs at any worker count. Study runs
+//! record no trace; only [`demo_trace`] and [`fabric_demo_html`], whose
+//! traces are rendered, record one.
 
 use crate::pipeline::TrainingPipeline;
 use crate::systemjob::build_iteration_job;
@@ -26,8 +32,8 @@ use ccube_collectives::{
     ring_allreduce, tree_allreduce, Chunking, DoubleBinaryTree, Embedding, Overlap, Schedule,
 };
 use ccube_sim::{
-    diff_to_html, simulate_faulted, simulate_system_faulted, FabricSpec, FaultModel, FaultPlan,
-    LaneLabels, NetworkModel, SimError, SimOptions, SimRng, SystemJob, SystemReport, UplinkPolicy,
+    diff_to_html, simulate_system_faulted, FabricSpec, FaultModel, FaultPlan, LaneLabels,
+    NetworkModel, SimError, SimOptions, SimRng, SystemJob, SystemReport, UplinkPolicy,
 };
 use ccube_topology::{dgx1, hierarchical, ByteSize, Seconds, Topology};
 use std::fmt;
@@ -191,53 +197,101 @@ pub fn run_smoke_network(network: NetworkModel) -> Vec<Row> {
 }
 
 fn run_grid(points: &[Point], seed: u64, threads: usize, network: NetworkModel) -> Vec<Row> {
-    ccube_sim::sweep_seeded(points, seed, threads, |_, p, rng| cell(p, &rng, network))
+    // The distinct (fabric, mode) workloads in first-appearance order,
+    // and each point's index into them.
+    let mut pairs: Vec<(&'static str, &'static str)> = Vec::new();
+    let pair_of: Vec<usize> = points
+        .iter()
+        .map(|p| {
+            let key = (p.topology, p.mode);
+            pairs.iter().position(|&k| k == key).unwrap_or_else(|| {
+                pairs.push(key);
+                pairs.len() - 1
+            })
+        })
+        .collect();
+    let baselines = ccube_sim::sweep(&pairs, threads, |_, &(topology, mode)| {
+        Baseline::new(topology, mode, network)
+    });
+    ccube_sim::sweep_seeded(points, seed, threads, |i, p, rng| {
+        cell(p, &baselines[pair_of[i]], &rng)
+    })
 }
 
-/// Evaluates one grid point: a healthy baseline fixes the fault horizon
-/// and the slowdown denominator, then the sampled plan runs on the same
-/// job. Everything the cell needs is derived point-locally (baseline
-/// included), so points stay independent under work stealing.
-fn cell(p: &Point, rng: &SimRng, network: NetworkModel) -> Row {
-    let (topo, job, opts) = workload(p.topology, p.mode);
-    let opts = opts.with_network(network);
-    let emb = embed(p.topology, p.mode, &topo, &job.schedule);
-    let healthy = healthy_run(&topo, &job, &emb, &opts);
-    let model = FaultModel::severity(p.severity, healthy.makespan);
-    let plan = FaultPlan::sample(&model, &topo, rng);
-    if plan.is_empty() {
-        return row_ok(p, &healthy, &healthy);
+/// One (fabric, mode) workload of the grid with its healthy baseline:
+/// everything a cell needs except its fault plan.
+struct Baseline {
+    topo: Topology,
+    job: SystemJob,
+    emb: Embedding,
+    /// The faulted runs' options: `network` applied, tracing off.
+    opts: SimOptions,
+    healthy: SystemReport,
+}
+
+impl Baseline {
+    fn new(topology: &'static str, mode: &'static str, network: NetworkModel) -> Self {
+        let (topo, job, opts) = workload(topology, mode);
+        let opts = opts.with_network(network).without_trace();
+        let emb = embed(topology, mode, &topo, &job.schedule);
+        let healthy = healthy_run(&topo, &job, &emb, &opts);
+        Baseline {
+            topo,
+            job,
+            emb,
+            opts,
+            healthy,
+        }
     }
-    match simulate_system_faulted(&topo, &job, &emb, &opts, &plan) {
-        Ok(report) => row_ok(p, &healthy, &report),
-        Err(SimError::Unroutable { .. }) => Row {
-            topology: p.topology,
-            mode: p.mode,
-            severity: p.severity,
-            status: "unroutable",
-            makespan: Seconds::ZERO,
-            slowdown: 0.0,
-            faults_injected: 0,
-            reroutes: 0,
-            time_degraded: Seconds::ZERO,
-            downtime: Seconds::ZERO,
-        },
+}
+
+/// Evaluates one grid point: its workload's healthy makespan fixes the
+/// fault horizon and the slowdown denominator, then the plan sampled
+/// from the point's own stream runs on the same job. An empty plan
+/// reports the healthy run.
+fn cell(p: &Point, b: &Baseline, rng: &SimRng) -> Row {
+    let model = FaultModel::severity(p.severity, b.healthy.makespan);
+    let plan = FaultPlan::sample(&model, &b.topo, rng);
+    if plan.is_empty() {
+        return row_ok(p, &b.healthy, &b.healthy);
+    }
+    match simulate_system_faulted(&b.topo, &b.job, &b.emb, &b.opts, &plan) {
+        Ok(report) => row_ok(p, &b.healthy, &report),
+        Err(SimError::Unroutable { .. }) => row_unroutable(p),
         Err(e) => panic!("{}/{} sev {}: {e}", p.topology, p.mode, p.severity),
     }
 }
 
 /// The healthy baseline of a study: `job` on a fault-free fabric with
-/// the static hash-striped uplinks, the denominator every slowdown is
-/// measured against.
-fn healthy_run(
+/// the static hash-striped uplinks and tracing off, the denominator
+/// every slowdown is measured against and the horizon every fault plan
+/// is sampled over.
+pub fn healthy_run(
     topo: &Topology,
     job: &SystemJob,
     emb: &Embedding,
     opts: &SimOptions,
 ) -> SystemReport {
-    let opts = opts.with_network(opts.network.static_stripe());
+    let opts = opts
+        .with_network(opts.network.static_stripe())
+        .without_trace();
     simulate_system_faulted(topo, job, emb, &opts, &FaultPlan::empty())
         .expect("healthy run simulates")
+}
+
+fn row_unroutable(p: &Point) -> Row {
+    Row {
+        topology: p.topology,
+        mode: p.mode,
+        severity: p.severity,
+        status: "unroutable",
+        makespan: Seconds::ZERO,
+        slowdown: 0.0,
+        faults_injected: 0,
+        reroutes: 0,
+        time_degraded: Seconds::ZERO,
+        downtime: Seconds::ZERO,
+    }
 }
 
 fn row_ok(p: &Point, healthy: &SystemReport, report: &SystemReport) -> Row {
@@ -267,20 +321,13 @@ fn row_ok(p: &Point, healthy: &SystemReport, report: &SystemReport) -> Row {
 /// JSON, or the self-contained HTML viewer.
 pub fn demo_trace(seed: u64, network: NetworkModel) -> Result<SystemReport, SimError> {
     let topo = dgx1();
-    let s = tree_schedule(8, Overlap::ReductionBroadcast);
-    let e = Embedding::dgx1_double_tree(&topo, &s).expect("embeddable");
+    let job = compute_less(tree_schedule(8, Overlap::ReductionBroadcast));
+    let e = Embedding::dgx1_double_tree(&topo, &job.schedule).expect("embeddable");
     let opts = SimOptions::default().with_network(network);
-    let healthy = simulate_faulted(
-        &topo,
-        &s,
-        &e,
-        &opts.with_network(network.static_stripe()),
-        &FaultPlan::empty(),
-    )
-    .expect("healthy run simulates");
+    let healthy = healthy_run(&topo, &job, &e, &opts);
     let model = FaultModel::severity(2, healthy.makespan);
     let plan = FaultPlan::sample(&model, &topo, &SimRng::new(seed));
-    simulate_faulted(&topo, &s, &e, &opts, &plan)
+    simulate_system_faulted(&topo, &job, &e, &opts, &plan)
 }
 
 /// Viewer lane labels matching [`demo_trace`] under `network`: channel
@@ -339,21 +386,6 @@ fn fabric_spec(uplinks: usize, policy: UplinkPolicy) -> FabricSpec {
     }
 }
 
-/// The fabric study's grid: uplink counts × steering policies.
-fn fabric_grid() -> Vec<(usize, UplinkPolicy)> {
-    let mut points = Vec::new();
-    for uplinks in [1usize, 2] {
-        for policy in [
-            UplinkPolicy::Hash,
-            UplinkPolicy::LeastQueued,
-            UplinkPolicy::Failover,
-        ] {
-            points.push((uplinks, policy));
-        }
-    }
-    points
-}
-
 /// Runs the fabric-failover study with the default seed.
 ///
 /// Every cell replays the **same** seeded plan — uplink outages sampled
@@ -361,13 +393,22 @@ fn fabric_grid() -> Vec<(usize, UplinkPolicy)> {
 /// event targets slot 0 and the plan is valid on both the single- and
 /// the multi-uplink fabric. The plan's horizon and rates derive from
 /// the single-uplink healthy baseline; slowdown is each cell's makespan
-/// over its *own* healthy baseline.
+/// over its *own* healthy baseline. The hash-striped baseline ignores
+/// the steering policy, so there is one per uplink count.
 pub fn run_fabric() -> Vec<FabricRow> {
-    let plan = fabric_outage_plan(DEFAULT_SEED);
-    fabric_grid()
-        .into_iter()
-        .map(|(uplinks, policy)| fabric_cell(uplinks, policy, &plan))
-        .collect()
+    let reference = fabric_healthy(1);
+    let plan = fabric_outage_plan(DEFAULT_SEED, reference);
+    let mut rows = Vec::new();
+    for (uplinks, healthy) in [(1, reference), (2, fabric_healthy(2))] {
+        for policy in [
+            UplinkPolicy::Hash,
+            UplinkPolicy::LeastQueued,
+            UplinkPolicy::Failover,
+        ] {
+            rows.push(fabric_cell(uplinks, policy, &plan, healthy));
+        }
+    }
+    rows
 }
 
 /// The fabric study's workload and network options: the C1 collective
@@ -384,32 +425,41 @@ fn fabric_workload(
     (topo, job, emb, opts)
 }
 
+/// The healthy makespan of the fabric study's workload at `uplinks`
+/// slots per leaf.
+fn fabric_healthy(uplinks: usize) -> Seconds {
+    let (topo, job, emb, opts) = fabric_workload(uplinks, UplinkPolicy::Hash);
+    healthy_run(&topo, &job, &emb, &opts).makespan
+}
+
 /// The study's shared seeded outage plan: slot-0 uplink windows sampled
-/// against the single-uplink reference horizon, so the identical plan is
-/// valid on every cell's fabric.
-fn fabric_outage_plan(seed: u64) -> FaultPlan {
-    let (topo, job, emb, opts) = fabric_workload(1, UplinkPolicy::Hash);
-    let reference = healthy_run(&topo, &job, &emb, &opts);
+/// against the single-uplink `reference` healthy makespan, so the
+/// identical plan is valid on every cell's fabric.
+fn fabric_outage_plan(seed: u64, reference: Seconds) -> FaultPlan {
     FaultPlan::sample_uplinks(
         4,
         1,
-        reference.makespan * 0.5,
-        reference.makespan * 0.25,
-        reference.makespan,
+        reference * 0.5,
+        reference * 0.25,
+        reference,
         &SimRng::new(seed),
     )
 }
 
-fn fabric_cell(uplinks: usize, policy: UplinkPolicy, plan: &FaultPlan) -> FabricRow {
+fn fabric_cell(
+    uplinks: usize,
+    policy: UplinkPolicy,
+    plan: &FaultPlan,
+    healthy: Seconds,
+) -> FabricRow {
     let (topo, job, emb, opts) = fabric_workload(uplinks, policy);
-    let healthy = healthy_run(&topo, &job, &emb, &opts);
-    match simulate_system_faulted(&topo, &job, &emb, &opts, plan) {
+    match simulate_system_faulted(&topo, &job, &emb, &opts.without_trace(), plan) {
         Ok(report) => FabricRow {
             uplinks,
             policy,
             status: "ok",
             makespan: report.makespan,
-            slowdown: report.makespan / healthy.makespan,
+            slowdown: report.makespan / healthy,
             failovers: report.stats.failovers,
             faults_injected: report.stats.faults_injected,
         },
@@ -433,7 +483,7 @@ fn fabric_cell(uplinks: usize, policy: UplinkPolicy, plan: &FaultPlan) -> Fabric
 /// to go; the right pane shows the adaptive failover absorbing it —
 /// the study's headline recovery, explorable per port lane.
 pub fn fabric_demo_html(seed: u64) -> String {
-    let plan = fabric_outage_plan(seed);
+    let plan = fabric_outage_plan(seed, fabric_healthy(1));
     let run = |uplinks: usize| {
         let (topo, job, emb, opts) = fabric_workload(uplinks, UplinkPolicy::Failover);
         let report = simulate_system_faulted(&topo, &job, &emb, &opts, &plan)
@@ -582,6 +632,91 @@ mod tests {
         assert_eq!(single.slowdown, find(1, UplinkPolicy::Hash).slowdown);
         // Faults bite everywhere (the plan's windows overlap traffic).
         assert!(rows.iter().all(|r| r.faults_injected >= 1));
+    }
+
+    /// The grid cell as it was before baselines were shared: it builds
+    /// its own workload, simulates its own traced healthy baseline, and
+    /// runs the faulted simulation traced.
+    fn reference_cell(p: &Point, rng: &SimRng, network: NetworkModel) -> Row {
+        let (topo, job, opts) = workload(p.topology, p.mode);
+        let opts = opts.with_network(network);
+        let emb = embed(p.topology, p.mode, &topo, &job.schedule);
+        let healthy = simulate_system_faulted(
+            &topo,
+            &job,
+            &emb,
+            &opts.with_network(network.static_stripe()),
+            &FaultPlan::empty(),
+        )
+        .expect("healthy run simulates");
+        let model = FaultModel::severity(p.severity, healthy.makespan);
+        let plan = FaultPlan::sample(&model, &topo, rng);
+        if plan.is_empty() {
+            return row_ok(p, &healthy, &healthy);
+        }
+        match simulate_system_faulted(&topo, &job, &emb, &opts, &plan) {
+            Ok(report) => row_ok(p, &healthy, &report),
+            Err(SimError::Unroutable { .. }) => row_unroutable(p),
+            Err(e) => panic!("{}/{} sev {}: {e}", p.topology, p.mode, p.severity),
+        }
+    }
+
+    #[test]
+    fn shared_baselines_match_the_per_point_reference_exactly() {
+        let leafspine = NetworkModel::SwitchFabric(FabricSpec {
+            uplinks: 2,
+            uplink_policy: UplinkPolicy::LeastQueued,
+            ..FabricSpec::default()
+        });
+        for network in [NetworkModel::ChannelApprox, leafspine] {
+            for seed in [195, 7, 11] {
+                let reference = ccube_sim::sweep_seeded(&grid(), seed, 1, |_, p, rng| {
+                    reference_cell(p, &rng, network)
+                });
+                // `Row` equality compares every `f64` exactly.
+                assert_eq!(
+                    run_with_network(seed, 1, network),
+                    reference,
+                    "seed {seed} on {network:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fabric_study_matches_a_direct_per_cell_evaluation() {
+        // Each cell simulated on its own, traced, with its own healthy
+        // baseline, against the plan sampled from a traced k=1 baseline.
+        let healthy = |uplinks, policy| {
+            let (topo, job, emb, opts) = fabric_workload(uplinks, policy);
+            let opts = opts.with_network(opts.network.static_stripe());
+            simulate_system_faulted(&topo, &job, &emb, &opts, &FaultPlan::empty())
+                .expect("healthy run simulates")
+                .makespan
+        };
+        let plan = fabric_outage_plan(DEFAULT_SEED, healthy(1, UplinkPolicy::Hash));
+        let mut reference = Vec::new();
+        for uplinks in [1, 2] {
+            for policy in [
+                UplinkPolicy::Hash,
+                UplinkPolicy::LeastQueued,
+                UplinkPolicy::Failover,
+            ] {
+                let (topo, job, emb, opts) = fabric_workload(uplinks, policy);
+                let report = simulate_system_faulted(&topo, &job, &emb, &opts, &plan)
+                    .expect("the outage plan is routable");
+                reference.push(FabricRow {
+                    uplinks,
+                    policy,
+                    status: "ok",
+                    makespan: report.makespan,
+                    slowdown: report.makespan / healthy(uplinks, policy),
+                    failovers: report.stats.failovers,
+                    faults_injected: report.stats.faults_injected,
+                });
+            }
+        }
+        assert_eq!(run_fabric(), reference);
     }
 
     #[test]

@@ -89,14 +89,23 @@ cargo run -q --release -p ccube --bin ccube -- scaleout 256 1 64 --fabric switch
     --uplinks 2 --uplink-policy least-queued --threads 1 \
     | diff tests/data/scaleout_256_fabric_lq.txt -
 
-echo "==> resilience smoke run (ccube faults --smoke)"
-cargo run -q --release -p ccube --bin ccube -- faults --smoke
+echo "==> resilience smoke runs (approx, --fabric switch, 2-uplink spine/leaf): stdout matches tests/data/faults_smoke.txt"
+{
+    cargo run -q --release -p ccube --bin ccube -- faults --smoke
+    cargo run -q --release -p ccube --bin ccube -- faults --smoke --fabric switch
+    cargo run -q --release -p ccube --bin ccube -- faults --smoke --fabric switch --uplinks 2
+} | diff tests/data/faults_smoke.txt -
 
-echo "==> resilience smoke run on the switch fabric (--fabric switch)"
-cargo run -q --release -p ccube --bin ccube -- faults --smoke --fabric switch
+echo "==> ccube faults --shrink 195: stdout matches tests/data/faults_shrink_195.txt"
+cargo run -q --release -p ccube --bin ccube -- faults --shrink 195 \
+    | diff tests/data/faults_shrink_195.txt -
 
-echo "==> resilience smoke run on the 2-uplink spine/leaf fabric"
-cargo run -q --release -p ccube --bin ccube -- faults --smoke --fabric switch --uplinks 2
+echo "==> resilience grid on the 2-uplink least-queued fabric at seed 195: CSV matches tests/data/faults_leafspine_195.csv"
+rm -rf target/check-faults && mkdir -p target/check-faults
+cargo run -q --release -p ccube --bin ccube -- faults target/check-faults/leafspine.csv \
+    --seed 195 --fabric switch --uplinks 2 --uplink-policy least-queued > /dev/null
+diff tests/data/faults_leafspine_195.csv target/check-faults/leafspine.csv
+rm -rf target/check-faults
 
 echo "==> fabric fault-injection suite (failover, uplink/switch outages)"
 cargo test -q -p ccube-sim --test fabric_faults

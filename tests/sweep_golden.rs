@@ -84,26 +84,34 @@ fn resilience_rows_are_identical_across_worker_counts_and_replays() {
 
     // A fault plan replayed from the same seed must produce bit-identical
     // reports whether the grid runs serially or fanned out: each point's
-    // RNG is forked from (seed, point index), never from worker state.
-    let run = |threads| {
-        resilience::run_with_network(
-            resilience::DEFAULT_SEED,
-            threads,
-            NetworkModel::ChannelApprox,
-        )
-    };
-    let serial = run(1);
-    for threads in [2usize, 8] {
-        let parallel = run(threads);
-        assert_eq!(serial, parallel, "{threads} workers diverged");
+    // RNG is forked from (seed, point index), never from worker state,
+    // and each point reads its workload's baseline by index whichever
+    // worker computed it. The 2-uplink least-queued fabric adds adaptive
+    // uplink steering to the faulted runs.
+    let leafspine = NetworkModel::SwitchFabric(ccube_sim::FabricSpec {
+        uplinks: 2,
+        uplink_policy: ccube_sim::UplinkPolicy::LeastQueued,
+        ..ccube_sim::FabricSpec::default()
+    });
+    for network in [NetworkModel::ChannelApprox, leafspine] {
+        let run =
+            |threads| resilience::run_with_network(resilience::DEFAULT_SEED, threads, network);
+        let serial = run(1);
+        for threads in [2usize, 8] {
+            let parallel = run(threads);
+            assert_eq!(
+                serial, parallel,
+                "{threads} workers diverged on {network:?}"
+            );
+        }
+        // Replaying the seed reproduces the rows exactly (same CSV bytes).
+        let replay = run(8);
+        assert_eq!(
+            resilience::to_csv(&serial),
+            resilience::to_csv(&replay),
+            "seed replay is not byte-identical on {network:?}"
+        );
     }
-    // Replaying the seed reproduces the rows exactly (same CSV bytes).
-    let replay = run(8);
-    assert_eq!(
-        resilience::to_csv(&serial),
-        resilience::to_csv(&replay),
-        "seed replay is not byte-identical"
-    );
 }
 
 #[test]
