@@ -11,14 +11,13 @@
 //! [`PreparedLowering`] does the resolution once per logical edge: once
 //! per entry of [`Schedule::edges`], which every transfer names by index
 //! ([`Transfer::edge`](crate::Transfer::edge)), so a transfer's route is
-//! found without a lookup. The scheduler of `ccube-sim` keeps the
-//! [`PreparedRoute`]s and times a transfer through its route's
-//! [`Wormhole`] when the transfer starts. [`lower_schedule`] and
-//! [`PreparedLowering::lower`] expand the same routes into one
-//! [`TransferSpec`] per transfer for the static analyzers, fault
-//! severance and anything else that wants the per-transfer view; both
-//! views time transfers through the same call, so they agree float for
-//! float.
+//! found without a lookup. The scheduler of `ccube-sim`, the physical
+//! analyzer and its certified bounds ([`crate::physical`]) and fault
+//! severance (`ccube_sim::analyze_severance`) all read the same
+//! [`PreparedRoute`]s and time a transfer through its route's
+//! [`Wormhole`]. [`lower_schedule`], [`PreparedLowering::lower`] and
+//! [`lower_to_ports`] expand the routes into one [`TransferSpec`] per
+//! transfer; only the benchmark replay (`ledger/`) still times them.
 //!
 //! Every transfer on the same [`EdgeKey`] shares its route's one
 //! `Arc<[ChannelId]>` path, so a lowering allocates O(edges) paths

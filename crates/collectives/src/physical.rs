@@ -33,6 +33,12 @@
 //!   or permanent severance — the run is provably `Unroutable`
 //!   (`CC023`).
 //!
+//! Every pass reads the lowering the scheduler runs on: one
+//! [`PreparedRoute`] per logical edge, from [`PreparedLowering::new`].
+//! Per-route work (validity, the port walk, uplink crossings) runs once
+//! per edge; per-transfer loops only charge a transfer's duration on its
+//! edge's route, in transfer-id order.
+//!
 //! # Lint codes
 //!
 //! The physical-layer series, stable across releases
@@ -56,11 +62,11 @@
 //! *Critical path*: a transfer completes no earlier than
 //! `ready + duration`, where `ready` is the max completion of its
 //! dependencies and `duration` is the mode-appropriate transit time
-//! ([`lower_schedule`] under the channel approximation, the port-path
-//! `duration_on` replica under the switch fabric — under both
-//! cut-through and store-and-forward, dependents are released only when
-//! the last hop finishes). Chaining over any dependency path lower-bounds the
-//! makespan.
+//! ([`PreparedRoute::duration`] under the channel approximation,
+//! [`port_transit_time`] over the route's port path under the switch
+//! fabric — under both cut-through and store-and-forward, dependents are
+//! released only when the last hop finishes). Chaining over any
+//! dependency path lower-bounds the makespan.
 //!
 //! *Congestion*: the simulator holds every channel of a wormhole path
 //! exclusively for the transfer's whole duration, so a channel's total
@@ -79,11 +85,12 @@
 use crate::analyze::{LintCode, LintReport, Span};
 use crate::embedding::{EdgeKey, Embedding};
 use crate::lowering::{
-    hop_time, lower_schedule, port_transit_time, LinkTiming, LowerError, TransferSpec,
+    hop_time, port_transit_time, LinkTiming, LowerError, PreparedLowering, PreparedRoute,
 };
 use crate::schedule::Schedule;
 use ccube_topology::{
-    ChannelClass, ChannelId, FabricGraph, PortId, PortKind, Seconds, SwitchId, Topology,
+    ByteSize, ChannelClass, ChannelId, FabricGraph, PortId, PortKind, PortStep, Seconds, SwitchId,
+    Topology,
 };
 use std::collections::BTreeMap;
 
@@ -99,133 +106,74 @@ pub struct PhysicalAnalyzeOptions {
     pub store_forward: bool,
 }
 
-/// Ports of each channel, rebuilt from the fabric's port list so a
-/// mismatched channel id is a reportable finding instead of a panic.
-fn ports_by_channel(fabric: &FabricGraph) -> Vec<Vec<PortId>> {
-    let mut by_channel: Vec<Vec<PortId>> = Vec::new();
-    for p in fabric.ports() {
-        if let Some(c) = p.channel() {
-            if by_channel.len() <= c.index() {
-                by_channel.resize(c.index() + 1, Vec::new());
-            }
-            by_channel[c.index()].push(p.id());
-        }
-    }
-    by_channel
+/// Reports a lowering failure with the analyzer's stable codes: `CC007`
+/// for a missing route, `CC008` for a route off the topology. The
+/// physical pass and fault severance (`ccube_sim::analyze_severance`)
+/// both report through it.
+pub fn push_lower_error(report: &mut LintReport, err: &LowerError) {
+    let (code, edge) = match *err {
+        LowerError::MissingRoute(edge) => (LintCode::MissingRoute, edge),
+        LowerError::UnknownChannel { edge, .. } => (LintCode::InvalidRoute, edge),
+    };
+    let span = Span {
+        edges: vec![edge],
+        ..Span::default()
+    };
+    report.push(code, err.to_string(), span);
 }
 
-/// One cross-leaf hop of a lowered route, as [`FabricGraph::port_route`]
-/// would insert it: the source leaf, destination leaf, and the uplink
-/// slot static hash striping picks.
-struct Crossing {
-    spec: usize,
-    up_leaf: SwitchId,
-    down_leaf: SwitchId,
-    slot: usize,
+/// How many transfers take each logical edge, indexed like
+/// [`Schedule::edges`].
+fn edge_uses(schedule: &Schedule) -> Vec<usize> {
+    let mut uses = vec![0; schedule.edges().len()];
+    for t in schedule.transfers() {
+        uses[t.edge as usize] += 1;
+    }
+    uses
 }
 
-/// Walks every spec's channel path exactly as `port_route` does and
-/// returns the cross-leaf hops. Requires a validated path (every channel
-/// has ports).
-fn crossings(specs: &[TransferSpec], fabric: &FabricGraph, by: &[Vec<PortId>]) -> Vec<Crossing> {
-    let mut out = Vec::new();
-    if !fabric.has_uplinks() {
-        return out;
-    }
-    for (i, s) in specs.iter().enumerate() {
-        for (k, &c) in s.path.iter().enumerate() {
-            if k + 1 >= s.path.len() {
-                continue;
-            }
-            let here = match by[c.index()].last() {
-                Some(&p) => fabric.port(p).switch(),
-                None => continue,
-            };
-            let next = match by[s.path[k + 1].index()].first() {
-                Some(&p) => fabric.port(p).switch(),
-                None => continue,
-            };
-            if here == next {
-                continue;
-            }
-            let ups = fabric.uplinks_up(here);
-            let downs = fabric.uplinks_down(next);
-            if ups.is_empty() || downs.is_empty() {
-                continue;
-            }
-            let slot = (c.0 / 2) as usize % ups.len().min(downs.len());
-            out.push(Crossing {
-                spec: i,
-                up_leaf: here,
-                down_leaf: next,
-                slot,
-            });
-        }
-    }
-    out
+/// Every transfer's wormhole duration on its edge's route, in transfer
+/// order.
+fn durations(schedule: &Schedule, routes: &[PreparedRoute], timing: &LinkTiming) -> Vec<Seconds> {
+    schedule
+        .transfers()
+        .iter()
+        .map(|t| routes[t.edge as usize].duration(t.bytes, timing))
+        .collect()
 }
 
-/// Reports lowering failures with the analyzer's stable codes.
-fn push_lower_error(report: &mut LintReport, err: &LowerError) {
-    match err {
-        LowerError::MissingRoute(edge) => report.push(
-            LintCode::MissingRoute,
-            format!("embedding has no route for logical edge {edge}"),
-            Span {
-                edges: vec![*edge],
-                ..Span::default()
-            },
-        ),
-        LowerError::UnknownChannel {
-            edge,
-            channel_index,
-        } => report.push(
-            LintCode::InvalidRoute,
-            format!("route for {edge} references unknown channel index {channel_index}"),
-            Span {
-                edges: vec![*edge],
-                ..Span::default()
-            },
-        ),
-    }
-}
-
-/// `CC018` checks: every channel of every lowered path must have ports
-/// on the fabric, and (on switched fabrics) every leaf crossing must
-/// have uplink ports on both sides. Returns true when clean.
-fn port_path_lints(
+/// `CC018` checks, one port walk per route: every channel must have
+/// ports on the fabric, and every leaf crossing uplink ports on both
+/// sides. Findings count the transfers on each route. Returns every
+/// route's port path when all of them are realizable.
+fn port_routes(
     report: &mut LintReport,
-    specs: &[TransferSpec],
+    routes: &[PreparedRoute],
+    uses: &[usize],
     fabric: &FabricGraph,
-    by: &[Vec<PortId>],
-) -> bool {
+) -> Option<Vec<Vec<PortId>>> {
     let mut portless: BTreeMap<ChannelId, usize> = BTreeMap::new();
     let mut severed: BTreeMap<(SwitchId, SwitchId), usize> = BTreeMap::new();
-    for s in specs {
-        let mut path_ok = true;
-        for &c in s.path.iter() {
-            if by.get(c.index()).is_none_or(|ports| ports.is_empty()) {
-                *portless.entry(c).or_insert(0) += 1;
-                path_ok = false;
+    let mut out = Vec::with_capacity(routes.len());
+    for (route, &n) in routes.iter().zip(uses) {
+        let mut ports = Vec::new();
+        let mut cut = Vec::new();
+        let mut whole = true;
+        fabric.walk(route.path(), |step| match step {
+            PortStep::Port(p) => ports.push(p),
+            PortStep::Portless(c) => {
+                *portless.entry(c).or_insert(0) += n;
+                whole = false;
+            }
+            PortStep::NoUplink { from, to } => cut.push((from, to)),
+        });
+        // A path with a portless channel reports only that.
+        if whole {
+            for crossing in cut {
+                *severed.entry(crossing).or_insert(0) += n;
             }
         }
-        if !path_ok || !fabric.has_uplinks() {
-            continue;
-        }
-        for (k, &c) in s.path.iter().enumerate() {
-            if k + 1 >= s.path.len() {
-                continue;
-            }
-            let here = fabric.port(*by[c.index()].last().unwrap()).switch();
-            let next = fabric
-                .port(*by[s.path[k + 1].index()].first().unwrap())
-                .switch();
-            if here != next
-                && (fabric.uplinks_up(here).is_empty() || fabric.uplinks_down(next).is_empty())
-            {
-                *severed.entry((here, next)).or_insert(0) += 1;
-            }
-        }
+        out.push(ports);
     }
     for (c, count) in &portless {
         report.push(
@@ -250,7 +198,7 @@ fn port_path_lints(
             Span::default(),
         );
     }
-    portless.is_empty() && severed.is_empty()
+    (portless.is_empty() && severed.is_empty()).then_some(out)
 }
 
 /// Longest dependency chain under the given per-transfer durations.
@@ -273,15 +221,20 @@ fn critical_path(schedule: &Schedule, durations: &[Seconds]) -> Seconds {
     best
 }
 
-/// Per-channel total wormhole occupancy; returns the busiest channel.
-fn channel_congestion(specs: &[TransferSpec], num_channels: usize) -> (Seconds, Option<ChannelId>) {
+/// Per-channel total wormhole occupancy, each transfer charging every
+/// distinct channel of its route once; returns the busiest channel.
+fn channel_congestion(
+    schedule: &Schedule,
+    routes: &[PreparedRoute],
+    durations: &[Seconds],
+    num_channels: usize,
+) -> (Seconds, Option<ChannelId>) {
     let mut busy = vec![Seconds::ZERO; num_channels];
-    for s in specs {
-        let mut seen: Vec<ChannelId> = Vec::with_capacity(s.path.len());
-        for &c in s.path.iter() {
-            if c.index() < num_channels && !seen.contains(&c) {
-                seen.push(c);
-                busy[c.index()] += s.duration;
+    for (t, &duration) in schedule.transfers().iter().zip(durations) {
+        let path = routes[t.edge as usize].path();
+        for (h, &c) in path.iter().enumerate() {
+            if !path[..h].contains(&c) {
+                busy[c.index()] += duration;
             }
         }
     }
@@ -296,6 +249,18 @@ fn channel_congestion(specs: &[TransferSpec], num_channels: usize) -> (Seconds, 
     (max, arg)
 }
 
+/// The uplink pool a port belongs to, `(leaf, is-up-direction)`, and
+/// its slot; `None` for endpoint ports.
+fn uplink_slot(fabric: &FabricGraph, p: PortId) -> Option<((SwitchId, bool), usize)> {
+    let port = fabric.port(p);
+    let up = match port.kind() {
+        PortKind::UplinkUp => true,
+        PortKind::UplinkDown => false,
+        PortKind::Ingress | PortKind::Egress => return None,
+    };
+    Some(((port.switch(), up), port.uplink()? as usize))
+}
+
 /// Per-port congestion charges of the port-level bound: endpoint ports
 /// exact, uplink ports pooled per (leaf, direction).
 struct PortLoads {
@@ -306,9 +271,11 @@ struct PortLoads {
 }
 
 /// Accumulates congestion charges and per-transfer durations over the
-/// statically-striped port routes.
+/// statically-striped port routes (indexed like `routes`).
 fn port_loads(
-    specs: &[TransferSpec],
+    schedule: &Schedule,
+    routes: &[PreparedRoute],
+    port_routes: &[Vec<PortId>],
     fabric: &FabricGraph,
     opts: &PhysicalAnalyzeOptions,
 ) -> (PortLoads, Vec<Seconds>) {
@@ -317,53 +284,34 @@ fn port_loads(
         endpoint: vec![Seconds::ZERO; fabric.num_ports()],
         pools: BTreeMap::new(),
     };
-    let mut durations = Vec::with_capacity(specs.len());
-    for s in specs {
-        let route = fabric.port_route(&s.path);
-        let duration = port_transit_time(
-            fabric,
-            &route,
-            s.bytes,
-            s.via.is_some(),
-            timing,
-            opts.store_forward,
-        );
+    let transfers = schedule.transfers();
+    let mut durations = Vec::with_capacity(transfers.len());
+    for t in transfers {
+        let route = &port_routes[t.edge as usize];
+        let detour = routes[t.edge as usize].via().is_some();
+        let duration =
+            port_transit_time(fabric, route, t.bytes, detour, timing, opts.store_forward);
         durations.push(duration);
-        let mut seen: Vec<PortId> = Vec::with_capacity(route.len());
         for (h, &p) in route.iter().enumerate() {
-            if seen.contains(&p) {
+            if route[..h].contains(&p) {
                 continue;
             }
-            seen.push(p);
             let port = fabric.port(p);
             // Cut-through holds the whole path for the full duration;
             // store-and-forward holds each port for its own hop (the
             // detour forwarding latency lands on the last hop, as in
             // the engine).
             let mut charge = if opts.store_forward {
-                hop_time(port, s.bytes, timing)
+                hop_time(port, t.bytes, timing)
             } else {
                 duration
             };
-            if opts.store_forward && s.via.is_some() && h + 1 == route.len() {
+            if opts.store_forward && detour && h + 1 == route.len() {
                 charge += timing.forwarding_latency;
             }
-            match port.kind() {
-                PortKind::UplinkUp => {
-                    *loads
-                        .pools
-                        .entry((port.switch(), true))
-                        .or_insert(Seconds::ZERO) += charge;
-                }
-                PortKind::UplinkDown => {
-                    *loads
-                        .pools
-                        .entry((port.switch(), false))
-                        .or_insert(Seconds::ZERO) += charge;
-                }
-                PortKind::Ingress | PortKind::Egress => {
-                    loads.endpoint[p.index()] += charge;
-                }
+            match uplink_slot(fabric, p) {
+                Some((pool, _)) => *loads.pools.entry(pool).or_insert(Seconds::ZERO) += charge,
+                None => loads.endpoint[p.index()] += charge,
             }
         }
     }
@@ -419,10 +367,12 @@ pub fn makespan_lower_bound(
     topo: &Topology,
     timing: &LinkTiming,
 ) -> Option<Seconds> {
-    let specs = lower_schedule(schedule, embedding, topo, timing).ok()?;
-    let durations: Vec<Seconds> = specs.iter().map(|s| s.duration).collect();
+    let routes = PreparedLowering::new(schedule, embedding, topo)
+        .ok()?
+        .into_routes();
+    let durations = durations(schedule, &routes, timing);
     let cp = critical_path(schedule, &durations);
-    let (congestion, _) = channel_congestion(&specs, topo.channels().len());
+    let (congestion, _) = channel_congestion(schedule, &routes, &durations, topo.channels().len());
     Some(cp.max(congestion))
 }
 
@@ -437,13 +387,12 @@ pub fn fabric_lower_bound(
     fabric: &FabricGraph,
     opts: &PhysicalAnalyzeOptions,
 ) -> Option<Seconds> {
-    let specs = lower_schedule(schedule, embedding, topo, &opts.timing).ok()?;
-    let by = ports_by_channel(fabric);
+    let routes = PreparedLowering::new(schedule, embedding, topo)
+        .ok()?
+        .into_routes();
     let mut scratch = LintReport::default();
-    if !port_path_lints(&mut scratch, &specs, fabric, &by) {
-        return None;
-    }
-    let (loads, durations) = port_loads(&specs, fabric, opts);
+    let port_routes = port_routes(&mut scratch, &routes, &edge_uses(schedule), fabric)?;
+    let (loads, durations) = port_loads(schedule, &routes, &port_routes, fabric, opts);
     let cp = critical_path(schedule, &durations);
     let (congestion, _) = fabric_congestion(&loads, fabric);
     Some(cp.max(congestion))
@@ -459,15 +408,13 @@ pub fn gate_physical(
     fabric: &FabricGraph,
 ) -> LintReport {
     let mut report = LintReport::default();
-    let specs = match lower_schedule(schedule, embedding, topo, &LinkTiming::default()) {
-        Ok(specs) => specs,
-        Err(err) => {
-            push_lower_error(&mut report, &err);
-            return report.finish();
+    match PreparedLowering::new(schedule, embedding, topo) {
+        Ok(lowering) => {
+            let routes = lowering.into_routes();
+            port_routes(&mut report, &routes, &edge_uses(schedule), fabric);
         }
-    };
-    let by = ports_by_channel(fabric);
-    port_path_lints(&mut report, &specs, fabric, &by);
+        Err(err) => push_lower_error(&mut report, &err),
+    }
     report.finish()
 }
 
@@ -507,8 +454,8 @@ pub fn analyze_physical(
     opts: &PhysicalAnalyzeOptions,
 ) -> LintReport {
     let mut report = LintReport::default();
-    let specs = match lower_schedule(schedule, embedding, topo, &opts.timing) {
-        Ok(specs) => specs,
+    let routes = match PreparedLowering::new(schedule, embedding, topo) {
+        Ok(lowering) => lowering.into_routes(),
         Err(err) => {
             push_lower_error(&mut report, &err);
             return report.finish();
@@ -517,9 +464,10 @@ pub fn analyze_physical(
 
     // Channel-level bound (CC019) is computable whether or not the
     // fabric realizes the paths.
-    let durations: Vec<Seconds> = specs.iter().map(|s| s.duration).collect();
+    let durations = durations(schedule, &routes, &opts.timing);
     let cp = critical_path(schedule, &durations);
-    let (congestion, hot) = channel_congestion(&specs, topo.channels().len());
+    let (congestion, hot) =
+        channel_congestion(schedule, &routes, &durations, topo.channels().len());
     let bound = cp.max(congestion);
     report.push(
         LintCode::MakespanLowerBound,
@@ -536,17 +484,17 @@ pub fn analyze_physical(
         },
     );
 
-    let by = ports_by_channel(fabric);
-    if !port_path_lints(&mut report, &specs, fabric, &by) {
+    let uses = edge_uses(schedule);
+    let Some(port_routes) = port_routes(&mut report, &routes, &uses, fabric) else {
         // No physical realization: the port-level passes have nothing
         // sound to measure.
         return report.finish();
-    }
+    };
 
-    link_contention_lints(&mut report, schedule, &specs, topo, fabric);
-    striping_lints(&mut report, &specs, fabric, &by);
-    let (loads, port_durations) = port_loads(&specs, fabric, opts);
-    oversubscription_lints(&mut report, &specs, fabric, &by, opts);
+    link_contention_lints(&mut report, schedule, &port_routes, topo, fabric);
+    striping_lints(&mut report, &port_routes, &uses, fabric);
+    let (loads, port_durations) = port_loads(schedule, &routes, &port_routes, fabric, opts);
+    oversubscription_lints(&mut report, schedule, &port_routes, fabric, opts);
 
     let cp = critical_path(schedule, &port_durations);
     let (congestion, hot) = fabric_congestion(&loads, fabric);
@@ -586,19 +534,16 @@ pub fn analyze_physical(
 fn link_contention_lints(
     report: &mut LintReport,
     schedule: &Schedule,
-    specs: &[TransferSpec],
+    port_routes: &[Vec<PortId>],
     topo: &Topology,
     fabric: &FabricGraph,
 ) {
+    // Edges are in first-use order, so each port lists its edges in
+    // the order of their first transfers.
     let mut edges_on: BTreeMap<PortId, Vec<EdgeKey>> = BTreeMap::new();
-    for (i, s) in specs.iter().enumerate() {
-        let t = &schedule.transfers()[i];
-        let key = EdgeKey {
-            src: t.src,
-            dst: t.dst,
-            tree: t.tree,
-        };
-        for p in fabric.port_route(&s.path) {
+    for (&(src, dst, tree), route) in schedule.edges().iter().zip(port_routes) {
+        let key = EdgeKey { src, dst, tree };
+        for &p in route {
             let port = fabric.port(p);
             if !matches!(port.kind(), PortKind::Ingress | PortKind::Egress) {
                 continue;
@@ -608,7 +553,7 @@ fn link_contention_lints(
                 continue;
             }
             let edges = edges_on.entry(p).or_default();
-            if !edges.contains(&key) {
+            if edges.last() != Some(&key) {
                 edges.push(key);
             }
         }
@@ -646,19 +591,21 @@ fn link_contention_lints(
 /// leaves a slot idle while another carries two or more.
 fn striping_lints(
     report: &mut LintReport,
-    specs: &[TransferSpec],
+    port_routes: &[Vec<PortId>],
+    uses: &[usize],
     fabric: &FabricGraph,
-    by: &[Vec<PortId>],
 ) {
     let k = fabric.uplinks_per_leaf();
     if !fabric.has_uplinks() || k < 2 {
         return;
     }
-    let mut hist: BTreeMap<(SwitchId, bool), Vec<u32>> = BTreeMap::new();
-    for x in crossings(specs, fabric, by) {
-        hist.entry((x.up_leaf, true)).or_insert_with(|| vec![0; k])[x.slot] += 1;
-        hist.entry((x.down_leaf, false))
-            .or_insert_with(|| vec![0; k])[x.slot] += 1;
+    let mut hist: BTreeMap<(SwitchId, bool), Vec<usize>> = BTreeMap::new();
+    for (route, &n) in port_routes.iter().zip(uses) {
+        for &p in route {
+            if let Some((pool, slot)) = uplink_slot(fabric, p) {
+                hist.entry(pool).or_insert_with(|| vec![0; k])[slot] += n;
+            }
+        }
     }
     for ((leaf, up), counts) in &hist {
         let max = counts.iter().copied().max().unwrap_or(0);
@@ -672,7 +619,7 @@ fn striping_lints(
             .filter(|(_, &n)| n == 0)
             .map(|(slot, _)| slot.to_string())
             .collect();
-        let total: u32 = counts.iter().sum();
+        let total: usize = counts.iter().sum();
         report.push(
             LintCode::UplinkStripingSkew,
             format!(
@@ -695,46 +642,36 @@ fn striping_lints(
 /// where capacity, not the protocol, runs out.
 fn oversubscription_lints(
     report: &mut LintReport,
-    specs: &[TransferSpec],
+    schedule: &Schedule,
+    port_routes: &[Vec<PortId>],
     fabric: &FabricGraph,
-    by: &[Vec<PortId>],
     opts: &PhysicalAnalyzeOptions,
 ) {
     if !fabric.has_uplinks() || fabric.oversubscription() <= 1.0 {
         return;
     }
     let mut endpoint_drain = vec![Seconds::ZERO; fabric.num_ports()];
-    for s in specs {
-        let mut seen: Vec<PortId> = Vec::new();
-        for p in fabric.port_route(&s.path) {
-            let port = fabric.port(p);
-            if !matches!(port.kind(), PortKind::Ingress | PortKind::Egress) || seen.contains(&p) {
-                continue;
+    let mut offered: BTreeMap<(SwitchId, bool), ByteSize> = BTreeMap::new();
+    for t in schedule.transfers() {
+        let route = &port_routes[t.edge as usize];
+        for (h, &p) in route.iter().enumerate() {
+            if let Some((pool, _)) = uplink_slot(fabric, p) {
+                let bytes = offered.entry(pool).or_insert(ByteSize::new(0));
+                *bytes = ByteSize::new(bytes.as_u64() + t.bytes.as_u64());
+            } else if !route[..h].contains(&p) {
+                let port = fabric.port(p);
+                endpoint_drain[p.index()] += Seconds::new(
+                    t.bytes.as_f64()
+                        / (port.bandwidth().as_bytes_per_sec() * opts.timing.bandwidth_scale),
+                );
             }
-            seen.push(p);
-            endpoint_drain[p.index()] += Seconds::new(
-                s.bytes.as_f64()
-                    / (port.bandwidth().as_bytes_per_sec() * opts.timing.bandwidth_scale),
-            );
         }
     }
     let endpoint_max = endpoint_drain
         .iter()
         .copied()
         .fold(Seconds::ZERO, Seconds::max);
-    let mut offered: BTreeMap<(SwitchId, bool), ccube_topology::ByteSize> = BTreeMap::new();
-    for x in crossings(specs, fabric, by) {
-        let bytes = specs[x.spec].bytes;
-        let up = offered
-            .entry((x.up_leaf, true))
-            .or_insert(ccube_topology::ByteSize::new(0));
-        *up = ccube_topology::ByteSize::new(up.as_u64() + bytes.as_u64());
-        let down = offered
-            .entry((x.down_leaf, false))
-            .or_insert(ccube_topology::ByteSize::new(0));
-        *down = ccube_topology::ByteSize::new(down.as_u64() + bytes.as_u64());
-    }
-    let mut worst: Option<(Seconds, SwitchId, bool, ccube_topology::ByteSize)> = None;
+    let mut worst: Option<(Seconds, SwitchId, bool, ByteSize)> = None;
     let mut hot_dirs = 0usize;
     for (&(leaf, up), &bytes) in &offered {
         let slots = if up {

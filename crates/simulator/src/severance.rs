@@ -22,7 +22,10 @@
 //! run a [`Router`] with every concurrently-down channel blocked;
 //! uplink failover needs a non-`Hash` policy and a surviving slot
 //! (checked against every overlapping uplink/spine outage). It is
-//! evaluated against the *statically lowered* routes: a plan whose
+//! evaluated against the *statically lowered* routes — one
+//! [`PreparedRoute`] per logical edge, the ones the scheduler runs on —
+//! and decides each route once (its port walk, its NIC-path test, its
+//! reachability under the concurrent outages): a plan whose
 //! windows only matter after a chain of prior reroutes may classify
 //! conservatively, and a window that outlives all traffic may flag a
 //! severance the engine never hits. The shipped guarantee, asserted by
@@ -36,9 +39,11 @@ use crate::engine::SimOptions;
 use crate::fabric::{NetworkModel, UplinkPolicy};
 use crate::faults::{FaultEvent, FaultPlan};
 use ccube_collectives::analyze::{LintCode, LintReport, Span};
-use ccube_collectives::{lower_schedule, Embedding, LowerError, Schedule, TransferSpec};
+use ccube_collectives::physical::push_lower_error;
+use ccube_collectives::{Embedding, PreparedLowering, PreparedRoute, Schedule, TransferId};
 use ccube_topology::{
-    ChannelClass, ChannelId, FabricGraph, PortKind, Router, Seconds, SwitchId, Topology,
+    ChannelClass, ChannelId, FabricGraph, FabricPort, PortId, PortKind, Router, Seconds, SwitchId,
+    Topology,
 };
 use std::collections::BTreeSet;
 
@@ -74,25 +79,32 @@ fn down_slots(
         .collect()
 }
 
-/// Spec indices whose static port route uses the up or down port of
-/// uplink `slot` on `leaf`, plus the set of leaves their crossings
-/// touch through any of `slots`.
+/// Which static port routes (indexed like the schedule's edges) occupy
+/// an uplink port that `hits`.
 fn uplink_users(
-    specs: &[TransferSpec],
+    port_routes: &[Vec<PortId>],
     graph: &FabricGraph,
-    hits: &dyn Fn(&ccube_topology::FabricPort) -> bool,
-) -> Vec<usize> {
-    let mut out = Vec::new();
-    for (i, s) in specs.iter().enumerate() {
-        if s.path.is_empty() {
-            continue;
-        }
-        let route = graph.port_route(&s.path);
-        if route.iter().any(|&p| hits(graph.port(p))) {
-            out.push(i);
-        }
-    }
-    out
+    hits: &dyn Fn(&FabricPort) -> bool,
+) -> Vec<bool> {
+    port_routes
+        .iter()
+        .map(|route| {
+            route.iter().any(|&p| {
+                let port = graph.port(p);
+                matches!(port.kind(), PortKind::UplinkUp | PortKind::UplinkDown) && hits(port)
+            })
+        })
+        .collect()
+}
+
+/// The transfers, in id order, whose edge is flagged in `on`.
+fn transfers_on(schedule: &Schedule, on: &[bool]) -> Vec<TransferId> {
+    schedule
+        .transfers()
+        .iter()
+        .filter(|t| on[t.edge as usize])
+        .map(|t| t.id)
+        .collect()
 }
 
 /// Statically classifies every window of `plan` against the lowered
@@ -135,38 +147,20 @@ pub fn analyze_severance(
     opts: &SimOptions,
 ) -> LintReport {
     let mut report = LintReport::default();
-    let specs = match lower_schedule(schedule, embedding, topo, &opts.link_timing()) {
-        Ok(specs) => specs,
+    let routes = match PreparedLowering::new(schedule, embedding, topo) {
+        Ok(lowering) => lowering.into_routes(),
         Err(err) => {
-            match err {
-                LowerError::MissingRoute(edge) => report.push(
-                    LintCode::MissingRoute,
-                    format!("embedding has no route for logical edge {edge}"),
-                    Span {
-                        edges: vec![edge],
-                        ..Span::default()
-                    },
-                ),
-                LowerError::UnknownChannel {
-                    edge,
-                    channel_index,
-                } => report.push(
-                    LintCode::InvalidRoute,
-                    format!("route for {edge} references unknown channel index {channel_index}"),
-                    Span {
-                        edges: vec![edge],
-                        ..Span::default()
-                    },
-                ),
-            }
+            push_lower_error(&mut report, &err);
             return report.finish();
         }
     };
     let fabric = match &opts.network {
-        NetworkModel::SwitchFabric(spec) => Some((
-            FabricGraph::from_topology(topo, &spec.fabric_config()),
-            spec.uplink_policy,
-        )),
+        NetworkModel::SwitchFabric(spec) => {
+            let graph = FabricGraph::from_topology(topo, &spec.fabric_config());
+            let port_routes: Vec<Vec<PortId>> =
+                routes.iter().map(|r| graph.port_route(r.path())).collect();
+            Some((graph, port_routes, spec.uplink_policy))
+        }
         NetworkModel::ChannelApprox => None,
     };
 
@@ -186,7 +180,7 @@ pub fn analyze_severance(
                     topo,
                     schedule,
                     embedding,
-                    &specs,
+                    &routes,
                     channel,
                     from,
                     until,
@@ -198,68 +192,33 @@ pub fn analyze_severance(
                 from,
                 until,
             } => {
-                let Some((graph, policy)) = &fabric else {
+                let Some((graph, port_routes, policy)) = &fabric else {
                     continue;
                 };
-                let users = uplink_users(&specs, graph, &|p| {
-                    matches!(p.kind(), PortKind::UplinkUp | PortKind::UplinkDown)
-                        && p.switch() == SwitchId(leaf)
-                        && p.uplink() == Some(uplink)
+                let hit = uplink_users(port_routes, graph, &|p| {
+                    p.switch() == SwitchId(leaf) && p.uplink() == Some(uplink)
                 });
-                if users.is_empty() {
-                    continue;
-                }
-                let k = graph.uplinks_per_leaf();
                 let down = down_slots(plan, graph, leaf, from, until);
-                let survivors: Vec<usize> = (0..k).filter(|s| !down.contains(s)).collect();
+                let survivors: Vec<usize> = (0..graph.uplinks_per_leaf())
+                    .filter(|s| !down.contains(s))
+                    .collect();
                 let adaptive = *policy != UplinkPolicy::Hash;
-                let span = Span {
-                    transfers: users.iter().map(|&i| specs[i].id).collect(),
-                    ..Span::default()
-                };
-                let w = window(from, until);
-                if adaptive && !survivors.is_empty() {
-                    report.push(
-                        LintCode::FaultReroutable,
-                        format!(
-                            "uplink {uplink} on sw{leaf} down {w}: {} crossings fail over to \
-                             surviving slot(s) {survivors:?} under the {} policy",
-                            users.len(),
-                            policy.label()
-                        ),
-                        span,
-                    );
+                let fail_over = (adaptive && !survivors.is_empty()).then(|| {
+                    format!(
+                        "fail over to surviving slot(s) {survivors:?} under the {} policy",
+                        policy.label()
+                    )
+                });
+                let why = if adaptive {
+                    "no surviving uplink slot".to_string()
                 } else {
-                    let why = if adaptive {
-                        "no surviving uplink slot".to_string()
-                    } else {
-                        format!("hash striping pins them to slot {uplink}")
-                    };
-                    if until.as_secs_f64().is_infinite() {
-                        report.push(
-                            LintCode::FaultSevered,
-                            format!(
-                                "uplink {uplink} on sw{leaf} down {w}: {} crossings are severed \
-                                 ({why}); the fault engine drains Unroutable",
-                                users.len()
-                            ),
-                            span,
-                        );
-                    } else {
-                        report.push(
-                            LintCode::FaultStall,
-                            format!(
-                                "uplink {uplink} on sw{leaf} down {w}: {} crossings stall until \
-                                 repair ({why})",
-                                users.len()
-                            ),
-                            span,
-                        );
-                    }
-                }
+                    format!("hash striping pins them to slot {uplink}")
+                };
+                let what = format!("uplink {uplink} on sw{leaf} down {}", window(from, until));
+                crossing_lints(&mut report, schedule, &hit, &what, until, fail_over, &why);
             }
             FaultEvent::SwitchDown { spine, from, until } => {
-                let Some((graph, policy)) = &fabric else {
+                let Some((graph, port_routes, policy)) = &fabric else {
                     continue;
                 };
                 let k = graph.uplinks_per_leaf();
@@ -271,90 +230,106 @@ pub fn analyze_severance(
                 if spine_slots.is_empty() {
                     continue;
                 }
-                let users = uplink_users(&specs, graph, &|p| {
-                    matches!(p.kind(), PortKind::UplinkUp | PortKind::UplinkDown)
-                        && p.uplink()
-                            .is_some_and(|u| spine_slots.contains(&(u as usize)))
+                let hit = uplink_users(port_routes, graph, &|p| {
+                    p.uplink()
+                        .is_some_and(|u| spine_slots.contains(&(u as usize)))
                 });
-                if users.is_empty() {
-                    continue;
-                }
                 // A leaf survives if it keeps at least one slot that is
                 // neither on this spine nor downed by an overlapping
                 // event.
-                let hit_leaves: BTreeSet<u32> = users
+                let hit_leaves: BTreeSet<u32> = port_routes
                     .iter()
-                    .flat_map(|&i| {
-                        graph
-                            .port_route(&specs[i].path)
-                            .into_iter()
-                            .filter(|&p| {
-                                matches!(
-                                    graph.port(p).kind(),
-                                    PortKind::UplinkUp | PortKind::UplinkDown
-                                )
-                            })
-                            .map(|p| graph.port(p).switch().0)
-                            .collect::<Vec<_>>()
-                    })
+                    .zip(&hit)
+                    .filter(|&(_, &h)| h)
+                    .flat_map(|(route, _)| route)
+                    .map(|&p| graph.port(p))
+                    .filter(|p| matches!(p.kind(), PortKind::UplinkUp | PortKind::UplinkDown))
+                    .map(|p| p.switch().0)
                     .collect();
                 let all_survive = hit_leaves.iter().all(|&leaf| {
                     let down = down_slots(plan, graph, leaf, from, until);
                     (0..k).any(|s| !down.contains(&s))
                 });
                 let adaptive = *policy != UplinkPolicy::Hash;
-                let span = Span {
-                    transfers: users.iter().map(|&i| specs[i].id).collect(),
-                    ..Span::default()
-                };
-                let w = window(from, until);
-                if adaptive && all_survive {
-                    report.push(
-                        LintCode::FaultReroutable,
-                        format!(
-                            "spine {spine} down {w}: {} crossings fail over off slot(s) \
-                             {spine_slots:?} under the {} policy",
-                            users.len(),
-                            policy.label()
-                        ),
-                        span,
-                    );
+                let fail_over = (adaptive && all_survive).then(|| {
+                    format!(
+                        "fail over off slot(s) {spine_slots:?} under the {} policy",
+                        policy.label()
+                    )
+                });
+                let why = if adaptive {
+                    "a leaf loses every uplink slot"
                 } else {
-                    let why = if adaptive {
-                        "a leaf loses every uplink slot".to_string()
-                    } else {
-                        "hash striping cannot leave the downed spine".to_string()
-                    };
-                    if until.as_secs_f64().is_infinite() {
-                        report.push(
-                            LintCode::FaultSevered,
-                            format!(
-                                "spine {spine} down {w}: {} crossings are severed ({why}); \
-                                 the fault engine drains Unroutable",
-                                users.len()
-                            ),
-                            span,
-                        );
-                    } else {
-                        report.push(
-                            LintCode::FaultStall,
-                            format!(
-                                "spine {spine} down {w}: {} crossings stall until repair ({why})",
-                                users.len()
-                            ),
-                            span,
-                        );
-                    }
-                }
+                    "hash striping cannot leave the downed spine"
+                };
+                let what = format!("spine {spine} down {}", window(from, until));
+                crossing_lints(&mut report, schedule, &hit, &what, until, fail_over, why);
             }
         }
     }
     report.finish()
 }
 
+/// Reports one uplink or spine window over the crossings of the routes
+/// flagged in `hit`, if any: `CC021` when they `fail_over` (the
+/// message's tail), else blocked for `why`.
+fn crossing_lints(
+    report: &mut LintReport,
+    schedule: &Schedule,
+    hit: &[bool],
+    what: &str,
+    until: Seconds,
+    fail_over: Option<String>,
+    why: &str,
+) {
+    let users = transfers_on(schedule, hit);
+    if users.is_empty() {
+        return;
+    }
+    let crossings = format!("{} crossings", users.len());
+    let span = Span {
+        transfers: users,
+        ..Span::default()
+    };
+    match fail_over {
+        Some(how) => report.push(
+            LintCode::FaultReroutable,
+            format!("{what}: {crossings} {how}"),
+            span,
+        ),
+        None => push_blocked(report, what, &crossings, why, until, span),
+    }
+}
+
+/// Reports a window whose `blocked` traffic has no fallback while it
+/// lasts: `CC023` when the window is permanent, `CC022` when it lifts.
+fn push_blocked(
+    report: &mut LintReport,
+    what: &str,
+    blocked: &str,
+    why: &str,
+    until: Seconds,
+    span: Span,
+) {
+    if until.as_secs_f64().is_infinite() {
+        report.push(
+            LintCode::FaultSevered,
+            format!("{what}: {blocked} are severed ({why}); the fault engine drains Unroutable"),
+            span,
+        );
+    } else {
+        report.push(
+            LintCode::FaultStall,
+            format!("{what}: {blocked} stall until repair ({why})"),
+            span,
+        );
+    }
+}
+
 /// Classifies one `LinkDown` window: mirrors the engine's
 /// `reroute_pass` (structural NIC paths wait; everything else asks a
-/// [`Router`] with every concurrently-down channel blocked).
+/// [`Router`] with every concurrently-down channel blocked). Each route
+/// over `channel` is decided once, for every transfer on its edge.
 #[allow(clippy::too_many_arguments)]
 fn link_down_lints(
     report: &mut LintReport,
@@ -362,58 +337,68 @@ fn link_down_lints(
     topo: &Topology,
     schedule: &Schedule,
     embedding: &Embedding,
-    specs: &[TransferSpec],
+    routes: &[PreparedRoute],
     channel: ChannelId,
     from: Seconds,
     until: Seconds,
 ) {
-    let users: Vec<usize> = specs
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.path.contains(&channel))
-        .map(|(i, _)| i)
-        .collect();
-    if users.is_empty() {
+    let on: Vec<bool> = routes.iter().map(|r| r.path().contains(&channel)).collect();
+    if !on.contains(&true) {
         return;
     }
     let mut router = Router::new(topo);
     for e in plan.events() {
         if let FaultEvent::LinkDown { channel: c, .. } = *e {
-            if overlaps(from, until, e.from(), e.until()) {
+            // A channel outside the topology carries no route, so it
+            // blocks nothing.
+            if c.index() < topo.channels().len() && overlaps(from, until, e.from(), e.until()) {
                 router.block_channel(c);
             }
         }
     }
-    let transfers = schedule.transfers();
-    let mut stuck: Vec<usize> = Vec::new();
+    // Per edge over `channel`: `Some(structural)` when it cannot re-route.
+    let stuck_edge: Vec<Option<bool>> = routes
+        .iter()
+        .zip(&on)
+        .zip(schedule.edges())
+        .map(|((r, &on), &(src, dst, _))| {
+            if !on {
+                None
+            } else if r
+                .path()
+                .iter()
+                .any(|&c| topo.channel(c).class() == ChannelClass::Nic)
+            {
+                Some(true)
+            } else {
+                let reachable = router
+                    .route(embedding.gpu_of(src), embedding.gpu_of(dst))
+                    .is_ok();
+                (!reachable).then_some(false)
+            }
+        })
+        .collect();
+    let users = transfers_on(schedule, &on);
+    let mut stuck: Vec<TransferId> = Vec::new();
     let mut structural = 0usize;
-    for &i in &users {
-        if specs[i]
-            .path
-            .iter()
-            .any(|&c| topo.channel(c).class() == ChannelClass::Nic)
-        {
-            structural += 1;
-            stuck.push(i);
-            continue;
-        }
-        let src = embedding.gpu_of(transfers[i].src);
-        let dst = embedding.gpu_of(transfers[i].dst);
-        if router.route(src, dst).is_err() {
-            stuck.push(i);
+    for t in schedule.transfers() {
+        if let Some(nic) = stuck_edge[t.edge as usize] {
+            structural += usize::from(nic);
+            stuck.push(t.id);
         }
     }
-    let w = window(from, until);
+    let what = format!("{channel} down {}", window(from, until));
+    let channels = vec![channel];
     if stuck.is_empty() {
         report.push(
             LintCode::FaultReroutable,
             format!(
-                "{channel} down {w}: all {} transfers on it re-route over surviving paths",
+                "{what}: all {} transfers on it re-route over surviving paths",
                 users.len()
             ),
             Span {
-                transfers: users.iter().map(|&i| specs[i].id).collect(),
-                channels: vec![channel],
+                transfers: users,
+                channels,
                 ..Span::default()
             },
         );
@@ -424,33 +409,13 @@ fn link_down_lints(
     } else {
         "no surviving route while concurrent outages last".to_string()
     };
+    let blocked = format!("{} of {} transfers", stuck.len(), users.len());
     let span = Span {
-        transfers: stuck.iter().map(|&i| specs[i].id).collect(),
-        channels: vec![channel],
+        transfers: stuck,
+        channels,
         ..Span::default()
     };
-    if until.as_secs_f64().is_infinite() {
-        report.push(
-            LintCode::FaultSevered,
-            format!(
-                "{channel} down {w}: {} of {} transfers are severed ({why}); \
-                 the fault engine drains Unroutable",
-                stuck.len(),
-                users.len()
-            ),
-            span,
-        );
-    } else {
-        report.push(
-            LintCode::FaultStall,
-            format!(
-                "{channel} down {w}: {} of {} transfers stall until repair ({why})",
-                stuck.len(),
-                users.len()
-            ),
-            span,
-        );
-    }
+    push_blocked(report, &what, &blocked, &why, until, span);
 }
 
 #[cfg(test)]
@@ -502,20 +467,25 @@ mod tests {
             .any(|d| d.code == LintCode::FaultStall));
     }
 
-    #[test]
-    fn dgx1_nvlink_down_reroutes() {
+    /// The DGX-1 identity ring and an NVLink channel it uses.
+    fn dgx1_ring() -> (Topology, Schedule, Embedding, ChannelId) {
         let topo = dgx1();
         let s = ring_allreduce(8, ByteSize::mib(4));
         let e = Embedding::identity(&topo, &s).unwrap();
-        // An NVLink used by the ring, down forever: the router finds a
-        // surviving path (path diversity is the DGX-1's whole point).
-        let opts = SimOptions::default();
-        let specs = lower_schedule(&s, &e, &topo, &opts.link_timing()).unwrap();
-        let used = specs
+        let routes = PreparedLowering::new(&s, &e, &topo).unwrap().into_routes();
+        let used = routes
             .iter()
-            .flat_map(|t| t.path.iter().copied())
+            .flat_map(|r| r.path().iter().copied())
             .find(|&c| topo.channel(c).class() == ChannelClass::NvLink)
             .unwrap();
+        (topo, s, e, used)
+    }
+
+    #[test]
+    fn dgx1_nvlink_down_reroutes() {
+        // An NVLink used by the ring, down forever: the router finds a
+        // surviving path (path diversity is the DGX-1's whole point).
+        let (topo, s, e, used) = dgx1_ring();
         let plan = FaultPlan::new(vec![FaultEvent::LinkDown {
             channel: used,
             from: Seconds::ZERO,
@@ -528,6 +498,29 @@ mod tests {
             .diagnostics()
             .iter()
             .any(|d| d.code == LintCode::FaultReroutable));
+    }
+
+    #[test]
+    fn a_channel_outside_the_topology_blocks_nothing() {
+        // The engine rejects this plan; the static pass must not panic
+        // on it, and the in-range window classifies as it does alone.
+        let (topo, s, e, used) = dgx1_ring();
+        let down = |channel| FaultEvent::LinkDown {
+            channel,
+            from: Seconds::ZERO,
+            until: forever(),
+        };
+        let alone = FaultPlan::new(vec![down(used)]).unwrap();
+        let bogus = FaultPlan::new(vec![down(used), down(ChannelId(100_000))]).unwrap();
+        assert!(matches!(
+            crate::simulate_faulted(&topo, &s, &e, &SimOptions::default(), &bogus),
+            Err(crate::SimError::FaultPlanInvalid(_))
+        ));
+        let opts = SimOptions::default();
+        assert_eq!(
+            analyze_severance(&bogus, &topo, &s, &e, &opts),
+            analyze_severance(&alone, &topo, &s, &e, &opts)
+        );
     }
 
     #[test]

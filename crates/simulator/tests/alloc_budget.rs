@@ -18,6 +18,11 @@
 //! and three 4-byte dependency-table entries (44 bytes); a wider slot or
 //! a second copy of any per-transfer table breaks the bound.
 //!
+//! Fault severance decides each logical edge's route once per window, so
+//! classifying an uplink, a spine and a link outage of C1 on
+//! `hierarchical(16)` at k=64 (1,920 transfers, 60 edges) on a
+//! least-queued leaf/spine fabric stays below half the transfer count.
+//!
 //! A counting global allocator takes the counts and tracks live and
 //! peak bytes. Everything runs in one `#[test]`, so no other test of this
 //! binary can allocate while a count is taken.
@@ -25,8 +30,11 @@
 use ccube_collectives::{
     ring_allreduce, tree_allreduce, Chunking, DoubleBinaryTree, Embedding, Overlap, Schedule,
 };
-use ccube_sim::{simulate, SimOptions};
-use ccube_topology::{hierarchical, ByteSize, Topology};
+use ccube_sim::faults::{forever, FaultEvent, FaultPlan};
+use ccube_sim::{
+    analyze_severance, simulate, FabricSpec, HopMode, NetworkModel, SimOptions, UplinkPolicy,
+};
+use ccube_topology::{hierarchical, ByteSize, ChannelId, Seconds, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -159,4 +167,51 @@ fn per_transfer_state_allocates_per_route_not_per_transfer() {
             "simulating C1 on P={p} with {k} chunks allocated {simulated} times (budget {budget})"
         );
     }
+    // Severance of C1 on P=16 at k=64: an uplink, a spine and a NIC
+    // channel outage, on a least-queued radix-4, 2-uplink, 2-spine
+    // fabric.
+    let topo = hierarchical(16);
+    let dt = DoubleBinaryTree::new(16).expect("p >= 2");
+    let tree = tree_allreduce(
+        dt.trees(),
+        &Chunking::even(ByteSize::mib(64), 64),
+        Overlap::ReductionBroadcast,
+    );
+    assert_eq!((tree.transfers().len(), tree.edges().len()), (1920, 60));
+    let emb = Embedding::nic(&topo, &tree).expect("nic embedding");
+    let plan = FaultPlan::new(vec![
+        FaultEvent::UplinkDown {
+            leaf: 0,
+            uplink: 0,
+            from: Seconds::ZERO,
+            until: forever(),
+        },
+        FaultEvent::SwitchDown {
+            spine: 1,
+            from: Seconds::from_micros(10.0),
+            until: Seconds::from_micros(200.0),
+        },
+        FaultEvent::LinkDown {
+            channel: ChannelId(0),
+            from: Seconds::from_micros(50.0),
+            until: Seconds::from_micros(500.0),
+        },
+    ])
+    .expect("valid plan");
+    let opts = SimOptions::default().with_network(NetworkModel::SwitchFabric(FabricSpec {
+        radix: Some(4),
+        uplinks: 2,
+        spines: 2,
+        uplink_policy: UplinkPolicy::LeastQueued,
+        hop_mode: HopMode::CutThrough,
+        ..FabricSpec::passthrough()
+    }));
+    let (report, severance) = counted(|| analyze_severance(&plan, &topo, &tree, &emb, &opts));
+    // One finding per window.
+    assert_eq!(report.diagnostics().len(), 3, "{report}");
+    println!("analyze_severance: {severance} allocations");
+    assert!(
+        severance < 960,
+        "analyze_severance made {severance} allocations on 1,920 transfers"
+    );
 }

@@ -91,6 +91,24 @@ impl fmt::Display for PortKind {
     }
 }
 
+/// One step of [`FabricGraph::walk`] along a channel path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PortStep {
+    /// The next port the path occupies.
+    Port(PortId),
+    /// A channel of the path with no port on the fabric: fabric and
+    /// topology disagree.
+    Portless(ChannelId),
+    /// Consecutive channels attach to different leaves, and one side has
+    /// no uplink ports: the crossing has no physical route.
+    NoUplink {
+        /// The sender's leaf.
+        from: SwitchId,
+        /// The receiver's leaf.
+        to: SwitchId,
+    },
+}
+
 /// A single unidirectional switch port: one schedulable resource in the
 /// `SwitchFabric` network model.
 #[derive(Debug, Clone, PartialEq)]
@@ -401,13 +419,14 @@ impl FabricGraph {
         &self.uplink_down[leaf.index()]
     }
 
-    /// Expands a transfer's channel path into the ordered port path it
-    /// occupies in this fabric. Endpoint ports come from the channels
-    /// themselves; when two consecutive channels attach to different leaf
-    /// switches, one of the sender leaf's uplink-up ports and the
-    /// receiver leaf's uplink-down port of the *same slot* are inserted
-    /// between them (both attach to the same spine, and the spine
-    /// crossbar itself is non-blocking and contributes no port).
+    /// Walks a channel path onto this fabric, calling `step` once per
+    /// port it occupies, in hop order, and once per gap in its physical
+    /// realization. Endpoint ports come from the channels themselves;
+    /// when two consecutive channels attach to different leaf switches,
+    /// one of the sender leaf's uplink-up ports and the receiver leaf's
+    /// uplink-down port of the *same slot* are inserted between them
+    /// (both attach to the same spine, and the spine crossbar itself is
+    /// non-blocking and contributes no port).
     ///
     /// With `k > 1` uplinks per leaf the slot is chosen by hash striping
     /// on the crossing's source channel — the static default that the
@@ -415,37 +434,63 @@ impl FabricGraph {
     /// revise at grant time. `k = 1` always picks slot 0, reproducing the
     /// single-uplink route exactly.
     ///
-    /// # Panics
-    ///
-    /// Panics if any channel id is out of range.
-    pub fn port_route(&self, path: &[ChannelId]) -> Vec<PortId> {
-        let mut out = Vec::new();
+    /// A channel without ports here (a fabric built from another
+    /// topology) is a [`PortStep::Portless`] step, not a panic, and a
+    /// leaf crossing without uplink ports a [`PortStep::NoUplink`] step.
+    pub fn walk(&self, path: &[ChannelId], mut step: impl FnMut(PortStep)) {
+        let ports = |c: ChannelId| {
+            self.ports_of_channel
+                .get(c.index())
+                .map_or(&[][..], Vec::as_slice)
+        };
         for (k, &c) in path.iter().enumerate() {
-            out.extend_from_slice(&self.ports_of_channel[c.index()]);
-            if !self.switched || k + 1 >= path.len() {
+            let own = ports(c);
+            if own.is_empty() {
+                step(PortStep::Portless(c));
+            }
+            for &p in own {
+                step(PortStep::Port(p));
+            }
+            let next = path.get(k + 1).and_then(|&n| ports(n).first());
+            let (true, Some(&last), Some(&first)) = (self.switched, own.last(), next) else {
+                continue;
+            };
+            let (here, next) = (
+                self.ports[last.index()].switch,
+                self.ports[first.index()].switch,
+            );
+            if here == next {
                 continue;
             }
-            let here = match self.ports_of_channel[c.index()].last() {
-                Some(&p) => self.ports[p.index()].switch,
-                None => continue,
-            };
-            let next = match self.ports_of_channel[path[k + 1].index()].first() {
-                Some(&p) => self.ports[p.index()].switch,
-                None => continue,
-            };
-            if here != next {
-                let ups = &self.uplink_up[here.index()];
-                let downs = &self.uplink_down[next.index()];
-                if !ups.is_empty() && !downs.is_empty() {
-                    // NIC-layout injection channels are `2i` for source
-                    // node `i`, so striping on `c.0 / 2` spreads sources
-                    // round-robin across the uplink slots.
-                    let slot = (c.0 / 2) as usize % ups.len().min(downs.len());
-                    out.push(ups[slot]);
-                    out.push(downs[slot]);
-                }
+            let ups = &self.uplink_up[here.index()];
+            let downs = &self.uplink_down[next.index()];
+            if ups.is_empty() || downs.is_empty() {
+                step(PortStep::NoUplink {
+                    from: here,
+                    to: next,
+                });
+                continue;
             }
+            // NIC-layout injection channels are `2i` for source node `i`,
+            // so striping on `c.0 / 2` spreads sources round-robin across
+            // the uplink slots.
+            let slot = (c.0 / 2) as usize % ups.len().min(downs.len());
+            step(PortStep::Port(ups[slot]));
+            step(PortStep::Port(downs[slot]));
         }
+    }
+
+    /// Expands a transfer's channel path into the ordered port path it
+    /// occupies in this fabric: the [`PortStep::Port`] steps of
+    /// [`FabricGraph::walk`]. Channels without ports and leaf crossings
+    /// without uplinks contribute none.
+    pub fn port_route(&self, path: &[ChannelId]) -> Vec<PortId> {
+        let mut out = Vec::new();
+        self.walk(path, |step| {
+            if let PortStep::Port(p) = step {
+                out.push(p);
+            }
+        });
         out
     }
 
@@ -854,6 +899,28 @@ mod tests {
         }
         // Intra-leaf traffic still bypasses the spine entirely.
         assert_eq!(fab.port_route(&nic_path(GpuId(0), GpuId(3))).len(), 2);
+    }
+
+    #[test]
+    fn walk_reports_a_channel_the_fabric_lacks_instead_of_panicking() {
+        // A fabric built from a smaller topology has no ports for node
+        // 9's channels.
+        let fab = FabricGraph::from_topology(
+            &hierarchical(8),
+            &FabricConfig {
+                radix: Some(4),
+                ..FabricConfig::default()
+            },
+        );
+        let path = nic_path(GpuId(1), GpuId(9));
+        let mut steps = Vec::new();
+        fab.walk(&path, |step| steps.push(step));
+        let ingress = fab.ports_for_channel(path[0])[0];
+        assert_eq!(
+            steps,
+            [PortStep::Port(ingress), PortStep::Portless(path[1])]
+        );
+        assert_eq!(fab.port_route(&path), [ingress]);
     }
 
     #[test]

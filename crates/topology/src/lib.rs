@@ -61,7 +61,9 @@ mod units;
 pub use channel::{Channel, ChannelClass, ChannelId};
 pub use dgx1::{dgx1, dgx1_with, Dgx1Config, DGX1_NUM_GPUS};
 pub use error::TopologyError;
-pub use fabric::{FabricConfig, FabricGraph, FabricPort, FabricSwitch, PortId, PortKind, SwitchId};
+pub use fabric::{
+    FabricConfig, FabricGraph, FabricPort, FabricSwitch, PortId, PortKind, PortStep, SwitchId,
+};
 pub use graph::{GpuId, Topology, TopologyBuilder};
 pub use hierarchical::{
     ejection_channel, hierarchical, hierarchical_with, injection_channel, nic_path, nvswitch,

@@ -34,11 +34,13 @@ cargo test -q -p ccube-sim --test faults
 echo "==> switch-fabric model suite (passthrough == approx, uplinks, hop modes)"
 cargo test -q -p ccube-sim --test fabric_equivalence
 
-echo "==> static schedule analyzer (ccube lint)"
-cargo run -q --release -p ccube --bin ccube -- lint all > /dev/null
+echo "==> static schedule analyzer (ccube lint all --json): stdout matches tests/data/lint_all.json"
+cargo run -q --release -p ccube --bin ccube -- lint all --json \
+    | diff tests/data/lint_all.json -
 
-echo "==> physical-layer analyzer (ccube lint --physical) and its goldens"
-cargo run -q --release -p ccube --bin ccube -- lint --physical all --json > /dev/null
+echo "==> physical-layer analyzer (ccube lint --physical all --json): stdout matches tests/data/lint_physical_all.json, and its goldens"
+cargo run -q --release -p ccube --bin ccube -- lint --physical all --json \
+    | diff tests/data/lint_physical_all.json -
 cargo test -q -p ccube --test lint_golden
 cargo test -q -p ccube --test property_physical
 

@@ -1,17 +1,22 @@
 //! Byte-stable goldens for `ccube lint --json`.
 //!
-//! Two cases are pinned: the DGX-1 CC schedule (the conflict-free
-//! overlapped double tree — must lint clean) and the deliberately
-//! conflicting single-tree embedding whose forced detour shares another
-//! edge's channel. The JSON is hand-rolled with stable key order and
-//! deterministic (BTreeMap-ordered) diagnostics, so the files must match
-//! byte for byte; a diff means the lint output contract changed.
+//! Two cases are pinned on their own: the DGX-1 CC schedule (the
+//! conflict-free overlapped double tree — must lint clean) and the
+//! deliberately conflicting single-tree embedding whose forced detour
+//! shares another edge's channel. `lint_all.json` and
+//! `lint_physical_all.json` pin every case, as `ccube lint all --json`
+//! and `ccube lint --physical all --json` print them. The JSON is
+//! hand-rolled with stable key order and deterministic (BTreeMap-ordered)
+//! diagnostics, so the files must match byte for byte; a diff means the
+//! lint output contract changed.
 //!
 //! To regenerate after an *intentional* contract change:
 //!
 //! ```text
 //! cargo run --bin ccube -- lint dgx1-cc --json   # first array element
 //! cargo run --bin ccube -- lint conflict --json
+//! cargo run --bin ccube -- lint all --json > tests/data/lint_all.json
+//! cargo run --bin ccube -- lint --physical all --json > tests/data/lint_physical_all.json
 //! ```
 
 use ccube::lint;
@@ -35,14 +40,34 @@ fn conflict_json_is_byte_stable() {
     assert_eq!(case.to_json(), golden("lint_conflict.json").trim_end());
 }
 
+/// `ccube lint [--physical] <name> --json` for a named case, or for
+/// every case when `name` is `all`.
+fn lint_json(physical: bool, name: &str) -> String {
+    match (physical, name) {
+        (false, "all") => lint::to_json(&lint::run_all()),
+        (true, "all") => lint::to_json(&lint::run_physical_all()),
+        (false, _) => lint::run_case(name).expect("known case").to_json(),
+        (true, _) => lint::run_physical_case(name).expect("known case").to_json(),
+    }
+}
+
+/// The logical-analyzer goldens beyond the two cases above: `(case,
+/// golden file)` pairs pinned byte for byte.
+const LOGICAL_GOLDENS: [(&str, &str); 1] = [("all", "lint_all.json")];
+
+#[test]
+fn logical_json_is_byte_stable() {
+    for (name, file) in LOGICAL_GOLDENS {
+        assert_eq!(lint_json(false, name), golden(file).trim_end(), "{name}");
+    }
+}
+
 #[test]
 fn json_runs_are_deterministic() {
     // Same process, repeated runs: byte-identical output (no HashMap
     // iteration order anywhere in the lint path).
-    for name in ["dgx1-cc", "conflict", "dgx1-naive-double"] {
-        let a = lint::run_case(name).expect("known case").to_json();
-        let b = lint::run_case(name).expect("known case").to_json();
-        assert_eq!(a, b, "{name}");
+    for name in ["dgx1-cc", "conflict", "dgx1-naive-double", "all"] {
+        assert_eq!(lint_json(false, name), lint_json(false, name), "{name}");
     }
 }
 
@@ -50,27 +75,25 @@ fn json_runs_are_deterministic() {
 /// byte for byte. `lint_fabric_skew.json` is the PR 8 hazard — the ring
 /// whose cross-leaf crossings all hash to uplink slot 1 — caught
 /// statically as eight `CC016` warnings.
-const FABRIC_GOLDENS: [(&str, &str); 4] = [
+const FABRIC_GOLDENS: [(&str, &str); 5] = [
     ("hier16-ring-uplinks", "lint_fabric_skew.json"),
     ("hier16-oversub", "lint_fabric_oversub.json"),
     ("dgx1-cc-physical", "lint_fabric_clean.json"),
     ("severed-ring", "lint_fabric_severed.json"),
+    ("all", "lint_physical_all.json"),
 ];
 
 #[test]
 fn fabric_json_is_byte_stable() {
     for (name, file) in FABRIC_GOLDENS {
-        let case = lint::run_physical_case(name).expect("known case");
-        assert_eq!(case.to_json(), golden(file).trim_end(), "{name}");
+        assert_eq!(lint_json(true, name), golden(file).trim_end(), "{name}");
     }
 }
 
 #[test]
 fn fabric_json_runs_are_deterministic() {
     for (name, _) in FABRIC_GOLDENS {
-        let a = lint::run_physical_case(name).expect("known case").to_json();
-        let b = lint::run_physical_case(name).expect("known case").to_json();
-        assert_eq!(a, b, "{name}");
+        assert_eq!(lint_json(true, name), lint_json(true, name), "{name}");
     }
 }
 
