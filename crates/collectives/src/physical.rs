@@ -143,9 +143,8 @@ fn durations(schedule: &Schedule, routes: &[PreparedRoute], timing: &LinkTiming)
 }
 
 /// `CC018` checks, one port walk per route: every channel must have
-/// ports on the fabric, and every leaf crossing uplink ports on both
-/// sides. Findings count the transfers on each route. Returns every
-/// route's port path when all of them are realizable.
+/// ports on the fabric. Findings count the transfers on each route.
+/// Returns every route's port path when all of them are realizable.
 fn port_routes(
     report: &mut LintReport,
     routes: &[PreparedRoute],
@@ -153,26 +152,13 @@ fn port_routes(
     fabric: &FabricGraph,
 ) -> Option<Vec<Vec<PortId>>> {
     let mut portless: BTreeMap<ChannelId, usize> = BTreeMap::new();
-    let mut severed: BTreeMap<(SwitchId, SwitchId), usize> = BTreeMap::new();
     let mut out = Vec::with_capacity(routes.len());
     for (route, &n) in routes.iter().zip(uses) {
         let mut ports = Vec::new();
-        let mut cut = Vec::new();
-        let mut whole = true;
         fabric.walk(route.path(), |step| match step {
             PortStep::Port(p) => ports.push(p),
-            PortStep::Portless(c) => {
-                *portless.entry(c).or_insert(0) += n;
-                whole = false;
-            }
-            PortStep::NoUplink { from, to } => cut.push((from, to)),
+            PortStep::Portless(c) => *portless.entry(c).or_insert(0) += n,
         });
-        // A path with a portless channel reports only that.
-        if whole {
-            for crossing in cut {
-                *severed.entry(crossing).or_insert(0) += n;
-            }
-        }
         out.push(ports);
     }
     for (c, count) in &portless {
@@ -188,17 +174,7 @@ fn port_routes(
             },
         );
     }
-    for ((here, next), count) in &severed {
-        report.push(
-            LintCode::UnreachablePortPath,
-            format!(
-                "no uplink path from {here} to {next} ({count} cross-leaf transfers \
-                 have no physical route)"
-            ),
-            Span::default(),
-        );
-    }
-    (portless.is_empty() && severed.is_empty()).then_some(out)
+    portless.is_empty().then_some(out)
 }
 
 /// Longest dependency chain under the given per-transfer durations.

@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod arrivals;
+pub mod cli;
 pub mod experiments;
 pub mod lint;
 pub mod pipeline;

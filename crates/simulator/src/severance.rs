@@ -21,7 +21,11 @@
 //! NIC-class paths are structural and never re-routed; channel reroutes
 //! run a [`Router`] with every concurrently-down channel blocked;
 //! uplink failover needs a non-`Hash` policy and a surviving slot
-//! (checked against every overlapping uplink/spine outage). It is
+//! (checked against every overlapping uplink/spine outage). The engine
+//! moves a leaf crossing's up and down legs jointly onto one spine, so a
+//! crossing survives only on a slot that is up on *both* its leaves: a
+//! leaf that keeps some slot is not enough when its peer has lost that
+//! very slot, and one such crossing blocks the window's finding. It is
 //! evaluated against the *statically lowered* routes — one
 //! [`PreparedRoute`] per logical edge, the ones the scheduler runs on —
 //! and decides each route once (its port walk, its NIC-path test, its
@@ -42,8 +46,7 @@ use ccube_collectives::analyze::{LintCode, LintReport, Span};
 use ccube_collectives::physical::push_lower_error;
 use ccube_collectives::{Embedding, PreparedLowering, PreparedRoute, Schedule, TransferId};
 use ccube_topology::{
-    ChannelClass, ChannelId, FabricGraph, FabricPort, PortId, PortKind, Router, Seconds, SwitchId,
-    Topology,
+    ChannelClass, ChannelId, FabricGraph, PortId, PortKind, Router, Seconds, Topology,
 };
 use std::collections::BTreeSet;
 
@@ -79,22 +82,56 @@ fn down_slots(
         .collect()
 }
 
-/// Which static port routes (indexed like the schedule's edges) occupy
-/// an uplink port that `hits`.
-fn uplink_users(
-    port_routes: &[Vec<PortId>],
+/// The leaf crossings an uplink or spine outage `e` hits, read off the
+/// static port routes (indexed like the schedule's edges): per route,
+/// whether one of its crossings uses a slot `e` downs on either leaf;
+/// and, when every hit crossing keeps a way across, the slots they can
+/// fail over to. The engine moves a crossing's up and down legs jointly
+/// (one spine), so a slot survives for it only if it stays up on *both*
+/// of its leaves through `e`'s window, under every overlapping
+/// uplink/spine outage.
+fn hit_crossings(
+    plan: &FaultPlan,
     graph: &FabricGraph,
-    hits: &dyn Fn(&FabricPort) -> bool,
-) -> Vec<bool> {
-    port_routes
+    port_routes: &[Vec<PortId>],
+    e: &FaultEvent,
+) -> (Vec<bool>, Option<BTreeSet<usize>>) {
+    let downed = e.downed_uplinks(graph);
+    let down: Vec<BTreeSet<usize>> = (0..graph.num_switches() as u32)
+        .map(|leaf| down_slots(plan, graph, leaf, e.from(), e.until()))
+        .collect();
+    let mut survivors = Some(BTreeSet::new());
+    let hit = port_routes
         .iter()
         .map(|route| {
-            route.iter().any(|&p| {
-                let port = graph.port(p);
-                matches!(port.kind(), PortKind::UplinkUp | PortKind::UplinkDown) && hits(port)
-            })
+            let mut hit = false;
+            for pair in route.windows(2) {
+                let (up, dn) = (graph.port(pair[0]), graph.port(pair[1]));
+                let (PortKind::UplinkUp, PortKind::UplinkDown, Some(slot)) =
+                    (up.kind(), dn.kind(), up.uplink())
+                else {
+                    continue;
+                };
+                let (from, to) = (up.switch().0, dn.switch().0);
+                if !downed.contains(&(from, slot)) && !downed.contains(&(to, slot)) {
+                    continue;
+                }
+                hit = true;
+                let (from, to) = (&down[from as usize], &down[to as usize]);
+                let mut alive = (0..graph.uplinks_per_leaf())
+                    .filter(|s| !from.contains(s) && !to.contains(s))
+                    .peekable();
+                if alive.peek().is_none() {
+                    survivors = None;
+                }
+                if let Some(set) = &mut survivors {
+                    set.extend(alive);
+                }
+            }
+            hit
         })
-        .collect()
+        .collect();
+    (hit, survivors)
 }
 
 /// The transfers, in id order, whose edge is flagged in `on`.
@@ -195,15 +232,10 @@ pub fn analyze_severance(
                 let Some((graph, port_routes, policy)) = &fabric else {
                     continue;
                 };
-                let hit = uplink_users(port_routes, graph, &|p| {
-                    p.switch() == SwitchId(leaf) && p.uplink() == Some(uplink)
-                });
-                let down = down_slots(plan, graph, leaf, from, until);
-                let survivors: Vec<usize> = (0..graph.uplinks_per_leaf())
-                    .filter(|s| !down.contains(s))
-                    .collect();
+                let (hit, survivors) = hit_crossings(plan, graph, port_routes, e);
                 let adaptive = *policy != UplinkPolicy::Hash;
-                let fail_over = (adaptive && !survivors.is_empty()).then(|| {
+                let fail_over = survivors.filter(|_| adaptive).map(|survivors| {
+                    let survivors: Vec<usize> = survivors.into_iter().collect();
                     format!(
                         "fail over to surviving slot(s) {survivors:?} under the {} policy",
                         policy.label()
@@ -221,44 +253,21 @@ pub fn analyze_severance(
                 let Some((graph, port_routes, policy)) = &fabric else {
                     continue;
                 };
-                let k = graph.uplinks_per_leaf();
-                let spine_slots: BTreeSet<usize> = e
-                    .downed_uplinks(graph)
-                    .into_iter()
-                    .map(|(_, slot)| slot as usize)
-                    .collect();
-                if spine_slots.is_empty() {
-                    continue;
-                }
-                let hit = uplink_users(port_routes, graph, &|p| {
-                    p.uplink()
-                        .is_some_and(|u| spine_slots.contains(&(u as usize)))
-                });
-                // A leaf survives if it keeps at least one slot that is
-                // neither on this spine nor downed by an overlapping
-                // event.
-                let hit_leaves: BTreeSet<u32> = port_routes
-                    .iter()
-                    .zip(&hit)
-                    .filter(|&(_, &h)| h)
-                    .flat_map(|(route, _)| route)
-                    .map(|&p| graph.port(p))
-                    .filter(|p| matches!(p.kind(), PortKind::UplinkUp | PortKind::UplinkDown))
-                    .map(|p| p.switch().0)
-                    .collect();
-                let all_survive = hit_leaves.iter().all(|&leaf| {
-                    let down = down_slots(plan, graph, leaf, from, until);
-                    (0..k).any(|s| !down.contains(&s))
-                });
+                let (hit, survivors) = hit_crossings(plan, graph, port_routes, e);
                 let adaptive = *policy != UplinkPolicy::Hash;
-                let fail_over = (adaptive && all_survive).then(|| {
+                let fail_over = survivors.filter(|_| adaptive).map(|_| {
+                    let spine_slots: BTreeSet<u32> = e
+                        .downed_uplinks(graph)
+                        .into_iter()
+                        .map(|(_, slot)| slot)
+                        .collect();
                     format!(
                         "fail over off slot(s) {spine_slots:?} under the {} policy",
                         policy.label()
                     )
                 });
                 let why = if adaptive {
-                    "a leaf loses every uplink slot"
+                    "a crossing loses every uplink slot"
                 } else {
                     "hash striping cannot leave the downed spine"
                 };
@@ -594,6 +603,36 @@ mod tests {
                 .count();
         }
         assert!(rerouted >= 1);
+    }
+
+    #[test]
+    fn a_crossing_needs_the_same_slot_up_on_both_leaves() {
+        // Slot 0 down on leaf 1 and slot 1 down on leaf 2, for good:
+        // each leaf keeps a slot, but no slot is up on both, so the
+        // 1 -> 2 crossings (GPU 7 -> 8) have no way across.
+        let topo = hierarchical(16);
+        let s = ring_allreduce(16, ByteSize::mib(4));
+        let e = Embedding::nic(&topo, &s).unwrap();
+        let down = |leaf, uplink| FaultEvent::UplinkDown {
+            leaf,
+            uplink,
+            from: Seconds::ZERO,
+            until: forever(),
+        };
+        let plan = FaultPlan::new(vec![down(1, 0), down(2, 1)]).unwrap();
+        let opts = fabric_opts(2, UplinkPolicy::Failover);
+        assert!(matches!(
+            crate::simulate_faulted(&topo, &s, &e, &opts, &plan),
+            Err(crate::SimError::Unroutable { .. })
+        ));
+        let report = analyze_severance(&plan, &topo, &s, &e, &opts);
+        assert!(
+            report
+                .diagnostics()
+                .iter()
+                .any(|d| d.code == LintCode::FaultSevered),
+            "{report}"
+        );
     }
 
     #[test]

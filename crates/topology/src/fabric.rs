@@ -99,14 +99,6 @@ pub enum PortStep {
     /// A channel of the path with no port on the fabric: fabric and
     /// topology disagree.
     Portless(ChannelId),
-    /// Consecutive channels attach to different leaves, and one side has
-    /// no uplink ports: the crossing has no physical route.
-    NoUplink {
-        /// The sender's leaf.
-        from: SwitchId,
-        /// The receiver's leaf.
-        to: SwitchId,
-    },
 }
 
 /// A single unidirectional switch port: one schedulable resource in the
@@ -435,8 +427,9 @@ impl FabricGraph {
     /// single-uplink route exactly.
     ///
     /// A channel without ports here (a fabric built from another
-    /// topology) is a [`PortStep::Portless`] step, not a panic, and a
-    /// leaf crossing without uplink ports a [`PortStep::NoUplink`] step.
+    /// topology) is a [`PortStep::Portless`] step, not a panic. Every
+    /// leaf of a multi-leaf fabric has `uplinks_per_leaf >= 1` slots, so
+    /// every leaf crossing has a physical route.
     pub fn walk(&self, path: &[ChannelId], mut step: impl FnMut(PortStep)) {
         let ports = |c: ChannelId| {
             self.ports_of_channel
@@ -464,13 +457,6 @@ impl FabricGraph {
             }
             let ups = &self.uplink_up[here.index()];
             let downs = &self.uplink_down[next.index()];
-            if ups.is_empty() || downs.is_empty() {
-                step(PortStep::NoUplink {
-                    from: here,
-                    to: next,
-                });
-                continue;
-            }
             // NIC-layout injection channels are `2i` for source node `i`,
             // so striping on `c.0 / 2` spreads sources round-robin across
             // the uplink slots.
@@ -482,8 +468,7 @@ impl FabricGraph {
 
     /// Expands a transfer's channel path into the ordered port path it
     /// occupies in this fabric: the [`PortStep::Port`] steps of
-    /// [`FabricGraph::walk`]. Channels without ports and leaf crossings
-    /// without uplinks contribute none.
+    /// [`FabricGraph::walk`]. Channels without ports contribute none.
     pub fn port_route(&self, path: &[ChannelId]) -> Vec<PortId> {
         let mut out = Vec::new();
         self.walk(path, |step| {
@@ -921,6 +906,39 @@ mod tests {
             [PortStep::Port(ingress), PortStep::Portless(path[1])]
         );
         assert_eq!(fab.port_route(&path), [ingress]);
+    }
+
+    #[test]
+    fn every_leaf_of_a_multi_leaf_fabric_has_every_uplink_slot() {
+        // The invariant that makes every leaf crossing routable: `walk`
+        // always finds an uplink-up port on the sender's leaf and an
+        // uplink-down port of the same slot on the receiver's.
+        for p in [4, 6, 8, 12, 16] {
+            for topo in [hierarchical(p), nvswitch(p)] {
+                for radix in 1..=p {
+                    for uplinks in 1..=3 {
+                        for spines in 1..=3 {
+                            let cfg = FabricConfig {
+                                radix: Some(radix),
+                                spines,
+                                uplinks_per_leaf: uplinks,
+                                ..FabricConfig::default()
+                            };
+                            let fab = FabricGraph::from_topology(&topo, &cfg);
+                            if fab.num_switches() < 2 {
+                                continue;
+                            }
+                            assert_eq!(fab.uplinks_per_leaf(), uplinks);
+                            for leaf in 0..fab.num_switches() as u32 {
+                                let leaf = SwitchId(leaf);
+                                assert_eq!(fab.uplinks_up(leaf).len(), uplinks, "{cfg:?}");
+                                assert_eq!(fab.uplinks_down(leaf).len(), uplinks, "{cfg:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

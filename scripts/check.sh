@@ -34,6 +34,9 @@ cargo test -q -p ccube-sim --test faults
 echo "==> switch-fabric model suite (passthrough == approx, uplinks, hop modes)"
 cargo test -q -p ccube-sim --test fabric_equivalence
 
+echo "==> CLI corpus: every subcommand and mode's exit code, stdout and written files match tests/data/cli_corpus.txt"
+cargo test -q -p ccube --test cli_corpus
+
 echo "==> static schedule analyzer (ccube lint all --json): stdout matches tests/data/lint_all.json"
 cargo run -q --release -p ccube --bin ccube -- lint all --json \
     | diff tests/data/lint_all.json -

@@ -263,7 +263,13 @@ fn assert_usage_errors(tag: &str, cases: &[&[&str]]) {
         assert_eq!(out.status.code(), Some(2), "ccube {args:?}");
         assert!(out.stdout.is_empty(), "ccube {args:?} printed output");
         let err = String::from_utf8_lossy(&out.stderr);
-        let prefix = format!("{}: ", args[0]);
+        // The subcommand, after a leading `--threads N` if any.
+        let command = if args[0] == "--threads" {
+            args[2]
+        } else {
+            args[0]
+        };
+        let prefix = format!("{command}: ");
         assert!(err.starts_with(&prefix), "ccube {args:?}: {err}");
     }
     let written: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
@@ -292,6 +298,18 @@ fn every_subcommand_rejects_unknown_flags_and_surplus_arguments() {
             &["faults", "--smoke", "a.csv", "b.csv"],
             &["trace", "--jsno"],
             &["trace", "a.csv", "b.csv"],
+            // A repeated flag is a usage error, never a silent override:
+            // valued or switch, spelled alike or not, and `--threads`
+            // before and after the subcommand.
+            &["scaleout", "8", "1", "--threads", "1", "--threads", "2"],
+            &["scaleout", "8", "1", "--threads=1", "--threads", "2"],
+            &["--threads", "1", "scaleout", "8", "1", "--threads", "2"],
+            &["figures", "out", "--fabric", "switch", "--fabric", "approx"],
+            &["faults", "--smoke", "--smoke"],
+            &["faults", "grid.csv", "--seed", "1", "--seed=2"],
+            &["trace", "--json", "--json"],
+            &["lint", "all", "--json", "--json"],
+            &["compare", "resnet50", "--low", "--low"],
         ],
     );
 }

@@ -1,121 +1,118 @@
-//! Help/docs drift audit: every flag and subcommand the `ccube` binary
-//! actually parses must be documented — in the binary's own `USAGE`
-//! text, and in README.md's subcommand table.
-//!
-//! The binary's source is audited textually (`include_str!`), so adding
-//! a `split_flag(.., "--new-flag")` call without touching the help text
-//! fails this test instead of shipping stale docs — the drift this PR
-//! fixed (the pre-seed `trace --diff` wording) stays fixed.
+//! Help/docs drift audit: every subcommand, mode and flag in the
+//! `ccube` table (`ccube::cli::MODES`) must be documented — in the help
+//! text, and in README.md's subcommand and flag tables — and every flag
+//! either advertises must exist in the table.
 
-/// The CLI source; `USAGE` is extracted out of it below.
-const CCUBE_SRC: &str = include_str!("../crates/core/src/bin/ccube.rs");
+use ccube::cli;
+
 const README: &str = include_str!("../README.md");
 const EXPERIMENTS: &str = include_str!("../EXPERIMENTS.md");
 
-/// The `USAGE` string constant, as written in the source (escape
-/// sequences left verbatim — good enough for substring audits).
-fn usage_text() -> &'static str {
-    let start = CCUBE_SRC
-        .find("const USAGE: &str = \"")
-        .expect("ccube.rs defines const USAGE");
-    let rest = &CCUBE_SRC[start..];
-    let open = rest.find('"').unwrap() + 1;
-    let close = rest.find("\";").expect("USAGE terminates");
-    &rest[open..close]
+/// Every flag any mode reads, the fabric flags included.
+fn table_flags() -> Vec<&'static str> {
+    let mut flags: Vec<&str> = cli::modes().flat_map(|m| m.flags).collect();
+    flags.sort_unstable();
+    flags.dedup();
+    assert!(flags.len() >= 15, "flags read from the table: {flags:?}");
+    flags
 }
 
-/// Every quoted `"--flag"` literal the source compares arguments
-/// against — i.e. the flags the binary genuinely parses.
-fn parsed_flags() -> Vec<String> {
-    let mut flags = std::collections::BTreeSet::new();
-    let mut rest = CCUBE_SRC;
-    while let Some(pos) = rest.find("\"--") {
-        rest = &rest[pos + 1..];
-        let end = rest.find('"').expect("string literal closes");
-        let flag = rest[..end].trim_end_matches('=').to_string();
-        // Keep only flag-shaped literals (`--lower-case`): error-message
-        // strings that merely *mention* a flag start the same way but
-        // carry spaces or braces. `"--"` alone is the separator test.
-        // `--help` prints the help — documenting it inside itself would
-        // be circular, so it is exempt.
-        if flag.len() > 2
-            && flag != "--help"
-            && flag[2..]
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c == '-')
-        {
-            flags.insert(flag);
-        }
-        rest = &rest[end..];
-    }
-    flags.into_iter().collect()
-}
-
-/// The subcommand names dispatched in `main`'s match.
+/// Every subcommand in the table.
 fn subcommands() -> Vec<&'static str> {
-    let mut out = Vec::new();
-    for line in CCUBE_SRC.lines() {
-        let line = line.trim_start();
-        let Some(rest) = line.strip_prefix('"') else {
-            continue;
-        };
-        let Some((name, tail)) = rest.split_once('"') else {
-            continue;
-        };
-        if tail.trim_start().starts_with("=> cmd_") {
-            out.push(name);
-        }
-    }
-    assert!(out.len() >= 10, "subcommand match arms found: {out:?}");
+    let mut out: Vec<&str> = cli::modes().map(|m| m.command).collect();
+    out.dedup();
+    assert!(out.len() >= 10, "subcommands read from the table: {out:?}");
     out
+}
+
+/// README's CLI rows: its subcommand table (`| `ccube …` |`) and its
+/// flag table (`| `--…` |`).
+fn readme_cli_rows() -> Vec<&'static str> {
+    let rows: Vec<&str> = README
+        .lines()
+        .filter(|l| l.starts_with("| `ccube ") || l.starts_with("| `--"))
+        .collect();
+    assert!(rows.len() >= 20, "README CLI rows: {rows:?}");
+    rows
+}
+
+/// The `--flag` words of `text`.
+fn flag_words(text: &str) -> Vec<&str> {
+    let words = text.split(|c: char| !c.is_ascii_alphanumeric() && c != '-');
+    words
+        .filter(|w| w.starts_with("--") && w.len() > 2)
+        .collect()
 }
 
 #[test]
 fn every_parsed_flag_is_in_usage() {
-    let usage = usage_text();
-    for flag in parsed_flags() {
+    let help = cli::help();
+    for mode in cli::modes() {
         assert!(
-            usage.contains(&flag),
-            "{flag} is parsed by ccube but missing from USAGE"
+            help.contains(mode.synopsis),
+            "{} missing from the help",
+            mode.synopsis
+        );
+    }
+    for flag in table_flags() {
+        assert!(
+            help.contains(flag),
+            "{flag} is parsed by ccube but missing from the help"
         );
     }
 }
 
 #[test]
 fn every_parsed_flag_is_in_readme() {
-    for flag in parsed_flags() {
+    let rows = readme_cli_rows().join("\n");
+    for mode in cli::modes() {
+        let row = format!("| `ccube {}` |", mode.synopsis);
+        assert!(rows.contains(&row), "README.md has no row {row}");
+    }
+    for flag in table_flags() {
         assert!(
-            README.contains(&flag),
-            "{flag} is parsed by ccube but missing from README.md"
+            rows.contains(&format!("| `{flag}")) || rows.contains(&format!(", `{flag}")),
+            "{flag} is parsed by ccube but missing from README.md's flag table"
         );
     }
 }
 
 #[test]
 fn every_subcommand_is_in_usage_and_readme() {
-    let usage = usage_text();
+    let help = cli::help();
     for cmd in subcommands() {
-        assert!(usage.contains(cmd), "subcommand {cmd} missing from USAGE");
+        assert!(help.contains(&format!("\n  {cmd} ")) || help.contains(&format!("\n  {cmd}\n")));
         assert!(
-            README.contains(&format!("`ccube {cmd}")) || README.contains(&format!("ccube {cmd}")),
-            "subcommand {cmd} missing from README.md"
+            README.contains(&format!("| `ccube {cmd}")),
+            "subcommand {cmd} missing from README.md's subcommand table"
         );
     }
 }
 
 #[test]
 fn usage_flags_all_exist() {
-    // The reverse audit: a flag advertised in USAGE must actually be
-    // parsed somewhere — stale help lines fail here.
-    let parsed = parsed_flags();
-    for word in usage_text().split_whitespace() {
-        let word = word.trim_matches(|c: char| !c.is_ascii_alphanumeric() && c != '-');
-        if word.starts_with("--") {
-            assert!(
-                parsed.iter().any(|p| p == word),
-                "USAGE advertises {word} but ccube never parses it"
-            );
-        }
+    // The reverse audit: a flag the help or README's CLI tables advertise
+    // must be in the table, and every README subcommand row must be a
+    // mode's synopsis — stale help or README lines fail here.
+    let flags = table_flags();
+    let help = cli::help();
+    let rows = readme_cli_rows();
+    for word in flag_words(&help)
+        .into_iter()
+        .chain(rows.iter().flat_map(|r| flag_words(r)))
+    {
+        assert!(
+            flags.contains(&word),
+            "{word} is advertised but ccube never parses it"
+        );
+    }
+    let synopses: Vec<&str> = cli::modes().map(|m| m.synopsis).collect();
+    for row in rows.iter().filter(|r| r.starts_with("| `ccube ")) {
+        let synopsis = row["| `ccube ".len()..].split('`').next().unwrap();
+        assert!(
+            synopses.contains(&synopsis),
+            "README.md row {row:?} is no mode of ccube"
+        );
     }
 }
 
@@ -123,16 +120,16 @@ fn usage_flags_all_exist() {
 fn diff_docs_mention_live_seeds() {
     // The PR 8 drift this test exists for: `trace --diff` accepts live
     // seeds, not just CSV paths, and every doc surface must say so.
-    let usage = usage_text();
-    let diff_line = usage
+    let help = cli::help();
+    let diff_line = help
         .lines()
-        .skip_while(|l| !l.contains("--diff"))
+        .skip_while(|l| !l.contains("trace --diff"))
         .take(3)
         .collect::<Vec<_>>()
         .join(" ");
     assert!(
         diff_line.contains("seed"),
-        "USAGE's trace --diff lines must mention seeds: {diff_line:?}"
+        "the help's trace --diff lines must mention seeds: {diff_line:?}"
     );
     for (name, doc) in [("README.md", README), ("EXPERIMENTS.md", EXPERIMENTS)] {
         let around = doc
@@ -149,7 +146,7 @@ fn diff_docs_mention_live_seeds() {
 #[test]
 fn html_viewer_is_documented_everywhere() {
     for (name, doc) in [
-        ("USAGE", usage_text()),
+        ("the help", cli::help().as_str()),
         ("README.md", README),
         ("EXPERIMENTS.md", EXPERIMENTS),
     ] {
