@@ -838,11 +838,11 @@ fn find_cycles(graph: &WaitGraph) -> Vec<Vec<u32>> {
     out
 }
 
-/// The shortest cycle through the smallest node of a cyclic SCC — the
-/// minimal witness path reported to the user. BFS restricted to the SCC.
+/// The shortest cycle through the smallest node of a cyclic SCC (a
+/// sorted node list) — the minimal witness path reported to the user.
+/// BFS restricted to the SCC.
 fn minimal_witness(graph: &WaitGraph, scc: &[u32]) -> Vec<u32> {
     let start = scc[0];
-    let in_scc: std::collections::HashSet<u32> = scc.iter().copied().collect();
     let mut prev: BTreeMap<u32, u32> = BTreeMap::new();
     let mut queue = std::collections::VecDeque::new();
     queue.push_back(start);
@@ -859,7 +859,7 @@ fn minimal_witness(graph: &WaitGraph, scc: &[u32]) -> Vec<u32> {
                 path.reverse();
                 return path;
             }
-            if in_scc.contains(&v) && !prev.contains_key(&v) && v != start {
+            if scc.binary_search(&v).is_ok() && !prev.contains_key(&v) && v != start {
                 prev.insert(v, u);
                 queue.push_back(v);
             }
@@ -873,63 +873,26 @@ fn minimal_witness(graph: &WaitGraph, scc: &[u32]) -> Vec<u32> {
 // ---------------------------------------------------------------------
 
 fn dataflow_lints(schedule: &Schedule, report: &mut LintReport) {
-    let p = schedule.num_ranks();
-    let k = schedule.chunking().num_chunks();
-    // One flat table of contribution bitsets: buffer (rank r, chunk c)
-    // holds `words` bits at `slot(r, c)`, one per contributing rank.
-    let words = p.div_ceil(64);
-    let slot = |r: usize, c: usize| (r * k + c) * words;
-    let mut state = vec![0u64; p * k * words];
-    for r in 0..p {
-        for c in 0..k {
-            state[slot(r, c) + r / 64] |= 1 << (r % 64);
-        }
-    }
-
-    for t in schedule.transfers() {
-        // src != dst (no CC001 here), so the two buffers are disjoint.
-        let src = slot(t.src.index(), t.chunk.index());
-        let dst = slot(t.dst.index(), t.chunk.index());
-        if t.phase.is_reduction() {
-            let mut overlap = false;
-            for w in 0..words {
-                let payload = state[src + w];
-                overlap |= payload & state[dst + w] != 0;
-                state[dst + w] |= payload;
-            }
-            if overlap {
-                report.push(
-                    LintCode::DoubleReduction,
-                    format!(
-                        "{} folds contributions already present at {} {}",
-                        t.id, t.dst, t.chunk
-                    ),
-                    Span {
-                        transfers: vec![t.id],
-                        ranks: vec![t.dst],
-                        chunks: vec![t.chunk],
-                        ..Span::default()
-                    },
-                );
-            }
-        } else {
-            state.copy_within(src..src + words, dst);
-        }
-    }
-
-    let count = |r: usize, c: usize| -> usize {
-        let at = slot(r, c);
-        state[at..at + words]
-            .iter()
-            .map(|b| b.count_ones() as usize)
-            .sum()
-    };
+    let (p, k) = (schedule.num_ranks(), schedule.chunking().num_chunks());
+    let state = verify::Contributions::replay(schedule, |t| {
+        report.push(
+            LintCode::DoubleReduction,
+            format!(
+                "{} folds contributions already present at {} {}",
+                t.id, t.dst, t.chunk
+            ),
+            Span {
+                transfers: vec![t.id],
+                ranks: vec![t.dst],
+                chunks: vec![t.chunk],
+                ..Span::default()
+            },
+        );
+    });
     for c in 0..k {
         let incomplete: Vec<(Rank, usize)> = (0..p)
-            .filter_map(|r| {
-                let have = count(r, c);
-                (have != p).then_some((Rank(r as u32), have))
-            })
+            .map(|r| (Rank(r as u32), state.count(r, c)))
+            .filter(|&(_, have)| have != p)
             .collect();
         if let Some(&(worst_rank, worst_have)) = incomplete.iter().min_by_key(|&&(_, h)| h) {
             report.push(
@@ -1215,14 +1178,13 @@ fn embedding_lints(
 ) {
     route_lints(schedule, embedding, topo, report);
 
-    // Conflict detection over the valid routes, in deterministic
-    // logical-edge order (never HashMap iteration order). Each edge
-    // carries its channel queue, which is its step table.
+    // Conflict detection over the valid routes, in logical-edge order.
+    // Each edge carries its channel queue, which is its step table.
     let mut by_channel: BTreeMap<ChannelId, Vec<(EdgeKey, usize)>> = BTreeMap::new();
     let mut host_edges: Vec<EdgeKey> = Vec::new();
     for (e, &(src, dst, tree)) in schedule.edges().iter().enumerate() {
         let key = EdgeKey { src, dst, tree };
-        let Some(route) = embedding.route(&key) else {
+        let Some(route) = embedding.route_at(e, &key) else {
             continue; // already a CC007
         };
         if route.class() == ChannelClass::HostBridge {
@@ -1342,7 +1304,8 @@ fn first_common_step(
     None
 }
 
-/// CC007/CC008: every logical edge must have a route that is real on the
+/// CC007/CC008: every logical edge must have a route (the embedding's
+/// route at the edge's index, for the same edge) that is real on the
 /// topology — channels exist, hops chain from the source GPU to the
 /// destination GPU (NIC routes instead follow the injection/ejection
 /// convention), and the declared detour GPU lies on the path.
@@ -1352,9 +1315,9 @@ fn route_lints(
     topo: &Topology,
     report: &mut LintReport,
 ) {
-    for &(src, dst, tree) in schedule.edges() {
+    for (e, &(src, dst, tree)) in schedule.edges().iter().enumerate() {
         let key = EdgeKey { src, dst, tree };
-        let Some(route) = embedding.route(&key) else {
+        let Some(route) = embedding.route_at(e, &key) else {
             report.push(
                 LintCode::MissingRoute,
                 format!("no route for logical edge {key}"),
@@ -1365,8 +1328,7 @@ fn route_lints(
             );
             continue;
         };
-        let sg = embedding.gpu_of(src);
-        let dg = embedding.gpu_of(dst);
+        let (sg, dg) = (embedding.gpu_of(src), embedding.gpu_of(dst));
         let mut invalid = |why: String, channels: Vec<ChannelId>| {
             report.push(
                 LintCode::InvalidRoute,
@@ -1734,7 +1696,8 @@ mod tests {
                 vec![wrong],
                 ChannelClass::NvLink,
             ),
-        );
+        )
+        .unwrap();
         let report = gate(&s, &emb, &topo);
         assert!(report
             .diagnostics()

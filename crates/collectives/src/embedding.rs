@@ -12,11 +12,16 @@
 //! automatically lands the conflicting tree edges (e.g. GPU2–GPU3) on the
 //! machine's *two separate* NVLinks — the physical-topology trick of the
 //! paper's Fig. 10.
+//!
+//! An embedding belongs to one edge table, the [`Schedule::edges`] it
+//! was built from: it keeps one route per entry, read by index
+//! ([`Embedding::route_at`]), so a schedule whose table differs at some
+//! index misses the route there.
 
 use crate::rank::Rank;
 use crate::schedule::{Schedule, TreeIndex};
 use ccube_topology::{ChannelId, GpuId, Route, Router, Topology, TopologyError};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -58,6 +63,8 @@ pub enum EmbeddingError {
     },
     /// A logical edge could not be routed.
     Routing(TopologyError),
+    /// [`Embedding::set_route`] named an edge outside the edge table.
+    UnknownEdge(EdgeKey),
 }
 
 impl fmt::Display for EmbeddingError {
@@ -71,6 +78,9 @@ impl fmt::Display for EmbeddingError {
                 "schedule uses rank {rank} but only {mapped} ranks are placed"
             ),
             EmbeddingError::Routing(e) => write!(f, "routing failed: {e}"),
+            EmbeddingError::UnknownEdge(edge) => {
+                write!(f, "edge {edge} is not in the embedding's edge table")
+            }
         }
     }
 }
@@ -79,9 +89,9 @@ impl Error for EmbeddingError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             EmbeddingError::Routing(e) => Some(e),
-            EmbeddingError::RankCountMismatch { .. } | EmbeddingError::RankOutOfRange { .. } => {
-                None
-            }
+            EmbeddingError::RankCountMismatch { .. }
+            | EmbeddingError::RankOutOfRange { .. }
+            | EmbeddingError::UnknownEdge(_) => None,
         }
     }
 }
@@ -107,12 +117,15 @@ impl From<TopologyError> for EmbeddingError {
 ///                        Overlap::ReductionBroadcast);
 /// let emb = Embedding::identity(&topo, &s).unwrap();
 /// // The DGX-1 embedding stays off the host bridge entirely.
-/// assert!(emb.routes().values().all(|r| r.class() != ccube_topology::ChannelClass::HostBridge));
+/// assert!(emb.routes().all(|(_, r)| r.class() != ccube_topology::ChannelClass::HostBridge));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Embedding {
     rank_to_gpu: Vec<GpuId>,
-    routes: HashMap<EdgeKey, Route>,
+    /// The [`Schedule::edges`] it was built from.
+    edges: Vec<EdgeKey>,
+    /// `routes[e]` carries `edges[e]`.
+    routes: Vec<Route>,
 }
 
 impl Embedding {
@@ -181,11 +194,10 @@ impl Embedding {
         // dedicated forwarding kernels).
         let edges = schedule.edges();
         check_ranks(edges, mapping.len())?;
-        let mut routes = HashMap::new();
+        let mut routes: Vec<Option<Route>> = vec![None; edges.len()];
         for pass in 0..2 {
-            for &(src, dst, tree) in edges {
-                let sg = mapping[src.index()];
-                let dg = mapping[dst.index()];
+            for (e, &(src, dst, _)) in edges.iter().enumerate() {
+                let (sg, dg) = (mapping[src.index()], mapping[dst.index()]);
                 // "Direct" means a real GPU-to-GPU link; the host bridge
                 // connects everything and must not count.
                 let direct = topo
@@ -195,14 +207,23 @@ impl Embedding {
                 if (pass == 0) != direct {
                     continue;
                 }
-                let route = router.allocate(sg, dg)?;
-                routes.insert(EdgeKey { src, dst, tree }, route);
+                routes[e] = Some(router.allocate(sg, dg)?);
             }
         }
-        Ok(Embedding {
-            rank_to_gpu: mapping,
+        // Each edge is routed in exactly one of the passes.
+        let routes = routes.into_iter().flatten().collect();
+        Ok(Embedding::from_routes(mapping, schedule, routes))
+    }
+
+    /// An embedding of `schedule`'s edge table, `routes` in its order.
+    fn from_routes(rank_to_gpu: Vec<GpuId>, schedule: &Schedule, routes: Vec<Route>) -> Self {
+        let edges = schedule.edges().iter();
+        let edges = edges.map(|&(src, dst, tree)| EdgeKey { src, dst, tree });
+        Embedding {
+            rank_to_gpu,
+            edges: edges.collect(),
             routes,
-        })
+        }
     }
 
     /// The DGX-1 rank placement for the double-tree algorithms
@@ -250,20 +271,12 @@ impl Embedding {
         }
         let mapping: Vec<GpuId> = (0..schedule.num_ranks() as u32).map(GpuId).collect();
         check_ranks(schedule.edges(), mapping.len())?;
-        let mut routes = HashMap::new();
-        for &(src, dst, tree) in schedule.edges() {
-            let sg = mapping[src.index()];
-            let dg = mapping[dst.index()];
+        let routes = schedule.edges().iter().map(|&(src, dst, _)| {
+            let (sg, dg) = (GpuId(src.0), GpuId(dst.0));
             let path = ccube_topology::nic_path(sg, dg);
-            routes.insert(
-                EdgeKey { src, dst, tree },
-                Route::multi(sg, dg, path, ccube_topology::ChannelClass::Nic),
-            );
-        }
-        Ok(Embedding {
-            rank_to_gpu: mapping,
-            routes,
-        })
+            Route::multi(sg, dg, path, ccube_topology::ChannelClass::Nic)
+        });
+        Ok(Embedding::from_routes(mapping, schedule, routes.collect()))
     }
 
     /// The GPU a rank is placed on.
@@ -275,17 +288,25 @@ impl Embedding {
         self.rank_to_gpu[rank.index()]
     }
 
-    /// The route assigned to a logical edge, if that edge was embedded.
+    /// The route assigned to a logical edge, if that edge is in the edge
+    /// table (a scan; [`Embedding::route_at`] reads by index).
     pub fn route(&self, edge: &EdgeKey) -> Option<&Route> {
-        self.routes.get(edge)
+        let e = self.edges.iter().position(|k| k == edge)?;
+        Some(&self.routes[e])
     }
 
-    /// All edge→route assignments.
-    pub fn routes(&self) -> &HashMap<EdgeKey, Route> {
-        &self.routes
+    /// The route of entry `e` of the edge table, if that entry is `edge`
+    /// (`None` for a different edge at `e`, or no entry `e`).
+    pub fn route_at(&self, e: usize, edge: &EdgeKey) -> Option<&Route> {
+        (self.edges.get(e) == Some(edge)).then(|| &self.routes[e])
     }
 
-    /// Overrides (or adds) the route for one logical edge.
+    /// Every edge with its route, in edge-table order.
+    pub fn routes(&self) -> impl ExactSizeIterator<Item = (EdgeKey, &Route)> + '_ {
+        self.edges.iter().copied().zip(&self.routes)
+    }
+
+    /// Overrides the route for one logical edge of the edge table.
     ///
     /// This is the hook the static analyzer's tests and the `ccube lint`
     /// demo cases use to construct deliberately conflicting or invalid
@@ -293,25 +314,31 @@ impl Embedding {
     /// No validation is performed — run the route through
     /// [`analyze::analyze_embedded`](crate::analyze::analyze_embedded)
     /// (or at least [`analyze::gate`](crate::analyze::gate)) afterwards.
-    pub fn set_route(&mut self, edge: EdgeKey, route: Route) {
-        self.routes.insert(edge, route);
+    ///
+    /// # Errors
+    ///
+    /// [`EmbeddingError::UnknownEdge`] if `edge` is not in the table.
+    pub fn set_route(&mut self, edge: EdgeKey, route: Route) -> Result<(), EmbeddingError> {
+        let e = self.edges.iter().position(|k| *k == edge);
+        let e = e.ok_or(EmbeddingError::UnknownEdge(edge))?;
+        self.routes[e] = route;
+        Ok(())
     }
 
-    /// Pairs of distinct edges that share a physical channel. Empty for a
-    /// conflict-free embedding (which is what the overlapped double tree
-    /// needs).
+    /// Pairs of distinct edges that share a physical channel, in
+    /// (channel, edge index) order. Empty for a conflict-free embedding
+    /// (which is what the overlapped double tree needs).
     pub fn conflicts(&self) -> Vec<(EdgeKey, EdgeKey, ChannelId)> {
-        let mut by_channel: HashMap<ChannelId, Vec<EdgeKey>> = HashMap::new();
-        for (edge, route) in &self.routes {
-            for &c in route.channels() {
-                by_channel.entry(c).or_default().push(*edge);
-            }
+        let mut uses = Vec::new();
+        for (e, route) in self.routes.iter().enumerate() {
+            uses.extend(route.channels().iter().map(|&c| (c, e)));
         }
+        uses.sort_unstable();
         let mut out = Vec::new();
-        for (c, edges) in by_channel {
-            for i in 0..edges.len() {
-                for j in (i + 1)..edges.len() {
-                    out.push((edges[i], edges[j], c));
+        for group in uses.chunk_by(|a, b| a.0 == b.0) {
+            for (i, &(c, e1)) in group.iter().enumerate() {
+                for &(_, e2) in &group[i + 1..] {
+                    out.push((self.edges[e1], self.edges[e2], c));
                 }
             }
         }
@@ -320,12 +347,10 @@ impl Embedding {
 
     /// How many detour routes each GPU forwards (the load that costs the
     /// paper's Fig. 15 detour nodes 3–4% of performance).
-    pub fn forwarding_load(&self) -> HashMap<GpuId, usize> {
-        let mut load = HashMap::new();
-        for route in self.routes.values() {
-            if let Some(via) = route.via() {
-                *load.entry(via).or_insert(0) += 1;
-            }
+    pub fn forwarding_load(&self) -> BTreeMap<GpuId, usize> {
+        let mut load = BTreeMap::new();
+        for via in self.routes.iter().filter_map(Route::via) {
+            *load.entry(via).or_insert(0) += 1;
         }
         load
     }
@@ -366,7 +391,7 @@ mod tests {
     fn dgx1_double_tree_embeds_without_host() {
         let topo = dgx1();
         let emb = Embedding::identity(&topo, &double_tree_schedule()).unwrap();
-        for r in emb.routes().values() {
+        for (_, r) in emb.routes() {
             assert_ne!(r.class(), ChannelClass::HostBridge);
         }
     }
@@ -387,6 +412,55 @@ mod tests {
             conflicts.len(),
             conflicts.first()
         );
+    }
+
+    #[test]
+    fn conflicts_come_in_channel_then_edge_order() {
+        // Two identically built embeddings report the same conflicts, in
+        // (channel, edge index) order, each pair lower index first.
+        let topo = dgx1();
+        let s = double_tree_schedule();
+        let a = Embedding::identity(&topo, &s).unwrap().conflicts();
+        let b = Embedding::identity(&topo, &s).unwrap().conflicts();
+        assert!(!a.is_empty());
+        assert_eq!(a, b);
+        let index = |key: EdgeKey| {
+            let keys = s
+                .edges()
+                .iter()
+                .map(|&(src, dst, tree)| EdgeKey { src, dst, tree });
+            keys.into_iter().position(|k| k == key).unwrap()
+        };
+        let order: Vec<_> = a
+            .iter()
+            .map(|&(e1, e2, c)| (c, index(e1), index(e2)))
+            .collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "{order:?}");
+        assert!(order.iter().all(|&(_, e1, e2)| e1 < e2), "{order:?}");
+    }
+
+    #[test]
+    fn set_route_only_overrides_edges_in_the_table() {
+        let topo = dgx1();
+        let s = ring_allreduce(8, ByteSize::mib(1));
+        let mut emb = Embedding::identity(&topo, &s).unwrap();
+        let (src, dst, tree) = s.edges()[1];
+        let key = EdgeKey { src, dst, tree };
+        let route = emb.routes().next().unwrap().1.clone();
+        emb.set_route(key, route.clone()).unwrap();
+        assert_eq!(emb.route(&key), Some(&route));
+        assert_eq!(emb.route_at(1, &key), Some(&route));
+        assert_eq!(emb.route_at(0, &key), None);
+        let absent = EdgeKey {
+            src: dst,
+            dst: src,
+            tree,
+        };
+        assert_eq!(
+            emb.set_route(absent, route),
+            Err(EmbeddingError::UnknownEdge(absent))
+        );
+        assert_eq!(emb.routes().len(), s.edges().len());
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //! [`lower_to_ports`] expand the routes into one [`TransferSpec`] per
 //! transfer; only the benchmark replay (`ledger/`) still times them.
 //!
+//! An [`Embedding`] belongs to the edge table it was built from: edge
+//! `e` takes the embedding's route `e`, and the first index where the
+//! two tables differ is a [`LowerError::MissingRoute`].
+//!
 //! Every transfer on the same [`EdgeKey`] shares its route's one
 //! `Arc<[ChannelId]>` path, so a lowering allocates O(edges) paths
 //! rather than one per transfer — the P=1024 ring has 2.1 M transfers
@@ -324,8 +328,8 @@ pub struct PreparedLowering {
 impl PreparedLowering {
     /// Resolves every logical edge of `schedule` against `embedding`
     /// over `topo`, storing routes and timing coefficients for later
-    /// [`PreparedLowering::lower`] calls: one embedding lookup per edge,
-    /// none per transfer.
+    /// [`PreparedLowering::lower`] calls: edge `e` takes the embedding's
+    /// route `e`, none is looked up per transfer.
     ///
     /// # Errors
     ///
@@ -338,9 +342,10 @@ impl PreparedLowering {
         topo: &Topology,
     ) -> Result<Self, LowerError> {
         let mut routes = Vec::with_capacity(schedule.edges().len());
-        for &(src, dst, tree) in schedule.edges() {
+        for (e, &(src, dst, tree)) in schedule.edges().iter().enumerate() {
             let key = EdgeKey { src, dst, tree };
-            let route = embedding.route(&key).ok_or(LowerError::MissingRoute(key))?;
+            let route = embedding.route_at(e, &key);
+            let route = route.ok_or(LowerError::MissingRoute(key))?;
             routes.push(PreparedRoute::resolve(key, route, topo)?);
         }
         Ok(PreparedLowering { routes })
@@ -440,6 +445,36 @@ mod tests {
             }
         }
         assert_eq!(distinct.len(), s.edges().len());
+    }
+
+    #[test]
+    fn a_permuted_edge_table_misses_its_first_differing_route() {
+        use crate::schedule::{Phase, ScheduleBuilder};
+        use crate::{ChunkId, Rank, TreeIndex};
+        // The same three edges, the last two interned in either order.
+        let build = |order: [(u32, u32); 3]| {
+            let mut b = ScheduleBuilder::new();
+            for (src, dst) in order {
+                let size = ByteSize::kib(4);
+                let edge = b.edge(Rank(src), Rank(dst), TreeIndex(0));
+                b.push_on(edge, ChunkId(0), size, Phase::Reduce, []);
+            }
+            b.finish_unchecked("edges", 4, Chunking::even(ByteSize::kib(4), 1))
+        };
+        let s = build([(0, 1), (1, 2), (2, 3)]);
+        let permuted = build([(0, 1), (2, 3), (1, 2)]);
+        let topo = dgx1();
+        let e = Embedding::identity(&topo, &s).unwrap();
+        let first_differing = EdgeKey {
+            src: Rank(2),
+            dst: Rank(3),
+            tree: TreeIndex(0),
+        };
+        assert_eq!(
+            PreparedLowering::new(&permuted, &e, &topo),
+            Err(LowerError::MissingRoute(first_differing))
+        );
+        assert!(PreparedLowering::new(&s, &e, &topo).is_ok());
     }
 
     #[test]

@@ -16,7 +16,6 @@ use crate::rank::Rank;
 use crate::schedule::{Phase, Schedule, ScheduleBuilder, TransferId, TreeIndex};
 use crate::tree::BinaryTree;
 use ccube_topology::ByteSize;
-use std::collections::HashMap;
 
 /// Builds a pipelined tree **broadcast**: the root's buffer flows down
 /// the tree chunk by chunk; after completion every rank holds the root's
@@ -46,7 +45,8 @@ pub fn tree_broadcast(trees: &[BinaryTree], chunking: &Chunking) -> Schedule {
     let p = trees[0].num_ranks();
     assert!(trees.iter().all(|t| t.num_ranks() == p));
     let mut b = ScheduleBuilder::new();
-    let mut bc: HashMap<(usize, ChunkId, u32), TransferId> = HashMap::new();
+    // bc[c·P + r] = chunk c's broadcast into rank r (a chunk has one tree).
+    let mut bc = vec![TransferId(u32::MAX); chunking.num_chunks() * p];
     for (ti, tree) in trees.iter().enumerate() {
         let top_down = tree.top_down();
         // The edge into each child, interned at the tree's first chunk.
@@ -57,7 +57,7 @@ pub fn tree_broadcast(trees: &[BinaryTree], chunking: &Chunking) -> Schedule {
                     if edge_of[child.index()] == u32::MAX {
                         edge_of[child.index()] = b.edge(r, child, TreeIndex(ti as u8));
                     }
-                    let deps = tree.parent(r).map(|_| bc[&(ti, c, r.0)]);
+                    let deps = tree.parent(r).map(|_| bc[c.index() * p + r.index()]);
                     let id = b.push_on(
                         edge_of[child.index()],
                         c,
@@ -65,7 +65,7 @@ pub fn tree_broadcast(trees: &[BinaryTree], chunking: &Chunking) -> Schedule {
                         Phase::Broadcast,
                         deps,
                     );
-                    bc.insert((ti, c, child.0), id);
+                    bc[c.index() * p + child.index()] = id;
                 }
             }
         }
@@ -85,7 +85,8 @@ pub fn tree_reduce(trees: &[BinaryTree], chunking: &Chunking) -> Schedule {
     let p = trees[0].num_ranks();
     assert!(trees.iter().all(|t| t.num_ranks() == p));
     let mut b = ScheduleBuilder::new();
-    let mut red: HashMap<(usize, ChunkId, u32), TransferId> = HashMap::new();
+    // red[c·P + r] = chunk c's reduction out of rank r.
+    let mut red = vec![TransferId(u32::MAX); chunking.num_chunks() * p];
     for (ti, tree) in trees.iter().enumerate() {
         let bottom_up = tree.bottom_up();
         // The edge out of each rank, interned at the tree's first chunk.
@@ -98,9 +99,10 @@ pub fn tree_reduce(trees: &[BinaryTree], chunking: &Chunking) -> Schedule {
                 if edge_of[r.index()] == u32::MAX {
                     edge_of[r.index()] = b.edge(r, parent, TreeIndex(ti as u8));
                 }
-                let deps = tree.children(r).iter().map(|&child| red[&(ti, c, child.0)]);
+                let row = c.index() * p;
+                let deps = tree.children(r).iter().map(|&ch| red[row + ch.index()]);
                 let id = b.push_on(edge_of[r.index()], c, chunking.size(c), Phase::Reduce, deps);
-                red.insert((ti, c, r.0), id);
+                red[row + r.index()] = id;
             }
         }
     }

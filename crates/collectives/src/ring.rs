@@ -250,7 +250,7 @@ mod tests {
         let fwd: Vec<Rank> = (0..4).map(Rank).collect();
         let rev: Vec<Rank> = (0..4).rev().map(Rank).collect();
         let s = ring_allreduce_multi(ByteSize::mib(8), &[fwd, rev]);
-        let tags: std::collections::HashSet<TreeIndex> =
+        let tags: std::collections::BTreeSet<TreeIndex> =
             s.transfers().iter().map(|t| t.tree).collect();
         assert_eq!(tags.len(), 2);
     }

@@ -351,11 +351,13 @@ mod tests {
     fn bottom_up_respects_child_order() {
         let t = BinaryTree::inorder(11).unwrap();
         let order = t.bottom_up();
-        let pos: std::collections::HashMap<Rank, usize> =
-            order.iter().enumerate().map(|(i, &r)| (r, i)).collect();
+        let mut pos = [usize::MAX; 11];
+        for (i, &r) in order.iter().enumerate() {
+            pos[r.index()] = i;
+        }
         for r in Rank::all(11) {
             for &c in t.children(r) {
-                assert!(pos[&c] < pos[&r]);
+                assert!(pos[c.index()] < pos[r.index()]);
             }
         }
         assert_eq!(*order.last().unwrap(), t.root());

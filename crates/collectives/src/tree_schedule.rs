@@ -236,7 +236,7 @@ mod tests {
             .iter()
             .find(|t| t.phase == Phase::Broadcast && t.src == root)
             .unwrap();
-        let dep_chunks: std::collections::HashSet<ChunkId> = s
+        let dep_chunks: std::collections::BTreeSet<ChunkId> = s
             .deps(first_bc.id)
             .iter()
             .map(|&d| s.transfer(d).chunk)

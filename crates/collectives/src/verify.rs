@@ -6,7 +6,8 @@
 //!   *contribution sets* (which ranks' inputs a buffer currently
 //!   contains) and proves that every rank finishes with the contribution
 //!   of every rank for every chunk — i.e. the schedule really computes an
-//!   AllReduce.
+//!   AllReduce. The other `check_*` functions and the analyzer's
+//!   dataflow lints read the same replay.
 //! * [`execute_steps`] replays a schedule in unit-time steps with
 //!   exclusive logical channels, reproducing the step counts of the
 //!   paper's Fig. 5 (e.g. 10 steps for the conventional tree vs 7 for the
@@ -17,7 +18,7 @@
 
 use crate::chunk::ChunkId;
 use crate::rank::Rank;
-use crate::schedule::{Schedule, TransferId, TreeIndex};
+use crate::schedule::{Schedule, Transfer, TransferId, TreeIndex};
 use std::error::Error;
 use std::fmt;
 
@@ -310,27 +311,80 @@ pub fn dag_violations(schedule: &Schedule) -> Vec<DagViolation> {
     out
 }
 
-/// A set of rank contributions, one bit per rank.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Contrib {
+/// Which ranks' inputs each buffer `(rank, chunk)` holds after a symbolic
+/// replay: one flat table of bitsets, `words` words per buffer. The
+/// checkers below and the analyzer's `CC003`/`CC004` read it.
+pub(crate) struct Contributions {
+    k: usize,
+    words: usize,
     bits: Vec<u64>,
 }
 
-impl Contrib {
-    fn single(rank: Rank, p: usize) -> Self {
-        let mut bits = vec![0u64; p.div_ceil(64)];
-        bits[rank.index() / 64] |= 1 << (rank.index() % 64);
-        Contrib { bits }
-    }
-
-    fn union(&mut self, other: &Contrib) {
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= b;
+impl Contributions {
+    /// Replays `schedule`, a DAG [`check_dag`] accepts, in id order (a
+    /// valid linearization of its dependencies): a reduction takes the
+    /// union of the sender's set into the receiver's, a broadcast
+    /// overwrites it. `on_overlap` sees each reduction whose payload
+    /// shares a contribution with the receiver's set.
+    pub(crate) fn replay(schedule: &Schedule, mut on_overlap: impl FnMut(&Transfer)) -> Self {
+        let (p, k) = (schedule.num_ranks(), schedule.chunking().num_chunks());
+        let words = p.div_ceil(64);
+        let mut table = Contributions {
+            k,
+            words,
+            bits: vec![0; p * k * words],
+        };
+        for r in 0..p {
+            for c in 0..k {
+                let at = table.slot(r, c) + r / 64;
+                table.bits[at] |= 1 << (r % 64);
+            }
         }
+        for t in schedule.transfers() {
+            // src != dst (no self-loop), so the two buffers are disjoint.
+            let src = table.slot(t.src.index(), t.chunk.index());
+            let dst = table.slot(t.dst.index(), t.chunk.index());
+            let bits = &mut table.bits;
+            if t.phase.is_reduction() {
+                let mut overlap = false;
+                for w in 0..words {
+                    let payload = bits[src + w];
+                    overlap |= payload & bits[dst + w] != 0;
+                    bits[dst + w] |= payload;
+                }
+                if overlap {
+                    on_overlap(t);
+                }
+            } else {
+                bits.copy_within(src..src + words, dst);
+            }
+        }
+        table
     }
 
-    fn count(&self) -> usize {
-        self.bits.iter().map(|b| b.count_ones() as usize).sum()
+    fn slot(&self, rank: usize, chunk: usize) -> usize {
+        (rank * self.k + chunk) * self.words
+    }
+
+    /// Buffer `(rank, chunk)`'s contribution set.
+    fn set(&self, rank: usize, chunk: usize) -> &[u64] {
+        let at = self.slot(rank, chunk);
+        &self.bits[at..at + self.words]
+    }
+
+    /// How many ranks' contributions buffer `(rank, chunk)` holds.
+    pub(crate) fn count(&self, rank: usize, chunk: usize) -> usize {
+        let set = self.set(rank, chunk);
+        set.iter().map(|b| b.count_ones() as usize).sum()
+    }
+
+    /// Buffer `(rank, chunk)` as a [`VerifyError::MissingContribution`].
+    fn missing(&self, rank: usize, chunk: usize) -> VerifyError {
+        VerifyError::MissingContribution {
+            rank: Rank(rank as u32),
+            chunk: ChunkId(chunk as u32),
+            have: self.count(rank, chunk),
+        }
     }
 }
 
@@ -348,18 +402,10 @@ impl Contrib {
 /// incomplete.
 pub fn check_allreduce(schedule: &Schedule) -> Result<(), VerifyError> {
     let state = run_symbolic(schedule)?;
-    let p = schedule.num_ranks();
-    let k = schedule.chunking().num_chunks();
+    let (p, k) = (schedule.num_ranks(), schedule.chunking().num_chunks());
     for r in 0..p {
-        for c in 0..k {
-            let have = state[r][c].count();
-            if have != p {
-                return Err(VerifyError::MissingContribution {
-                    rank: Rank(r as u32),
-                    chunk: ChunkId(c as u32),
-                    have,
-                });
-            }
+        if let Some(c) = (0..k).find(|&c| state.count(r, c) != p) {
+            return Err(state.missing(r, c));
         }
     }
     Ok(())
@@ -480,25 +526,10 @@ pub(crate) fn replay_steps(
     })
 }
 
-/// Runs the symbolic executor and returns the final contribution state,
-/// `state[rank][chunk]`.
-fn run_symbolic(schedule: &Schedule) -> Result<Vec<Vec<Contrib>>, VerifyError> {
+/// Checks the DAG, then replays it symbolically.
+fn run_symbolic(schedule: &Schedule) -> Result<Contributions, VerifyError> {
     check_dag(schedule)?;
-    let p = schedule.num_ranks();
-    let k = schedule.chunking().num_chunks();
-    let mut state: Vec<Vec<Contrib>> = (0..p)
-        .map(|r| (0..k).map(|_| Contrib::single(Rank(r as u32), p)).collect())
-        .collect();
-    for t in schedule.transfers() {
-        let payload = state[t.src.index()][t.chunk.index()].clone();
-        let dst = &mut state[t.dst.index()][t.chunk.index()];
-        if t.phase.is_reduction() {
-            dst.union(&payload);
-        } else {
-            *dst = payload;
-        }
-    }
-    Ok(state)
+    Ok(Contributions::replay(schedule, |_| {}))
 }
 
 /// Proves `schedule` is a correct **broadcast**: after execution every
@@ -512,28 +543,16 @@ fn run_symbolic(schedule: &Schedule) -> Result<Vec<Vec<Contrib>>, VerifyError> {
 /// diverges from the root's.
 pub fn check_broadcast(schedule: &Schedule) -> Result<(), VerifyError> {
     let state = run_symbolic(schedule)?;
-    let p = schedule.num_ranks();
-    let k = schedule.chunking().num_chunks();
+    let (p, k) = (schedule.num_ranks(), schedule.chunking().num_chunks());
     for c in 0..k {
-        let reference = &state[0][c];
-        if reference.count() != 1 {
-            // A broadcast must leave exactly one (the root's) contribution
-            // everywhere; anything else is a dataflow error with the same
-            // structured shape as an incomplete reduction.
-            return Err(VerifyError::MissingContribution {
-                rank: Rank(0),
-                chunk: ChunkId(c as u32),
-                have: reference.count(),
-            });
+        // A broadcast must leave exactly one (the root's) contribution
+        // everywhere; anything else is a dataflow error with the same
+        // structured shape as an incomplete reduction.
+        if state.count(0, c) != 1 {
+            return Err(state.missing(0, c));
         }
-        for r in 1..p {
-            if &state[r][c] != reference {
-                return Err(VerifyError::MissingContribution {
-                    rank: Rank(r as u32),
-                    chunk: ChunkId(c as u32),
-                    have: state[r][c].count(),
-                });
-            }
+        if let Some(r) = (1..p).find(|&r| state.set(r, c) != state.set(0, c)) {
+            return Err(state.missing(r, c));
         }
     }
     Ok(())
@@ -548,12 +567,11 @@ pub fn check_broadcast(schedule: &Schedule) -> Result<(), VerifyError> {
 /// the roots.
 pub fn check_reduce(schedule: &Schedule, roots: &[Rank]) -> Result<(), VerifyError> {
     let state = run_symbolic(schedule)?;
-    let p = schedule.num_ranks();
-    let k = schedule.chunking().num_chunks();
+    let (p, k) = (schedule.num_ranks(), schedule.chunking().num_chunks());
     for c in 0..k {
         let best = roots
             .iter()
-            .map(|r| state[r.index()][c].count())
+            .map(|r| state.count(r.index(), c))
             .max()
             .unwrap_or(0);
         if best != p {
@@ -576,17 +594,11 @@ pub fn check_reduce(schedule: &Schedule, roots: &[Rank]) -> Result<(), VerifyErr
 /// Returns a [`VerifyError`] if the owning rank's chunk is incomplete.
 pub fn check_reduce_scatter(schedule: &Schedule) -> Result<(), VerifyError> {
     let state = run_symbolic(schedule)?;
-    let p = schedule.num_ranks();
-    let k = schedule.chunking().num_chunks();
+    let (p, k) = (schedule.num_ranks(), schedule.chunking().num_chunks());
     for c in 0..k {
         let owner = (c + p - 1) % p;
-        let have = state[owner][c].count();
-        if have != p {
-            return Err(VerifyError::MissingContribution {
-                rank: Rank(owner as u32),
-                chunk: ChunkId(c as u32),
-                have,
-            });
+        if state.count(owner, c) != p {
+            return Err(state.missing(owner, c));
         }
     }
     Ok(())
@@ -601,19 +613,11 @@ pub fn check_reduce_scatter(schedule: &Schedule) -> Result<(), VerifyError> {
 /// Returns a [`VerifyError`] if any buffer differs from the owner's.
 pub fn check_all_gather(schedule: &Schedule) -> Result<(), VerifyError> {
     let state = run_symbolic(schedule)?;
-    let p = schedule.num_ranks();
-    let k = schedule.chunking().num_chunks();
+    let (p, k) = (schedule.num_ranks(), schedule.chunking().num_chunks());
     for c in 0..k {
         let owner = (c + p - 1) % p;
-        let reference = &state[owner][c];
-        for r in 0..p {
-            if &state[r][c] != reference {
-                return Err(VerifyError::MissingContribution {
-                    rank: Rank(r as u32),
-                    chunk: ChunkId(c as u32),
-                    have: state[r][c].count(),
-                });
-            }
+        if let Some(r) = (0..p).find(|&r| state.set(r, c) != state.set(owner, c)) {
+            return Err(state.missing(r, c));
         }
     }
     Ok(())

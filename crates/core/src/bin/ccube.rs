@@ -10,8 +10,14 @@ use ccube_topology::ByteSize;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// Prints the help: to stdout when asked for (exit 0), to stderr with a
+/// usage error (exit 2).
 fn usage(code: u8) -> ExitCode {
-    eprintln!("{}", cli::help());
+    if code == 0 {
+        println!("{}", cli::help());
+    } else {
+        eprintln!("{}", cli::help());
+    }
     ExitCode::from(code)
 }
 

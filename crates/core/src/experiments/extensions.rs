@@ -67,7 +67,7 @@ fn sim_dgx1(schedule: &Schedule, topo: &Topology, tree_placement: bool) -> (SimR
         Embedding::identity(topo, schedule)
     }
     .expect("embeddable");
-    let detours = emb.routes().values().filter(|r| r.is_detour()).count();
+    let detours = emb.routes().filter(|(_, r)| r.is_detour()).count();
     (
         simulate(topo, schedule, &emb, &SimOptions::default()).expect("simulates"),
         detours,

@@ -164,7 +164,8 @@ fn forced_conflict_embedding(topo: &Topology, schedule: &Schedule) -> Embedding 
             let Some(&onward) = topo.channels_between(g2, g3).first() else {
                 continue;
             };
-            emb.set_route(e2, Route::detour(g1, g3, g2, vec![first, onward]));
+            emb.set_route(e2, Route::detour(g1, g3, g2, vec![first, onward]))
+                .expect("e2 is in the schedule's edge table");
             return emb;
         }
     }

@@ -41,7 +41,7 @@ use crate::sched::{self, Job};
 use crate::system::{SystemJob, SystemReport};
 use ccube_collectives::{Embedding, Schedule};
 use ccube_topology::{ChannelClass, ChannelId, FabricGraph, GpuId, Seconds, SwitchId, Topology};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The sentinel end time of a permanent fault: the event never lifts.
 pub fn forever() -> Seconds {
@@ -470,7 +470,7 @@ impl FaultPlan {
         num_channels: usize,
     ) -> (Vec<Seconds>, Seconds) {
         let mut channel_downtime = vec![Seconds::ZERO; num_channels];
-        let mut per_channel: HashMap<ChannelId, Vec<(f64, f64)>> = HashMap::new();
+        let mut per_channel: BTreeMap<ChannelId, Vec<(f64, f64)>> = BTreeMap::new();
         let mut degraded: Vec<(f64, f64)> = Vec::new();
         for e in self.events() {
             let lo = e.from().as_secs_f64();

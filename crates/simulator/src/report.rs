@@ -3,7 +3,7 @@
 use crate::trace::{utilization_bins, BusyInterval, SimTrace};
 use ccube_collectives::{ChunkId, Schedule};
 use ccube_topology::{ChannelId, GpuId, Seconds};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Timing of a single simulated transfer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,7 +85,7 @@ pub struct SimReport {
     pub(crate) makespan: Seconds,
     pub(crate) channel_busy: Vec<Seconds>,
     pub(crate) channel_intervals: Vec<Vec<BusyInterval>>,
-    pub(crate) forwarding_busy: HashMap<GpuId, Seconds>,
+    pub(crate) forwarding_busy: BTreeMap<GpuId, Seconds>,
     pub(crate) trace: SimTrace,
     pub(crate) stats: SimStats,
 }
@@ -214,8 +214,8 @@ impl SimReport {
         &self.stats
     }
 
-    /// Forwarding busy time accumulated by each detour-intermediate GPU.
-    pub fn forwarding_busy(&self) -> &HashMap<GpuId, Seconds> {
+    /// Forwarding busy time of each detour-intermediate GPU, by GPU id.
+    pub fn forwarding_busy(&self) -> &BTreeMap<GpuId, Seconds> {
         &self.forwarding_busy
     }
 

@@ -55,7 +55,7 @@ use ccube_collectives::{
     Embedding, LinkTiming, LowerError, PreparedLowering, PreparedRoute, Schedule, TransferId,
 };
 use ccube_topology::{ChannelClass, ChannelId, GpuId, PortId, Router, Seconds, SwitchId, Topology};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A borrowed simulation job: the transfers of `schedule`, plus compute
 /// tasks and communication gates (both empty for a pure collective).
@@ -112,10 +112,10 @@ pub(crate) struct Run {
     pub(crate) chunk_complete: Vec<Seconds>,
     pub(crate) compute_complete: Vec<Seconds>,
     pub(crate) makespan: Seconds,
-    pub(crate) gpu_busy: HashMap<GpuId, Seconds>,
+    pub(crate) gpu_busy: BTreeMap<GpuId, Seconds>,
     pub(crate) channel_busy: Vec<Seconds>,
     pub(crate) channel_intervals: Vec<Vec<BusyInterval>>,
-    pub(crate) forwarding_busy: HashMap<GpuId, Seconds>,
+    pub(crate) forwarding_busy: BTreeMap<GpuId, Seconds>,
     pub(crate) trace: SimTrace,
     pub(crate) stats: SimStats,
 }
@@ -352,7 +352,7 @@ pub(crate) fn run(
         trace: opts.make_trace_for(nt.saturating_mul(4) + nc.saturating_mul(2) + 2 * plan.len()),
         nt,
         chunk_complete: vec![Seconds::ZERO; job.schedule.chunking().num_chunks()],
-        forwarding_busy: HashMap::new(),
+        forwarding_busy: BTreeMap::new(),
         in_flight: 0,
         failovers: 0,
         faults: faulted.then(|| FaultState::new(nt, nc, plan.len())),
@@ -517,7 +517,7 @@ struct Sched<'a> {
     /// Number of transfers.
     nt: usize,
     chunk_complete: Vec<Seconds>,
-    forwarding_busy: HashMap<GpuId, Seconds>,
+    forwarding_busy: BTreeMap<GpuId, Seconds>,
     /// Valid (current-generation) completion events in the kernel.
     in_flight: usize,
     /// Uplink-slot revisions: adaptive steering at grant time and fault

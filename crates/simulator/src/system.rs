@@ -27,7 +27,7 @@ use crate::sched::Run;
 use crate::trace::SimTrace;
 use ccube_collectives::{Embedding, Schedule, TransferId};
 use ccube_topology::{GpuId, Seconds, Topology};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Identifier of a compute task within a [`SystemJob`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -81,8 +81,8 @@ pub struct SystemReport {
     pub compute_complete: Vec<Seconds>,
     /// Total wall-clock time.
     pub makespan: Seconds,
-    /// Per-GPU compute busy time.
-    pub gpu_busy: HashMap<GpuId, Seconds>,
+    /// Compute busy time of every GPU that computed, in GPU order.
+    pub gpu_busy: BTreeMap<GpuId, Seconds>,
     /// Per-channel communication busy time, by channel id.
     pub channel_busy: Vec<Seconds>,
     /// The structured trace recorded during the run.

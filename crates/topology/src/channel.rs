@@ -33,7 +33,7 @@ impl fmt::Display for ChannelId {
 /// The distinction matters for routing policy: the paper's detour routes
 /// exist precisely to avoid [`ChannelClass::HostBridge`] (PCIe through the
 /// CPU), which "can cause significant performance degradation" (§IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ChannelClass {
     /// A direct GPU-to-GPU link (NVLink in the DGX-1).
     NvLink,

@@ -217,7 +217,7 @@ impl Topology {
     /// assert!(dot.contains("g2 -- g3"));
     /// ```
     pub fn to_dot(&self) -> String {
-        use std::collections::HashMap;
+        use std::collections::BTreeMap;
         use std::fmt::Write as _;
         let mut out = String::new();
         let name: String = self
@@ -227,20 +227,14 @@ impl Topology {
             .collect();
         let _ = writeln!(out, "graph {name} {{");
         let _ = writeln!(out, "  layout=circo;");
-        // Count channels per undirected pair and class.
-        let mut pairs: HashMap<(u32, u32, ChannelClass), usize> = HashMap::new();
+        // Count channels per undirected pair and class, in (pair, class)
+        // order.
+        let mut pairs: BTreeMap<(u32, u32, ChannelClass), usize> = BTreeMap::new();
         for ch in &self.channels {
-            let (a, b) = if ch.src().0 <= ch.dst().0 {
-                (ch.src().0, ch.dst().0)
-            } else {
-                (ch.dst().0, ch.src().0)
-            };
+            let (a, b) = (ch.src().0.min(ch.dst().0), ch.src().0.max(ch.dst().0));
             *pairs.entry((a, b, ch.class())).or_insert(0) += 1;
         }
-        let mut keys: Vec<_> = pairs.keys().copied().collect();
-        keys.sort_by_key(|&(a, b, _)| (a, b));
-        for (a, b, class) in keys {
-            let channels = pairs[&(a, b, class)];
+        for ((a, b, class), channels) in pairs {
             // two channels = one bidirectional link
             let links = channels.div_ceil(2);
             let style = match class {
@@ -404,6 +398,29 @@ mod tests {
         b.bidirectional(GpuId(1), GpuId(2), bw, lat, ChannelClass::NvLink)
             .unwrap();
         b.build().unwrap()
+    }
+
+    #[test]
+    fn dot_lists_each_pairs_classes_in_a_fixed_order() {
+        let dot = crate::dgx1::dgx1().to_dot();
+        let head: Vec<&str> = dot.lines().take(9).collect();
+        // NVLink before host bridge within every pair (0-3 and 0-4 are
+        // doubled NVLinks).
+        assert_eq!(
+            head,
+            [
+                "graph dgx1 {",
+                "  layout=circo;",
+                "  g0 -- g1 [style=solid];",
+                "  g0 -- g1 [style=dotted];",
+                "  g0 -- g2 [style=solid];",
+                "  g0 -- g2 [style=dotted];",
+                "  g0 -- g3 [style=solid];",
+                "  g0 -- g3 [style=solid];",
+                "  g0 -- g3 [style=dotted];",
+            ],
+            "{dot}"
+        );
     }
 
     #[test]

@@ -9,28 +9,25 @@
 
 use crate::channel::ChannelClass;
 use crate::graph::{GpuId, Topology};
-use std::collections::HashMap;
+/// Undirected NVLink multiplicities of an `n`-GPU topology, pair
+/// `{a, b}` at [`pair`]`(n, a, b)`.
+type Caps = Vec<u32>;
 
-type Caps = HashMap<(u32, u32), u32>;
-
-fn pair(a: GpuId, b: GpuId) -> (u32, u32) {
-    if a.0 <= b.0 {
-        (a.0, b.0)
-    } else {
-        (b.0, a.0)
-    }
+fn pair(n: usize, a: GpuId, b: GpuId) -> usize {
+    a.index().min(b.index()) * n + a.index().max(b.index())
 }
 
 /// Extracts the undirected NVLink multiplicities of a topology.
 fn link_capacities(topo: &Topology) -> Caps {
-    let mut caps: Caps = HashMap::new();
+    let n = topo.num_gpus();
+    let mut caps = vec![0; n * n];
     for ch in topo.channels() {
         if ch.class() == ChannelClass::NvLink {
-            *caps.entry(pair(ch.src(), ch.dst())).or_insert(0) += 1;
+            caps[pair(n, ch.src(), ch.dst())] += 1;
         }
     }
     // Each bidirectional link contributed two unidirectional channels.
-    for v in caps.values_mut() {
+    for v in &mut caps {
         *v /= 2;
     }
     caps
@@ -98,28 +95,28 @@ fn extend_cycle(
     let cur = *path.last().expect("path never empty");
     if path.len() == n {
         // Close the cycle back to gpu0.
-        let close = pair(cur, GpuId(0));
-        if caps.get(&close).copied().unwrap_or(0) == 0 {
+        let close = pair(n, cur, GpuId(0));
+        if caps[close] == 0 {
             return false;
         }
-        *caps.get_mut(&close).expect("checked above") -= 1;
+        caps[close] -= 1;
         acc.push(path.clone());
         if solve(topo, caps, k - 1, acc) {
             return true;
         }
         acc.pop();
-        *caps.get_mut(&close).expect("restored") += 1;
+        caps[close] += 1;
         return false;
     }
     let mut nexts: Vec<GpuId> = topo
         .neighbors(cur)
         .into_iter()
-        .filter(|&nb| !visited[nb.index()] && caps.get(&pair(cur, nb)).copied().unwrap_or(0) > 0)
+        .filter(|&nb| !visited[nb.index()] && caps[pair(n, cur, nb)] > 0)
         .collect();
     nexts.sort();
     for nb in nexts {
-        let key = pair(cur, nb);
-        *caps.get_mut(&key).expect("filtered above") -= 1;
+        let key = pair(n, cur, nb);
+        caps[key] -= 1;
         visited[nb.index()] = true;
         path.push(nb);
         if extend_cycle(topo, caps, path, visited, k, acc) {
@@ -127,7 +124,7 @@ fn extend_cycle(
         }
         path.pop();
         visited[nb.index()] = false;
-        *caps.get_mut(&key).expect("restored") += 1;
+        caps[key] += 1;
     }
     false
 }
@@ -169,21 +166,18 @@ mod tests {
     fn rings_respect_link_multiplicities() {
         let topo = dgx1();
         let rings = disjoint_rings(&topo, 3);
-        let mut used: Caps = HashMap::new();
+        let caps = link_capacities(&topo);
+        let mut used = vec![0; caps.len()];
         for r in &rings {
             for i in 0..r.len() {
-                *used.entry(pair(r[i], r[(i + 1) % r.len()])).or_insert(0) += 1;
+                used[pair(8, r[i], r[(i + 1) % r.len()])] += 1;
             }
         }
-        let caps = link_capacities(&topo);
-        for (k, &u) in &used {
-            assert!(
-                u <= caps.get(k).copied().unwrap_or(0),
-                "pair {k:?} oversubscribed: {u}"
-            );
+        for (slot, (&u, &cap)) in used.iter().zip(&caps).enumerate() {
+            assert!(u <= cap, "pair slot {slot} oversubscribed: {u}");
         }
         // Three 8-link cycles consume all 24 NVLinks.
-        let total: u32 = used.values().sum();
+        let total: u32 = used.iter().sum();
         assert_eq!(total, 24);
     }
 

@@ -20,7 +20,6 @@ use crate::channel::{ChannelClass, ChannelId};
 use crate::error::TopologyError;
 use crate::graph::{GpuId, Topology};
 use crate::units::{ByteSize, Seconds};
-use std::collections::HashMap;
 
 /// A resolved route between two GPUs: the ordered channels a message
 /// occupies, plus the forwarding GPU if the route is a detour.
@@ -139,7 +138,8 @@ impl Route {
 pub struct Router<'a> {
     topo: &'a Topology,
     channel_load: Vec<u32>,
-    forward_load: HashMap<GpuId, u32>,
+    /// Detour routes allocated through each GPU, by GPU id.
+    forward_load: Vec<u32>,
     allow_host: bool,
     blocked: Vec<bool>,
 }
@@ -150,7 +150,7 @@ impl<'a> Router<'a> {
         Router {
             topo,
             channel_load: vec![0; topo.channels().len()],
-            forward_load: HashMap::new(),
+            forward_load: vec![0; topo.num_gpus()],
             allow_host: true,
             blocked: vec![false; topo.channels().len()],
         }
@@ -214,7 +214,7 @@ impl<'a> Router<'a> {
             self.channel_load[c.index()] += 1;
         }
         if let Some(via) = route.via() {
-            *self.forward_load.entry(via).or_insert(0) += 1;
+            self.forward_load[via.index()] += 1;
         }
         Ok(route)
     }
@@ -278,7 +278,7 @@ impl<'a> Router<'a> {
                 continue;
             };
             let load = self.channel_load[c1.index()] + self.channel_load[c2.index()];
-            let fwd = self.forward_load.get(&via).copied().unwrap_or(0);
+            let fwd = self.forward_load[via.index()];
             let cand = (load, fwd, via, c1, c2);
             let better = match &best {
                 None => true,

@@ -52,7 +52,7 @@ fn dgx1_embedding_never_touches_the_host_bridge() {
     for overlap in [Overlap::None, Overlap::ReductionBroadcast] {
         let s = tree_allreduce(dt.trees(), &Chunking::even(ByteSize::mib(16), 8), overlap);
         let e = Embedding::dgx1_double_tree(&topo, &s).unwrap();
-        for route in e.routes().values() {
+        for (_, route) in e.routes() {
             assert_ne!(route.class(), ChannelClass::HostBridge);
             assert!(route.channels().len() <= 2);
         }
@@ -113,7 +113,7 @@ fn nccl_style_multi_ring_beats_the_baseline_tree_at_small_scale() {
     // Every ring edge is a real NVLink, so the embedding is direct and
     // conflict-free.
     assert!(er.conflicts().is_empty());
-    assert!(er.routes().values().all(|r| !r.is_detour()));
+    assert!(er.routes().all(|(_, r)| !r.is_detour()));
     let tr = simulate(&topo, &ring, &er, &SimOptions::default())
         .unwrap()
         .makespan();

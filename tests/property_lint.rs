@@ -135,7 +135,8 @@ proptest! {
                 vec![wrong.id()],
                 ChannelClass::NvLink,
             ),
-        );
+        )
+        .unwrap();
         let report = gate(&s, &emb, &topo);
         prop_assert!(
             report.diagnostics().iter().any(|d| d.code == LintCode::InvalidRoute),
