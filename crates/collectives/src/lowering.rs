@@ -306,6 +306,13 @@ impl PreparedRoute {
     pub fn duration(&self, bytes: ByteSize, timing: &LinkTiming) -> Seconds {
         self.wormhole.duration(bytes, self.via.is_some(), timing)
     }
+
+    /// The same route timed by `wormhole` instead of its channels' (the
+    /// simulator times a route over the fabric ports it occupies).
+    #[must_use]
+    pub fn with_wormhole(self, wormhole: Wormhole) -> Self {
+        PreparedRoute { wormhole, ..self }
+    }
 }
 
 /// A schedule's lowering with the payload- and timing-independent work

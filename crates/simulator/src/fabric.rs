@@ -1,33 +1,34 @@
-//! The switch-fabric network model.
+//! The network models, as one resource model.
 //!
-//! The channel approximation treats the scale-out interconnect as plain
-//! channels in the scheduler's channel pool — an ideal, non-blocking
-//! switch. A [`NetworkModel`] selects between that approximation
-//! ([`NetworkModel::ChannelApprox`], the default) and
-//! [`NetworkModel::SwitchFabric`], which schedules transfers on the
-//! port-level [`FabricGraph`] derived from the topology: per-port queues
-//! with the same FIFO / chunk-priority arbitration, configurable leaf
-//! radix and uplink oversubscription, spine/leaf uplink slots, and
-//! cut-through or store-and-forward latency.
+//! Every run schedules transfers on the ports of a [`FabricGraph`]
+//! derived from the topology: per-port queues with the same FIFO /
+//! chunk-priority arbitration, configurable leaf radix and uplink
+//! oversubscription, spine/leaf uplink slots, and cut-through or
+//! store-and-forward latency. A [`NetworkModel`] only picks the graph:
+//! [`NetworkModel::SwitchFabric`] a configured one, and
+//! [`NetworkModel::ChannelApprox`] (the default — the scale-out
+//! interconnect as plain channels into an ideal, non-blocking switch)
+//! the passthrough one of [`FabricSpec::passthrough`], whose port `i`
+//! carries channel `i` with that channel's own bandwidth and latency.
+//! `FabricMap::for_options` is the one place that tells the two apart.
 //!
 //! The fabric is a resource mapping, not an engine of its own: the
-//! scheduler (`sched.rs`) asks the `FabricMap` for each
-//! transfer's port path and duration, and revises uplink slots at grant
-//! time with `choose_uplinks`.
+//! scheduler (`sched.rs`) and fault severance (`severance.rs`) hold one
+//! `FabricMap`, walk each route onto its ports once, and the scheduler
+//! revises uplink slots at grant time with `choose_uplinks`.
 //!
-//! **Equivalence contract**: under a passthrough fabric (no leaf split,
-//! zero uplink latency, [`HopMode::CutThrough`]) every channel maps to
-//! exactly one port with the channel's own bandwidth and latency, so
-//! the scheduler performs the same pool operations in the same order as
-//! under the channel approximation, and the results agree with it to
-//! floating-point noise (well within the 1e-9 the cross-model tests
-//! assert).
+//! **Equivalence contract**, by construction: the channel approximation
+//! and the passthrough switch fabric run the same code on the same
+//! port graph, so their results are identical, and the passthrough
+//! graph's identity on channels keeps them equal to the channel
+//! semantics (resource indices, trace channel ids and wormhole
+//! coefficients alike).
 
 use crate::engine::SimOptions;
 use crate::resource::ChannelPool;
-use ccube_collectives::{port_transit_time, LinkTiming};
+use ccube_collectives::{port_transit_time, LinkTiming, Wormhole};
 use ccube_topology::{
-    ByteSize, ChannelId, FabricConfig, FabricGraph, PortId, PortKind, Seconds, Topology,
+    ByteSize, ChannelId, FabricConfig, FabricGraph, PortId, PortKind, PortStep, Seconds, Topology,
 };
 
 /// Per-hop latency accounting of the switch fabric.
@@ -121,8 +122,8 @@ impl Default for FabricSpec {
 }
 
 impl FabricSpec {
-    /// The passthrough configuration, under which the fabric must
-    /// reproduce the channel approximation (the equivalence contract).
+    /// The passthrough configuration: one port per channel, no uplinks.
+    /// The simulator runs [`NetworkModel::ChannelApprox`] as this spec.
     pub fn passthrough() -> Self {
         FabricSpec::default()
     }
@@ -144,7 +145,9 @@ impl FabricSpec {
 pub enum NetworkModel {
     /// The historical NIC-channel approximation: channels are ideal,
     /// exclusive resources; the switch between them is non-blocking and
-    /// invisible. Default — bit-identical to the pre-refactor engines.
+    /// invisible. Default. The simulator runs it as the passthrough
+    /// fabric, which has one port per channel and no uplinks, so
+    /// uplink and spine faults are invalid under it.
     #[default]
     ChannelApprox,
     /// The explicit switch fabric: transfers are scheduled on the ports
@@ -170,10 +173,11 @@ impl NetworkModel {
     }
 }
 
-/// The channel→port mapping the scheduler runs the switch fabric
-/// through: its [`ChannelPool`] is sized over fabric ports and each
-/// transfer occupies its port path, so uplink contention and fan-in
-/// serialization shape timings.
+/// The channel→port mapping every run goes through: the scheduler's
+/// [`ChannelPool`] is sized over the fabric's ports and each transfer
+/// occupies its port path, so uplink contention and fan-in serialization
+/// shape timings. Under the channel approximation the map is the
+/// passthrough fabric, whose port `i` is channel `i`.
 pub(crate) struct FabricMap {
     /// The derived port graph.
     pub(crate) graph: FabricGraph,
@@ -182,16 +186,13 @@ pub(crate) struct FabricMap {
 }
 
 impl FabricMap {
-    /// The mapping for `opts.network`, or `None` under `ChannelApprox`.
-    pub(crate) fn for_options(topo: &Topology, opts: &SimOptions) -> Option<FabricMap> {
-        match opts.network {
-            NetworkModel::ChannelApprox => None,
-            NetworkModel::SwitchFabric(spec) => Some(FabricMap::new(topo, &spec)),
-        }
-    }
-
-    /// The mapping of `spec`'s fabric over `topo`.
-    fn new(topo: &Topology, spec: &FabricSpec) -> FabricMap {
+    /// The mapping for `opts.network`: the passthrough fabric under
+    /// [`NetworkModel::ChannelApprox`].
+    pub(crate) fn for_options(topo: &Topology, opts: &SimOptions) -> FabricMap {
+        let spec = match opts.network {
+            NetworkModel::ChannelApprox => FabricSpec::passthrough(),
+            NetworkModel::SwitchFabric(spec) => spec,
+        };
         FabricMap {
             graph: FabricGraph::from_topology(topo, &spec.fabric_config()),
             hop_mode: spec.hop_mode,
@@ -199,39 +200,38 @@ impl FabricMap {
         }
     }
 
-    /// Number of schedulable port resources.
-    pub(crate) fn num_ports(&self) -> usize {
-        self.graph.num_ports()
+    /// Writes the pool resources channel path `channels` occupies — its
+    /// port path, as resource indices — over `out`, and returns their
+    /// cut-through coefficients. Under a passthrough fabric these equal
+    /// the channels' own, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a channel without a port (the physical gate's `CC018`),
+    /// which a lowered route over the map's own topology never has.
+    pub(crate) fn resources(&self, channels: &[ChannelId], out: &mut Vec<ChannelId>) -> Wormhole {
+        out.clear();
+        self.graph.walk(channels, |step| match step {
+            PortStep::Port(p) => out.push(ChannelId(p.0)),
+            PortStep::Portless(c) => unreachable!("{c} has no port on the fabric"),
+        });
+        Wormhole::over(out.iter().map(|c| {
+            let port = self.graph.port(PortId(c.0));
+            (port.latency(), port.bandwidth())
+        }))
     }
 
-    /// A channel path expanded to the port path it occupies, with port
-    /// ids cast to the pool's resource indices.
-    pub(crate) fn resource_path(&self, channels: &[ChannelId]) -> Vec<ChannelId> {
-        self.graph
-            .port_route(channels)
-            .into_iter()
-            .map(|p| ChannelId(p.0))
-            .collect()
-    }
-
-    /// End-to-end duration of a transfer over a port `route`:
-    /// [`port_transit_time`] under the fabric's hop mode, so a
-    /// passthrough fabric reproduces the lowering exactly.
-    pub(crate) fn duration(
+    /// The store-and-forward transit time of `bytes` over the pool path
+    /// `path` ([`port_transit_time`]).
+    pub(crate) fn store_forward(
         &self,
-        route: &[PortId],
+        path: &[ChannelId],
         bytes: ByteSize,
         detour: bool,
         timing: &LinkTiming,
     ) -> Seconds {
-        port_transit_time(
-            &self.graph,
-            route,
-            bytes,
-            detour,
-            timing,
-            self.hop_mode == HopMode::StoreForward,
-        )
+        let ports: Vec<PortId> = path.iter().map(|c| PortId(c.0)).collect();
+        port_transit_time(&self.graph, &ports, bytes, detour, timing, true)
     }
 
     /// Folds a per-port quantity back to per-channel (each channel's
@@ -264,9 +264,6 @@ pub(crate) fn choose_uplinks(
     path: &[ChannelId],
     policy: UplinkPolicy,
 ) -> Option<(Vec<ChannelId>, ChannelId)> {
-    if policy == UplinkPolicy::Hash {
-        return None;
-    }
     let mut out: Option<Vec<ChannelId>> = None;
     let mut moved_to: Option<ChannelId> = None;
     let mut i = 0;

@@ -36,6 +36,7 @@
 
 use crate::engine::SimOptions;
 use crate::error::SimError;
+use crate::fabric::NetworkModel;
 use crate::kernel::SimRng;
 use crate::sched::{self, Job};
 use crate::system::{SystemJob, SystemReport};
@@ -412,20 +413,22 @@ impl FaultPlan {
     }
 
     /// Validates the plan's fabric-native targets against the derived
-    /// port graph (`None` under the channel approximation, where no
-    /// fabric exists to fault).
+    /// port graph `g` of `network`. The channel approximation has no
+    /// fabric to fault, although its passthrough graph has a spine 0.
     pub(crate) fn validate_fabric_events(
         &self,
-        graph: Option<&FabricGraph>,
+        network: &NetworkModel,
+        g: &FabricGraph,
     ) -> Result<(), SimError> {
+        let approx = matches!(network, NetworkModel::ChannelApprox);
         for (i, e) in self.events.iter().enumerate() {
             match *e {
                 FaultEvent::UplinkDown { leaf, uplink, .. } => {
-                    let Some(g) = graph else {
+                    if approx {
                         return Err(SimError::FaultPlanInvalid(format!(
                             "event {i}: UplinkDown requires the switch-fabric network model"
                         )));
-                    };
+                    }
                     if leaf as usize >= g.num_switches() {
                         return Err(SimError::FaultPlanInvalid(format!(
                             "event {i}: leaf {leaf} outside the fabric"
@@ -440,11 +443,11 @@ impl FaultPlan {
                     }
                 }
                 FaultEvent::SwitchDown { spine, .. } => {
-                    let Some(g) = graph else {
+                    if approx {
                         return Err(SimError::FaultPlanInvalid(format!(
                             "event {i}: SwitchDown requires the switch-fabric network model"
                         )));
-                    };
+                    }
                     if spine as usize >= g.num_spines() {
                         return Err(SimError::FaultPlanInvalid(format!(
                             "event {i}: spine {spine} outside the fabric \

@@ -46,21 +46,19 @@ pub struct SimStats {
     /// run's makespan. Empty when no fault plan was injected.
     pub channel_downtime: Vec<Seconds>,
     /// Busy time of every fabric port (indexed by port id), including
-    /// uplink ports that have no channel counterpart. Populated only by
-    /// the `SwitchFabric` network model; empty under `ChannelApprox`.
+    /// uplink ports that have no channel counterpart. Filled under both
+    /// network models: under `ChannelApprox` (the passthrough fabric,
+    /// one port per channel) it equals the channel busy times index for
+    /// index.
     pub port_busy: Vec<Seconds>,
-    /// Per-switch high-water mark of the waiter-queue depth across the
-    /// switch's ports — the congestion signal for policy search.
-    /// Populated only by the `SwitchFabric` network model.
-    pub switch_queue_depth: Vec<usize>,
     /// Transfers steered onto a different uplink slot — by an adaptive
     /// uplink policy at grant time, or by the fault driver failing them
-    /// away from a downed uplink. `SwitchFabric` network model only.
+    /// away from a downed uplink. Zero without a spine level.
     pub failovers: u64,
     /// Busy time of every uplink port, in port-id order (the same order
     /// [`FabricGraph`](ccube_topology::FabricGraph) enumerates them:
-    /// leaf-major, up before down within a slot). Populated only by the
-    /// `SwitchFabric` network model on fabrics with a spine level.
+    /// leaf-major, up before down within a slot). Empty on fabrics
+    /// without a spine level, so always under `ChannelApprox`.
     pub uplink_busy: Vec<Seconds>,
 }
 

@@ -4,19 +4,18 @@
 //! [`simulate_faulted`](crate::simulate_faulted) and
 //! [`simulate_system_faulted`](crate::simulate_system_faulted) are thin
 //! adapters over [`run`]: a dependency scheduler over a schedule's
-//! transfers plus optional compute tasks, on either network model, under
-//! an optional fault plan.
+//! transfers plus optional compute tasks, on one resource model — the
+//! ports of a [`FabricMap`], the passthrough fabric under the channel
+//! approximation — under an optional fault plan.
 //!
 //! * **Transfers** are resolved once per logical edge
 //!   ([`PreparedLowering`]): the run keeps the prepared routes (channel
-//!   path, detour GPU, [`Wormhole`](ccube_collectives::Wormhole)
-//!   coefficients and, under the switch fabric, the port route) and
-//!   computes a transfer's duration from its route when the transfer
-//!   starts. No per-transfer spec is built. A transfer occupies its
-//!   resource path in a [`ChannelPool`] — the channel path under the
-//!   channel approximation, the port path of the [`FabricMap`] under the
-//!   switch fabric — registered once per route, in edge order, so a
-//!   transfer's pool route is its schedule edge
+//!   path, detour GPU, and the [`Wormhole`](ccube_collectives::Wormhole)
+//!   coefficients of its port path) and computes a transfer's duration
+//!   from its route when the transfer starts. No per-transfer spec is
+//!   built. A transfer occupies its port path in a [`ChannelPool`],
+//!   registered once per route, in edge order, straight into the pool's
+//!   route table, so a transfer's pool route is its schedule edge
 //!   ([`Transfer::edge`](ccube_collectives::Transfer::edge)) and nothing
 //!   looks a route up per transfer. The pool's task slot holds the
 //!   transfer's one route index. A fault re-route appends a route to both
@@ -44,7 +43,7 @@
 
 use crate::engine::SimOptions;
 use crate::error::SimError;
-use crate::fabric::{choose_uplinks, uplink_busy_of, FabricMap, UplinkPolicy};
+use crate::fabric::{choose_uplinks, uplink_busy_of, FabricMap, HopMode, UplinkPolicy};
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::kernel::Kernel;
 use crate::report::{SimStats, TransferTiming};
@@ -260,55 +259,36 @@ pub(crate) fn run(
     let routes = gate_and_prepare(topo, job.schedule, embedding)?.into_routes();
     let fabric = FabricMap::for_options(topo, opts);
     if faulted {
-        plan.validate_fabric_events(fabric.as_ref().map(|f| &f.graph))?;
+        plan.validate_fabric_events(&opts.network, &fabric.graph)?;
     }
-    // Debug builds cross-check the physical analyzer's hard gate: a
-    // schedule/embedding that lowers cleanly must also have a port path
-    // for every channel it uses.
-    #[cfg(debug_assertions)]
-    if let Some(f) = &fabric {
-        let gate = ccube_collectives::gate_physical(job.schedule, embedding, topo, &f.graph);
-        debug_assert!(
-            gate.is_clean(),
-            "schedule/embedding failed the physical gate:\n{gate}"
-        );
-    }
-
     let transfers = job.schedule.transfers();
     let nt = transfers.len();
     let nc = job.compute.len();
     let num_channels = topo.channels().len();
-    let num_resources = fabric.as_ref().map_or(num_channels, |f| f.num_ports());
+    let num_resources = fabric.graph.num_ports();
 
     let (dependents, mut deps_remaining) = Dependents::new(job);
 
-    // The pool's routes are the lowering's, in edge order: port paths
-    // under the switch fabric, where durations follow the ports, and
-    // channel paths otherwise. Fault events are declared on the
-    // channel-level paths either way. Pool task ids follow registration
-    // order, which is transfer-id order (ids are dense and equal their
-    // index), so the pool's `(chunk, id)` key is the transfer's, and the
-    // pool's task slot carries the payload a grant is timed by and the
-    // transfer's route — its edge — which from here on is its only route
-    // index.
+    // The pool's routes are the lowering's port paths, in edge order,
+    // and each prepared route is retimed by its ports' wormhole (under
+    // the passthrough fabric, its channels' own). Fault events are
+    // declared on the channel-level paths. Pool task ids follow
+    // registration order, which is transfer-id order (ids are dense and
+    // equal their index), so the pool's `(chunk, id)` key is the
+    // transfer's, and the pool's task slot carries the payload a grant
+    // is timed by and the transfer's route — its edge — which from here
+    // on is its only route index.
     let mut pool = ChannelPool::new(num_resources, opts.arbitration);
     pool.reserve_tasks(nt);
-    let port_routes: Vec<Vec<PortId>> = match &fabric {
-        Some(f) => routes
-            .iter()
-            .map(|r| f.graph.port_route(r.path()))
-            .collect(),
-        None => Vec::new(),
-    };
-    if fabric.is_some() {
-        for route in &port_routes {
-            pool.add_route(route.iter().map(|p| ChannelId(p.0)));
-        }
-    } else {
-        for route in &routes {
-            pool.add_route(route.path().iter().copied());
-        }
-    }
+    let mut ports = Vec::new();
+    let routes: Vec<PreparedRoute> = routes
+        .into_iter()
+        .map(|r| {
+            let wormhole = fabric.resources(r.path(), &mut ports);
+            pool.add_route(ports.iter().copied());
+            r.with_wormhole(wormhole)
+        })
+        .collect();
     for t in transfers {
         pool.add_task(t.edge, t.chunk.0, t.bytes);
     }
@@ -339,11 +319,7 @@ pub(crate) fn run(
         plan,
         timing: opts.link_timing(),
         routes,
-        port_routes,
         prepared_of,
-        switch_queue_depth: fabric
-            .as_ref()
-            .map_or_else(Vec::new, |f| vec![0; f.graph.num_switches()]),
         fabric,
         pool,
         kernel,
@@ -497,18 +473,16 @@ struct Sched<'a> {
     embedding: &'a Embedding,
     plan: &'a FaultPlan,
     timing: LinkTiming,
-    /// The prepared routes; a fault re-route appends one.
+    /// The prepared routes, each timed over its port path; a fault
+    /// re-route appends one.
     routes: Vec<PreparedRoute>,
-    /// The port route of each of `routes` under the switch fabric (empty
-    /// under the channel approximation).
-    port_routes: Vec<Vec<PortId>>,
     /// The index into `routes` of each pool route. Pool and prepared
     /// routes are registered in step, so this is the identity except
     /// for the pool-only routes of uplink revisions, which map back to
     /// the prepared route they revise.
     prepared_of: Vec<u32>,
-    /// Channel→port mapping under the switch-fabric network model.
-    fabric: Option<FabricMap>,
+    /// The channel→port mapping of the run's network model.
+    fabric: FabricMap,
     pool: ChannelPool,
     kernel: Kernel<Ev>,
     /// One compute stream per GPU that runs compute, indexed by GPU.
@@ -523,9 +497,6 @@ struct Sched<'a> {
     /// Uplink-slot revisions: adaptive steering at grant time and fault
     /// failover.
     failovers: u64,
-    /// Per-switch high-water mark of port waiter-queue depth (fabric
-    /// runs only).
-    switch_queue_depth: Vec<usize>,
     faults: Option<FaultState>,
 }
 
@@ -546,22 +517,23 @@ impl Sched<'_> {
     }
 
     /// The transit time of transfer `t` over its current route: the
-    /// route's wormhole, or the port route's transit time under the
-    /// switch fabric. Computed afresh on every call, from the same
-    /// inputs each time, so repeated calls agree bit for bit. The payload
-    /// comes from the pool's task slot, which the grant just touched.
+    /// prepared route's port wormhole (an uplink revision keeps its
+    /// prepared route, since slot substitution leaves the time
+    /// unchanged), or under store-and-forward the per-hop sum over its
+    /// pool path. Computed afresh on every call, from the same inputs
+    /// each time, so repeated calls agree bit for bit. The payload comes
+    /// from the pool's task slot, which the grant just touched.
     fn duration(&self, t: usize) -> Seconds {
-        let r = self.route_index(t);
-        let route = &self.routes[r];
+        let route = self.route(t);
         let bytes = self.pool.bytes(t as u32);
-        match &self.fabric {
-            Some(f) => f.duration(
-                &self.port_routes[r],
+        match self.fabric.hop_mode {
+            HopMode::CutThrough => route.duration(bytes, &self.timing),
+            HopMode::StoreForward => self.fabric.store_forward(
+                self.pool.path(t as u32),
                 bytes,
                 route.via().is_some(),
                 &self.timing,
             ),
-            None => route.duration(bytes, &self.timing),
         }
     }
 
@@ -641,8 +613,6 @@ impl Sched<'_> {
         self.revise_uplinks(tid, now);
         if self.pool.mark_ready(tid, now, &mut self.trace) {
             self.begin_transfer(tid, now);
-        } else {
-            self.note_queue_depth(tid);
         }
     }
 
@@ -657,14 +627,19 @@ impl Sched<'_> {
     /// fabric's [`UplinkPolicy`] prefers right now. Returns whether the
     /// path changed.
     fn revise_uplinks(&mut self, tid: u32, now: Seconds) -> bool {
-        let Some(f) = &self.fabric else {
+        let f = &self.fabric;
+        if f.policy == UplinkPolicy::Hash {
+            return false;
+        }
+        let path = self.pool.path(tid);
+        let Some((revised, port)) = choose_uplinks(&f.graph, &self.pool, path, f.policy) else {
             return false;
         };
-        let Some((revised, port)) =
-            choose_uplinks(&f.graph, &self.pool, self.pool.path(tid), f.policy)
-        else {
-            return false;
-        };
+        // A revision substitutes uplink slots and nothing else.
+        debug_assert!(revised
+            .iter()
+            .zip(path)
+            .all(|(a, b)| a == b || f.graph.port(PortId(a.0)).uplink().is_some()));
         let prepared = self.prepared_of[self.pool.route(tid) as usize];
         self.repoint(tid, revised, prepared);
         self.failovers += 1;
@@ -679,39 +654,9 @@ impl Sched<'_> {
     /// Moves waiting transfer `tid` onto the pool path `path`, a new pool
     /// route whose prepared route is `prepared`.
     fn repoint(&mut self, tid: u32, path: Vec<ChannelId>, prepared: u32) {
-        // Under the fabric the pool path is the prepared port route with
-        // at most its uplink slots substituted.
-        #[cfg(debug_assertions)]
-        if let Some(f) = &self.fabric {
-            let ports = &self.port_routes[prepared as usize];
-            debug_assert!(
-                path.len() == ports.len()
-                    && path.iter().zip(ports).all(|(c, p)| {
-                        c.0 == p.0
-                            || matches!(
-                                f.graph.port(*p).kind(),
-                                ccube_topology::PortKind::UplinkUp
-                                    | ccube_topology::PortKind::UplinkDown
-                            )
-                    }),
-                "transfer {tid}'s pool path is no revision of prepared route {prepared}"
-            );
-        }
         self.pool.reroute(tid, path);
         self.prepared_of.push(prepared);
         debug_assert_eq!(self.pool.route(tid) as usize + 1, self.prepared_of.len());
-    }
-
-    /// Samples the waiter-queue depth of `tid`'s ports into the
-    /// per-switch high-water marks (fabric runs only).
-    fn note_queue_depth(&mut self, tid: u32) {
-        let Some(f) = &self.fabric else { return };
-        for &port in self.pool.path(tid) {
-            let depth = self.pool.waiting_on(port);
-            let s = f.graph.port(PortId(port.0)).switch().0 as usize;
-            let high = &mut self.switch_queue_depth[s];
-            *high = (*high).max(depth);
-        }
     }
 
     /// Records the completion of transfer `tid`: releases its resources,
@@ -742,26 +687,15 @@ impl Sched<'_> {
         }
     }
 
-    /// The pool resources a channel-level path occupies (identity under
-    /// the channel approximation, the port path under the fabric).
-    fn res_path(&self, channels: &[ChannelId]) -> Vec<ChannelId> {
-        match &self.fabric {
-            Some(f) => f.resource_path(channels),
-            None => channels.to_vec(),
-        }
+    /// The pool resource that carries `channel`: its endpoint port.
+    fn channel_port(&self, channel: ChannelId) -> ChannelId {
+        ChannelId(self.fabric.graph.port_of_channel(channel).0)
     }
 
     /// True if `channel` is currently down in the pool (its endpoint
-    /// ports, under the fabric).
+    /// port is).
     fn is_channel_down(&self, channel: ChannelId) -> bool {
-        match &self.fabric {
-            Some(f) => f
-                .graph
-                .ports_for_channel(channel)
-                .iter()
-                .any(|p| self.pool.is_link_down(ChannelId(p.0))),
-            None => self.pool.is_link_down(channel),
-        }
+        self.pool.is_link_down(self.channel_port(channel))
     }
 
     /// Product of the active degradation rates on `channel`.
@@ -819,9 +753,7 @@ impl Sched<'_> {
             .push(TraceRecord::FaultStart { fault: e, at: now });
         match self.plan.events()[e as usize] {
             FaultEvent::LinkDown { channel, .. } => {
-                for r in self.res_path(&[channel]) {
-                    self.pool.set_link_down(r);
-                }
+                self.pool.set_link_down(self.channel_port(channel));
                 self.reroute_pass(now);
             }
             FaultEvent::Degraded { channel, .. } => self.rescale_channel(channel, now),
@@ -844,11 +776,10 @@ impl Sched<'_> {
         self.trace.push(TraceRecord::FaultEnd { fault: e, at: now });
         match self.plan.events()[e as usize] {
             FaultEvent::LinkDown { channel, .. } => {
-                for r in self.res_path(&[channel]) {
-                    self.pool.set_link_up(r);
-                    if !self.pool.is_link_down(r) {
-                        self.serve_resource(r, now);
-                    }
+                let r = self.channel_port(channel);
+                self.pool.set_link_up(r);
+                if !self.pool.is_link_down(r) {
+                    self.serve_resource(r, now);
                 }
             }
             FaultEvent::Degraded { channel, .. } => self.rescale_channel(channel, now),
@@ -878,10 +809,7 @@ impl Sched<'_> {
     /// down ([`FaultEvent::downed_uplinks`] order): [`Self::apply_end`]
     /// serves the repaired ports in this order.
     fn fault_ports(&self, e: &FaultEvent) -> Vec<ChannelId> {
-        let Some(f) = &self.fabric else {
-            return Vec::new(); // validated away under ChannelApprox
-        };
-        let g = &f.graph;
+        let g = &self.fabric.graph;
         e.downed_uplinks(g)
             .into_iter()
             .flat_map(|(leaf, slot)| {
@@ -904,11 +832,7 @@ impl Sched<'_> {
     /// until repair; permanent total severance surfaces as
     /// [`SimError::Unroutable`] when the queue drains.
     fn failover_pass(&mut self, now: Seconds) {
-        if self
-            .fabric
-            .as_ref()
-            .is_none_or(|f| f.policy == UplinkPolicy::Hash)
-        {
+        if self.fabric.policy == UplinkPolicy::Hash {
             return;
         }
         for tid in 0..self.nt as u32 {
@@ -961,12 +885,11 @@ impl Sched<'_> {
             let Ok(route) = router.allocate(src, dst) else {
                 continue; // no surviving route: wait for the link
             };
-            let res_path = self.res_path(route.channels());
-            if let Some(f) = &self.fabric {
-                self.port_routes.push(f.graph.port_route(route.channels()));
-            }
-            self.repoint(tid, res_path, self.routes.len() as u32);
-            self.routes.push(PreparedRoute::of_route(&route, self.topo));
+            let mut ports = Vec::new();
+            let wormhole = self.fabric.resources(route.channels(), &mut ports);
+            self.repoint(tid, ports, self.routes.len() as u32);
+            self.routes
+                .push(PreparedRoute::of_route(&route, self.topo).with_wormhole(wormhole));
             self.faults().reroutes_taken += 1;
             self.trace.push(TraceRecord::Reroute {
                 id: TransferId(tid),
@@ -1044,14 +967,14 @@ impl Sched<'_> {
             if self.pool.is_done(tid) {
                 continue;
             }
-            let stuck = self.path(t).iter().any(|&c| self.is_channel_down(c))
-                || (self.fabric.is_some()
-                    && self
-                        .pool
-                        .path(tid)
-                        .iter()
-                        .any(|&r| self.pool.is_link_down(r)));
-            if stuck {
+            // The pool path holds every channel's port as well as the
+            // uplink slots.
+            if self
+                .pool
+                .path(tid)
+                .iter()
+                .any(|&r| self.pool.is_link_down(r))
+            {
                 return SimError::Unroutable {
                     src: self.embedding.gpu_of(transfers[t].src),
                     dst: self.embedding.gpu_of(transfers[t].dst),
@@ -1062,35 +985,19 @@ impl Sched<'_> {
     }
 
     /// Assembles the run's measurements. Per-port quantities fold back to
-    /// channels under the fabric model; the raw per-port view stays in
-    /// the stats.
+    /// channels; the raw per-port view stays in the stats.
     fn finish(self, compute_complete: Vec<Seconds>, makespan: Seconds, num_channels: usize) -> Run {
         let mut pool = self.pool;
-        let (channel_busy, queue_wait, port_busy, uplink_busy, channel_intervals) =
-            match &self.fabric {
-                Some(f) => {
-                    let mut intervals = vec![Vec::new(); num_channels];
-                    for (pi, iv) in pool.take_intervals().into_iter().enumerate() {
-                        if let Some(ch) = f.graph.ports()[pi].channel() {
-                            intervals[ch.index()] = iv;
-                        }
-                    }
-                    (
-                        f.channel_values(pool.busy(), num_channels),
-                        f.channel_values(pool.queue_wait(), num_channels),
-                        pool.busy().to_vec(),
-                        uplink_busy_of(&f.graph, pool.busy()),
-                        intervals,
-                    )
-                }
-                None => (
-                    pool.busy().to_vec(),
-                    pool.queue_wait().to_vec(),
-                    Vec::new(),
-                    Vec::new(),
-                    pool.take_intervals(),
-                ),
-            };
+        let graph = &self.fabric.graph;
+        let mut channel_intervals = vec![Vec::new(); num_channels];
+        for (pi, iv) in pool.take_intervals().into_iter().enumerate() {
+            if let Some(ch) = graph.ports()[pi].channel() {
+                channel_intervals[ch.index()] = iv;
+            }
+        }
+        let channel_busy = self.fabric.channel_values(pool.busy(), num_channels);
+        let queue_wait = self.fabric.channel_values(pool.queue_wait(), num_channels);
+        let uplink_busy = uplink_busy_of(graph, pool.busy());
         let (channel_downtime, time_degraded) = if self.plan.is_empty() {
             (Vec::new(), Seconds::ZERO)
         } else {
@@ -1128,8 +1035,7 @@ impl Sched<'_> {
             reroutes_taken,
             time_degraded,
             channel_downtime,
-            port_busy,
-            switch_queue_depth: self.switch_queue_depth,
+            port_busy: pool.busy().to_vec(),
             failovers: self.failovers,
             uplink_busy,
         };

@@ -25,7 +25,12 @@
 //! moves a leaf crossing's up and down legs jointly onto one spine, so a
 //! crossing survives only on a slot that is up on *both* its leaves: a
 //! leaf that keeps some slot is not enough when its peer has lost that
-//! very slot, and one such crossing blocks the window's finding. It is
+//! very slot. An uplink or spine window therefore reports one finding
+//! per leaf pair whose crossings it hits, counting that pair's
+//! transfers exactly. The port graph and port routes come from the
+//! scheduler's `FabricMap` under every network model; under the channel
+//! approximation (the passthrough fabric) no route crosses leaves, so
+//! uplink and spine windows report nothing. It is
 //! evaluated against the *statically lowered* routes — one
 //! [`PreparedRoute`] per logical edge, the ones the scheduler runs on —
 //! and decides each route once (its port walk, its NIC-path test, its
@@ -40,7 +45,7 @@
 //! produce no finding.
 
 use crate::engine::SimOptions;
-use crate::fabric::{NetworkModel, UplinkPolicy};
+use crate::fabric::{FabricMap, UplinkPolicy};
 use crate::faults::{FaultEvent, FaultPlan};
 use ccube_collectives::analyze::{LintCode, LintReport, Span};
 use ccube_collectives::physical::push_lower_error;
@@ -48,7 +53,7 @@ use ccube_collectives::{Embedding, PreparedLowering, PreparedRoute, Schedule, Tr
 use ccube_topology::{
     ChannelClass, ChannelId, FabricGraph, PortId, PortKind, Router, Seconds, Topology,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Inclusive-exclusive window overlap.
 fn overlaps(f1: Seconds, u1: Seconds, f2: Seconds, u2: Seconds) -> bool {
@@ -83,55 +88,50 @@ fn down_slots(
 }
 
 /// The leaf crossings an uplink or spine outage `e` hits, read off the
-/// static port routes (indexed like the schedule's edges): per route,
-/// whether one of its crossings uses a slot `e` downs on either leaf;
-/// and, when every hit crossing keeps a way across, the slots they can
-/// fail over to. The engine moves a crossing's up and down legs jointly
-/// (one spine), so a slot survives for it only if it stays up on *both*
-/// of its leaves through `e`'s window, under every overlapping
-/// uplink/spine outage.
+/// static port routes (indexed like the schedule's edges) and grouped by
+/// leaf pair: for each `(from, to)` pair, in order, whether each route
+/// crosses it on a slot `e` downs on either leaf.
 fn hit_crossings(
-    plan: &FaultPlan,
     graph: &FabricGraph,
     port_routes: &[Vec<PortId>],
     e: &FaultEvent,
-) -> (Vec<bool>, Option<BTreeSet<usize>>) {
+) -> BTreeMap<(u32, u32), Vec<bool>> {
     let downed = e.downed_uplinks(graph);
-    let down: Vec<BTreeSet<usize>> = (0..graph.num_switches() as u32)
-        .map(|leaf| down_slots(plan, graph, leaf, e.from(), e.until()))
-        .collect();
-    let mut survivors = Some(BTreeSet::new());
-    let hit = port_routes
-        .iter()
-        .map(|route| {
-            let mut hit = false;
-            for pair in route.windows(2) {
-                let (up, dn) = (graph.port(pair[0]), graph.port(pair[1]));
-                let (PortKind::UplinkUp, PortKind::UplinkDown, Some(slot)) =
-                    (up.kind(), dn.kind(), up.uplink())
-                else {
-                    continue;
-                };
-                let (from, to) = (up.switch().0, dn.switch().0);
-                if !downed.contains(&(from, slot)) && !downed.contains(&(to, slot)) {
-                    continue;
-                }
-                hit = true;
-                let (from, to) = (&down[from as usize], &down[to as usize]);
-                let mut alive = (0..graph.uplinks_per_leaf())
-                    .filter(|s| !from.contains(s) && !to.contains(s))
-                    .peekable();
-                if alive.peek().is_none() {
-                    survivors = None;
-                }
-                if let Some(set) = &mut survivors {
-                    set.extend(alive);
-                }
+    let mut pairs = BTreeMap::new();
+    for (r, route) in port_routes.iter().enumerate() {
+        for pair in route.windows(2) {
+            let (up, dn) = (graph.port(pair[0]), graph.port(pair[1]));
+            let (PortKind::UplinkUp, PortKind::UplinkDown, Some(slot)) =
+                (up.kind(), dn.kind(), up.uplink())
+            else {
+                continue;
+            };
+            let (from, to) = (up.switch().0, dn.switch().0);
+            if downed.contains(&(from, slot)) || downed.contains(&(to, slot)) {
+                pairs
+                    .entry((from, to))
+                    .or_insert_with(|| vec![false; port_routes.len()])[r] = true;
             }
-            hit
-        })
-        .collect();
-    (hit, survivors)
+        }
+    }
+    pairs
+}
+
+/// The slots a crossing from leaf `from` to leaf `to` can fail over to
+/// through `e`'s window. The engine moves a crossing's up and down legs
+/// jointly (one spine), so a slot survives only if it stays up on *both*
+/// leaves, under every overlapping uplink/spine outage.
+fn surviving_slots(
+    plan: &FaultPlan,
+    graph: &FabricGraph,
+    (from, to): (u32, u32),
+    e: &FaultEvent,
+) -> Vec<usize> {
+    let down = |leaf| down_slots(plan, graph, leaf, e.from(), e.until());
+    let (from, to) = (down(from), down(to));
+    (0..graph.uplinks_per_leaf())
+        .filter(|s| !from.contains(s) && !to.contains(s))
+        .collect()
 }
 
 /// The transfers, in id order, whose edge is flagged in `on`.
@@ -146,7 +146,7 @@ fn transfers_on(schedule: &Schedule, on: &[bool]) -> Vec<TransferId> {
 
 /// Statically classifies every window of `plan` against the lowered
 /// routes of `(schedule, embedding, topo)` under `opts` (whose network
-/// model decides whether uplink/spine events have a fabric to act on).
+/// model picks the port graph the uplink/spine events act on).
 ///
 /// See the module docs for the exact classification rules and the
 /// one-directional consistency guarantee with the fault engine.
@@ -191,15 +191,11 @@ pub fn analyze_severance(
             return report.finish();
         }
     };
-    let fabric = match &opts.network {
-        NetworkModel::SwitchFabric(spec) => {
-            let graph = FabricGraph::from_topology(topo, &spec.fabric_config());
-            let port_routes: Vec<Vec<PortId>> =
-                routes.iter().map(|r| graph.port_route(r.path())).collect();
-            Some((graph, port_routes, spec.uplink_policy))
-        }
-        NetworkModel::ChannelApprox => None,
-    };
+    let fabric = FabricMap::for_options(topo, opts);
+    let port_routes: Vec<Vec<PortId>> = routes
+        .iter()
+        .map(|r| fabric.graph.port_route(r.path()))
+        .collect();
 
     for e in plan.events() {
         match *e {
@@ -223,90 +219,82 @@ pub fn analyze_severance(
                     until,
                 );
             }
-            FaultEvent::UplinkDown {
-                leaf,
-                uplink,
-                from,
-                until,
-            } => {
-                let Some((graph, port_routes, policy)) = &fabric else {
-                    continue;
-                };
-                let (hit, survivors) = hit_crossings(plan, graph, port_routes, e);
-                let adaptive = *policy != UplinkPolicy::Hash;
-                let fail_over = survivors.filter(|_| adaptive).map(|survivors| {
-                    let survivors: Vec<usize> = survivors.into_iter().collect();
-                    format!(
-                        "fail over to surviving slot(s) {survivors:?} under the {} policy",
-                        policy.label()
-                    )
-                });
-                let why = if adaptive {
-                    "no surviving uplink slot".to_string()
-                } else {
-                    format!("hash striping pins them to slot {uplink}")
-                };
-                let what = format!("uplink {uplink} on sw{leaf} down {}", window(from, until));
-                crossing_lints(&mut report, schedule, &hit, &what, until, fail_over, &why);
-            }
-            FaultEvent::SwitchDown { spine, from, until } => {
-                let Some((graph, port_routes, policy)) = &fabric else {
-                    continue;
-                };
-                let (hit, survivors) = hit_crossings(plan, graph, port_routes, e);
-                let adaptive = *policy != UplinkPolicy::Hash;
-                let fail_over = survivors.filter(|_| adaptive).map(|_| {
-                    let spine_slots: BTreeSet<u32> = e
-                        .downed_uplinks(graph)
-                        .into_iter()
-                        .map(|(_, slot)| slot)
-                        .collect();
-                    format!(
-                        "fail over off slot(s) {spine_slots:?} under the {} policy",
-                        policy.label()
-                    )
-                });
-                let why = if adaptive {
-                    "a crossing loses every uplink slot"
-                } else {
-                    "hash striping cannot leave the downed spine"
-                };
-                let what = format!("spine {spine} down {}", window(from, until));
-                crossing_lints(&mut report, schedule, &hit, &what, until, fail_over, why);
+            FaultEvent::UplinkDown { .. } | FaultEvent::SwitchDown { .. } => {
+                crossing_lints(&mut report, plan, schedule, &fabric, &port_routes, e);
             }
         }
     }
     report.finish()
 }
 
-/// Reports one uplink or spine window over the crossings of the routes
-/// flagged in `hit`, if any: `CC021` when they `fail_over` (the
-/// message's tail), else blocked for `why`.
+/// Reports one uplink or spine window `e`, once per leaf pair whose
+/// crossings it hits: `CC021` when they fail over under an adaptive
+/// policy, else blocked. Under the passthrough fabric no route crosses
+/// leaves, so nothing is reported.
 fn crossing_lints(
     report: &mut LintReport,
+    plan: &FaultPlan,
     schedule: &Schedule,
-    hit: &[bool],
-    what: &str,
-    until: Seconds,
-    fail_over: Option<String>,
-    why: &str,
+    fabric: &FabricMap,
+    port_routes: &[Vec<PortId>],
+    e: &FaultEvent,
 ) {
-    let users = transfers_on(schedule, hit);
-    if users.is_empty() {
-        return;
-    }
-    let crossings = format!("{} crossings", users.len());
-    let span = Span {
-        transfers: users,
-        ..Span::default()
+    let graph = &fabric.graph;
+    let adaptive = fabric.policy != UplinkPolicy::Hash;
+    let policy = fabric.policy.label();
+    let (what, hash_why) = match *e {
+        FaultEvent::UplinkDown {
+            leaf,
+            uplink,
+            from,
+            until,
+        } => (
+            format!("uplink {uplink} on sw{leaf} down {}", window(from, until)),
+            format!("hash striping pins them to slot {uplink}"),
+        ),
+        FaultEvent::SwitchDown { spine, from, until } => (
+            format!("spine {spine} down {}", window(from, until)),
+            "hash striping cannot leave the downed spine".to_string(),
+        ),
+        _ => return,
     };
-    match fail_over {
-        Some(how) => report.push(
+    for (pair, hit) in hit_crossings(graph, port_routes, e) {
+        let users = transfers_on(schedule, &hit);
+        let crossings = format!("{} crossings sw{} -> sw{}", users.len(), pair.0, pair.1);
+        let span = Span {
+            transfers: users,
+            ..Span::default()
+        };
+        let alive = if adaptive {
+            surviving_slots(plan, graph, pair, e)
+        } else {
+            Vec::new()
+        };
+        if alive.is_empty() {
+            let why = if adaptive {
+                "no uplink slot is up on both leaves"
+            } else {
+                &hash_why
+            };
+            push_blocked(report, &what, &crossings, why, e.until(), span);
+            continue;
+        }
+        let how = match *e {
+            FaultEvent::SwitchDown { .. } => {
+                let spine_slots: BTreeSet<u32> = e
+                    .downed_uplinks(graph)
+                    .into_iter()
+                    .map(|(_, slot)| slot)
+                    .collect();
+                format!("fail over off slot(s) {spine_slots:?} under the {policy} policy")
+            }
+            _ => format!("fail over to surviving slot(s) {alive:?} under the {policy} policy"),
+        };
+        report.push(
             LintCode::FaultReroutable,
             format!("{what}: {crossings} {how}"),
             span,
-        ),
-        None => push_blocked(report, what, &crossings, why, until, span),
+        );
     }
 }
 
@@ -430,7 +418,7 @@ fn link_down_lints(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::{FabricSpec, HopMode};
+    use crate::fabric::{FabricSpec, HopMode, NetworkModel};
     use crate::faults::forever;
     use ccube_collectives::ring_allreduce;
     use ccube_topology::{dgx1, hierarchical, ByteSize};
@@ -609,7 +597,9 @@ mod tests {
     fn a_crossing_needs_the_same_slot_up_on_both_leaves() {
         // Slot 0 down on leaf 1 and slot 1 down on leaf 2, for good:
         // each leaf keeps a slot, but no slot is up on both, so the
-        // 1 -> 2 crossings (GPU 7 -> 8) have no way across.
+        // 1 -> 2 crossings (GPU 7 -> 8) have no way across. The 2 -> 3
+        // crossings (GPU 11 -> 12) on the same downed slot fail over to
+        // slot 0, so the window splits into one finding per leaf pair.
         let topo = hierarchical(16);
         let s = ring_allreduce(16, ByteSize::mib(4));
         let e = Embedding::nic(&topo, &s).unwrap();
@@ -626,11 +616,30 @@ mod tests {
             Err(crate::SimError::Unroutable { .. })
         ));
         let report = analyze_severance(&plan, &topo, &s, &e, &opts);
+        let found: Vec<(LintCode, usize)> = report
+            .diagnostics()
+            .iter()
+            .map(|d| (d.code, d.span.transfers.len()))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                (LintCode::FaultReroutable, 30),
+                (LintCode::FaultSevered, 30)
+            ],
+            "{report}"
+        );
+        let messages: Vec<&str> = report
+            .diagnostics()
+            .iter()
+            .map(|d| d.message.as_str())
+            .collect();
         assert!(
-            report
-                .diagnostics()
-                .iter()
-                .any(|d| d.code == LintCode::FaultSevered),
+            messages[0].contains("30 crossings sw2 -> sw3 fail over to surviving slot(s) [0]"),
+            "{report}"
+        );
+        assert!(
+            messages[1].contains("30 crossings sw1 -> sw2 are severed"),
             "{report}"
         );
     }

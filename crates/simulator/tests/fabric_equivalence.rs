@@ -103,9 +103,10 @@ fn passthrough_fabric_matches_channel_approx_on_dgx1() {
     let approx = simulate(&topo, &s, &e, &opts).expect("approx runs");
     let fabric = simulate(&topo, &s, &e, &switch(&opts)).expect("fabric runs");
     assert_reports_match(&approx, &fabric, "dgx1/C1");
-    // The passthrough fabric still reports its port-level view.
+    // Both report the passthrough fabric's port-level view: one port
+    // per channel, busy exactly as long as its channel.
     assert_eq!(fabric.stats().port_busy.len(), topo.channels().len());
-    assert!(approx.stats().port_busy.is_empty());
+    assert_eq!(approx.stats().port_busy, approx.channel_busy());
 }
 
 #[test]
@@ -310,27 +311,6 @@ fn store_and_forward_is_never_faster_than_cut_through() {
         sf >= ct,
         "store-and-forward pays one serialization per hop: {ct:?} vs {sf:?}"
     );
-}
-
-#[test]
-fn switch_queue_depth_is_tracked_per_switch() {
-    let topo = hierarchical(8);
-    let s = ring_allreduce(8, ByteSize::mib(64));
-    let e = Embedding::nic(&topo, &s).expect("nic embedding");
-    let spec = FabricSpec {
-        radix: Some(2),
-        oversubscription: 8.0,
-        ..FabricSpec::passthrough()
-    };
-    let report = simulate(
-        &topo,
-        &s,
-        &e,
-        &SimOptions::scale_out().with_network(NetworkModel::SwitchFabric(spec)),
-    )
-    .expect("runs");
-    // Four leaves of two nodes each.
-    assert_eq!(report.stats().switch_queue_depth.len(), 4);
 }
 
 proptest! {

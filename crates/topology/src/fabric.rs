@@ -259,8 +259,8 @@ impl FabricConfig {
 pub struct FabricGraph {
     switches: Vec<FabricSwitch>,
     ports: Vec<FabricPort>,
-    /// Base port path per channel, indexed by channel id.
-    ports_of_channel: Vec<Vec<PortId>>,
+    /// The one endpoint port of each channel, indexed by channel id.
+    port_of_channel: Vec<PortId>,
     /// Leaf switch of each node (switched fabrics only; in degenerate
     /// fabrics node `i` maps to switch `i`).
     leaf_of_node: Vec<SwitchId>,
@@ -356,13 +356,14 @@ impl FabricGraph {
         self.leaf_of_node[node.index()]
     }
 
-    /// The endpoint ports that carry `channel` (uplink ports excluded).
+    /// The endpoint port that carries `channel`: every channel has
+    /// exactly one (uplink ports carry none).
     ///
     /// # Panics
     ///
     /// Panics if `channel` is out of range.
-    pub fn ports_for_channel(&self, channel: ChannelId) -> &[PortId] {
-        &self.ports_of_channel[channel.index()]
+    pub fn port_of_channel(&self, channel: ChannelId) -> PortId {
+        self.port_of_channel[channel.index()]
     }
 
     /// True if this fabric has an explicit spine level (uplink ports).
@@ -431,21 +432,12 @@ impl FabricGraph {
     /// leaf of a multi-leaf fabric has `uplinks_per_leaf >= 1` slots, so
     /// every leaf crossing has a physical route.
     pub fn walk(&self, path: &[ChannelId], mut step: impl FnMut(PortStep)) {
-        let ports = |c: ChannelId| {
-            self.ports_of_channel
-                .get(c.index())
-                .map_or(&[][..], Vec::as_slice)
-        };
+        let port = |c: ChannelId| self.port_of_channel.get(c.index()).copied();
         for (k, &c) in path.iter().enumerate() {
-            let own = ports(c);
-            if own.is_empty() {
-                step(PortStep::Portless(c));
-            }
-            for &p in own {
-                step(PortStep::Port(p));
-            }
-            let next = path.get(k + 1).and_then(|&n| ports(n).first());
-            let (true, Some(&last), Some(&first)) = (self.switched, own.last(), next) else {
+            let own = port(c);
+            step(own.map_or(PortStep::Portless(c), PortStep::Port));
+            let next = path.get(k + 1).and_then(|&n| port(n));
+            let (true, Some(last), Some(first)) = (self.switched, own, next) else {
                 continue;
             };
             let (here, next) = (
@@ -488,11 +480,8 @@ impl FabricGraph {
             return false;
         }
         topo.channels().iter().all(|ch| {
-            let ports = self.ports_for_channel(ch.id());
-            ports.len() == 1 && {
-                let p = &self.ports[ports[0].index()];
-                p.bandwidth == ch.bandwidth() && p.latency == ch.latency()
-            }
+            let p = self.port(self.port_of_channel(ch.id()));
+            p.bandwidth == ch.bandwidth() && p.latency == ch.latency()
         })
     }
 }
@@ -535,8 +524,15 @@ fn build_switched(topo: &Topology, cfg: &FabricConfig) -> FabricGraph {
     let n = topo.num_gpus();
     let radix = cfg.radix.unwrap_or(n).max(1);
     let num_leaves = n.div_ceil(radix);
-    let mut ports: Vec<FabricPort> = Vec::new();
-    let mut ports_of_channel: Vec<Vec<PortId>> = vec![Vec::new(); topo.channels().len()];
+    let uplink_ports = if num_leaves > 1 {
+        2 * cfg.uplinks_per_leaf
+    } else {
+        0
+    };
+    let mut ports: Vec<FabricPort> =
+        Vec::with_capacity(topo.channels().len() + num_leaves * uplink_ports);
+    // Nodes come in id order, so their channels are pushed in id order.
+    let mut port_of_channel: Vec<PortId> = Vec::with_capacity(topo.channels().len());
     let mut switches: Vec<FabricSwitch> = Vec::new();
     let mut leaf_of_node: Vec<SwitchId> = Vec::with_capacity(n);
     let mut uplink_up: Vec<Vec<PortId>> = Vec::with_capacity(num_leaves);
@@ -546,7 +542,7 @@ fn build_switched(topo: &Topology, cfg: &FabricConfig) -> FabricGraph {
         let members: Vec<GpuId> = (leaf * radix..((leaf + 1) * radix).min(n))
             .map(|i| GpuId(i as u32))
             .collect();
-        let mut sw_ports = Vec::new();
+        let mut sw_ports = Vec::with_capacity(2 * members.len() + uplink_ports);
         let mut ingress_bw = 0.0f64;
         for &node in &members {
             leaf_of_node.push(sid);
@@ -564,7 +560,7 @@ fn build_switched(topo: &Topology, cfg: &FabricConfig) -> FabricGraph {
                 bandwidth: ch.bandwidth(),
                 latency: ch.latency(),
             });
-            ports_of_channel[inj.index()].push(pid);
+            port_of_channel.push(pid);
             sw_ports.push(pid);
             // Egress port: carries the node's ejection channel.
             let ej = ChannelId(node.0 * 2 + 1);
@@ -579,7 +575,7 @@ fn build_switched(topo: &Topology, cfg: &FabricConfig) -> FabricGraph {
                 bandwidth: ch.bandwidth(),
                 latency: ch.latency(),
             });
-            ports_of_channel[ej.index()].push(pid);
+            port_of_channel.push(pid);
             sw_ports.push(pid);
         }
         if num_leaves > 1 {
@@ -635,7 +631,7 @@ fn build_switched(topo: &Topology, cfg: &FabricConfig) -> FabricGraph {
     FabricGraph {
         switches,
         ports,
-        ports_of_channel,
+        port_of_channel,
         leaf_of_node,
         uplink_up,
         uplink_down,
@@ -649,7 +645,6 @@ fn build_switched(topo: &Topology, cfg: &FabricConfig) -> FabricGraph {
 fn build_degenerate(topo: &Topology) -> FabricGraph {
     let n = topo.num_gpus();
     let mut ports = Vec::with_capacity(topo.channels().len());
-    let mut ports_of_channel = vec![Vec::new(); topo.channels().len()];
     let mut switches: Vec<FabricSwitch> = (0..n)
         .map(|i| FabricSwitch {
             id: SwitchId(i as u32),
@@ -671,13 +666,12 @@ fn build_degenerate(topo: &Topology) -> FabricGraph {
             bandwidth: ch.bandwidth(),
             latency: ch.latency(),
         });
-        ports_of_channel[ch.id().index()].push(pid);
         switches[sid.index()].ports.push(pid);
     }
     FabricGraph {
         switches,
         ports,
-        ports_of_channel,
+        port_of_channel: (0..topo.channels().len() as u32).map(PortId).collect(),
         leaf_of_node: (0..n).map(|i| SwitchId(i as u32)).collect(),
         uplink_up: vec![Vec::new(); n],
         uplink_down: vec![Vec::new(); n],
@@ -781,9 +775,7 @@ mod tests {
             assert_eq!(fab.num_ports(), topo.channels().len());
             assert!(fab.is_passthrough(&topo));
             for ch in topo.channels() {
-                let ports = fab.ports_for_channel(ch.id());
-                assert_eq!(ports.len(), 1);
-                let p = fab.port(ports[0]);
+                let p = fab.port(fab.port_of_channel(ch.id()));
                 assert_eq!(p.bandwidth(), ch.bandwidth());
                 assert_eq!(p.latency(), ch.latency());
                 assert_eq!(p.switch(), SwitchId(ch.src().0));
@@ -900,7 +892,7 @@ mod tests {
         let path = nic_path(GpuId(1), GpuId(9));
         let mut steps = Vec::new();
         fab.walk(&path, |step| steps.push(step));
-        let ingress = fab.ports_for_channel(path[0])[0];
+        let ingress = fab.port_of_channel(path[0]);
         assert_eq!(
             steps,
             [PortStep::Port(ingress), PortStep::Portless(path[1])]
@@ -955,6 +947,85 @@ mod tests {
         for src in 0..4 {
             let route = fab.port_route(&nic_path(GpuId(src), GpuId(9)));
             assert_eq!(fab.port(route[1]).uplink(), Some(0));
+        }
+    }
+
+    /// The invariant that keeps the channel approximation's traces
+    /// byte-identical: the passthrough fabric of `topo` maps port `i` to
+    /// channel `i`, with that channel's own bandwidth and latency, walks
+    /// every channel path onto the same ids, and has no uplinks.
+    fn assert_passthrough_is_the_identity(topo: &Topology) {
+        let fab = FabricGraph::from_topology(topo, &FabricConfig::passthrough());
+        assert!(!fab.has_uplinks(), "{}", topo.name());
+        assert_eq!(fab.num_ports(), topo.channels().len(), "{}", topo.name());
+        for ch in topo.channels() {
+            let p = fab.port(PortId(ch.id().0));
+            assert_eq!(p.channel(), Some(ch.id()), "{}", topo.name());
+            assert_eq!(p.uplink(), None);
+            assert_eq!(fab.port_of_channel(ch.id()), p.id());
+            assert_eq!(p.bandwidth(), ch.bandwidth());
+            assert_eq!(p.latency(), ch.latency());
+        }
+        let all: Vec<ChannelId> = topo.channels().iter().map(|c| c.id()).collect();
+        let ids: Vec<u32> = fab.port_route(&all).iter().map(|p| p.0).collect();
+        assert!(ids.iter().copied().eq(all.iter().map(|c| c.0)));
+    }
+
+    #[test]
+    fn passthrough_is_the_identity_on_every_shipped_topology() {
+        assert_passthrough_is_the_identity(&dgx1());
+        for p in 4..=64 {
+            assert_passthrough_is_the_identity(&hierarchical(p));
+        }
+        for p in 2..=16 {
+            assert_passthrough_is_the_identity(&nvswitch(p));
+        }
+        for (rows, cols) in [(2, 2), (2, 3), (3, 3), (4, 4), (2, 8)] {
+            assert_passthrough_is_the_identity(&torus2d(rows, cols));
+        }
+    }
+
+    proptest::proptest! {
+        /// Random builder topologies: arbitrary channel lists (the
+        /// degenerate derivation) and random-timed NIC layouts (the
+        /// switched one). Each link is one number, read digit by digit
+        /// in mixed radix: source, hop, bandwidth, latency, class.
+        #[test]
+        fn passthrough_is_the_identity_on_random_topologies(
+            n in 2usize..9,
+            links in proptest::collection::vec(0u64..432_000, 0..24),
+            nic in proptest::collection::vec(0u64..2_000, 9..10),
+        ) {
+            use crate::graph::TopologyBuilder;
+            use crate::units::Bandwidth;
+            let class = [ChannelClass::NvLink, ChannelClass::Nic, ChannelClass::HostBridge];
+            let timed = |x: u64| {
+                (
+                    Bandwidth::gb_per_sec((x % 400 + 1) as f64 / 4.0),
+                    Seconds::from_micros((x / 400 % 5) as f64 * 0.3),
+                )
+            };
+            let n32 = n as u32;
+            let mut b = TopologyBuilder::new("random", n);
+            for x in links {
+                let src = (x % 9) as u32 % n32;
+                let dst = (src + 1 + (x / 9 % 8) as u32 % (n32 - 1)) % n32;
+                let (bw, lat) = timed(x / 72);
+                b.channel(GpuId(src), GpuId(dst), bw, lat, class[(x / 144_000) as usize])
+                    .unwrap();
+            }
+            assert_passthrough_is_the_identity(&b.build().unwrap());
+
+            let mut b = TopologyBuilder::new("random-nic", n);
+            for (i, &x) in nic.iter().take(n).enumerate() {
+                let (node, peer) = (GpuId(i as u32), GpuId(((i + 1) % n) as u32));
+                let (bw, lat) = timed(x);
+                b.channel(node, peer, bw, lat, ChannelClass::Nic).unwrap();
+                b.channel(peer, node, bw, lat, ChannelClass::Nic).unwrap();
+            }
+            let topo = b.build().unwrap();
+            proptest::prop_assert!(is_nic_layout(&topo));
+            assert_passthrough_is_the_identity(&topo);
         }
     }
 

@@ -31,8 +31,12 @@ cargo test -q -p ccube --lib systemjob
 echo "==> fault-injection property tests"
 cargo test -q -p ccube-sim --test faults
 
-echo "==> switch-fabric model suite (passthrough == approx, uplinks, hop modes)"
+echo "==> switch-fabric model suite (the channel approximation is the passthrough fabric: port_busy == channel_busy; uplinks, hop modes)"
 cargo test -q -p ccube-sim --test fabric_equivalence
+
+echo "==> examples run: timeline_view (the per-channel occupancy fold) and quickstart exit 0"
+cargo run -q --release -p ccube --example timeline_view -- 8 > /dev/null
+cargo run -q --release -p ccube --example quickstart > /dev/null
 
 echo "==> CLI corpus: every subcommand and mode's exit code, stdout and written files match tests/data/cli_corpus.txt"
 cargo test -q -p ccube --test cli_corpus
