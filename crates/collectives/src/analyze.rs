@@ -57,8 +57,11 @@
 //! hazards, certified lower bounds and fault severance — documented in
 //! [`physical`](crate::physical).
 //!
-//! [`gate`] is the cheap structural subset (DAG + routes) that the
-//! simulators debug-assert on every input.
+//! `CC001`, `CC007` and `CC008` are the rules of the one input gate,
+//! [`PreparedLowering::new`](crate::PreparedLowering::new): the
+//! analyzer reports every violation ([`push_lower_error`]), the
+//! lowering rejects the first with a typed
+//! [`LowerError`] before any simulation or bound.
 //!
 //! # Cost
 //!
@@ -95,6 +98,7 @@
 
 use crate::chunk::ChunkId;
 use crate::embedding::{EdgeKey, Embedding};
+use crate::lowering::{checked_route, LowerError, RouteDefect};
 use crate::rank::Rank;
 use crate::schedule::{Phase, Schedule, TransferId};
 use crate::verify::{self, ChannelKeying, ChannelQueues, DagViolation};
@@ -531,7 +535,7 @@ impl WaitKind {
 ///
 /// The dataflow family assumes the schedule intends to be an AllReduce
 /// (every buffer must end with all contributions); lint other collective
-/// kinds with [`gate`] and the `verify` checkers instead.
+/// kinds with the `verify` checkers instead.
 pub fn analyze(schedule: &Schedule, opts: &AnalyzeOptions) -> LintReport {
     analyze_logical(schedule, opts).report.finish()
 }
@@ -577,15 +581,8 @@ fn analyze_logical(schedule: &Schedule, opts: &AnalyzeOptions) -> Logical {
 
     // CC001: structural violations, all of them.
     let violations = verify::dag_violations(schedule);
-    for v in &violations {
-        report.push(
-            LintCode::MalformedDag,
-            format!("{v}"),
-            Span {
-                transfers: vec![v.transfer()],
-                ..Span::default()
-            },
-        );
+    for &v in &violations {
+        push_lower_error(&mut report, &LowerError::MalformedDag(v));
     }
     let ids_topological = violations.iter().all(|v| {
         !matches!(
@@ -627,25 +624,31 @@ fn analyze_logical(schedule: &Schedule, opts: &AnalyzeOptions) -> Logical {
     }
 }
 
-/// The fast structural gate the simulators debug-assert on: DAG
-/// violations (`CC001`) and missing/invalid routes (`CC007`, `CC008`)
-/// only — O(transfers + edges), no replay. Channel conflicts are *not*
-/// gated: deliberately conflicted embeddings (e.g. the topology-oblivious
-/// baselines of the extension studies) are legitimate simulator inputs.
-pub fn gate(schedule: &Schedule, embedding: &Embedding, topo: &Topology) -> LintReport {
-    let mut report = LintReport::default();
-    for v in verify::dag_violations(schedule) {
-        report.push(
-            LintCode::MalformedDag,
-            format!("{v}"),
-            Span {
-                transfers: vec![v.transfer()],
-                ..Span::default()
-            },
-        );
-    }
-    route_lints(schedule, embedding, topo, &mut report);
-    report.finish()
+/// Reports a [`LowerError`] with the analyzer's stable codes: `CC001`
+/// for a malformed DAG, `CC007` for a missing route, `CC008` for an
+/// invalid one, with the error's text as the message. The logical and
+/// physical passes and fault severance (`ccube_sim::analyze_severance`)
+/// all report through it.
+pub fn push_lower_error(report: &mut LintReport, err: &LowerError) {
+    let mut span = Span::default();
+    let code = match *err {
+        LowerError::MalformedDag(v) => {
+            span.transfers.push(v.transfer());
+            LintCode::MalformedDag
+        }
+        LowerError::MissingRoute(edge) => {
+            span.edges.push(edge);
+            LintCode::MissingRoute
+        }
+        LowerError::InvalidRoute { edge, defect } => {
+            span.edges.push(edge);
+            if let RouteDefect::UnknownChannel(c) = defect {
+                span.channels.push(c);
+            }
+            LintCode::InvalidRoute
+        }
+    };
+    report.push(code, err.to_string(), span);
 }
 
 // ---------------------------------------------------------------------
@@ -1176,25 +1179,26 @@ fn embedding_lints(
     replay: Option<&verify::StepReport>,
     report: &mut LintReport,
 ) {
-    route_lints(schedule, embedding, topo, report);
-
-    // Conflict detection over the valid routes, in logical-edge order.
-    // Each edge carries its channel queue, which is its step table.
+    // CC007/CC008 by the lowering's route rules, one finding per failing
+    // edge; conflict detection over the valid routes, in logical-edge
+    // order. Each edge carries its channel queue, which is its step table.
     let mut by_channel: BTreeMap<ChannelId, Vec<(EdgeKey, usize)>> = BTreeMap::new();
     let mut host_edges: Vec<EdgeKey> = Vec::new();
     for (e, &(src, dst, tree)) in schedule.edges().iter().enumerate() {
         let key = EdgeKey { src, dst, tree };
-        let Some(route) = embedding.route_at(e, &key) else {
-            continue; // already a CC007
+        let route = match checked_route(embedding, e, key, topo) {
+            Ok(route) => route,
+            Err(err) => {
+                push_lower_error(report, &err);
+                continue;
+            }
         };
         if route.class() == ChannelClass::HostBridge {
             host_edges.push(key);
         }
         let queue = queues.of_edge(e);
         for &c in route.channels() {
-            if c.index() < topo.channels().len() {
-                by_channel.entry(c).or_default().push((key, queue));
-            }
+            by_channel.entry(c).or_default().push((key, queue));
         }
     }
 
@@ -1304,111 +1308,11 @@ fn first_common_step(
     None
 }
 
-/// CC007/CC008: every logical edge must have a route (the embedding's
-/// route at the edge's index, for the same edge) that is real on the
-/// topology — channels exist, hops chain from the source GPU to the
-/// destination GPU (NIC routes instead follow the injection/ejection
-/// convention), and the declared detour GPU lies on the path.
-fn route_lints(
-    schedule: &Schedule,
-    embedding: &Embedding,
-    topo: &Topology,
-    report: &mut LintReport,
-) {
-    for (e, &(src, dst, tree)) in schedule.edges().iter().enumerate() {
-        let key = EdgeKey { src, dst, tree };
-        let Some(route) = embedding.route_at(e, &key) else {
-            report.push(
-                LintCode::MissingRoute,
-                format!("no route for logical edge {key}"),
-                Span {
-                    edges: vec![key],
-                    ..Span::default()
-                },
-            );
-            continue;
-        };
-        let (sg, dg) = (embedding.gpu_of(src), embedding.gpu_of(dst));
-        let mut invalid = |why: String, channels: Vec<ChannelId>| {
-            report.push(
-                LintCode::InvalidRoute,
-                format!("invalid route for {key}: {why}"),
-                Span {
-                    channels,
-                    edges: vec![key],
-                    ..Span::default()
-                },
-            );
-        };
-        if route.src() != sg || route.dst() != dg {
-            invalid(
-                format!(
-                    "route endpoints {}->{} do not match the edge's GPUs {}->{}",
-                    route.src(),
-                    route.dst(),
-                    sg,
-                    dg
-                ),
-                route.channels().to_vec(),
-            );
-            continue;
-        }
-        if let Some(&bad) = route
-            .channels()
-            .iter()
-            .find(|c| c.index() >= topo.channels().len())
-        {
-            invalid(format!("unknown channel {bad}"), vec![bad]);
-            continue;
-        }
-        if route.channels().is_empty() {
-            invalid("empty channel path".to_string(), Vec::new());
-            continue;
-        }
-        if route.class() == ChannelClass::Nic {
-            // NIC routes are (injection, ejection) pairs, not hop chains:
-            // the first channel must leave the source node and the last
-            // must arrive at the destination node.
-            let first = topo.channel(route.channels()[0]);
-            let last = topo.channel(*route.channels().last().expect("non-empty"));
-            if first.src() != sg || last.dst() != dg {
-                invalid(
-                    format!(
-                        "nic route must inject at {sg} and eject at {dg} \
-                         (got {} and {})",
-                        first.src(),
-                        last.dst()
-                    ),
-                    route.channels().to_vec(),
-                );
-            }
-            continue;
-        }
-        if !topo.is_path(sg, dg, route.channels()) {
-            invalid(
-                format!("channels do not form a path from {sg} to {dg}"),
-                route.channels().to_vec(),
-            );
-            continue;
-        }
-        if let Some(via) = route.via() {
-            let through_via = route.channels()[..route.channels().len() - 1]
-                .iter()
-                .any(|&c| topo.channel(c).dst() == via);
-            if !through_via {
-                invalid(
-                    format!("declared detour via {via} is not on the path"),
-                    route.channels().to_vec(),
-                );
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chunk::Chunking;
+    use crate::lowering::PreparedLowering;
     use crate::ring::{ring_allreduce, ring_allreduce_multi};
     use crate::schedule::{ScheduleBuilder, Transfer, TreeIndex};
     use crate::tree::{BinaryTree, DoubleBinaryTree};
@@ -1698,11 +1602,15 @@ mod tests {
             ),
         )
         .unwrap();
-        let report = gate(&s, &emb, &topo);
+        let report = analyze_embedded(&s, &emb, &topo, &AnalyzeOptions::default());
         assert!(report
             .diagnostics()
             .iter()
             .any(|d| d.code == LintCode::InvalidRoute));
+        assert!(matches!(
+            PreparedLowering::new(&s, &emb, &topo),
+            Err(LowerError::InvalidRoute { edge: e, .. }) if e == edge
+        ));
 
         // A different schedule's embedding has no routes for this one.
         let tree = BinaryTree::inorder(8).unwrap();
@@ -1712,11 +1620,15 @@ mod tests {
             Overlap::None,
         );
         let other_emb = Embedding::identity(&topo, &other).unwrap();
-        let report = gate(&s, &other_emb, &topo);
+        let report = analyze_embedded(&s, &other_emb, &topo, &AnalyzeOptions::default());
         assert!(report
             .diagnostics()
             .iter()
             .any(|d| d.code == LintCode::MissingRoute));
+        assert!(matches!(
+            PreparedLowering::new(&s, &other_emb, &topo),
+            Err(LowerError::MissingRoute(_))
+        ));
     }
 
     #[test]
@@ -1777,7 +1689,7 @@ mod tests {
             Embedding::identity_with_host(&topo, &s).unwrap(),
             Embedding::dgx1_double_tree(&topo, &s).unwrap(),
         ] {
-            assert!(gate(&s, &emb, &topo).is_clean());
+            assert!(PreparedLowering::new(&s, &emb, &topo).is_ok());
         }
         let hier = ccube_topology::hierarchical(16);
         let dt = DoubleBinaryTree::new(16).unwrap();
@@ -1787,6 +1699,6 @@ mod tests {
             Overlap::ReductionBroadcast,
         );
         let emb = Embedding::nic(&hier, &s16).unwrap();
-        assert!(gate(&s16, &emb, &hier).is_clean());
+        assert!(PreparedLowering::new(&s16, &emb, &hier).is_ok());
     }
 }

@@ -311,9 +311,11 @@ impl Embedding {
     /// This is the hook the static analyzer's tests and the `ccube lint`
     /// demo cases use to construct deliberately conflicting or invalid
     /// embeddings; the constructors never produce such routes themselves.
-    /// No validation is performed — run the route through
+    /// No validation is performed here: the lowering
+    /// ([`PreparedLowering::new`](crate::PreparedLowering::new)) rejects an
+    /// invalid route before any simulation or bound, and
     /// [`analyze::analyze_embedded`](crate::analyze::analyze_embedded)
-    /// (or at least [`analyze::gate`](crate::analyze::gate)) afterwards.
+    /// reports every one.
     ///
     /// # Errors
     ///

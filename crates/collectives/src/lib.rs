@@ -69,11 +69,10 @@ pub use chunk::{ChunkId, Chunking};
 pub use embedding::{EdgeKey, Embedding, EmbeddingError};
 pub use lowering::{
     hop_time, lower_schedule, lower_to_ports, port_transit_time, LinkTiming, LowerError,
-    PreparedLowering, PreparedRoute, TransferSpec, Wormhole,
+    PreparedLowering, PreparedRoute, RouteDefect, TransferSpec, Wormhole,
 };
 pub use physical::{
-    analyze_physical, fabric_lower_bound, gate_physical, makespan_lower_bound,
-    PhysicalAnalyzeOptions,
+    analyze_physical, fabric_lower_bound, makespan_lower_bound, PhysicalAnalyzeOptions,
 };
 pub use rank::Rank;
 pub use ring::{ring_allreduce, ring_allreduce_multi};

@@ -19,9 +19,13 @@
 //! [`lower_to_ports`] expand the routes into one [`TransferSpec`] per
 //! transfer; only the benchmark replay (`ledger/`) still times them.
 //!
-//! An [`Embedding`] belongs to the edge table it was built from: edge
-//! `e` takes the embedding's route `e`, and the first index where the
-//! two tables differ is a [`LowerError::MissingRoute`].
+//! [`PreparedLowering::new`] is also the one input gate: it rejects a
+//! schedule that is not a well-formed DAG and a route that is missing
+//! or not real on the topology ([`RouteDefect`]), with a typed
+//! [`LowerError`], in every build profile. An [`Embedding`] belongs to
+//! the edge table it was built from: edge `e` takes the embedding's
+//! route `e`, and the first index where the two tables differ is a
+//! [`LowerError::MissingRoute`].
 //!
 //! Every transfer on the same [`EdgeKey`] shares its route's one
 //! `Arc<[ChannelId]>` path, so a lowering allocates O(edges) paths
@@ -31,9 +35,10 @@
 use crate::chunk::ChunkId;
 use crate::embedding::{EdgeKey, Embedding};
 use crate::schedule::{Schedule, TransferId};
+use crate::verify::{self, DagViolation};
 use ccube_topology::{
-    Bandwidth, ByteSize, ChannelId, FabricGraph, FabricPort, GpuId, PortId, Route, Seconds,
-    Topology,
+    Bandwidth, ByteSize, ChannelClass, ChannelId, FabricGraph, FabricPort, GpuId, PortId, Route,
+    Seconds, Topology,
 };
 use std::error::Error;
 use std::fmt;
@@ -81,39 +86,128 @@ pub struct TransferSpec {
     pub bytes: ByteSize,
 }
 
-/// Errors from lowering a schedule onto a topology.
+/// Errors from lowering a schedule onto a topology: the one check of
+/// every input's structure and routes. The analyzers report each with
+/// its lint code ([`push_lower_error`](crate::analyze::push_lower_error):
+/// `CC001`, `CC007`, `CC008`), with this `Display` as the finding text.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LowerError {
+    /// The schedule is not a well-formed DAG: the first violation
+    /// [`check_dag`](crate::verify::check_dag) finds.
+    MalformedDag(DagViolation),
     /// The embedding is missing a route for a logical edge the schedule
     /// uses.
     MissingRoute(EdgeKey),
-    /// A route references a channel that does not exist in the topology.
-    UnknownChannel {
+    /// A logical edge's route is not real on the topology.
+    InvalidRoute {
         /// The offending edge.
         edge: EdgeKey,
-        /// The channel index that was out of range.
-        channel_index: usize,
+        /// What is wrong with its route.
+        defect: RouteDefect,
     },
+}
+
+/// Why a route is not real on the topology, in the order the lowering
+/// tests the rules. GPU pairs are `(src, dst)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RouteDefect {
+    /// The route joins the GPUs `.0`, not the edge's GPUs `.1`.
+    Endpoints((GpuId, GpuId), (GpuId, GpuId)),
+    /// A channel is not in the topology.
+    UnknownChannel(ChannelId),
+    /// The route has no channels.
+    EmptyPath,
+    /// A NIC route's first channel leaves and its last one arrives at
+    /// the GPUs `.0`, not at the edge's GPUs `.1`.
+    NicEndpoints((GpuId, GpuId), (GpuId, GpuId)),
+    /// The hops do not chain between the edge's GPUs.
+    BrokenChain((GpuId, GpuId)),
+    /// The declared detour GPU is not on the path.
+    ViaOffPath(GpuId),
 }
 
 impl fmt::Display for LowerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        let (edge, defect) = match self {
+            LowerError::MalformedDag(v) => return write!(f, "{v}"),
             LowerError::MissingRoute(edge) => {
-                write!(f, "embedding has no route for logical edge {edge}")
+                return write!(f, "embedding has no route for logical edge {edge}")
             }
-            LowerError::UnknownChannel {
-                edge,
-                channel_index,
-            } => write!(
+            LowerError::InvalidRoute { edge, defect } => (edge, defect),
+        };
+        write!(f, "invalid route for {edge}: ")?;
+        match *defect {
+            RouteDefect::Endpoints(route, edge) => write!(
                 f,
-                "route for {edge} references unknown channel index {channel_index}"
+                "route endpoints {}->{} do not match the edge's GPUs {}->{}",
+                route.0, route.1, edge.0, edge.1
             ),
+            RouteDefect::UnknownChannel(c) => write!(f, "unknown channel {c}"),
+            RouteDefect::EmptyPath => write!(f, "empty channel path"),
+            RouteDefect::NicEndpoints(got, edge) => write!(
+                f,
+                "nic route must inject at {} and eject at {} (got {} and {})",
+                edge.0, edge.1, got.0, got.1
+            ),
+            RouteDefect::BrokenChain((src, dst)) => {
+                write!(f, "channels do not form a path from {src} to {dst}")
+            }
+            RouteDefect::ViaOffPath(via) => {
+                write!(f, "declared detour via {via} is not on the path")
+            }
         }
     }
 }
 
 impl Error for LowerError {}
+
+/// The route of logical edge `edge`, entry `e` of the schedule's edge
+/// table, checked against `topo`: the one place the route rules live.
+/// The route must exist (the embedding's route at `e`, for the same
+/// edge), join the edge's GPUs, name only channels of `topo`, and be
+/// non-empty; a NIC route is an (injection, ejection) pair that must
+/// leave the source GPU and arrive at the destination GPU, any other
+/// route a hop chain between them through its declared detour GPU.
+///
+/// # Errors
+///
+/// [`LowerError::MissingRoute`], or [`LowerError::InvalidRoute`] with
+/// the first [`RouteDefect`] found.
+pub(crate) fn checked_route<'a>(
+    embedding: &'a Embedding,
+    e: usize,
+    edge: EdgeKey,
+    topo: &Topology,
+) -> Result<&'a Route, LowerError> {
+    let route = embedding.route_at(e, &edge);
+    let route = route.ok_or(LowerError::MissingRoute(edge))?;
+    let invalid = |defect| Err(LowerError::InvalidRoute { edge, defect });
+    let ends = (embedding.gpu_of(edge.src), embedding.gpu_of(edge.dst));
+    let path = route.channels();
+    if (route.src(), route.dst()) != ends {
+        return invalid(RouteDefect::Endpoints((route.src(), route.dst()), ends));
+    }
+    if let Some(&c) = path.iter().find(|c| c.index() >= topo.channels().len()) {
+        return invalid(RouteDefect::UnknownChannel(c));
+    }
+    let (Some(&first), Some(&last)) = (path.first(), path.last()) else {
+        return invalid(RouteDefect::EmptyPath);
+    };
+    if route.class() == ChannelClass::Nic {
+        let got = (topo.channel(first).src(), topo.channel(last).dst());
+        if got != ends {
+            return invalid(RouteDefect::NicEndpoints(got, ends));
+        }
+    } else if !topo.is_path(ends.0, ends.1, path) {
+        return invalid(RouteDefect::BrokenChain(ends));
+    } else if let Some(via) = route.via() {
+        let hops = &path[..path.len() - 1];
+        if !hops.iter().any(|&c| topo.channel(c).dst() == via) {
+            return invalid(RouteDefect::ViaOffPath(via));
+        }
+    }
+    Ok(route)
+}
 
 /// Resolves every transfer of `schedule` into a [`TransferSpec`] using
 /// the routes of `embedding` over `topo`.
@@ -124,9 +218,7 @@ impl Error for LowerError {}
 ///
 /// # Errors
 ///
-/// Returns [`LowerError::MissingRoute`] if the embedding lacks a route
-/// for a logical edge and [`LowerError::UnknownChannel`] if a route
-/// references a channel outside the topology.
+/// Those of [`PreparedLowering::new`].
 ///
 /// # Examples
 ///
@@ -278,19 +370,6 @@ impl PreparedRoute {
         }
     }
 
-    /// Validates `route`'s channels against `topo` and sums its timing
-    /// coefficients.
-    fn resolve(edge: EdgeKey, route: &Route, topo: &Topology) -> Result<Self, LowerError> {
-        let num_channels = topo.channels().len();
-        if let Some(c) = route.channels().iter().find(|c| c.index() >= num_channels) {
-            return Err(LowerError::UnknownChannel {
-                edge,
-                channel_index: c.index(),
-            });
-        }
-        Ok(PreparedRoute::of_route(route, topo))
-    }
-
     /// The physical channels the route occupies, in hop order.
     pub fn path(&self) -> &[ChannelId] {
         &self.path
@@ -333,27 +412,31 @@ pub struct PreparedLowering {
 }
 
 impl PreparedLowering {
-    /// Resolves every logical edge of `schedule` against `embedding`
-    /// over `topo`, storing routes and timing coefficients for later
-    /// [`PreparedLowering::lower`] calls: edge `e` takes the embedding's
-    /// route `e`, none is looked up per transfer.
+    /// Checks `schedule` and resolves every logical edge of it against
+    /// `embedding` over `topo`, storing routes and timing coefficients
+    /// for later [`PreparedLowering::lower`] calls: edge `e` takes the
+    /// embedding's route `e`, none is looked up per transfer. This is
+    /// the one input gate of every simulation, certified bound and
+    /// physical or severance pass, in every build profile.
     ///
     /// # Errors
     ///
-    /// [`LowerError::MissingRoute`] and [`LowerError::UnknownChannel`],
-    /// for the first edge (in first-use order, so for the first transfer
-    /// in id order) that fails.
+    /// [`LowerError::MalformedDag`] for the first DAG violation, else
+    /// [`LowerError::MissingRoute`] or [`LowerError::InvalidRoute`] for
+    /// the first edge (in first-use order, so for the first transfer in
+    /// id order) whose route fails a rule.
     pub fn new(
         schedule: &Schedule,
         embedding: &Embedding,
         topo: &Topology,
     ) -> Result<Self, LowerError> {
+        if let Some(v) = verify::dag_violations(schedule).into_iter().next() {
+            return Err(LowerError::MalformedDag(v));
+        }
         let mut routes = Vec::with_capacity(schedule.edges().len());
         for (e, &(src, dst, tree)) in schedule.edges().iter().enumerate() {
-            let key = EdgeKey { src, dst, tree };
-            let route = embedding.route_at(e, &key);
-            let route = route.ok_or(LowerError::MissingRoute(key))?;
-            routes.push(PreparedRoute::resolve(key, route, topo)?);
+            let route = checked_route(embedding, e, EdgeKey { src, dst, tree }, topo)?;
+            routes.push(PreparedRoute::of_route(route, topo));
         }
         Ok(PreparedLowering { routes })
     }

@@ -1,5 +1,5 @@
 //! Physical-layer static analysis: embedding/fabric lints, certified
-//! makespan lower bounds, and the port-path validity gate.
+//! makespan lower bounds, and port-path validity.
 //!
 //! The logical analyzer ([`crate::analyze`], CC001–CC014) sees the
 //! schedule and its channel-level embedding; this module lowers one
@@ -16,8 +16,7 @@
 //!   slower than any endpoint port (`CC017`).
 //! * **Port-path validity** — routes with no physical realization on
 //!   the fabric, from fabric/topology mismatches or missing uplinks
-//!   (`CC018`, the error class [`gate_physical`] the simulator
-//!   debug-asserts under the switch fabric).
+//!   (`CC018`).
 //! * **Certified lower bounds** — [`makespan_lower_bound`] (channel
 //!   level) and [`fabric_lower_bound`] (port level) compute
 //!   `max(critical path, bottleneck congestion)`, reported as `CC019`/
@@ -34,7 +33,10 @@
 //!   (`CC023`).
 //!
 //! Every pass reads the lowering the scheduler runs on: one
-//! [`PreparedRoute`] per logical edge, from [`PreparedLowering::new`].
+//! [`PreparedRoute`] per logical edge, from [`PreparedLowering::new`],
+//! the one input gate. An input it rejects — a malformed DAG, a missing
+//! or invalid route — is reported as its `CC001`/`CC007`/`CC008`
+//! finding, and no bound is certified for it.
 //! Per-route work (validity, the port walk, uplink crossings) runs once
 //! per edge; per-transfer loops only charge a transfer's duration on its
 //! edge's route, in transfer-id order.
@@ -54,7 +56,7 @@
 //! | `CC019` | `makespan-lower-bound` | info | certified channel-level bound: `max(critical path, bottleneck congestion)` |
 //! | `CC020` | `fabric-lower-bound` | info | the same bound at port level, uplink pools divided by slot count |
 //! | `CC021` | `fault-reroutable` | info | every transfer a fault window hits has a surviving fallback route |
-//! | `CC022` | `fault-stall` | warning | traffic must stall until the window lifts (no alternative path) |
+//! | `CC022` | `fault-stall` | warning | traffic must stall until the window, or the finite outages overlapping it, lift (no alternative path) |
 //! | `CC023` | `fault-severed` | error | a permanent window severs the embedding — the engine outcome is `Unroutable` |
 //!
 //! # Why the bounds are valid
@@ -82,11 +84,9 @@
 //! pool's total charge divided by `k` — valid for every uplink policy
 //! and hop mode.
 
-use crate::analyze::{LintCode, LintReport, Span};
+use crate::analyze::{push_lower_error, LintCode, LintReport, Span};
 use crate::embedding::{EdgeKey, Embedding};
-use crate::lowering::{
-    hop_time, port_transit_time, LinkTiming, LowerError, PreparedLowering, PreparedRoute,
-};
+use crate::lowering::{hop_time, port_transit_time, LinkTiming, PreparedLowering, PreparedRoute};
 use crate::schedule::Schedule;
 use ccube_topology::{
     ByteSize, ChannelClass, ChannelId, FabricGraph, PortId, PortKind, PortStep, Seconds, SwitchId,
@@ -104,22 +104,6 @@ pub struct PhysicalAnalyzeOptions {
     /// and charge each port its own hop, instead of wormhole
     /// cut-through.
     pub store_forward: bool,
-}
-
-/// Reports a lowering failure with the analyzer's stable codes: `CC007`
-/// for a missing route, `CC008` for a route off the topology. The
-/// physical pass and fault severance (`ccube_sim::analyze_severance`)
-/// both report through it.
-pub fn push_lower_error(report: &mut LintReport, err: &LowerError) {
-    let (code, edge) = match *err {
-        LowerError::MissingRoute(edge) => (LintCode::MissingRoute, edge),
-        LowerError::UnknownChannel { edge, .. } => (LintCode::InvalidRoute, edge),
-    };
-    let span = Span {
-        edges: vec![edge],
-        ..Span::default()
-    };
-    report.push(code, err.to_string(), span);
 }
 
 /// How many transfers take each logical edge, indexed like
@@ -372,26 +356,6 @@ pub fn fabric_lower_bound(
     let cp = critical_path(schedule, &durations);
     let (congestion, _) = fabric_congestion(&loads, fabric);
     Some(cp.max(congestion))
-}
-
-/// The cheap structural subset of the physical analyzer: lowering
-/// failures (`CC007`/`CC008`) and port-path validity (`CC018`). The
-/// simulator debug-asserts this gate on every switch-fabric input.
-pub fn gate_physical(
-    schedule: &Schedule,
-    embedding: &Embedding,
-    topo: &Topology,
-    fabric: &FabricGraph,
-) -> LintReport {
-    let mut report = LintReport::default();
-    match PreparedLowering::new(schedule, embedding, topo) {
-        Ok(lowering) => {
-            let routes = lowering.into_routes();
-            port_routes(&mut report, &routes, &edge_uses(schedule), fabric);
-        }
-        Err(err) => push_lower_error(&mut report, &err),
-    }
-    report.finish()
 }
 
 /// Runs the full physical analysis of `(schedule, embedding, topo)`

@@ -486,9 +486,11 @@ impl ScheduleBuilder {
     /// analyzer ([`analyze`](crate::analyze)) and its tests can construct
     /// deliberately broken schedules — forward dependencies, dependency
     /// cycles — and prove they are detected rather than panicking at
-    /// construction time. Everything downstream of a schedule built this
-    /// way must go through [`verify::check_dag`](crate::verify::check_dag)
-    /// or the analyzer first.
+    /// construction time. Every entry point downstream checks such a
+    /// schedule first: the analyzer reports each violation as `CC001`,
+    /// and the lowering ([`PreparedLowering::new`](crate::PreparedLowering::new))
+    /// that every simulation and bound goes through rejects it with
+    /// [`LowerError::MalformedDag`](crate::LowerError::MalformedDag).
     pub fn finish_unchecked(
         self,
         algorithm: impl Into<String>,

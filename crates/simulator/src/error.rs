@@ -1,6 +1,6 @@
 //! Simulator error types.
 
-use ccube_collectives::EdgeKey;
+use ccube_collectives::LowerError;
 use ccube_topology::GpuId;
 use std::error::Error;
 use std::fmt;
@@ -9,16 +9,14 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SimError {
-    /// The embedding is missing a route for a logical edge the schedule
-    /// uses.
-    MissingRoute(EdgeKey),
-    /// A route references a channel that does not exist in the topology.
-    UnknownChannel {
-        /// The offending edge.
-        edge: EdgeKey,
-        /// The channel index that was out of range.
-        channel_index: usize,
-    },
+    /// The input failed the lowering's check: a malformed schedule DAG,
+    /// or a missing or invalid route.
+    Lowering(LowerError),
+    /// A [`SystemJob`](crate::SystemJob)'s compute tasks or gates do not
+    /// fit its schedule or topology: a compute id that is not its index,
+    /// a gate or dependency naming a transfer or compute task the job
+    /// does not have, or a compute task on a GPU outside the topology.
+    JobInvalid(String),
     /// The event loop stalled with transfers outstanding (a dependency
     /// cycle or an impossible resource requirement).
     Deadlock {
@@ -42,16 +40,8 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::MissingRoute(edge) => {
-                write!(f, "embedding has no route for logical edge {edge}")
-            }
-            SimError::UnknownChannel {
-                edge,
-                channel_index,
-            } => write!(
-                f,
-                "route for {edge} references unknown channel index {channel_index}"
-            ),
+            SimError::Lowering(e) => write!(f, "{e}"),
+            SimError::JobInvalid(why) => write!(f, "invalid system job: {why}"),
             SimError::Deadlock { remaining } => {
                 write!(
                     f,
@@ -71,34 +61,24 @@ impl fmt::Display for SimError {
 
 impl Error for SimError {}
 
-impl From<ccube_collectives::LowerError> for SimError {
-    fn from(e: ccube_collectives::LowerError) -> Self {
-        use ccube_collectives::LowerError;
-        match e {
-            LowerError::MissingRoute(edge) => SimError::MissingRoute(edge),
-            LowerError::UnknownChannel {
-                edge,
-                channel_index,
-            } => SimError::UnknownChannel {
-                edge,
-                channel_index,
-            },
-        }
+impl From<LowerError> for SimError {
+    fn from(e: LowerError) -> Self {
+        SimError::Lowering(e)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccube_collectives::{Rank, TreeIndex};
+    use ccube_collectives::{EdgeKey, Rank, TreeIndex};
 
     #[test]
     fn display_is_informative() {
-        let e = SimError::MissingRoute(EdgeKey {
+        let e = SimError::Lowering(LowerError::MissingRoute(EdgeKey {
             src: Rank(0),
             dst: Rank(1),
             tree: TreeIndex(0),
-        });
+        }));
         assert!(e.to_string().contains("r0->r1"));
         let d = SimError::Deadlock { remaining: 3 };
         assert!(d.to_string().contains('3'));

@@ -8,6 +8,13 @@
 //! ports of a [`FabricMap`], the passthrough fabric under the channel
 //! approximation — under an optional fault plan.
 //!
+//! * **Input** is checked once, the same way in every build profile:
+//!   [`PreparedLowering::new`] rejects a malformed schedule DAG and a
+//!   missing or invalid route ([`SimError::Lowering`]), then the job's
+//!   compute tasks and gates are checked against it
+//!   ([`SimError::JobInvalid`]), before any pool or table is built.
+//!   Conflicted but valid embeddings pass: the extension studies
+//!   simulate them on purpose.
 //! * **Transfers** are resolved once per logical edge
 //!   ([`PreparedLowering`]): the run keeps the prepared routes (channel
 //!   path, detour GPU, and the [`Wormhole`](ccube_collectives::Wormhole)
@@ -51,7 +58,7 @@ use crate::resource::{ChannelPool, ComputeStream};
 use crate::system::{ComputeTask, ComputeTaskId};
 use crate::trace::{BusyInterval, SimTrace, TraceRecord};
 use ccube_collectives::{
-    Embedding, LinkTiming, LowerError, PreparedLowering, PreparedRoute, Schedule, TransferId,
+    Embedding, LinkTiming, PreparedLowering, PreparedRoute, Schedule, TransferId,
 };
 use ccube_topology::{ChannelClass, ChannelId, GpuId, PortId, Router, Seconds, SwitchId, Topology};
 use std::collections::BTreeMap;
@@ -72,6 +79,46 @@ impl<'a> Job<'a> {
             schedule,
             compute: &[],
             gates: &[],
+        }
+    }
+
+    /// Checks every reference of the compute tasks and gates: dense
+    /// compute ids, GPUs of `topo`, and dependencies and gates that name
+    /// transfers and compute tasks the job has. The schedule itself is
+    /// the lowering's to check.
+    fn validate(&self, topo: &Topology) -> Result<(), SimError> {
+        let (nt, nc) = (self.schedule.transfers().len(), self.compute.len());
+        let invalid = |why: String| Err(SimError::JobInvalid(why));
+        for (i, c) in self.compute.iter().enumerate() {
+            let (id, gpu) = (c.id.0, c.gpu);
+            if c.id.index() != i {
+                return invalid(format!("compute task at index {i} has id {id}"));
+            }
+            if gpu.index() >= topo.num_gpus() {
+                return invalid(format!(
+                    "compute task {i} runs on {gpu}, outside the topology"
+                ));
+            }
+            if let Some(d) = c.deps_compute.iter().find(|d| d.index() >= nc) {
+                let d = d.0;
+                return invalid(format!(
+                    "compute task {i} waits on compute task {d} of {nc}"
+                ));
+            }
+            if let Some(d) = c.deps_transfers.iter().find(|d| d.index() >= nt) {
+                return invalid(format!("compute task {i} waits on {d}, of {nt} transfers"));
+            }
+        }
+        let gate = self
+            .gates
+            .iter()
+            .find(|(t, c)| t.index() >= nt || c.index() >= nc);
+        match gate {
+            Some((t, c)) => invalid(format!(
+                "{t} of {nt} is gated on compute task {} of {nc}",
+                c.0
+            )),
+            None => Ok(()),
         }
     }
 
@@ -117,27 +164,6 @@ pub(crate) struct Run {
     pub(crate) forwarding_busy: BTreeMap<GpuId, Seconds>,
     pub(crate) trace: SimTrace,
     pub(crate) stats: SimStats,
-}
-
-/// Runs the analyzer's structural gate (debug builds only: malformed
-/// DAG, missing or invalid routes) and resolves `schedule`'s routes.
-/// Conflicted-but-valid embeddings are deliberately NOT gated: the
-/// extension studies simulate them on purpose to measure the cost of the
-/// conflicts.
-fn gate_and_prepare(
-    topo: &Topology,
-    schedule: &Schedule,
-    embedding: &Embedding,
-) -> Result<PreparedLowering, LowerError> {
-    #[cfg(debug_assertions)]
-    {
-        let lint = ccube_collectives::analyze::gate(schedule, embedding, topo);
-        debug_assert!(
-            lint.is_clean(),
-            "schedule/embedding failed the static gate:\n{lint}"
-        );
-    }
-    PreparedLowering::new(schedule, embedding, topo)
 }
 
 /// The reverse dependency edges of a job as one flat table (CSR): the
@@ -242,9 +268,10 @@ impl FaultState {
 /// # Errors
 ///
 /// [`SimError::FaultPlanInvalid`] for a plan that does not fit the
-/// topology or network model, the lowering errors, and
-/// [`SimError::Unroutable`] / [`SimError::Deadlock`] when the queue
-/// drains with work outstanding.
+/// topology or network model, [`SimError::Lowering`] for an input the
+/// lowering rejects, [`SimError::JobInvalid`] for compute tasks or gates
+/// that do not fit the job, and [`SimError::Unroutable`] /
+/// [`SimError::Deadlock`] when the queue drains with work outstanding.
 pub(crate) fn run(
     topo: &Topology,
     job: &Job<'_>,
@@ -256,7 +283,8 @@ pub(crate) fn run(
     if faulted {
         plan.validate_against(topo)?;
     }
-    let routes = gate_and_prepare(topo, job.schedule, embedding)?.into_routes();
+    let routes = PreparedLowering::new(job.schedule, embedding, topo)?.into_routes();
+    job.validate(topo)?;
     let fabric = FabricMap::for_options(topo, opts);
     if faulted {
         plan.validate_fabric_events(&opts.network, &fabric.graph)?;

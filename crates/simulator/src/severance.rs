@@ -15,7 +15,12 @@
 //!   surviving route, hash-striped uplink traffic, or exhausted slot
 //!   diversity), but the outage is finite: traffic stalls until repair.
 //! * `CC023` (Error) — the same, but the outage is permanent: the
-//!   engine would drain [`SimError::Unroutable`](crate::SimError).
+//!   engine would drain [`SimError::Unroutable`](crate::SimError). A
+//!   permanent uplink or spine window severs a crossing only when no
+//!   slot survives the outages that never lift; when one does but
+//!   finite overlapping outages block it, the crossing stalls (`CC022`),
+//!   because the engine's failover pass at every uplink or spine
+//!   boundary moves it once they lift.
 //!
 //! The classification mirrors the engine's recovery rules exactly —
 //! NIC-class paths are structural and never re-routed; channel reroutes
@@ -39,7 +44,11 @@
 //! conservatively, and a window that outlives all traffic may flag a
 //! severance the engine never hits. The shipped guarantee, asserted by
 //! the consistency suite, is one-directional: whenever the engine
-//! reports `Unroutable`, this pass reports a `CC023`.
+//! reports `Unroutable`, this pass reports a `CC023`. An exhaustive
+//! sweep checks it both ways for uplink and spine outages — permanent
+//! ones from t = 0, alone, paired, or with one finite outage, on
+//! `hierarchical(16)`'s radix-4 2-uplink fabric — and that the engine's
+//! stranded endpoints lie on a crossing the `CC023` counts.
 //!
 //! Degraded-bandwidth and straggler windows never block progress and
 //! produce no finding.
@@ -47,8 +56,7 @@
 use crate::engine::SimOptions;
 use crate::fabric::{FabricMap, UplinkPolicy};
 use crate::faults::{FaultEvent, FaultPlan};
-use ccube_collectives::analyze::{LintCode, LintReport, Span};
-use ccube_collectives::physical::push_lower_error;
+use ccube_collectives::analyze::{push_lower_error, LintCode, LintReport, Span};
 use ccube_collectives::{Embedding, PreparedLowering, PreparedRoute, Schedule, TransferId};
 use ccube_topology::{
     ChannelClass, ChannelId, FabricGraph, PortId, PortKind, Router, Seconds, Topology,
@@ -69,19 +77,21 @@ fn window(from: Seconds, until: Seconds) -> String {
     }
 }
 
-/// The uplink slots of `leaf` that are down at some point of the
-/// `[from, until)` window, from every overlapping uplink/spine event.
+/// The uplink slots of `leaf` that are down at some point of `e`'s
+/// window, from every overlapping uplink/spine event (only those that
+/// never lift, if `permanent_only`).
 fn down_slots(
     plan: &FaultPlan,
     graph: &FabricGraph,
     leaf: u32,
-    from: Seconds,
-    until: Seconds,
+    e: &FaultEvent,
+    permanent_only: bool,
 ) -> BTreeSet<usize> {
     plan.events()
         .iter()
-        .filter(|e| overlaps(from, until, e.from(), e.until()))
-        .flat_map(|e| e.downed_uplinks(graph))
+        .filter(|o| overlaps(e.from(), e.until(), o.from(), o.until()))
+        .filter(|o| o.is_permanent() || !permanent_only)
+        .flat_map(|o| o.downed_uplinks(graph))
         .filter(|&(l, _)| l == leaf)
         .map(|(_, slot)| slot as usize)
         .collect()
@@ -120,14 +130,16 @@ fn hit_crossings(
 /// The slots a crossing from leaf `from` to leaf `to` can fail over to
 /// through `e`'s window. The engine moves a crossing's up and down legs
 /// jointly (one spine), so a slot survives only if it stays up on *both*
-/// leaves, under every overlapping uplink/spine outage.
+/// leaves, under every overlapping uplink/spine outage (every one that
+/// never lifts, if `permanent_only`).
 fn surviving_slots(
     plan: &FaultPlan,
     graph: &FabricGraph,
     (from, to): (u32, u32),
     e: &FaultEvent,
+    permanent_only: bool,
 ) -> Vec<usize> {
-    let down = |leaf| down_slots(plan, graph, leaf, e.from(), e.until());
+    let down = |leaf| down_slots(plan, graph, leaf, e, permanent_only);
     let (from, to) = (down(from), down(to));
     (0..graph.uplinks_per_leaf())
         .filter(|s| !from.contains(s) && !to.contains(s))
@@ -266,17 +278,27 @@ fn crossing_lints(
             ..Span::default()
         };
         let alive = if adaptive {
-            surviving_slots(plan, graph, pair, e)
+            surviving_slots(plan, graph, pair, e, false)
         } else {
             Vec::new()
         };
         if alive.is_empty() {
-            let why = if adaptive {
+            // The engine runs a failover pass at every uplink or spine
+            // boundary, so a stranded crossing moves onto any slot that
+            // is up on both leaves once the finite outages lift: only
+            // the outages that never lift can sever it.
+            let lifts = adaptive
+                && e.is_permanent()
+                && !surviving_slots(plan, graph, pair, e, true).is_empty();
+            let why = if lifts {
+                "no uplink slot is up on both leaves until the overlapping outages lift"
+            } else if adaptive {
                 "no uplink slot is up on both leaves"
             } else {
                 &hash_why
             };
-            push_blocked(report, &what, &crossings, why, e.until(), span);
+            let severed = e.is_permanent() && !lifts;
+            push_blocked(report, &what, &crossings, why, severed, span);
             continue;
         }
         let how = match *e {
@@ -299,16 +321,17 @@ fn crossing_lints(
 }
 
 /// Reports a window whose `blocked` traffic has no fallback while it
-/// lasts: `CC023` when the window is permanent, `CC022` when it lifts.
+/// lasts: `CC023` when it is `severed` for good, `CC022` when it stalls
+/// until repair.
 fn push_blocked(
     report: &mut LintReport,
     what: &str,
     blocked: &str,
     why: &str,
-    until: Seconds,
+    severed: bool,
     span: Span,
 ) {
-    if until.as_secs_f64().is_infinite() {
+    if severed {
         report.push(
             LintCode::FaultSevered,
             format!("{what}: {blocked} are severed ({why}); the fault engine drains Unroutable"),
@@ -327,6 +350,10 @@ fn push_blocked(
 /// `reroute_pass` (structural NIC paths wait; everything else asks a
 /// [`Router`] with every concurrently-down channel blocked). Each route
 /// over `channel` is decided once, for every transfer on its edge.
+/// Unlike an uplink window, a permanent link window is decided under
+/// its finite overlapping outages too: the engine re-routes only when a
+/// link goes down, never when one comes back up, so a transfer that
+/// found no surviving route stays on the dead link.
 #[allow(clippy::too_many_arguments)]
 fn link_down_lints(
     report: &mut LintReport,
@@ -412,7 +439,8 @@ fn link_down_lints(
         channels,
         ..Span::default()
     };
-    push_blocked(report, &what, &blocked, &why, until, span);
+    let severed = until.as_secs_f64().is_infinite();
+    push_blocked(report, &what, &blocked, &why, severed, span);
 }
 
 #[cfg(test)]
@@ -420,7 +448,7 @@ mod tests {
     use super::*;
     use crate::fabric::{FabricSpec, HopMode, NetworkModel};
     use crate::faults::forever;
-    use ccube_collectives::ring_allreduce;
+    use ccube_collectives::{ring_allreduce, tree_allreduce, Chunking, DoubleBinaryTree, Overlap};
     use ccube_topology::{dgx1, hierarchical, ByteSize};
 
     fn hier8() -> (Topology, Schedule, Embedding) {
@@ -642,6 +670,136 @@ mod tests {
             messages[1].contains("30 crossings sw1 -> sw2 are severed"),
             "{report}"
         );
+    }
+
+    /// C1 (the overlapped double tree) on `hierarchical(16)` at `k`
+    /// chunks, on the NIC embedding.
+    fn hier16_c1(k: usize, bytes: ByteSize) -> (Topology, Schedule, Embedding) {
+        let topo = hierarchical(16);
+        let dt = DoubleBinaryTree::new(16).unwrap();
+        let chunking = Chunking::even(bytes, k);
+        let s = tree_allreduce(dt.trees(), &chunking, Overlap::ReductionBroadcast);
+        let e = Embedding::nic(&topo, &s).unwrap();
+        (topo, s, e)
+    }
+
+    #[test]
+    fn a_permanent_uplink_window_stalls_while_a_finite_outage_blocks_its_survivor() {
+        // Slot 0 of leaf 0 never returns and spine 1 (slot 1 everywhere)
+        // is down in [10, 200) us: leaf 0's crossings have no slot until
+        // the spine returns, and then fail over to slot 1.
+        let (topo, s, e) = hier16_c1(64, ByteSize::mib(1));
+        let plan = FaultPlan::new(vec![
+            FaultEvent::UplinkDown {
+                leaf: 0,
+                uplink: 0,
+                from: Seconds::ZERO,
+                until: forever(),
+            },
+            FaultEvent::SwitchDown {
+                spine: 1,
+                from: Seconds::from_micros(10.0),
+                until: Seconds::from_micros(200.0),
+            },
+        ])
+        .unwrap();
+        for policy in [UplinkPolicy::LeastQueued, UplinkPolicy::Failover] {
+            let opts = fabric_opts(2, policy);
+            assert!(crate::simulate_faulted(&topo, &s, &e, &opts, &plan).is_ok());
+            let report = analyze_severance(&plan, &topo, &s, &e, &opts);
+            assert!(report.is_clean(), "{report}");
+            let stalls: Vec<&str> = report
+                .diagnostics()
+                .iter()
+                .filter(|d| d.code == LintCode::FaultStall)
+                .map(|d| d.message.as_str())
+                .collect();
+            assert!(
+                stalls
+                    .iter()
+                    .any(|m| m.starts_with("uplink 0 on sw0 down from")
+                        && m.contains("until the overlapping outages lift")),
+                "{report}"
+            );
+        }
+    }
+
+    /// Every uplink outage of `hierarchical(16)`'s radix-4, 2-uplink,
+    /// 2-spine fabric (one per leaf and slot) and both spine outages,
+    /// over `[from, until)`.
+    fn uplink_outages(from: Seconds, until: Seconds) -> Vec<FaultEvent> {
+        let uplinks = (0..4u32).flat_map(|leaf| {
+            (0..2u32).map(move |uplink| FaultEvent::UplinkDown {
+                leaf,
+                uplink,
+                from,
+                until,
+            })
+        });
+        let spines = (0..2u32).map(|spine| FaultEvent::SwitchDown { spine, from, until });
+        uplinks.chain(spines).collect()
+    }
+
+    #[test]
+    fn severance_and_the_engine_agree_both_ways() {
+        // Every single and every pair of permanent uplink/spine outages
+        // from t = 0, and every permanent one with one finite outage
+        // inside the traffic: a CC023 exactly when the engine drains
+        // Unroutable, whose endpoints lie on a crossing the CC023 counts.
+        let ring = {
+            let topo = hierarchical(16);
+            let s = ring_allreduce(16, ByteSize::kib(256));
+            let e = Embedding::nic(&topo, &s).unwrap();
+            (topo, s, e)
+        };
+        let mut outcomes = [0usize; 2];
+        for (topo, s, e) in [ring, hier16_c1(2, ByteSize::kib(256))] {
+            for policy in [
+                UplinkPolicy::Hash,
+                UplinkPolicy::LeastQueued,
+                UplinkPolicy::Failover,
+            ] {
+                let opts = fabric_opts(2, policy);
+                let healthy = crate::simulate(&topo, &s, &e, &opts).unwrap().makespan();
+                let permanent = uplink_outages(Seconds::ZERO, forever());
+                let finite = uplink_outages(healthy * 0.25, healthy * 0.5);
+                let mut plans: Vec<Vec<FaultEvent>> = Vec::new();
+                for (i, &p) in permanent.iter().enumerate() {
+                    plans.push(vec![p]);
+                    plans.extend(permanent[i + 1..].iter().map(|&q| vec![p, q]));
+                    plans.extend(finite.iter().map(|&f| vec![p, f]));
+                }
+                for events in plans {
+                    let plan = FaultPlan::new(events).unwrap();
+                    let report = analyze_severance(&plan, &topo, &s, &e, &opts);
+                    let severed: Vec<_> = report
+                        .diagnostics()
+                        .iter()
+                        .filter(|d| d.code == LintCode::FaultSevered)
+                        .collect();
+                    let run = crate::simulate_faulted(&topo, &s, &e, &opts, &plan);
+                    let context = format!("{} {policy:?} {plan:?}\n{report}", s.algorithm());
+                    match run {
+                        Err(crate::SimError::Unroutable { src, dst }) => {
+                            let counted =
+                                severed.iter().flat_map(|d| &d.span.transfers).any(|&t| {
+                                    let t = &s.transfers()[t.index()];
+                                    (e.gpu_of(t.src), e.gpu_of(t.dst)) == (src, dst)
+                                });
+                            assert!(counted, "{src} -> {dst} not severed: {context}");
+                            outcomes[0] += 1;
+                        }
+                        Ok(_) => {
+                            assert!(severed.is_empty(), "{context}");
+                            outcomes[1] += 1;
+                        }
+                        Err(err) => panic!("{err}: {context}"),
+                    }
+                }
+            }
+        }
+        // Both outcomes occur, so neither direction holds vacuously.
+        assert!(outcomes.iter().all(|&n| n > 100), "{outcomes:?}");
     }
 
     #[test]

@@ -113,7 +113,10 @@ impl SystemReport {
 /// # Errors
 ///
 /// Returns the same errors as [`simulate`](crate::simulate), plus
-/// [`SimError::Deadlock`] for cyclic compute/transfer gating.
+/// [`SimError::JobInvalid`] for a job whose compute ids are not their
+/// indices, whose compute runs on a GPU outside `topo`, or whose gates
+/// or dependencies name transfers or compute tasks it does not have,
+/// and [`SimError::Deadlock`] for cyclic compute/transfer gating.
 pub fn simulate_system(
     topo: &Topology,
     job: &SystemJob,

@@ -28,6 +28,9 @@ cargo test -q -p ccube-collectives --test analyze_budget
 echo "==> closed-form iteration model agrees with the one scheduler"
 cargo test -q -p ccube --lib systemjob
 
+echo "==> malformed input gets the same typed error in release as in debug (release-only panics never show in the debug suite)"
+cargo test -q --release -p ccube --test malformed_input
+
 echo "==> fault-injection property tests"
 cargo test -q -p ccube-sim --test faults
 
