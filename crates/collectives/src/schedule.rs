@@ -207,7 +207,19 @@ impl Schedule {
     ///
     /// Panics if `id` is out of range.
     pub fn deps(&self, id: TransferId) -> &[TransferId] {
-        &self.deps[self.transfers[id.index()].deps.range()]
+        self.deps_of(&self.transfers[id.index()])
+    }
+
+    /// The transfers that must complete before `t`, one of this
+    /// schedule's transfers, may start: [`Schedule::deps`] for a
+    /// transfer already in hand, without indexing the schedule again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t`'s dependency span lies outside this schedule's
+    /// table (a transfer of another schedule).
+    pub fn deps_of(&self, t: &Transfer) -> &[TransferId] {
+        &self.deps[t.deps.range()]
     }
 
     /// Total bytes moved by the schedule (sum over transfers) — useful for

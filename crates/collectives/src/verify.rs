@@ -302,7 +302,7 @@ pub fn dag_violations(schedule: &Schedule) -> Vec<DagViolation> {
                 num_chunks: k,
             });
         }
-        for &d in schedule.deps(t.id) {
+        for &d in schedule.deps_of(t) {
             if d.index() >= i {
                 out.push(DagViolation::ForwardDep { id: t.id, dep: d });
             }

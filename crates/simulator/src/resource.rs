@@ -14,13 +14,15 @@
 //!
 //! * **Routes are interned.** Channel paths are registered once as
 //!   routes in one flat table, and tasks name theirs by index: tasks
-//!   lowered from one logical edge share one route, and registering a
-//!   task copies no path and bumps no reference count.
-//! * **One 16-byte slot per task** holds what a grant decides by: the
-//!   payload (so the caller times the grant without reading the
-//!   schedule), the chunk, and the route index with the task state in
-//!   its low bits. The arbitration key `(chunk << 32) | id` is not
-//!   stored: its low half is the slot's own index.
+//!   lowered from one logical edge with one payload share one route,
+//!   and registering a task copies no path and bumps no reference
+//!   count.
+//! * **One 8-byte slot per task** holds what a grant decides by: the
+//!   chunk, and the route index with the task state in its low bits.
+//!   The payload is not stored: the caller registers one route per
+//!   payload it times differently, so the route index names the
+//!   grant's duration too. The arbitration key `(chunk << 32) | id` is
+//!   not stored either: its low half is the slot's own index.
 //! * **One timing per task** is the run's result table
 //!   ([`TransferTiming`]): its `start` holds the enqueue time while the
 //!   task is queued, then the grant time, and completion writes its
@@ -52,7 +54,7 @@ use crate::engine::Arbitration;
 use crate::report::TransferTiming;
 use crate::trace::{BusyInterval, SimTrace, TraceRecord};
 use ccube_collectives::TransferId;
-use ccube_topology::{ByteSize, ChannelId, Seconds};
+use ccube_topology::{ChannelId, Seconds};
 use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,12 +76,10 @@ enum TaskState {
 const STATE_BITS: u32 = 3;
 const STATE_MASK: u32 = (1 << STATE_BITS) - 1;
 
-/// One registered task: what a grant decides by, in 16 bytes. Its
+/// One registered task: what a grant decides by, in 8 bytes. Its
 /// times live in the pool's timing table.
 #[derive(Debug, Clone, Copy)]
 struct Task {
-    /// The payload, read when the caller times the task's grant.
-    bytes: ByteSize,
     /// The chunk carried: the high half of the task's arbitration key.
     chunk: u32,
     /// `route << STATE_BITS | state`: the index of the task's channel
@@ -87,7 +87,7 @@ struct Task {
     route_state: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Task>() == 16);
+const _: () = assert!(std::mem::size_of::<Task>() == 8);
 
 impl Task {
     fn route(&self) -> u32 {
@@ -149,8 +149,8 @@ impl Channel {
 /// The exclusive-channel resource manager shared by every engine.
 ///
 /// Channel paths are registered up front as routes
-/// ([`ChannelPool::add_route`]), then tasks with their route, the chunk
-/// they carry and their payload ([`ChannelPool::add_task`]); the
+/// ([`ChannelPool::add_route`]), then tasks with their route and the
+/// chunk they carry ([`ChannelPool::add_task`]); the
 /// arbitration key is `(chunk, id)`, lowest first under
 /// [`Arbitration::ChunkPriority`]. A task occupies **all** channels of
 /// its path at once (wormhole switching) or none.
@@ -240,16 +240,15 @@ impl ChannelPool {
         route
     }
 
-    /// Registers a task on `route` carrying `chunk` and `bytes`; ids are
-    /// dense and assigned in call order, and the arbitration key is
-    /// `(chunk, id)`.
+    /// Registers a task on `route` carrying `chunk`; ids are dense and
+    /// assigned in call order, and the arbitration key is `(chunk, id)`.
     ///
     /// # Panics
     ///
     /// Panics if `route` was never registered, or if the pool already
     /// holds `u32::MAX` tasks (so no key is `u64::MAX`, the empty-queue
     /// front).
-    pub fn add_task(&mut self, route: u32, chunk: u32, bytes: ByteSize) -> u32 {
+    pub fn add_task(&mut self, route: u32, chunk: u32) -> u32 {
         let id = u32::try_from(self.tasks.len())
             .ok()
             .filter(|&id| id < u32::MAX)
@@ -259,7 +258,6 @@ impl ChannelPool {
             "unregistered route"
         );
         self.tasks.push(Task {
-            bytes,
             chunk,
             route_state: (route << STATE_BITS) | TaskState::Pending as u32,
         });
@@ -304,11 +302,6 @@ impl ChannelPool {
     /// the last [`ChannelPool::reroute`] gave it.
     pub fn route(&self, task: u32) -> u32 {
         self.tasks[task as usize].route()
-    }
-
-    /// The payload `task` was registered with.
-    pub fn bytes(&self, task: u32) -> ByteSize {
-        self.tasks[task as usize].bytes
     }
 
     /// The chunk `task` was registered with.
@@ -854,7 +847,7 @@ mod tests {
     /// Registers a task on a route of its own over `channels`.
     fn task(p: &mut ChannelPool, channels: &[u32], chunk: u32) -> u32 {
         let route = p.add_route(channels.iter().map(|&c| ChannelId(c)));
-        p.add_task(route, chunk, ByteSize::kib(u64::from(chunk)))
+        p.add_task(route, chunk)
     }
 
     #[test]
@@ -986,8 +979,8 @@ mod tests {
     fn reroute_leaves_siblings_on_the_shared_path() {
         let (mut p, mut tr) = pool(2, Arbitration::FifoHol);
         let shared = p.add_route([ChannelId(0)]);
-        let a = p.add_task(shared, 0, ByteSize::kib(4));
-        let b = p.add_task(shared, 1, ByteSize::kib(4));
+        let a = p.add_task(shared, 0);
+        let b = p.add_task(shared, 1);
         assert!(p.mark_ready(a, us(0.0), &mut tr));
         assert!(!p.mark_ready(b, us(0.0), &mut tr)); // queued on ch0
         p.reroute(b, vec![ChannelId(1)]);
@@ -1025,9 +1018,9 @@ mod tests {
 
     /// Asserts the pool's structural invariants. `stamps[t]` is the
     /// order in which task `t` last joined its queues, `down[c]` the
-    /// link-down faults active on channel `c`, and `bytes[t]` the payload
+    /// link-down faults active on channel `c`, and `chunks[t]` the chunk
     /// task `t` was registered with.
-    fn check_invariants(p: &ChannelPool, stamps: &[u64], down: &[u32], bytes: &[ByteSize]) {
+    fn check_invariants(p: &ChannelPool, stamps: &[u64], down: &[u32], chunks: &[u32]) {
         for (ci, queue) in p.waiters.iter().enumerate() {
             let keys: Vec<u64> = queue.iter().copied().collect();
             match p.arbitration {
@@ -1064,7 +1057,7 @@ mod tests {
         }
         let mut occupied = vec![false; p.channels.len()];
         for (id, t) in p.tasks.iter().enumerate() {
-            assert_eq!(t.bytes, bytes[id], "task {id} lost its payload");
+            assert_eq!(t.chunk, chunks[id], "task {id} lost its chunk");
             let key = pack_key(t.chunk, id as u32);
             match t.state() {
                 TaskState::Queued => {
@@ -1115,7 +1108,7 @@ mod tests {
         /// queues ordered, keep every waiting task in exactly the queues
         /// of its current path, keep running paths disjoint, keep each
         /// channel record's front key, down count and free flag equal to
-        /// its queue, faults and occupancy, and keep each task's payload
+        /// its queue, faults and occupancy, and keep each task's chunk
         /// through re-routes; every ChunkPriority queue also takes an
         /// insert of each absent key where `partition_point` would. A
         /// wrapped queue up to 512 deep checks the gallop on deep queues.
@@ -1158,7 +1151,7 @@ mod tests {
                     .collect()
             };
             let (mut p, mut tr) = pool(num_channels, arb);
-            let mut bytes = Vec::new();
+            let mut chunks = Vec::new();
             for _ in 0..num_tasks {
                 // Reuse the last route now and then, as tasks of one
                 // logical edge do.
@@ -1166,8 +1159,8 @@ mod tests {
                     n if n > 0 && rng.below(3) == 0 => p.tasks[n - 1].route(),
                     _ => p.add_route(path_of(rng.next_u64())),
                 };
-                bytes.push(ByteSize::new(rng.next_u64() >> 8));
-                p.add_task(route, rng.below(6) as u32, bytes[bytes.len() - 1]);
+                chunks.push(rng.below(6) as u32);
+                p.add_task(route, chunks[chunks.len() - 1]);
             }
             p.record_intervals();
             let mut stamps = vec![0u64; num_tasks];
@@ -1235,7 +1228,7 @@ mod tests {
                         }
                     }
                 }
-                check_invariants(&p, &stamps, &down, &bytes);
+                check_invariants(&p, &stamps, &down, &chunks);
             }
         }
     }

@@ -18,17 +18,19 @@
 //! * **Transfers** are resolved once per logical edge
 //!   ([`PreparedLowering`]): the run keeps the prepared routes (channel
 //!   path, detour GPU, and the [`Wormhole`](ccube_collectives::Wormhole)
-//!   coefficients of its port path) and computes a transfer's duration
-//!   from its route when the transfer starts. No per-transfer spec is
-//!   built. A transfer occupies its port path in a [`ChannelPool`],
-//!   registered once per route, in edge order, straight into the pool's
-//!   route table, so a transfer's pool route is its schedule edge
-//!   ([`Transfer::edge`](ccube_collectives::Transfer::edge)) and nothing
-//!   looks a route up per transfer. The pool's task slot holds the
-//!   transfer's one route index. A fault re-route appends a route to both
+//!   coefficients of its port path). No per-transfer spec is built. A
+//!   transfer occupies its port path in a [`ChannelPool`], whose routes
+//!   are payload classes: one per distinct (logical edge, payload) pair,
+//!   timed once when it is registered, so a grant reads its transfer's
+//!   duration from a table. One walk over the transfers, in id order,
+//!   finds each transfer's class (its edge's most recent class first),
+//!   registers the transfer and counts its dependencies. The pool's
+//!   8-byte task slot holds the transfer's chunk and its one route
+//!   index. A fault re-route appends a prepared route and a pool route
 //!   and repoints the transfer. An adaptive [`UplinkPolicy`] revises a
-//!   transfer's uplink slots at the moment it becomes ready: a pool-only
-//!   route that maps back to the prepared route it revises.
+//!   transfer's uplink slots at the moment it becomes ready: a pool
+//!   route that maps back to the prepared route it revises. Either new
+//!   pool route is timed for the payload of the route it leaves.
 //! * **Per-transfer results** are written once, by the pool: its timing
 //!   table holds each transfer's grant and completion time and becomes
 //!   the report's timings. The completion time of the transfer's chunk is
@@ -60,7 +62,9 @@ use crate::trace::{BusyInterval, SimTrace, TraceRecord};
 use ccube_collectives::{
     Embedding, LinkTiming, PreparedLowering, PreparedRoute, Schedule, TransferId,
 };
-use ccube_topology::{ChannelClass, ChannelId, GpuId, PortId, Router, Seconds, SwitchId, Topology};
+use ccube_topology::{
+    ByteSize, ChannelClass, ChannelId, GpuId, PortId, Router, Seconds, SwitchId, Topology,
+};
 use std::collections::BTreeMap;
 
 /// A borrowed simulation job: the transfers of `schedule`, plus compute
@@ -127,13 +131,19 @@ impl<'a> Job<'a> {
     /// order fixes the order in which a completion unblocks its
     /// dependents: transfer deps, then gates, then compute deps.
     fn for_each_edge(&self, mut f: impl FnMut(usize, u32)) {
-        let transfers = self.schedule.transfers();
-        let nt = transfers.len();
-        for t in transfers {
-            for d in self.schedule.deps(t.id) {
+        for t in self.schedule.transfers() {
+            for d in self.schedule.deps_of(t) {
                 f(d.index(), t.id.0);
             }
         }
+        self.for_each_compute_edge(f);
+    }
+
+    /// Calls `f(from, to)` for every dependency edge with a compute task
+    /// at one end, in [`Job::for_each_edge`]'s order: gates, then
+    /// compute deps.
+    fn for_each_compute_edge(&self, mut f: impl FnMut(usize, u32)) {
+        let nt = self.schedule.transfers().len();
         for (tid, cid) in self.gates {
             f(nt + cid.index(), tid.0);
         }
@@ -175,15 +185,11 @@ struct Dependents {
 }
 
 impl Dependents {
-    /// The table for `job`, and every node's in-degree.
-    fn new(job: &Job<'_>) -> (Self, Vec<u32>) {
-        let n = job.schedule.transfers().len() + job.compute.len();
-        let mut deps_remaining = vec![0; n];
-        let mut offsets = vec![0; n + 1];
-        job.for_each_edge(|from, to| {
-            offsets[from + 1] += 1;
-            deps_remaining[to as usize] += 1;
-        });
+    /// The table for `job`, whose node `n` has `counts[n + 1]` dependents
+    /// (`counts[0]` is 0); the counts become the offsets.
+    fn new(job: &Job<'_>, counts: Vec<u32>) -> Self {
+        let mut offsets = counts;
+        let n = offsets.len() - 1;
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
@@ -197,7 +203,7 @@ impl Dependents {
         });
         offsets.copy_within(0..n, 1);
         offsets[0] = 0;
-        (Dependents { offsets, ids }, deps_remaining)
+        Dependents { offsets, ids }
     }
 
     fn of(&self, node: usize) -> &[u32] {
@@ -295,32 +301,62 @@ pub(crate) fn run(
     let num_channels = topo.channels().len();
     let num_resources = fabric.graph.num_ports();
 
-    let (dependents, mut deps_remaining) = Dependents::new(job);
-
-    // The pool's routes are the lowering's port paths, in edge order,
-    // and each prepared route is retimed by its ports' wormhole (under
-    // the passthrough fabric, its channels' own). Fault events are
-    // declared on the channel-level paths. Pool task ids follow
-    // registration order, which is transfer-id order (ids are dense and
-    // equal their index), so the pool's `(chunk, id)` key is the
-    // transfer's, and the pool's task slot carries the payload a grant
-    // is timed by and the transfer's route — its edge — which from here
-    // on is its only route index.
-    let mut pool = ChannelPool::new(num_resources, opts.arbitration);
-    pool.reserve_tasks(nt);
+    // Each prepared route is retimed by the wormhole of its port path
+    // (under the passthrough fabric, its channels' own). Fault events are
+    // declared on the channel-level paths.
+    let timing = opts.link_timing();
     let mut ports = Vec::new();
     let routes: Vec<PreparedRoute> = routes
         .into_iter()
         .map(|r| {
             let wormhole = fabric.resources(r.path(), &mut ports);
-            pool.add_route(ports.iter().copied());
             r.with_wormhole(wormhole)
         })
         .collect();
+
+    // One walk over the transfers, in id order: each joins the pool
+    // route of its (edge, payload) class, registered and timed on the
+    // class's first transfer, and counts its in-degree and one dependent
+    // for each of its deps. Pool task ids follow registration order,
+    // which is transfer-id order (ids are dense and equal their index),
+    // so the pool's `(chunk, id)` key is the transfer's.
+    //
+    // The order of these allocations, and the early drops below, decide
+    // where the allocator places the per-transfer tables, and so the
+    // peak RSS: `ccube scaleout 1024 64` peaked at 167 MB this way and
+    // at up to 178 MB in other orders (glibc, 2 vCPUs).
+    let mut deps_remaining = vec![0; nt + nc];
+    let mut pool = ChannelPool::new(num_resources, opts.arbitration);
+    pool.reserve_tasks(nt);
+    let mut counts = vec![0; nt + nc + 1];
+    let mut pool_routes = Vec::with_capacity(routes.len());
+    let mut classes = PayloadClasses::new(routes.len());
     for t in transfers {
-        pool.add_task(t.edge, t.chunk.0, t.bytes);
+        let deps = job.schedule.deps_of(t);
+        deps_remaining[t.id.index()] = deps.len() as u32;
+        for d in deps {
+            counts[d.index() + 1] += 1;
+        }
+        let route = classes.route(t.edge, t.bytes, || {
+            let route = &routes[t.edge as usize];
+            fabric.resources(route.path(), &mut ports);
+            let duration = transit_time(&fabric, route, &ports, t.bytes, &timing);
+            pool_routes.push(PoolRoute {
+                prepared: t.edge,
+                bytes: t.bytes,
+                duration,
+            });
+            pool.add_route(ports.iter().copied())
+        });
+        pool.add_task(route, t.chunk.0);
     }
-    let prepared_of = (0..routes.len() as u32).collect();
+    job.for_each_compute_edge(|from, to| {
+        counts[from + 1] += 1;
+        deps_remaining[to as usize] += 1;
+    });
+    // The class lookup and the port scratch only serve registration.
+    drop((classes, ports));
+    let dependents = Dependents::new(job, counts);
     if opts.trace_capacity > 0 {
         pool.record_intervals();
     }
@@ -345,9 +381,9 @@ pub(crate) fn run(
         job,
         embedding,
         plan,
-        timing: opts.link_timing(),
+        timing,
         routes,
-        prepared_of,
+        pool_routes,
         fabric,
         pool,
         kernel,
@@ -490,7 +526,75 @@ pub(crate) fn run(
         }
     }
 
+    // Free the dependency tables first, so the report's vectors can take
+    // their memory rather than pin the heap above them.
+    drop((dependents, deps_remaining));
     Ok(sched.finish(compute_complete, makespan, num_channels))
+}
+
+/// One pool route: a port path and the payload of the transfers on it,
+/// with their transit time, computed once when the route is registered.
+#[derive(Debug, Clone, Copy)]
+struct PoolRoute {
+    /// The index into [`Sched::routes`] of the prepared route it takes.
+    prepared: u32,
+    bytes: ByteSize,
+    /// [`transit_time`] of `bytes` over the route.
+    duration: Seconds,
+}
+
+/// The pool route of each (logical edge, payload) class, found while the
+/// transfers register. An edge's most recent class is checked first, and
+/// only an edge whose payload changes keeps its classes in an ordered
+/// map, so even an edge with a distinct payload per transfer registers
+/// in O(n log n).
+struct PayloadClasses {
+    /// Each edge's most recent class: its payload and pool route.
+    last: Vec<Option<(ByteSize, u32)>>,
+    /// Every class of each edge that has carried two payloads or more.
+    seen: BTreeMap<(u32, ByteSize), u32>,
+}
+
+impl PayloadClasses {
+    fn new(num_edges: usize) -> Self {
+        PayloadClasses {
+            last: vec![None; num_edges],
+            seen: BTreeMap::new(),
+        }
+    }
+
+    /// The pool route of `(edge, bytes)`; `register` registers it on the
+    /// class's first transfer.
+    fn route(&mut self, edge: u32, bytes: ByteSize, register: impl FnOnce() -> u32) -> u32 {
+        let last = &mut self.last[edge as usize];
+        let route = match *last {
+            Some((b, r)) if b == bytes => return r,
+            None => register(),
+            Some((b, r)) => {
+                self.seen.entry((edge, b)).or_insert(r);
+                *self.seen.entry((edge, bytes)).or_insert_with(register)
+            }
+        };
+        *last = Some((bytes, route));
+        route
+    }
+}
+
+/// The transit time of `bytes` over `route` when it occupies the pool
+/// path `path`: the prepared route's port wormhole (an uplink revision
+/// keeps its prepared route, since slot substitution leaves the time
+/// unchanged), or under store-and-forward the per-hop sum over `path`.
+fn transit_time(
+    fabric: &FabricMap,
+    route: &PreparedRoute,
+    path: &[ChannelId],
+    bytes: ByteSize,
+    timing: &LinkTiming,
+) -> Seconds {
+    match fabric.hop_mode {
+        HopMode::CutThrough => route.duration(bytes, timing),
+        HopMode::StoreForward => fabric.store_forward(path, bytes, route.via().is_some(), timing),
+    }
 }
 
 /// The state of one run: the lowered transfers, the pool and kernel it
@@ -504,11 +608,10 @@ struct Sched<'a> {
     /// The prepared routes, each timed over its port path; a fault
     /// re-route appends one.
     routes: Vec<PreparedRoute>,
-    /// The index into `routes` of each pool route. Pool and prepared
-    /// routes are registered in step, so this is the identity except
-    /// for the pool-only routes of uplink revisions, which map back to
-    /// the prepared route they revise.
-    prepared_of: Vec<u32>,
+    /// Every pool route, by pool route index: one per payload class,
+    /// then one per uplink revision (mapping back to the prepared route
+    /// it revises) or fault re-route.
+    pool_routes: Vec<PoolRoute>,
     /// The channel→port mapping of the run's network model.
     fabric: FabricMap,
     pool: ChannelPool,
@@ -529,14 +632,14 @@ struct Sched<'a> {
 }
 
 impl Sched<'_> {
-    /// The index into `routes` of the route transfer `t` currently takes.
-    fn route_index(&self, t: usize) -> usize {
-        self.prepared_of[self.pool.route(t as u32) as usize] as usize
+    /// The pool route transfer `t` currently takes.
+    fn pool_route(&self, t: usize) -> &PoolRoute {
+        &self.pool_routes[self.pool.route(t as u32) as usize]
     }
 
     /// The route transfer `t` currently takes.
     fn route(&self, t: usize) -> &PreparedRoute {
-        &self.routes[self.route_index(t)]
+        &self.routes[self.pool_route(t).prepared as usize]
     }
 
     /// The channel-level path of transfer `t`.
@@ -544,25 +647,10 @@ impl Sched<'_> {
         self.route(t).path()
     }
 
-    /// The transit time of transfer `t` over its current route: the
-    /// prepared route's port wormhole (an uplink revision keeps its
-    /// prepared route, since slot substitution leaves the time
-    /// unchanged), or under store-and-forward the per-hop sum over its
-    /// pool path. Computed afresh on every call, from the same inputs
-    /// each time, so repeated calls agree bit for bit. The payload comes
-    /// from the pool's task slot, which the grant just touched.
+    /// The transit time of transfer `t` over its current route, as its
+    /// pool route was timed when registered.
     fn duration(&self, t: usize) -> Seconds {
-        let route = self.route(t);
-        let bytes = self.pool.bytes(t as u32);
-        match self.fabric.hop_mode {
-            HopMode::CutThrough => route.duration(bytes, &self.timing),
-            HopMode::StoreForward => self.fabric.store_forward(
-                self.pool.path(t as u32),
-                bytes,
-                route.via().is_some(),
-                &self.timing,
-            ),
-        }
+        self.pool_route(t).duration
     }
 
     fn faults(&mut self) -> &mut FaultState {
@@ -668,7 +756,7 @@ impl Sched<'_> {
             .iter()
             .zip(path)
             .all(|(a, b)| a == b || f.graph.port(PortId(a.0)).uplink().is_some()));
-        let prepared = self.prepared_of[self.pool.route(tid) as usize];
+        let prepared = self.pool_route(tid as usize).prepared;
         self.repoint(tid, revised, prepared);
         self.failovers += 1;
         self.trace.push(TraceRecord::Failover {
@@ -680,11 +768,19 @@ impl Sched<'_> {
     }
 
     /// Moves waiting transfer `tid` onto the pool path `path`, a new pool
-    /// route whose prepared route is `prepared`.
+    /// route whose prepared route is `prepared`, timed for the payload of
+    /// the route it leaves.
     fn repoint(&mut self, tid: u32, path: Vec<ChannelId>, prepared: u32) {
+        let bytes = self.pool_route(tid as usize).bytes;
+        let route = &self.routes[prepared as usize];
+        let duration = transit_time(&self.fabric, route, &path, bytes, &self.timing);
         self.pool.reroute(tid, path);
-        self.prepared_of.push(prepared);
-        debug_assert_eq!(self.pool.route(tid) as usize + 1, self.prepared_of.len());
+        self.pool_routes.push(PoolRoute {
+            prepared,
+            bytes,
+            duration,
+        });
+        debug_assert_eq!(self.pool.route(tid) as usize + 1, self.pool_routes.len());
     }
 
     /// Records the completion of transfer `tid`: releases its resources,
@@ -915,9 +1011,9 @@ impl Sched<'_> {
             };
             let mut ports = Vec::new();
             let wormhole = self.fabric.resources(route.channels(), &mut ports);
-            self.repoint(tid, ports, self.routes.len() as u32);
             self.routes
                 .push(PreparedRoute::of_route(&route, self.topo).with_wormhole(wormhole));
+            self.repoint(tid, ports, self.routes.len() as u32 - 1);
             self.faults().reroutes_taken += 1;
             self.trace.push(TraceRecord::Reroute {
                 id: TransferId(tid),

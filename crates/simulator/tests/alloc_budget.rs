@@ -14,9 +14,10 @@
 //! The scheduler's per-transfer state is also bounded in bytes: the peak
 //! heap an untraced `simulate` of the P=256 ring holds above what its
 //! caller already held stays within [`SIM_PEAK_BYTES_PER_TRANSFER`] per
-//! transfer. A transfer costs a 16-byte pool slot, its 16-byte timing
-//! and three 4-byte dependency-table entries (44 bytes); a wider slot or
-//! a second copy of any per-transfer table breaks the bound.
+//! transfer. A transfer costs an 8-byte pool slot, its 16-byte timing
+//! and three 4-byte dependency-table entries (36 bytes); a wider slot
+//! (the 16-byte slot that also held the payload peaked at 45.3) or a
+//! second copy of any per-transfer table breaks the bound.
 //!
 //! Fault severance decides each logical edge's route once per window, so
 //! classifying an uplink, a spine and a link outage of C1 on
@@ -39,9 +40,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The heap an untraced `simulate` may hold at its peak, per transfer,
-/// above what its caller held: 44 bytes of per-transfer state plus
+/// above what its caller held: 36 bytes of per-transfer state plus
 /// slack for the per-channel and per-route tables.
-const SIM_PEAK_BYTES_PER_TRANSFER: u64 = 48;
+const SIM_PEAK_BYTES_PER_TRANSFER: u64 = 40;
 
 /// The system allocator, counting every allocation and reallocation and
 /// tracking live and peak bytes.

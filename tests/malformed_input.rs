@@ -6,14 +6,18 @@
 //! The inputs are what the public API lets a caller build: routes
 //! planted with `Embedding::set_route`, schedules from
 //! `ScheduleBuilder::finish_unchecked`, and `SystemJob`s whose compute
-//! tasks or gates name nodes the job does not have.
+//! tasks or gates name nodes the job does not have. The embedding
+//! constructors and the step executor see five `finish_unchecked`
+//! defects on the DGX-1 and on a 16-node cluster: each constructor
+//! either refuses a schedule with a typed error or places it for the
+//! lowering to reject.
 
 use ccube_collectives::analyze::analyze_embedded;
-use ccube_collectives::verify::DagViolation;
+use ccube_collectives::verify::{execute_steps, ChannelKeying, DagViolation, VerifyError};
 use ccube_collectives::{
     fabric_lower_bound, makespan_lower_bound, physical, ring_allreduce, AnalyzeOptions, ChunkId,
-    Chunking, EdgeKey, Embedding, LinkTiming, LintCode, LowerError, Phase, PreparedLowering, Rank,
-    RouteDefect, Schedule, ScheduleBuilder, TransferId, TreeIndex,
+    Chunking, EdgeKey, Embedding, EmbeddingError, LinkTiming, LintCode, LowerError, Phase,
+    PreparedLowering, Rank, RouteDefect, Schedule, ScheduleBuilder, TransferId, TreeIndex,
 };
 use ccube_sim::faults::{forever, FaultEvent, FaultPlan};
 use ccube_sim::{
@@ -21,8 +25,8 @@ use ccube_sim::{
     ComputeTask, ComputeTaskId, SimError, SimOptions, SystemJob,
 };
 use ccube_topology::{
-    dgx1, ByteSize, ChannelClass, ChannelId, FabricConfig, FabricGraph, GpuId, Route, Seconds,
-    Topology,
+    dgx1, hierarchical, ByteSize, ChannelClass, ChannelId, FabricConfig, FabricGraph, GpuId, Route,
+    Seconds, Topology, TopologyError,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -290,4 +294,173 @@ fn simulate_system_rejects_a_job_whose_references_do_not_fit_it() {
     );
     let report = simulate_system(&topo, &valid, &e, &opts).unwrap();
     assert!(report.compute_complete[1] > report.compute_complete[0]);
+}
+
+/// What an embedding constructor does with a malformed schedule: refuse
+/// it with a typed error, or place it and leave the lowering to reject
+/// it.
+#[derive(Debug)]
+enum Placement {
+    Refused(EmbeddingError),
+    Lowered,
+}
+
+/// One `finish_unchecked` defect: `transfers` as `(src, dst, chunk,
+/// deps)` on `ranks` ranks and one chunk, the violation the DAG check
+/// reports, and what `identity`, `identity_with_host`, `nic` and
+/// `with_mapping` (every GPU, in reverse order) do with it on
+/// `topo`.
+struct Defect {
+    name: &'static str,
+    ranks: usize,
+    transfers: &'static [(u32, u32, u32, &'static [u32])],
+    violation: DagViolation,
+    placements: [Placement; 4],
+}
+
+fn defects(topo: &Topology) -> [Defect; 5] {
+    use Placement::{Lowered, Refused};
+    let id = TransferId(0);
+    let last = GpuId(topo.num_gpus() as u32 - 1);
+    let unplaced = |rank, mapped| Refused(EmbeddingError::RankOutOfRange { rank, mapped });
+    let self_loop = |gpu| Refused(EmbeddingError::Routing(TopologyError::SelfLoop(gpu)));
+    // The reversed mapping puts r0 -> r5 on GPUs 15 -> 10 of the
+    // 16-node cluster, which no NVLink route joins.
+    let far_pair = match topo.num_gpus() {
+        8 => Lowered,
+        _ => Refused(EmbeddingError::Routing(TopologyError::NoRoute {
+            src: GpuId(15),
+            dst: GpuId(10),
+        })),
+    };
+    [
+        Defect {
+            name: "rank out of range",
+            ranks: 2,
+            transfers: &[(0, 5, 0, &[])],
+            violation: DagViolation::EndpointOutOfRange {
+                id,
+                src: Rank(0),
+                dst: Rank(5),
+                num_ranks: 2,
+            },
+            placements: [
+                unplaced(Rank(5), 2),
+                unplaced(Rank(5), 2),
+                unplaced(Rank(5), 2),
+                far_pair,
+            ],
+        },
+        // `nic` places a self-loop, whose NIC pair is no route of
+        // its own; the lowering's `SelfLoop` check rejects it.
+        Defect {
+            name: "self-loop",
+            ranks: 2,
+            transfers: &[(0, 0, 0, &[])],
+            violation: DagViolation::SelfLoop { id },
+            placements: [
+                self_loop(GpuId(0)),
+                self_loop(GpuId(0)),
+                Lowered,
+                self_loop(last),
+            ],
+        },
+        Defect {
+            name: "chunk out of range",
+            ranks: 2,
+            transfers: &[(0, 1, 5, &[])],
+            violation: DagViolation::ChunkOutOfRange {
+                id,
+                chunk: ChunkId(5),
+                num_chunks: 1,
+            },
+            placements: [Lowered, Lowered, Lowered, Lowered],
+        },
+        Defect {
+            name: "forward dep",
+            ranks: 2,
+            transfers: &[(0, 1, 0, &[1]), (1, 0, 0, &[])],
+            violation: DagViolation::ForwardDep {
+                id,
+                dep: TransferId(1),
+            },
+            placements: [Lowered, Lowered, Lowered, Lowered],
+        },
+        Defect {
+            name: "zero ranks",
+            ranks: 0,
+            transfers: &[(0, 1, 0, &[])],
+            violation: DagViolation::EndpointOutOfRange {
+                id,
+                src: Rank(0),
+                dst: Rank(1),
+                num_ranks: 0,
+            },
+            placements: [
+                unplaced(Rank(0), 0),
+                unplaced(Rank(0), 0),
+                unplaced(Rank(0), 0),
+                Lowered,
+            ],
+        },
+    ]
+}
+
+#[test]
+fn embeddings_and_the_step_executor_reject_malformed_schedules_with_typed_errors() {
+    for topo in [dgx1(), hierarchical(16)] {
+        let mapping: Vec<GpuId> = (0..topo.num_gpus() as u32).rev().map(GpuId).collect();
+        for defect in defects(&topo) {
+            let Defect {
+                name,
+                ranks,
+                transfers,
+                violation,
+                placements,
+            } = defect;
+            let mut b = ScheduleBuilder::new();
+            let size = ByteSize::kib(4);
+            for &(src, dst, chunk, deps) in transfers {
+                let deps = deps.iter().map(|&d| TransferId(d));
+                let (src, dst, chunk) = (Rank(src), Rank(dst), ChunkId(chunk));
+                b.push(src, dst, chunk, size, Phase::Reduce, TreeIndex(0), deps);
+            }
+            let s = b.finish_unchecked(name, ranks, Chunking::even(size, 1));
+            let gpus = topo.num_gpus();
+            let placed = [
+                (
+                    "identity",
+                    no_panic(name, || Embedding::identity(&topo, &s)),
+                ),
+                (
+                    "identity_with_host",
+                    no_panic(name, || Embedding::identity_with_host(&topo, &s)),
+                ),
+                ("nic", no_panic(name, || Embedding::nic(&topo, &s))),
+                (
+                    "with_mapping",
+                    no_panic(name, || {
+                        Embedding::with_mapping(&topo, &s, mapping.clone(), false)
+                    }),
+                ),
+            ];
+            for ((ctor, placed), want) in placed.into_iter().zip(placements) {
+                let what = format!("{name}, {ctor} on {gpus} GPUs");
+                match (placed, want) {
+                    (Err(e), Placement::Refused(want)) => assert_eq!(e, want, "{what}"),
+                    (Ok(e), Placement::Lowered) => {
+                        let lowered = no_panic(&what, || PreparedLowering::new(&s, &e, &topo));
+                        let want = LowerError::MalformedDag(violation);
+                        assert_eq!(lowered.err(), Some(want), "{what}");
+                    }
+                    (placed, want) => panic!("{what}: {placed:?}, expected {want:?}"),
+                }
+            }
+            for keying in [ChannelKeying::PerTree, ChannelKeying::SharedAcrossTrees] {
+                let run = no_panic(name, || execute_steps(&s, keying));
+                let want = VerifyError::MalformedDag(violation);
+                assert_eq!(run.err(), Some(want), "{name}, {keying:?}");
+            }
+        }
+    }
 }
